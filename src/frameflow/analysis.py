@@ -10,15 +10,17 @@ interior dominant frequency or a tie - is reported as MIXED, and runs that
 never plateau as UNDECIDED.
 
 The gain families implemented here are the scalar-weight spatial family
-g(lam) = (low^2(lam) + lambda_w * high^2(lam)) (1 - lam) and the uniform
-spectral-filter family a(lam) = low^2(lam) + theta * high^2(lam); thresholds
-are computed exactly on the actual spectrum rather than from a closed form.
+g(lam) = (low^2(lam) + lambda_w * high^2(lam)) (1 - lam), the descent step
+1 - tau (low^2(lam) + high^2(lam) - g(lam)) of the same energy, and the
+uniform spectral-filter family a(lam) = low^2(lam) + theta * high^2(lam);
+thresholds are computed exactly on the actual spectrum rather than from a
+closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, TYPE_CHECKING
+from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -45,6 +47,7 @@ __all__ = [
     "kernel_projection",
     "DominanceVerdict",
     "classify_dominance",
+    "limit_dominance",
 ]
 
 LFD = "LFD"
@@ -65,13 +68,8 @@ def normalized_dirichlet(lap: np.ndarray, signal) -> float:
     return dirichlet_energy(lap, x / norm)
 
 
-def _band_energy_split(lam, scales: int, variant: str):
-    """(low-pass response squared, summed high-pass squares) at ``lam``."""
-    responses = haar_response(lam, scales, variant)
-    low_band = (0, scales)
-    low_sq = responses[low_band] ** 2
-    high_sq = sum(v**2 for b, v in responses.items() if b != low_band)
-    return low_sq, high_sq
+def _like_input(lam, out):
+    return float(out) if np.ndim(lam) == 0 else out
 
 
 def amplification_spatial(lam, lambda_w: float, scales: int = 1, variant: str = "tight"):
@@ -82,10 +80,7 @@ def amplification_spatial(lam, lambda_w: float, scales: int = 1, variant: str = 
     Signed; dominance compares |g| over the spectrum.  At lambda_w = 1 the
     tight variant collapses to g(lam) = 1 - lam.
     """
-    arr = np.asarray(lam, dtype=float)
-    low_sq, high_sq = _band_energy_split(arr, scales, variant)
-    out = (low_sq + lambda_w * high_sq) * (1.0 - arr)
-    return float(out) if np.ndim(lam) == 0 else out
+    return _like_input(lam, AmplificationFamily("spatial", lambda_w, scales, variant).gains(lam))
 
 
 def amplification_spectral(lam, theta: float):
@@ -96,13 +91,7 @@ def amplification_spectral(lam, theta: float):
     Monotone increasing in lam for theta > 1, decreasing for theta in [0, 1),
     constant 1 at theta = 1.  Requires theta >= 0.
     """
-    if theta < 0.0:
-        raise OutOfRangeError(f"theta must be nonnegative, got {theta}")
-    arr = np.asarray(lam, dtype=float)
-    if np.any(arr < -FREQ_GROUP_TOL) or np.any(arr > 2.0 + FREQ_GROUP_TOL):
-        raise OutOfRangeError("frequency outside [0, 2]")
-    out = np.cos(arr / 8.0) ** 2 + theta * np.sin(arr / 8.0) ** 2
-    return float(out) if np.ndim(lam) == 0 else out
+    return _like_input(lam, AmplificationFamily("spectral", theta).gains(lam))
 
 
 @dataclass(frozen=True)
@@ -110,10 +99,13 @@ class AmplificationFamily:
     """A one-parameter per-frequency gain family.
 
     kind 'spatial' uses coefficient = lambda_w, 'spectral' uses coefficient =
-    theta.  Two further kinds support the epsilon sweeps: 'ee' is the
-    band-shifted convolution with scalar weights, and 'perturbed' the
-    exponential decay factors of the closed-form flow (whose argmax is the
-    slowest-decaying frequency).
+    theta.  'descent' is one explicit-Euler step of size tau down the energy
+    whose convolution gain is the 'spatial' one (gradf_ufg and the activated
+    scheme's linearization): 1 - tau (sum_b r_b^2 - g).  Two further kinds
+    support the epsilon sweeps: 'ee' is the band-shifted convolution with
+    scalar weights, and 'perturbed' the exponential decay factors of the
+    closed-form flow (whose argmax is the slowest-decaying frequency).
+    Frequencies outside [0, 2] and a negative theta raise OutOfRangeError.
     """
 
     kind: str
@@ -121,17 +113,21 @@ class AmplificationFamily:
     scales: int = 1
     variant: str = "tight"
     epsilon: float = 0.0
+    tau: float = 1.0
 
     def gains(self, lam) -> np.ndarray:
         arr = np.asarray(lam, dtype=float)
         if self.kind == "perturbed":
             return np.exp(-(np.maximum(arr, 0.0) + self.epsilon * energy_gap(arr)))
-        low_sq, high_sq = _band_energy_split(arr, self.scales, self.variant)
-        if self.kind == "spatial":
-            return (low_sq + self.coefficient * high_sq) * (1.0 - arr)
+        if self.kind == "spectral" and self.coefficient < 0.0:
+            raise OutOfRangeError(f"theta must be nonnegative, got {self.coefficient}")
+        responses = haar_response(arr, self.scales, self.variant)
+        low_sq = responses[(0, self.scales)] ** 2
+        high_sq = sum(v**2 for b, v in responses.items() if b[0] != 0)
+        if self.kind in ("spatial", "descent"):
+            conv = (low_sq + self.coefficient * high_sq) * (1.0 - arr)
+            return conv if self.kind == "spatial" else 1.0 - self.tau * (low_sq + high_sq - conv)
         if self.kind == "spectral":
-            if self.coefficient < 0.0:
-                raise OutOfRangeError(f"theta must be nonnegative, got {self.coefficient}")
             return low_sq + self.coefficient * high_sq
         if self.kind == "ee":
             eps = self.epsilon
@@ -234,40 +230,53 @@ def classify_dominance(
     tol: float = DEFAULT_TOL,
     prediction: Optional[DominancePrediction] = None,
 ) -> DominanceVerdict:
-    """Read a verdict off a renormalized trace.
-
-    LFD when the final E(H/||H||) is within tol of 0; HFD when it is within
-    tol of rho_L/2 *and* the final state lies within sqrt(tol) of the top
-    eigenspace; MIXED when the run plateaued elsewhere; UNDECIDED when
-    max_steps was reached without a plateau.
-    """
+    """Read a verdict off a renormalized trace by :func:`limit_dominance`."""
     if not trace.renormalized:
         raise TraceNotNormalizedError("dominance is defined on renormalized traces only")
-    limit = trace.limit_value
-    target_high = spectrum.rho_l / 2.0
-    residual = None
-    if not trace.plateaued or trace.steps_run == 0:
-        dominance = UNDECIDED
-    elif abs(limit) <= tol:
-        dominance = LFD
-        residual = _relative_residual(spectrum, trace.final_state, kernel_projection)
-    else:
-        top_residual = _relative_residual(spectrum, trace.final_state, hfd_projection)
-        if abs(limit - target_high) <= tol and top_residual <= np.sqrt(tol):
-            dominance = HFD
-            residual = top_residual
-        else:
-            dominance = MIXED
+    plateaued = trace.plateaued and trace.steps_run > 0
+    dominance, residual = limit_dominance(
+        plateaued, trace.limit_value, spectrum, tol, trace.final_state
+    )
     return DominanceVerdict(
         dominance=dominance,
-        limit_value=limit,
+        limit_value=trace.limit_value,
         target_low=0.0,
-        target_high=target_high,
+        target_high=spectrum.rho_l / 2.0,
         residual=residual,
         top_multiplicity=spectrum.top_multiplicity,
         dominant_lambda=None if prediction is None else prediction.lambda_star,
         predicted=None if prediction is None else prediction.dominance,
     )
+
+
+def limit_dominance(
+    plateaued: bool,
+    limit: float,
+    spectrum: Spectrum,
+    tol: float,
+    state: Optional[np.ndarray] = None,
+) -> Tuple[str, Optional[float]]:
+    """The verdict rule, as (dominance, residual).
+
+    UNDECIDED without a plateau; LFD when the final E(H/||H||) is within tol
+    of 0; HFD when it is within tol of rho_L/2 *and* the final ``state`` lies
+    within sqrt(tol) of the top eigenspace; MIXED otherwise.  residual is the
+    relative distance of ``state`` to the kernel (LFD) or the top eigenspace
+    (HFD).  With ``state`` unknown the eigenspace test is skipped and the
+    residual is None.
+    """
+    if not plateaued:
+        return UNDECIDED, None
+    if abs(limit) <= tol:
+        residual = None if state is None else _relative_residual(spectrum, state, kernel_projection)
+        return LFD, residual
+    if abs(limit - spectrum.rho_l / 2.0) <= tol:
+        if state is None:
+            return HFD, None
+        residual = _relative_residual(spectrum, state, hfd_projection)
+        if residual <= np.sqrt(tol):
+            return HFD, residual
+    return MIXED, None
 
 
 def _relative_residual(spectrum: Spectrum, state: np.ndarray, projector) -> float:

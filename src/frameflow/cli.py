@@ -8,7 +8,7 @@ sweep     repeat the run over a grid of one parameter (lambda_w|theta|epsilon)
 energy    evaluate every applicable energy for the configured signal
 classify  re-classify an existing trace CSV (energy-value rules only; the
           eigenspace-residual check needs the final state, which a CSV does
-          not carry)
+          not carry); builds the graph and its spectrum, no framelet bank
 
 The config format is strict JSON: unknown keys are rejected anywhere in the
 tree, so a typo fails loudly instead of silently changing the experiment.
@@ -23,7 +23,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -67,7 +67,6 @@ EXIT_CODES = {
     TraceNotNormalizedError: 15,
 }
 
-PLATEAU_TOL = 1e-9
 DEFAULT_TAU = {
     "spatial_framelet": 1.0,
     "ee_ufg": 1.0,
@@ -305,14 +304,19 @@ def _build_weights(cfg: dict, scales: int, channels: int, n: int) -> energies.We
 
 
 @dataclass
-class Experiment:
-    """Everything assembled from one config, ready to run."""
+class Geometry:
+    """The part of an experiment fixed by the graph, framelet and seed blocks."""
 
-    graph: graphs.Graph
     ahat: np.ndarray
     lap: np.ndarray
     spectrum: spectral.Spectrum
     system: framelets.FrameletSystem
+
+
+@dataclass
+class Experiment(Geometry):
+    """Everything assembled from one config, ready to run."""
+
     scheme: dynamics.Scheme
     weights: energies.WeightConfig
     initial: np.ndarray
@@ -320,33 +324,38 @@ class Experiment:
     tol: float
 
 
-def assemble(cfg: dict, seed: Optional[int] = None) -> Experiment:
-    validate_config(cfg)
+def build_geometry(cfg: dict, seed: Optional[int] = None) -> Geometry:
     graph = _build_graph(cfg, seed)
     ahat = graphs.normalized_adjacency(graph)
     lap = graphs.normalized_laplacian(graph)
     spectrum = spectral.eigh(lap)
     fcfg = cfg.get("framelet", {})
     scales = int(fcfg.get("scales", 1))
-    variant = fcfg.get("variant", "tight")
-    system = framelets.build_framelet_system(spectrum, scales, variant)
-    scfg = cfg.get("scheme", {})
+    system = framelets.build_framelet_system(spectrum, scales, fcfg.get("variant", "tight"))
+    return Geometry(ahat, lap, spectrum, system)
+
+
+def _run_rules(cfg: dict):
+    """(stop rule, verdict tolerance) of the config's run block."""
     rcfg = cfg.get("run", {})
+    stop = dynamics.StopRule(
+        max_steps=int(rcfg.get("steps", 1000)),
+        plateau_window=int(rcfg.get("plateau_window", 10)),
+    )
+    return stop, float(rcfg.get("tol", analysis.DEFAULT_TOL))
+
+
+def assemble(cfg: dict, geometry: Geometry, seed: Optional[int] = None) -> Experiment:
+    """Add the scheme, initial state, weights and stop rule to a geometry."""
+    scfg = cfg.get("scheme", {})
     scheme = dynamics.Scheme(
         kind=scfg.get("kind", "spatial_framelet"),
         activation=scfg.get("activation", "identity"),
-        renormalize=bool(rcfg.get("renormalize", True)),
+        renormalize=bool(cfg.get("run", {}).get("renormalize", True)),
     )
-    initial = _build_init(cfg, spectrum, seed)
-    weights = _build_weights(cfg, scales, initial.shape[1], spectrum.n)
-    steps = int(rcfg.get("steps", 1000))
-    if steps < 1:
-        raise ConfigError(f"run.steps must be >= 1, got {steps}")
-    stop = dynamics.StopRule(
-        max_steps=steps,
-        plateau_tol=PLATEAU_TOL,
-        plateau_window=int(rcfg.get("plateau_window", 10)),
-    )
+    initial = _build_init(cfg, geometry.spectrum, seed)
+    weights = _build_weights(cfg, geometry.system.scales, initial.shape[1], geometry.spectrum.n)
+    stop, tol = _run_rules(cfg)
     if scheme.kind in ("ee_ufg", "perturbed_closed_form") and weights.epsilon <= 0.0:
         print(
             f"warning: scheme {scheme.kind} with epsilon={weights.epsilon} <= 0; "
@@ -354,48 +363,78 @@ def assemble(cfg: dict, seed: Optional[int] = None) -> Experiment:
             file=sys.stderr,
         )
     return Experiment(
-        graph=graph,
-        ahat=ahat,
-        lap=lap,
-        spectrum=spectrum,
-        system=system,
-        scheme=scheme,
-        weights=weights,
-        initial=initial,
-        stop=stop,
-        tol=float(rcfg.get("tol", 1e-6)),
+        **vars(geometry), scheme=scheme, weights=weights, initial=initial, stop=stop, tol=tol
     )
 
 
-def prediction_family(cfg: dict) -> Optional[analysis.AmplificationFamily]:
-    """Gain family implied by the config's weight mode, when one exists."""
-    fcfg = cfg.get("framelet", {})
-    scales = int(fcfg.get("scales", 1))
-    variant = fcfg.get("variant", "tight")
-    scheme_kind = cfg.get("scheme", {}).get("kind", "spatial_framelet")
+def _check_flow_config(cfg: dict) -> None:
+    """Reject before any geometry is built what a flow would reject later:
+    unequal band weights under spectral filtering (WeightConfig.shared_w)
+    and an unrenormalized run, which has no verdict."""
     wcfg = cfg["weights"]
-    if scheme_kind == "spectral_framelet":
+    if cfg.get("scheme", {}).get("kind") == "spectral_framelet" and wcfg["mode"] != "shared":
+        if wcfg["mode"] == "scalar":
+            band_w = [1.0, float(wcfg["lambda_w"])]
+        else:
+            scales = int(cfg.get("framelet", {}).get("scales", 1))
+            band_w = list(_band_matrix_map("w", wcfg["w"], scales).values())
+        if not all(np.array_equal(w, band_w[0]) for w in band_w):
+            raise ConfigError("spectral filtering uses one shared w across all bands")
+    if not cfg.get("run", {}).get("renormalize", True):
+        raise TraceNotNormalizedError("dominance is defined on renormalized runs only")
+
+
+def run_flows(cfgs: List[dict], seed: Optional[int] = None, jobs: int = 1) -> list:
+    """Check every config, build the geometry they share once, then run
+    assemble -> run -> predict -> classify for each, on ``jobs`` threads.
+    Returns (experiment, trace, prediction, verdict) per config, in order."""
+    for cfg in cfgs:
+        validate_config(cfg)
+        _check_flow_config(cfg)
+    geometry = build_geometry(cfgs[0], seed)
+
+    def flow(cfg: dict):
+        exp = assemble(cfg, geometry, seed)
+        trace = dynamics.run_flow(
+            exp.scheme, exp.system, exp.ahat, exp.lap, exp.initial, exp.weights, exp.stop
+        )
+        family = prediction_family(cfg, exp)
+        prediction = (
+            analysis.dominant_frequency(exp.spectrum, family) if family is not None else None
+        )
+        verdict = analysis.classify_dominance(trace, exp.spectrum, exp.tol, prediction)
+        return exp, trace, prediction, verdict
+
+    if jobs <= 1:
+        return [flow(cfg) for cfg in cfgs]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(flow, cfgs))
+
+
+def prediction_family(cfg: dict, exp: Experiment) -> Optional[analysis.AmplificationFamily]:
+    """Gain family of the experiment's flow, when its weight mode has one."""
+    bank = {"scales": exp.system.scales, "variant": exp.system.variant}
+    kind = exp.scheme.kind
+    if kind == "spectral_framelet":
         theta = cfg.get("theta")
         if isinstance(theta, (int, float)):
-            return analysis.AmplificationFamily("spectral", float(theta), scales, variant)
+            return analysis.AmplificationFamily("spectral", float(theta), **bank)
         if isinstance(theta, dict) and "bands" not in theta:
             low, high = float(theta.get("low", 1.0)), float(theta.get("high", 1.0))
             if low != 0.0:
-                return analysis.AmplificationFamily("spectral", high / low, scales, variant)
+                return analysis.AmplificationFamily("spectral", high / low, **bank)
         return None
-    if wcfg["mode"] != "scalar":
+    if cfg["weights"]["mode"] != "scalar":
         return None
-    lambda_w = float(wcfg["lambda_w"])
-    if scheme_kind in ("spatial_framelet", "gradf_ufg", "activated"):
-        return analysis.AmplificationFamily("spatial", lambda_w, scales, variant)
-    if scheme_kind == "ee_ufg":
-        return analysis.AmplificationFamily(
-            "ee", lambda_w, scales, variant, epsilon=float(cfg.get("epsilon", 0.0))
-        )
-    if scheme_kind == "perturbed_closed_form":
-        return analysis.AmplificationFamily(
-            "perturbed", scales=2, epsilon=float(cfg.get("epsilon", 0.0))
-        )
+    lambda_w = float(cfg["weights"]["lambda_w"])
+    if kind == "spatial_framelet":
+        return analysis.AmplificationFamily("spatial", lambda_w, **bank)
+    if kind in ("gradf_ufg", "activated"):
+        return analysis.AmplificationFamily("descent", lambda_w, **bank, tau=exp.weights.tau)
+    if kind == "ee_ufg":
+        return analysis.AmplificationFamily("ee", lambda_w, **bank, epsilon=exp.weights.epsilon)
+    if kind == "perturbed_closed_form":
+        return analysis.AmplificationFamily("perturbed", scales=2, epsilon=exp.weights.epsilon)
     return None
 
 
@@ -426,31 +465,9 @@ def write_trace_csv(path, trace: dynamics.FlowTrace) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _verdict_dict(verdict: analysis.DominanceVerdict) -> dict:
-    return {
-        "dominance": verdict.dominance,
-        "limit_value": verdict.limit_value,
-        "target_low": verdict.target_low,
-        "target_high": verdict.target_high,
-        "residual": verdict.residual,
-        "top_multiplicity": verdict.top_multiplicity,
-        "dominant_lambda": verdict.dominant_lambda,
-        "predicted": verdict.predicted,
-    }
-
-
 def run_config(cfg: dict, out_dir, seed: Optional[int] = None) -> dict:
     """Run one experiment; write the trace CSV + summary JSON; return the summary."""
-    exp = assemble(cfg, seed)
-    trace = dynamics.run_flow(
-        exp.scheme, exp.system, exp.ahat, exp.lap, exp.initial, exp.weights, exp.stop
-    )
-    family = prediction_family(cfg)
-    prediction = (
-        analysis.dominant_frequency(exp.spectrum, family) if family is not None else None
-    )
-    verdict = analysis.classify_dominance(trace, exp.spectrum, exp.tol, prediction)
-
+    [(exp, trace, _, verdict)] = run_flows([cfg], seed)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ocfg = cfg.get("output", {})
@@ -458,7 +475,7 @@ def run_config(cfg: dict, out_dir, seed: Optional[int] = None) -> dict:
     summary_path = out_dir / ocfg.get("summary", "summary.json")
     write_trace_csv(csv_path, trace)
     summary = {
-        "verdict": _verdict_dict(verdict),
+        "verdict": asdict(verdict),
         "rho_l": exp.spectrum.rho_l,
         "final": {
             "norm": float(trace.norms[-1]),
@@ -500,27 +517,6 @@ def _apply_sweep_value(cfg: dict, parameter: str, value: float) -> dict:
     return out
 
 
-def _sweep_point(cfg: dict, parameter: str, value: float, seed: Optional[int]) -> dict:
-    point = _apply_sweep_value(cfg, parameter, value)
-    exp = assemble(point, seed)
-    trace = dynamics.run_flow(
-        exp.scheme, exp.system, exp.ahat, exp.lap, exp.initial, exp.weights, exp.stop
-    )
-    family = prediction_family(point)
-    prediction = (
-        analysis.dominant_frequency(exp.spectrum, family) if family is not None else None
-    )
-    verdict = analysis.classify_dominance(trace, exp.spectrum, exp.tol, prediction)
-    return {
-        "value": value,
-        "predicted": "NONE" if prediction is None else prediction.dominance,
-        "margin": None if prediction is None else prediction.margin,
-        "measured": verdict.dominance,
-        "limit_value": verdict.limit_value,
-        "steps_to_plateau": -1 if trace.steps_to_plateau is None else trace.steps_to_plateau,
-    }
-
-
 def sweep_config(
     cfg: dict,
     parameter: str,
@@ -529,27 +525,23 @@ def sweep_config(
     jobs: int = 1,
     seed: Optional[int] = None,
 ) -> List[dict]:
-    """Run the config once per grid value; emit sweep.csv in grid order.
-
-    Grid points are independent and may run on a worker pool; results land
-    in a pre-sized, index-addressed buffer so output order equals grid order
-    regardless of completion order.
-    """
+    """Run the config once per grid value on one geometry; emit sweep.csv
+    in grid order, whatever the order in which ``jobs`` threads finish."""
     if not grid:
         raise ConfigError("sweep grid must not be empty")
     validate_config(cfg)
-    rows: List[Optional[dict]] = [None] * len(grid)
-    if jobs <= 1:
-        for i, value in enumerate(grid):
-            rows[i] = _sweep_point(cfg, parameter, value, seed)
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                pool.submit(_sweep_point, cfg, parameter, value, seed): i
-                for i, value in enumerate(grid)
-            }
-            for future, i in futures.items():
-                rows[i] = future.result()
+    points = [_apply_sweep_value(cfg, parameter, value) for value in grid]
+    rows = [
+        {
+            "value": value,
+            "predicted": "NONE" if prediction is None else prediction.dominance,
+            "margin": None if prediction is None else prediction.margin,
+            "measured": verdict.dominance,
+            "limit_value": verdict.limit_value,
+            "steps_to_plateau": -1 if trace.steps_to_plateau is None else trace.steps_to_plateau,
+        }
+        for value, (_, trace, prediction, verdict) in zip(grid, run_flows(points, seed, jobs))
+    ]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "sweep.csv"
@@ -566,7 +558,8 @@ def sweep_config(
 
 def energy_report(cfg: dict, seed: Optional[int] = None) -> dict:
     """Evaluate every energy the config makes applicable for its signal."""
-    exp = assemble(cfg, seed)
+    validate_config(cfg)
+    exp = assemble(cfg, build_geometry(cfg, seed), seed)
     x = exp.initial
     report = {"dirichlet": energies.dirichlet_energy(exp.lap, x)}
     if exp.system.is_tight:
@@ -598,9 +591,12 @@ def classify_trace_csv(cfg: dict, trace_path, seed: Optional[int] = None) -> dic
     """Re-apply the plateau + limit-value rules to an existing trace CSV.
 
     The final state is not stored in a CSV, so the eigenspace-residual half
-    of the high-frequency test cannot be re-checked here.
+    of the high-frequency test cannot be re-checked here.  Of the geometry
+    only the spectrum (for rho_L) is built.
     """
-    exp = assemble(cfg, seed)
+    validate_config(cfg)
+    spectrum = spectral.eigh(graphs.normalized_laplacian(_build_graph(cfg, seed)))
+    stop, tol = _run_rules(cfg)
     try:
         with open(trace_path, "r", encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
@@ -614,29 +610,13 @@ def classify_trace_csv(cfg: dict, trace_path, seed: Optional[int] = None) -> dic
         raise FileParseError(f"{trace_path}: malformed row") from exc
     if not e_norm:
         raise FileParseError(f"{trace_path} has no data rows")
-    window = exp.stop.plateau_window
-    flat_run = 0
-    plateaued = False
-    for prev, cur in zip(e_norm, e_norm[1:]):
-        flat_run = flat_run + 1 if abs(cur - prev) < PLATEAU_TOL else 0
-        if flat_run >= window:
-            plateaued = True
-            break
-    limit = e_norm[-1]
-    target_high = exp.spectrum.rho_l / 2.0
-    if not plateaued or len(e_norm) <= 1:
-        dominance = analysis.UNDECIDED
-    elif abs(limit) <= exp.tol:
-        dominance = analysis.LFD
-    elif abs(limit - target_high) <= exp.tol:
-        dominance = analysis.HFD
-    else:
-        dominance = analysis.MIXED
+    plateaued = stop.plateau_step(e_norm) is not None
+    dominance, _ = analysis.limit_dominance(plateaued, e_norm[-1], spectrum, tol)
     return {
         "dominance": dominance,
-        "limit_value": limit,
+        "limit_value": e_norm[-1],
         "target_low": 0.0,
-        "target_high": target_high,
+        "target_high": spectrum.rho_l / 2.0,
         "residual_checked": False,
         "rows": len(e_norm),
         "plateaued": plateaued,

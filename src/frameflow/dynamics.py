@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional
+from itertools import pairwise
+from typing import Callable, Iterable, List, Optional
 
 import numpy as np
 
@@ -112,6 +113,17 @@ class StopRule:
             raise ConfigError(f"max_steps must be >= 1, got {self.max_steps}")
         if self.plateau_window < 1:
             raise ConfigError(f"plateau_window must be >= 1, got {self.plateau_window}")
+
+    def plateau_step(self, e_norms: Iterable[float]) -> Optional[int]:
+        """The step at which the plateau rule fires on E(H/||H||) per record
+        (row 0 first), or None.  Reads ``e_norms`` no further than that step,
+        so a flow can feed it as it steps."""
+        flat_run = 0
+        for k, (prev, cur) in enumerate(pairwise(e_norms), start=1):
+            flat_run = flat_run + 1 if abs(cur - prev) < self.plateau_tol else 0
+            if flat_run >= self.plateau_window:
+                return k
+        return None
 
 
 @dataclass(frozen=True)
@@ -364,33 +376,28 @@ def run_flow(
     norm0 = float(np.linalg.norm(x0))
     if norm0 == 0.0:
         raise ZeroStateError("initial state has zero norm")
-    prev = record(0, norm0, x0)
     state = x0 / norm0 if scheme.renormalize else x0
 
-    plateaued = False
-    steps_to_plateau = None
-    flat_run = 0
-    for k in range(1, stop.max_steps + 1):
-        if closed_form:
-            state = perturbed_closed_form(sys.spectrum, x0, cfg.epsilon, k * cfg.tau)
-        else:
-            state = stepper(state)
-        norm = float(np.linalg.norm(state))
-        if norm == 0.0:
-            raise ZeroStateError(f"state vanished at step {k}")
-        if not np.isfinite(norm) or (not scheme.renormalize and norm > OVERFLOW_GUARD):
-            raise NumericOverflowError(
-                f"state norm {norm:.3e} at step {k}; renormalize or shrink tau"
-            )
-        if scheme.renormalize:
-            state = state / norm
-        e_norm = record(k, norm, state)
-        flat_run = flat_run + 1 if abs(e_norm - prev) < stop.plateau_tol else 0
-        prev = e_norm
-        if flat_run >= stop.plateau_window:
-            plateaued = True
-            steps_to_plateau = k
-            break
+    def stepped():  # runs only as far as the plateau rule reads
+        nonlocal state
+        yield record(0, norm0, x0)
+        for k in range(1, stop.max_steps + 1):
+            if closed_form:
+                state = perturbed_closed_form(sys.spectrum, x0, cfg.epsilon, k * cfg.tau)
+            else:
+                state = stepper(state)
+            norm = float(np.linalg.norm(state))
+            if norm == 0.0:
+                raise ZeroStateError(f"state vanished at step {k}")
+            if not np.isfinite(norm) or (not scheme.renormalize and norm > OVERFLOW_GUARD):
+                raise NumericOverflowError(
+                    f"state norm {norm:.3e} at step {k}; renormalize or shrink tau"
+                )
+            if scheme.renormalize:
+                state = state / norm
+            yield record(k, norm, state)
+
+    steps_to_plateau = stop.plateau_step(stepped())
 
     e_arr = np.asarray(e_norms)
     return FlowTrace(
@@ -403,6 +410,6 @@ def run_flow(
         wall_time=np.asarray(walls),
         final_state=state,
         renormalized=scheme.renormalize,
-        plateaued=plateaued,
+        plateaued=steps_to_plateau is not None,
         steps_to_plateau=steps_to_plateau,
     )

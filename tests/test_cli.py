@@ -219,3 +219,110 @@ def test_summary_includes_paper_check_and_echo(tmp_path):
     assert summary["config"]["weights"]["lambda_w"] == 10.0
     on_disk = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
     assert on_disk["verdict"]["dominance"] == summary["verdict"]["dominance"]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("this stage must not run")
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_sweep_builds_geometry_once(tmp_path, monkeypatch):
+    calls = _count_calls(monkeypatch, ff.spectral, "eigh")
+    cli.sweep_config(c6_config(), "lambda_w", [0.5, 1.0, 2.0, 10.0], tmp_path)
+    assert len(calls) == 1
+
+
+def test_sweep_rows_match_single_runs(tmp_path):
+    cfg = c6_config()
+    grid = [0.5, 1.0, 2.0, 10.0]
+    rows = cli.sweep_config(cfg, "lambda_w", grid, tmp_path / "sweep")
+    for value, row in zip(grid, rows):
+        summary = cli.run_config(c6_config(lambda_w=value), tmp_path / repr(value))
+        verdict, final = summary["verdict"], summary["final"]
+        assert (row["predicted"], row["measured"]) == (verdict["predicted"], verdict["dominance"])
+        assert row["limit_value"] == verdict["limit_value"]
+        steps = -1 if final["steps_to_plateau"] is None else final["steps_to_plateau"]
+        assert row["steps_to_plateau"] == steps
+
+
+@pytest.mark.parametrize(
+    "lambda_w,steps,expected",
+    [(0.5, 20000, "LFD"), (10.0, 20000, "HFD"), (1.0, 20000, "MIXED"), (10.0, 5, "UNDECIDED")],
+)
+def test_classify_trace_matches_run_without_framelet_bank(
+    tmp_path, monkeypatch, lambda_w, steps, expected
+):
+    cfg = c6_config(lambda_w=lambda_w, steps=steps)
+    summary = cli.run_config(cfg, tmp_path)
+    assert summary["verdict"]["dominance"] == expected
+    monkeypatch.setattr(ff.framelets, "build_framelet_system", _refuse)
+    verdict = cli.classify_trace_csv(cfg, tmp_path / "trace.csv")
+    assert verdict["dominance"] == expected
+    assert verdict["plateaued"] == summary["final"]["plateaued"]
+    assert verdict["limit_value"] == summary["verdict"]["limit_value"]
+
+
+@pytest.mark.parametrize("scheme", ["gradf_ufg", "activated"])
+def test_descent_prediction_uses_step_multiplier(tmp_path, scheme):
+    # one descent step multiplies frequency lam by 1 - tau (1 - g(lam)); the
+    # convolution gain |g| alone would pick the top frequency at lambda_w = 32
+    cfg = {
+        "graph": {"kind": "erdos_renyi", "n": 50, "p": 0.2, "seed": 1},
+        "framelet": {"scales": 2, "variant": "tight"},
+        "scheme": {"kind": scheme},
+        "weights": {"mode": "scalar", "lambda_w": 32.0},
+        "tau": 0.01,
+        "init": {"mode": "random_normal", "seed": 8, "channels": 8},
+        "run": {"steps": 5000, "tol": 1e-6, "plateau_window": 10, "renormalize": True},
+    }
+    summary = cli.run_config(cfg, tmp_path)
+    assert summary["final"]["steps_to_plateau"] == 1902
+    assert summary["verdict"]["dominance"] == "LFD"
+    assert summary["verdict"]["predicted"] == "LFD"
+    assert summary["verdict"]["dominant_lambda"] <= 1e-9
+
+
+def _spectral_config(weights):
+    cfg = c6_config(theta=2.0)
+    cfg["scheme"] = {"kind": "spectral_framelet"}
+    cfg["weights"] = weights
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        {"mode": "scalar", "lambda_w": 2.0},
+        {"mode": "full", "omega": {"0,1": [[1.0]], "1,1": [[1.0]]},
+         "w": {"0,1": [[1.0]], "1,1": [[2.0]]}},
+    ],
+)
+def test_unequal_spectral_weights_rejected_before_eigensolve(tmp_path, monkeypatch, weights):
+    monkeypatch.setattr(ff.spectral, "eigh", _refuse)
+    path = write_config(tmp_path, _spectral_config(weights))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+
+
+def test_unrenormalized_run_fails_before_eigensolve(tmp_path, monkeypatch):
+    monkeypatch.setattr(ff.spectral, "eigh", _refuse)
+    cfg = c6_config()
+    cfg["run"]["renormalize"] = False
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 15
+    assert cli.main(
+        ["sweep", "--config", str(path), "--out", str(out), "--parameter", "lambda_w",
+         "--grid", "0.5,2.0"]
+    ) == 15
+    assert not out.exists()

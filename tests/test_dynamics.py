@@ -385,3 +385,19 @@ def test_closed_form_scheme_runs_in_flow(rng):
     assert verdict.dominance == ff.LFD
     diffs = np.diff(trace.dirichlet_normalized)
     assert np.all(diffs <= 1e-12)
+
+
+def test_plateau_rule_reads_no_further_than_the_plateau():
+    stop = ff.StopRule(max_steps=10, plateau_tol=1e-3, plateau_window=2)
+    values = [1.0, 0.5, 0.5, 0.6, 0.6, 0.6005, 7.0]
+    consumed = []
+
+    def feed():
+        for v in values:
+            consumed.append(v)
+            yield v
+
+    assert stop.plateau_step(feed()) == 5
+    assert consumed == values[:6]
+    assert stop.plateau_step(values[:5]) is None
+    assert stop.plateau_step([0.3]) is None
