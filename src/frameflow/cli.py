@@ -229,6 +229,14 @@ def _build_init(cfg: dict, spectrum: spectral.Spectrum, seed: Optional[int]) -> 
         index = int(icfg["index"])
         if not (0 <= index < spectrum.n):
             raise ConfigError(f"init.index {index} outside [0, {spectrum.n})")
+        # inside a repeated eigenvalue's eigenspace the row is the solver's choice
+        lam = spectrum.eigenvalues
+        multiplicity = int(np.sum(np.abs(lam - lam[index]) <= spectral.TOP_TIE_TOL))
+        if multiplicity > 1:
+            raise ConfigError(
+                f"init.index {index}: eigenvalue {lam[index]!r} has multiplicity "
+                f"{multiplicity}, so its eigenvector is not unique"
+            )
         return spectrum.u[index][:, None].copy()
     raise ConfigError(f"unknown init mode {mode!r}")
 
@@ -327,7 +335,7 @@ class Experiment(Geometry):
 def build_geometry(cfg: dict, seed: Optional[int] = None) -> Geometry:
     graph = _build_graph(cfg, seed)
     ahat = graphs.normalized_adjacency(graph)
-    lap = graphs.normalized_laplacian(graph)
+    lap = np.eye(graph.n) - ahat
     spectrum = spectral.eigh(lap)
     fcfg = cfg.get("framelet", {})
     scales = int(fcfg.get("scales", 1))

@@ -13,6 +13,7 @@ reproduces the same graph on any platform.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -93,24 +94,24 @@ class Graph:
             canon.update((i, i) for i in range(n))
         return Graph(n=n, edges=frozenset(canon), self_loops=self_loops)
 
+    def _edge_array(self) -> np.ndarray:
+        """Edges as an (m, 2) int array of (min, max) pairs, loops included."""
+        flat = chain.from_iterable(self.edges)
+        return np.fromiter(flat, dtype=np.int64, count=2 * len(self.edges)).reshape(-1, 2)
+
     def adjacency(self) -> np.ndarray:
         """Dense 0/1 adjacency matrix A (float64, exactly symmetric)."""
+        e = self._edge_array()
         a = np.zeros((self.n, self.n))
-        for i, j in self.edges:
-            a[i, j] = 1.0
-            a[j, i] = 1.0
+        a[e[:, 0], e[:, 1]] = 1.0
+        a[e[:, 1], e[:, 0]] = 1.0
         return a
 
     def degrees(self) -> np.ndarray:
         """Per-node degrees d_i = sum_j a_ij (a self-loop counts once)."""
-        deg = np.zeros(self.n, dtype=np.int64)
-        for i, j in self.edges:
-            if i == j:
-                deg[i] += 1
-            else:
-                deg[i] += 1
-                deg[j] += 1
-        return deg
+        e = self._edge_array()
+        ends = np.concatenate([e[:, 0], e[e[:, 0] != e[:, 1], 1]])
+        return np.bincount(ends, minlength=self.n).astype(np.int64)
 
     def plain_edges(self) -> list:
         """Sorted non-loop edges, for serialization."""

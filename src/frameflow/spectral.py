@@ -1,22 +1,23 @@
-"""Deterministic dense eigendecomposition of symmetric matrices.
+"""Dense eigendecomposition of symmetric matrices, in a canonical form.
 
-The solver is a cyclic Jacobi iteration with a fixed row-by-row sweep order,
-chosen over Householder+QL because it is easy to make bit-deterministic and
-is fully accurate at the matrix sizes this package targets (n up to a couple
-of thousand).  Conventions baked in so fixtures can compare eigenvectors
-directly:
+LAPACK (``numpy.linalg.eigh``) does the work; this module fixes the
+conventions fixtures and flows rely on:
 
-* eigenvalues ascending (stable sort of the converged diagonal),
-* each eigenvector's sign fixed so its first component of magnitude
-  above 1e-12 is positive.
+* eigenvalues ascending,
+* U stores eigenvectors as rows (row i pairs with eigenvalue i), so a
+  spectral function f acts as U^T f(Lambda) U,
+* each eigenvector's sign fixed so its first component of magnitude above
+  1e-12 is positive,
+* ``top_multiplicity`` counts the eigenvalues within 1e-9 of the largest.
 
-The matrix U stores eigenvectors as rows (row i pairs with eigenvalue i),
-so a spectral function f acts as U^T f(Lambda) U.
+Inside an eigenspace of multiplicity > 1 the basis is whatever LAPACK
+returns; quantities built from whole eigenspaces (spectral functions,
+projections) do not depend on it.  The bits of U depend on the numpy/BLAS
+build and its thread count, not only on the input.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,6 @@ from .errors import (
 __all__ = ["Spectrum", "eigh", "graph_fourier", "inverse_graph_fourier"]
 
 SYMMETRY_TOL = 1e-12
-CONVERGENCE_FACTOR = 1e-12
-MAX_SWEEPS = 100
 TOP_TIE_TOL = 1e-9
 
 
@@ -57,60 +56,13 @@ class Spectrum:
         return self.eigenvalues.shape[0]
 
 
-def _off_diagonal_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
-def _jacobi(a: np.ndarray):
-    """Cyclic Jacobi rotations; returns (diagonal, accumulated rotations V).
-
-    a = V diag V^T on return.  Sweeps run over pairs (p, q), p < q, in row
-    order; convergence when the off-diagonal Frobenius norm falls below
-    1e-12 * ||a||_F.
-    """
-    n = a.shape[0]
-    a = a.copy()
-    v = np.eye(n)
-    threshold = CONVERGENCE_FACTOR * max(float(np.linalg.norm(a)), np.finfo(float).tiny)
-    for _ in range(MAX_SWEEPS):
-        if _off_diagonal_norm(a) <= threshold:
-            return np.diag(a).copy(), v
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                sign = 1.0 if theta >= 0.0 else -1.0
-                t = sign / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    if _off_diagonal_norm(a) <= threshold:
-        return np.diag(a).copy(), v
-    raise NoConvergenceError(f"Jacobi did not converge in {MAX_SWEEPS} sweeps (n={n})")
-
-
 def _fix_signs(u_rows: np.ndarray) -> np.ndarray:
-    for i in range(u_rows.shape[0]):
-        row = u_rows[i]
-        above = np.nonzero(np.abs(row) > 1e-12)[0]
-        if above.size and row[above[0]] < 0.0:
-            u_rows[i] = -row
+    """Negate, in place, each row whose first entry above 1e-12 in magnitude is negative."""
+    above = np.abs(u_rows) > 1e-12
+    rows = np.arange(u_rows.shape[0])
+    first = np.argmax(above, axis=1)
+    flip = above[rows, first] & (u_rows[rows, first] < 0.0)
+    u_rows[flip] = -u_rows[flip]
     return u_rows
 
 
@@ -118,18 +70,21 @@ def eigh(m: np.ndarray) -> Spectrum:
     """Eigendecompose a symmetric matrix into a :class:`Spectrum`.
 
     Raises NotSymmetricError when max |m_ij - m_ji| exceeds 1e-12, and
-    NoConvergenceError after 100 Jacobi sweeps (pathological input).
+    NoConvergenceError on a NaN or infinite entry or when LAPACK fails.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise NoConvergenceError("matrix has a NaN or infinite entry")
     asym = float(np.max(np.abs(m - m.T))) if m.size else 0.0
     if asym > SYMMETRY_TOL:
         raise NotSymmetricError(f"asymmetry {asym:.3e} exceeds {SYMMETRY_TOL}")
-    diag, v = _jacobi(m)
-    order = np.argsort(diag, kind="stable")
-    eigenvalues = diag[order]
-    u = _fix_signs(v[:, order].T.copy())
+    try:
+        eigenvalues, v = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"LAPACK eigh failed (n={m.shape[0]}): {exc}") from exc
+    u = _fix_signs(np.ascontiguousarray(v.T))
     rho_l = float(eigenvalues[-1])
     top_multiplicity = int(np.sum(eigenvalues >= rho_l - TOP_TIE_TOL))
     eigenvalues.setflags(write=False)

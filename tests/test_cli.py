@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,6 +185,13 @@ def test_init_from_eigenvector(tmp_path):
     summary = cli.run_config(cfg, tmp_path)
     assert summary["verdict"]["dominance"] == "HFD"
     assert summary["verdict"]["limit_value"] == pytest.approx(1.0, abs=1e-9)
+    # lambda = 0.5 is a double eigenvalue of C6: no canonical eigenvector
+    cfg["init"] = {"mode": "eigenvector", "index": 1}
+    with pytest.raises(ConfigError, match="multiplicity 2"):
+        cli.run_config(cfg, tmp_path / "double")
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "double")]) == 2
+    assert not (tmp_path / "double").exists()
 
 
 def test_energy_report(tmp_path):
@@ -326,3 +337,29 @@ def test_unrenormalized_run_fails_before_eigensolve(tmp_path, monkeypatch):
          "--grid", "0.5,2.0"]
     ) == 15
     assert not out.exists()
+
+
+def test_run_byte_identical_across_processes_at_n600(tmp_path):
+    """LAPACK and BLAS results depend on the thread count, so byte identity
+    is promised per thread setting: two fresh processes with the same one."""
+    cfg = {
+        "graph": {"kind": "erdos_renyi", "n": 600, "p": 0.02, "seed": 3},
+        "framelet": {"scales": 2},
+        "weights": {"mode": "scalar", "lambda_w": 2.0},
+        "init": {"mode": "random_normal", "seed": 5, "channels": 4},
+        "run": {"steps": 200},
+    }
+    config = write_config(tmp_path, cfg)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2", MKL_NUM_THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        done = subprocess.run(
+            [sys.executable, "-m", "frameflow.cli", "run", "--config", str(config), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+    for name in ("trace.csv", "summary.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    assert len((outs[0] / "trace.csv").read_text().splitlines()) > 2

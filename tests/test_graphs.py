@@ -64,6 +64,33 @@ def test_operators_bitwise_symmetric(rng):
         assert np.array_equal(lap, lap.T)
 
 
+def _adjacency_and_degrees_loop(g):
+    a = np.zeros((g.n, g.n))
+    deg = np.zeros(g.n, dtype=np.int64)
+    for i, j in g.edges:
+        a[i, j] = a[j, i] = 1.0
+        deg[i] += 1
+        if i != j:
+            deg[j] += 1
+    return a, deg
+
+
+@pytest.mark.parametrize("self_loops", [False, True])
+def test_adjacency_and_degrees_match_edge_loop(self_loops):
+    for spec in (
+        ff.GraphSpec(kind="erdos_renyi", n=30, p=0.2, seed=4, self_loops=self_loops),
+        ff.GraphSpec(kind="path", n=5, self_loops=self_loops),
+    ):
+        g = ff.generate_graph(spec)
+        a, deg = _adjacency_and_degrees_loop(g)
+        assert g.adjacency().tobytes() == a.tobytes()
+        assert g.degrees().dtype == np.int64
+        assert np.array_equal(g.degrees(), deg)
+        assert np.array_equal(g.degrees(), g.adjacency().sum(axis=1))
+        lap = ff.normalized_laplacian(g)
+        assert (np.eye(g.n) - ff.normalized_adjacency(g)).tobytes() == lap.tobytes()
+
+
 def test_laplacian_kernel_vector():
     g = ff.generate_graph(ff.GraphSpec(kind="erdos_renyi", n=12, p=0.5, seed=7))
     lap = ff.normalized_laplacian(g)

@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 import frameflow as ff
-from frameflow.errors import DimensionMismatchError, NotSymmetricError
+from frameflow import cli
+from frameflow.errors import DimensionMismatchError, NoConvergenceError, NotSymmetricError
+from frameflow.spectral import _fix_signs
 
 from conftest import random_er_graph
 
@@ -44,13 +48,47 @@ def test_nonsquare_rejected():
         ff.eigh(np.zeros((2, 3)))
 
 
-def test_sweep_budget_exhaustion_reported(monkeypatch):
-    import frameflow.spectral as spectral_mod
-    from frameflow.errors import NoConvergenceError
-
-    monkeypatch.setattr(spectral_mod, "MAX_SWEEPS", 0)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_matrix_raises_no_convergence(bad):
     with pytest.raises(NoConvergenceError):
-        spectral_mod.eigh(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        ff.eigh(np.array([[0.0, bad], [bad, 1.0]]))
+
+
+def test_lapack_failure_exits_seven(tmp_path, monkeypatch, capsys):
+    def failing_eigh(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    cfg = {
+        "graph": {"kind": "cycle", "n": 6},
+        "weights": {"mode": "scalar", "lambda_w": 2.0},
+        "init": {"mode": "random_normal", "seed": 5, "channels": 2},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 7
+    assert "did not converge" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _fix_signs_loop(u_rows):
+    for i in range(u_rows.shape[0]):
+        row = u_rows[i]
+        above = np.nonzero(np.abs(row) > 1e-12)[0]
+        if above.size and row[above[0]] < 0.0:
+            u_rows[i] = -row
+    return u_rows
+
+
+def test_fix_signs_matches_row_loop(rng):
+    m = rng.standard_normal((40, 9))
+    m[rng.random(m.shape) < 0.4] = 0.0
+    m[rng.random(m.shape) < 0.2] *= 1e-13
+    m[3] = 0.0
+    m[4] = [-1e-13] + [0.0] * 8
+    expected = _fix_signs_loop(m.copy())
+    got = _fix_signs(m.copy())
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_orthonormality_and_reconstruction(rng):
@@ -120,3 +158,40 @@ def test_fourier_dimension_check():
     spec = ff.eigh(two_node_laplacian())
     with pytest.raises(DimensionMismatchError):
         ff.graph_fourier(spec, np.zeros((3, 1)))
+
+
+def _rotate_degenerate_clusters(spec, rng):
+    """The same spectrum with each repeated eigenvalue's rows of U mixed by
+    a random orthogonal matrix: another valid eigenbasis."""
+    u = spec.u.copy()
+    lam = spec.eigenvalues
+    starts = np.flatnonzero(np.diff(lam, prepend=-np.inf) > 1e-9)
+    for lo, hi in zip(starts, list(starts[1:]) + [spec.n]):
+        if hi - lo > 1:
+            q, _ = np.linalg.qr(rng.standard_normal((hi - lo, hi - lo)))
+            u[lo:hi] = q @ u[lo:hi]
+    return ff.Spectrum(lam, u, spec.rho_l, spec.top_multiplicity)
+
+
+def test_degenerate_basis_choice_leaves_transforms_and_flow_unchanged():
+    g = ff.generate_graph(ff.GraphSpec(kind="cycle", n=51))
+    ahat, lap = ff.normalized_adjacency(g), ff.normalized_laplacian(g)
+    spec = ff.eigh(lap)
+    rotated = _rotate_degenerate_clusters(spec, np.random.default_rng(7))
+    assert np.abs(rotated.u - spec.u).max() > 0.1
+    systems = [ff.build_framelet_system(s, 2) for s in (spec, rotated)]
+    for band in systems[0].bands:
+        np.testing.assert_allclose(
+            systems[1].transforms[band], systems[0].transforms[band], rtol=0, atol=1e-12
+        )
+    h0 = np.random.default_rng(5).standard_normal((51, 3))
+    a, b = (
+        ff.run_flow(
+            ff.Scheme("spatial_framelet", renormalize=True), sys, ahat, lap, h0,
+            ff.WeightConfig.scalar(2, 3.0, 3), ff.StopRule(max_steps=200, plateau_window=201),
+        )
+        for sys in systems
+    )
+    assert a.steps_run == b.steps_run == 200
+    for column in ("norms", "dirichlet_normalized", "total_energy", "rayleigh", "final_state"):
+        np.testing.assert_allclose(getattr(a, column), getattr(b, column), rtol=0, atol=1e-12)
