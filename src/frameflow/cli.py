@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -90,16 +91,89 @@ def _reject_unknown(name: str, obj: dict, allowed) -> None:
 
 
 def _require(name: str, obj: dict, key: str):
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{name} must be a JSON object")
     if key not in obj:
         raise ConfigError(f"{name} is missing required key {key!r}")
     return obj[key]
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    """A finite float, or an integer a float can hold."""
+    if _is_int(v):
+        return abs(v) <= sys.float_info.max
+    return isinstance(v, float) and math.isfinite(v)
+
+
+def _is_matrix(v) -> bool:
+    """A non-empty list of equally long lists of finite numbers."""
+    if not isinstance(v, list) or not v:
+        return False
+    return all(isinstance(r, list) and len(r) == len(v[0]) and all(map(_is_number, r)) for r in v)
+
+
+VALUE_KINDS = {  # kind -> (test, what a value of that kind must be)
+    "int": (_is_int, "an integer"),
+    "number": (_is_number, "a finite number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "ints": (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
+    "matrix": (_is_matrix, "a matrix of finite numbers"),
+    "matrices": (
+        lambda v: isinstance(v, dict) and all(map(_is_matrix, v.values())),
+        "an object of band keys to matrices",
+    ),
+    "vectors": (
+        lambda v: isinstance(v, dict) and all(_is_matrix([x]) for x in v.values()),  # one row
+        "an object of band keys to lists of finite numbers",
+    ),
+}
+
+# block -> key -> kind of its value (None: the value is checked on its own)
+CONFIG_KEYS = {
+    "config": {"graph": None, "framelet": None, "scheme": None, "weights": None,
+               "epsilon": "number", "beta": "number", "tau": "number", "theta": None,
+               "init": None, "run": None, "output": None},
+    "graph": {"kind": "str", "n": "int", "m": "int", "sizes": "ints", "p": "number",
+              "p_in": "number", "p_out": "number", "seed": "int", "self_loops": "bool",
+              "path": "str"},
+    "framelet": {"scales": "int", "variant": "str"},
+    "scheme": {"kind": "str", "activation": "str"},
+    "weights.scalar": {"mode": "str", "lambda_w": "number"},
+    "weights.shared": {"mode": "str", "omega": "matrix", "w": "matrix"},
+    "weights.full": {"mode": "str", "omega": "matrices", "w": "matrices", "w_tilde": "matrices"},
+    "theta": {"low": "number", "high": "number", "bands": "vectors"},
+    "init.random_normal": {"mode": "str", "seed": "int", "channels": "int"},
+    "init.file": {"mode": "str", "path": "str"},
+    "init.eigenvector": {"mode": "str", "index": "int"},
+    "run": {"steps": "int", "tol": "number", "plateau_window": "int", "renormalize": "bool"},
+    "output": {"csv": "str", "summary": "str"},
+}
+
+
+def _check_keys(block: str, obj, name: Optional[str] = None) -> None:
+    """Reject keys outside CONFIG_KEYS[block] and values not of their kind."""
+    name = name or block
+    _reject_unknown(name, obj, CONFIG_KEYS[block])
+    for key, kind in CONFIG_KEYS[block].items():
+        test, what = VALUE_KINDS.get(kind, (None, None))
+        if test is not None and key in obj and not test(obj[key]):
+            raise ConfigError(f"{name}.{key} must be {what}, got {obj[key]!r}")
+
+
+def _reject_constant(token: str):
+    raise ConfigError(f"non-finite number {token} in config")
 
 
 def load_config(path) -> dict:
     """Parse and structurally validate a config file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -109,58 +183,33 @@ def load_config(path) -> dict:
 
 
 def validate_config(cfg: dict) -> None:
-    _reject_unknown(
-        "config",
-        cfg,
-        {"graph", "framelet", "scheme", "weights", "epsilon", "beta", "tau", "theta",
-         "init", "run", "output"},
-    )
-    gcfg = _require("config", cfg, "graph")
-    _reject_unknown(
-        "graph",
-        gcfg,
-        {"kind", "n", "m", "sizes", "p", "p_in", "p_out", "seed", "self_loops", "path"},
-    )
-    fcfg = cfg.get("framelet", {})
-    _reject_unknown("framelet", fcfg, {"scales", "variant"})
-    scfg = cfg.get("scheme", {})
-    _reject_unknown("scheme", scfg, {"kind", "activation"})
+    """Check every key's name and value type before any work is done."""
+    _check_keys("config", cfg)
+    _check_keys("graph", _require("config", cfg, "graph"))
+    _require("graph", cfg["graph"], "kind")
+    _check_keys("framelet", cfg.get("framelet", {}))
+    _check_keys("scheme", cfg.get("scheme", {}))
     wcfg = _require("config", cfg, "weights")
     mode = _require("weights", wcfg, "mode")
-    if mode == "scalar":
-        _reject_unknown("weights", wcfg, {"mode", "lambda_w"})
-        _require("weights", wcfg, "lambda_w")
-    elif mode == "shared":
-        _reject_unknown("weights", wcfg, {"mode", "omega", "w"})
-        _require("weights", wcfg, "omega")
-        _require("weights", wcfg, "w")
-    elif mode == "full":
-        _reject_unknown("weights", wcfg, {"mode", "omega", "w", "w_tilde"})
-        _require("weights", wcfg, "omega")
-        _require("weights", wcfg, "w")
-    else:
+    if mode not in ("scalar", "shared", "full"):
         raise ConfigError(f"weights.mode must be scalar|shared|full, got {mode!r}")
+    _check_keys(f"weights.{mode}", wcfg, "weights")
+    for key in ("lambda_w",) if mode == "scalar" else ("omega", "w"):
+        _require("weights", wcfg, key)
     theta = cfg.get("theta")
     if isinstance(theta, dict):
-        _reject_unknown("theta", theta, {"low", "high", "bands"})
-    elif theta is not None and not isinstance(theta, (int, float)):
-        raise ConfigError("theta must be a number or an object")
+        _check_keys("theta", theta)
+    elif theta is not None and not _is_number(theta):
+        raise ConfigError("theta must be a finite number or an object")
     icfg = _require("config", cfg, "init")
     imode = _require("init", icfg, "mode")
-    if imode == "random_normal":
-        _reject_unknown("init", icfg, {"mode", "seed", "channels"})
-    elif imode == "file":
-        _reject_unknown("init", icfg, {"mode", "path"})
-        _require("init", icfg, "path")
-    elif imode == "eigenvector":
-        _reject_unknown("init", icfg, {"mode", "index"})
-        _require("init", icfg, "index")
-    else:
+    if imode not in ("random_normal", "file", "eigenvector"):
         raise ConfigError(f"init.mode must be random_normal|file|eigenvector, got {imode!r}")
-    rcfg = cfg.get("run", {})
-    _reject_unknown("run", rcfg, {"steps", "tol", "plateau_window", "renormalize"})
-    ocfg = cfg.get("output", {})
-    _reject_unknown("output", ocfg, {"csv", "summary"})
+    _check_keys(f"init.{imode}", icfg, "init")
+    if imode != "random_normal":
+        _require("init", icfg, "path" if imode == "file" else "index")
+    _check_keys("run", cfg.get("run", {}))
+    _check_keys("output", cfg.get("output", {}))
 
 
 def _build_graph(cfg: dict, seed: Optional[int]) -> graphs.Graph:
@@ -269,8 +318,6 @@ def _theta_map(cfg: dict, scales: int, n: int) -> Optional[Dict[tuple, np.ndarra
 
 
 def _band_matrix_map(name: str, obj: dict, scales: int) -> Dict[tuple, np.ndarray]:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"weights.{name} must map band keys to matrices")
     out = {_parse_band_key(k): np.asarray(v, dtype=float) for k, v in obj.items()}
     expected = set(framelets.band_index_set(scales))
     if set(out) != expected:

@@ -10,6 +10,15 @@ Five iterated schemes plus one closed form:
 * ``activated``          H' = H + tau * act(-grad), act in {identity, relu, tanh}
 * ``perturbed_closed_form``  H(t) = U^T diag(exp(-(lam_i + eps*gap_i) t)) U H(0)
 
+Every operator above except a per-vertex theta_b is diagonal in the
+Laplacian eigenbasis, so a linear step is one framelets.Multiplier on
+spectral coordinates Hhat = U H, and ``run_flow`` keeps Hhat as its state:
+linear schemes and the closed form never leave spectral coordinates;
+relu/tanh descent, the banded ee activation and a per-vertex theta_b take
+one U^T / U round trip per step; the final state is U^T Hhat, formed once.
+The public ``step_*`` functions are vertex-domain wrappers around the same
+steps.
+
 ``run_flow`` iterates a scheme, recording per step the state norm, the
 normalized Dirichlet energy E(H/||H||), the scheme's governing energy, and
 the Rayleigh quotient 2 E(H/||H||).  Renormalization (dividing the state by
@@ -20,24 +29,30 @@ excludes tanh activation.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 from itertools import pairwise
 from typing import Callable, Iterable, List, Optional
 
 import numpy as np
 
-from .energies import (
+from .energies import (  # the vertex-domain energies stay importable here for tracing
     WeightConfig,
-    dirichlet_energy,
+    adjacency_values,
+    dirichlet_energy,  # noqa: F401
     energy_gap,
-    perturbed_energy,
-    spectral_energy,
-    spectral_energy_gradient,
-    total_framelet_energy,
-    total_framelet_energy_gradient,
+    filter_factors,
+    framelet_energy_form,
+    laplacian_values,
+    perturbed_energy,  # noqa: F401
+    perturbed_energy_form,
+    spectral_energy,  # noqa: F401
+    spectral_energy_form,
+    to_spectral,
+    to_vertex,
+    total_framelet_energy,  # noqa: F401
     _as_columns,
     _restore,
+    _spectral_initial,
 )
 from .errors import (
     ConfigError,
@@ -46,7 +61,7 @@ from .errors import (
     OutOfRangeError,
     ZeroStateError,
 )
-from .framelets import FrameletSystem
+from .framelets import FrameletSystem, Multiplier
 from .spectral import Spectrum
 
 __all__ = [
@@ -141,7 +156,6 @@ class FlowTrace:
     dirichlet_normalized: np.ndarray
     total_energy: np.ndarray
     rayleigh: np.ndarray
-    wall_time: np.ndarray
     final_state: np.ndarray
     renormalized: bool
     plateaued: bool
@@ -166,18 +180,66 @@ def _activate(name: str, z: np.ndarray) -> np.ndarray:
     raise ConfigError(f"unknown activation {name!r}")
 
 
+def _descend(h: np.ndarray, grad: np.ndarray, tau: float, activation: str, u: np.ndarray):
+    """H + tau * act(-grad) on spectral coordinates; a nonlinear act is
+    applied per vertex, between U^T and U."""
+    if activation == "identity":
+        return h + tau * (-grad)
+    return h + tau * (u @ _activate(activation, -(u.T @ grad)))
+
+
+def _make_step(
+    kind: str,
+    activation: str,
+    sys: FrameletSystem,
+    ahat: Optional[np.ndarray],
+    h0: Optional[np.ndarray],
+    cfg: WeightConfig,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """One step of scheme ``kind`` as a map on spectral coordinates.  ``h0``
+    is the spectral initial state; it only matters when a source term is
+    configured (beta != 0 with mixing matrices)."""
+    u = sys.spectrum.u
+    if kind in ("gradf_ufg", "activated"):
+        form = framelet_energy_form(sys, ahat, cfg, h0 if cfg.has_source else None)
+        return lambda h: _descend(h, form.apply(h), cfg.tau, activation, u)
+    if kind == "spectral_framelet":
+        w, factors = cfg.shared_w(sys), filter_factors(sys, cfg)
+        return Multiplier([(factors[b], cfg.tau * w) for b in sys.bands]).apply
+    if kind not in ("spatial_framelet", "ee_ufg"):
+        raise ConfigError(f"unknown scheme kind {kind!r}")
+    a_hat, bands, resp = adjacency_values(sys, ahat), cfg.bands_for(sys), sys.responses
+    if kind == "spatial_framelet":
+        return Multiplier([(cfg.tau * resp[b] ** 2 * a_hat, cfg.w[b]) for b in bands]).apply
+    # ee: band b analyses through r_b (Ahat -+ eps), synthesis weights by r_b
+    shift = {b: cfg.epsilon for b in bands} | {sys.low_pass: -cfg.epsilon}
+    analysis = {b: resp[b] * (a_hat + shift[b]) for b in bands}
+    if activation == "identity":
+        return Multiplier([(resp[b] * analysis[b], cfg.w[b]) for b in bands]).apply
+    banded = [Multiplier([(analysis[b], cfg.w[b])]) for b in bands]
+
+    def banded_step(h):  # every band's activation in one U^T / U round trip
+        pre = np.concatenate([m.apply(h) for m in banded], axis=1)
+        post = np.split(u @ _activate(activation, u.T @ pre), len(bands), axis=1)
+        return sum(resp[b][:, None] * part for b, part in zip(bands, post))
+
+    return banded_step
+
+
+def _vertex_step(kind, activation, sys, ahat, signal, initial, cfg: WeightConfig):
+    """One step of ``kind`` on a vertex-domain signal: U^T step(U H)."""
+    h, was_vector = to_spectral(sys, signal)
+    h0 = _spectral_initial(sys, initial, h) if cfg.has_source else None
+    return to_vertex(sys, _make_step(kind, activation, sys, ahat, h0, cfg)(h), was_vector)
+
+
 def step_spatial_framelet(sys: FrameletSystem, ahat: np.ndarray, signal, cfg: WeightConfig):
     """One band-wise convolution step tau * sum_b W_b^T Ahat W_b H W_b.
 
     With a shared weight matrix on a tight system this collapses to the
     plain one-hop propagation Ahat H W.
     """
-    x, was_vector = _as_columns(signal, sys.n)
-    out = np.zeros_like(x)
-    for band in cfg.bands_for(sys):
-        t = sys.transforms[band]
-        out += t.T @ (ahat @ (t @ x)) @ cfg.w[band]
-    return _restore(cfg.tau * out, was_vector)
+    return _vertex_step("spatial_framelet", "identity", sys, ahat, signal, None, cfg)
 
 
 def step_gradf_ufg(sys: FrameletSystem, ahat: np.ndarray, signal, initial, cfg: WeightConfig):
@@ -186,11 +248,7 @@ def step_gradf_ufg(sys: FrameletSystem, ahat: np.ndarray, signal, initial, cfg: 
     ``initial`` is the flow's captured starting state; it only matters when
     a source term is configured (beta != 0 with mixing matrices).
     """
-    x, was_vector = _as_columns(signal, sys.n)
-    grad = total_framelet_energy_gradient(
-        sys, ahat, x, cfg, initial=initial if cfg.has_source else None
-    )
-    return _restore(x + cfg.tau * (-grad), was_vector)
+    return step_activated(sys, ahat, signal, initial, cfg, "identity")
 
 
 def energy_enhanced_omega(sys: FrameletSystem, cfg: WeightConfig) -> WeightConfig:
@@ -223,27 +281,12 @@ def step_ee_ufg(
     energy; the banded nonlinear variant is offered without any claimed
     energy identity.
     """
-    x, was_vector = _as_columns(signal, sys.n)
-    eps = cfg.epsilon
-    out = np.zeros_like(x)
-    for band in cfg.bands_for(sys):
-        t = sys.transforms[band]
-        coeff = t @ x
-        shift = -eps if band == sys.low_pass else eps
-        out += t.T @ _activate(activation, (ahat @ coeff + shift * coeff) @ cfg.w[band])
-    return _restore(out, was_vector)
+    return _vertex_step("ee_ufg", activation, sys, ahat, signal, None, cfg)
 
 
 def step_spectral_framelet(sys: FrameletSystem, signal, cfg: WeightConfig):
     """One spectral filtering step tau * sum_b W_b^T diag(theta_b) W_b H W."""
-    x, was_vector = _as_columns(signal, sys.n)
-    w = cfg.shared_w(sys)
-    theta = cfg.theta_for(sys)
-    out = np.zeros_like(x)
-    for band in sys.bands:
-        t = sys.transforms[band]
-        out += t.T @ (theta[band][:, None] * (t @ x)) @ w
-    return _restore(cfg.tau * out, was_vector)
+    return _vertex_step("spectral_framelet", "identity", sys, None, signal, None, cfg)
 
 
 def step_activated(
@@ -251,15 +294,16 @@ def step_activated(
 ):
     """One activated descent step H + tau * act(-grad).
 
-    With the identity activation this reproduces step_gradf_ufg bit for bit.
-    Any activation with x*act(x) >= 0 keeps the energy non-increasing for
-    small enough tau.
+    With the identity activation this is step_gradf_ufg, bit for bit: both
+    run this code.  Any activation with x*act(x) >= 0 keeps the energy
+    non-increasing for small enough tau.
     """
-    x, was_vector = _as_columns(signal, sys.n)
-    grad = total_framelet_energy_gradient(
-        sys, ahat, x, cfg, initial=initial if cfg.has_source else None
-    )
-    return _restore(x + cfg.tau * _activate(activation, -grad), was_vector)
+    return _vertex_step("activated", activation, sys, ahat, signal, initial, cfg)
+
+
+def _decay_rates(spectrum: Spectrum, epsilon: float) -> np.ndarray:
+    lams = np.maximum(spectrum.eigenvalues, 0.0)
+    return lams + epsilon * energy_gap(lams)
 
 
 def perturbed_closed_form(spectrum: Spectrum, initial, epsilon: float, t: float):
@@ -272,59 +316,33 @@ def perturbed_closed_form(spectrum: Spectrum, initial, epsilon: float, t: float)
     if t < 0.0:
         raise OutOfRangeError(f"time must be nonnegative, got {t}")
     x, was_vector = _as_columns(initial, spectrum.n)
-    lams = np.maximum(spectrum.eigenvalues, 0.0)
-    rates = lams + epsilon * energy_gap(lams)
-    factors = np.exp(-rates * t)
+    factors = np.exp(-_decay_rates(spectrum, epsilon) * t)
     out = spectrum.u.T @ (factors[:, None] * (spectrum.u @ x))
     return _restore(out, was_vector)
 
 
 def _governing_energy(
-    scheme: Scheme,
+    kind: str,
     sys: FrameletSystem,
     ahat: Optional[np.ndarray],
     lap: np.ndarray,
     cfg: WeightConfig,
-    initial: np.ndarray,
-) -> Callable[[np.ndarray], float]:
-    kind = scheme.kind
+    h0: np.ndarray,
+) -> Multiplier:
+    """The gradient map of the scheme's governing energy on spectral coordinates."""
     if kind == "spatial_framelet":
         eye = {b: np.eye(cfg.w[b].shape[0]) for b in cfg.w}
-        frame_cfg = replace(cfg, omega=eye)
-        return lambda x: total_framelet_energy(sys, ahat, x, frame_cfg)
+        return framelet_energy_form(sys, ahat, replace(cfg, omega=eye))
     if kind in ("gradf_ufg", "activated"):
-        h0 = initial if cfg.has_source else None
-        return lambda x: total_framelet_energy(sys, ahat, x, cfg, initial=h0)
+        return framelet_energy_form(sys, ahat, cfg, h0 if cfg.has_source else None)
     if kind == "ee_ufg":
         # exact governing energy for the linearized form only; with banded
         # activation this is recorded as a diagnostic, not a Lyapunov value
-        ee_cfg = energy_enhanced_omega(sys, cfg)
-        return lambda x: total_framelet_energy(sys, ahat, x, ee_cfg)
+        return framelet_energy_form(sys, ahat, energy_enhanced_omega(sys, cfg))
     if kind == "spectral_framelet":
-        return lambda x: spectral_energy(sys, x, cfg)
+        return spectral_energy_form(sys, cfg)
     if kind == "perturbed_closed_form":
-        return lambda x: perturbed_energy(sys, lap, x, cfg.epsilon)
-    raise ConfigError(f"unknown scheme kind {kind!r}")
-
-
-def _make_step(
-    scheme: Scheme,
-    sys: FrameletSystem,
-    ahat: Optional[np.ndarray],
-    initial: np.ndarray,
-    cfg: WeightConfig,
-) -> Callable[[np.ndarray], np.ndarray]:
-    kind = scheme.kind
-    if kind == "spatial_framelet":
-        return lambda x: step_spatial_framelet(sys, ahat, x, cfg)
-    if kind == "gradf_ufg":
-        return lambda x: step_gradf_ufg(sys, ahat, x, initial, cfg)
-    if kind == "ee_ufg":
-        return lambda x: step_ee_ufg(sys, ahat, x, cfg, scheme.activation)
-    if kind == "spectral_framelet":
-        return lambda x: step_spectral_framelet(sys, x, cfg)
-    if kind == "activated":
-        return lambda x: step_activated(sys, ahat, x, initial, cfg, scheme.activation)
+        return perturbed_energy_form(sys, lap, cfg.epsilon)
     raise ConfigError(f"unknown scheme kind {kind!r}")
 
 
@@ -342,48 +360,48 @@ def run_flow(
     Stops at the plateau rule or max_steps, whichever comes first.  Without
     renormalization the state norm is guarded against overflow (abort at
     1e150).  For the closed-form scheme, states are evaluated exactly at
-    t = k * tau rather than iterated.
+    t = k * tau rather than iterated.  The state is kept in spectral
+    coordinates throughout; ``final_state`` is mapped back once.
     """
     x0, _ = _as_columns(initial, sys.n)
-    x0 = x0.copy()
-    if scheme.renormalize and scheme.activation == "tanh":
-        raise IllegalRenormalizeError("tanh cannot be renormalized")
     closed_form = scheme.kind == "perturbed_closed_form"
     if closed_form:
         # the closed form's decay rates are the two-scale gap profile
         sys.require_tight("the closed-form perturbed flow")
         if sys.scales != 2:
             raise ConfigError("the closed-form perturbed flow needs a two-scale system")
-    energy_of = _governing_energy(scheme, sys, ahat, lap, cfg, x0)
-    stepper = None if closed_form else _make_step(scheme, sys, ahat, x0, cfg)
+    h0 = sys.spectrum.u @ x0
+    energy = _governing_energy(scheme.kind, sys, ahat, lap, cfg, h0)
+    dirichlet = Multiplier([(laplacian_values(sys, lap), None)])
+    if closed_form:
+        rates = _decay_rates(sys.spectrum, cfg.epsilon)
+    else:
+        stepper = _make_step(scheme.kind, scheme.activation, sys, ahat, h0, cfg)
 
-    t_start = time.perf_counter()
     steps: List[int] = []
     norms: List[float] = []
     e_norms: List[float] = []
     energies: List[float] = []
-    walls: List[float] = []
 
-    def record(step_index: int, raw_norm: float, state: np.ndarray) -> float:
-        e_norm = dirichlet_energy(lap, state / np.linalg.norm(state))
+    def record(step_index: int, raw_norm: float, h: np.ndarray) -> float:
+        e_norm = dirichlet.quadratic(h) / float(np.vdot(h, h))
         steps.append(step_index)
         norms.append(raw_norm)
         e_norms.append(e_norm)
-        energies.append(energy_of(state))
-        walls.append(time.perf_counter() - t_start)
+        energies.append(energy.quadratic(h))
         return e_norm
 
     norm0 = float(np.linalg.norm(x0))
     if norm0 == 0.0:
         raise ZeroStateError("initial state has zero norm")
-    state = x0 / norm0 if scheme.renormalize else x0
+    state = h0 / norm0 if scheme.renormalize else h0
 
     def stepped():  # runs only as far as the plateau rule reads
         nonlocal state
-        yield record(0, norm0, x0)
+        yield record(0, norm0, h0)
         for k in range(1, stop.max_steps + 1):
             if closed_form:
-                state = perturbed_closed_form(sys.spectrum, x0, cfg.epsilon, k * cfg.tau)
+                state = np.exp(-rates * (k * cfg.tau))[:, None] * h0
             else:
                 state = stepper(state)
             norm = float(np.linalg.norm(state))
@@ -407,8 +425,7 @@ def run_flow(
         dirichlet_normalized=e_arr,
         total_energy=np.asarray(energies),
         rayleigh=2.0 * e_arr,
-        wall_time=np.asarray(walls),
-        final_state=state,
+        final_state=sys.spectrum.u.T @ state,
         renormalized=scheme.renormalize,
         plateaued=steps_to_plateau is not None,
         steps_to_plateau=steps_to_plateau,

@@ -1,10 +1,12 @@
 """Energy functionals over framelet-decomposed graph signals.
 
 All energies are quadratic (or, for the source term, linear) forms in the
-signal, evaluated in n x c matrix form; the equivalent Kronecker/vectorized
-forms are reserved for test oracles.  Every functional here has an analytic
-gradient in the same module, and the pairing is contract-tested against
-central finite differences.
+signal.  Each one is built once as the framelets.Multiplier of its gradient
+on spectral coordinates Hhat = U H (a source is its constant term), so value
+and gradient cost O(n c^2) per call.  The vertex-domain functions here wrap
+those forms in U and U^T; dense and Kronecker forms are reserved for test
+oracles.  Every functional has an analytic gradient in the same module, and
+the pairing is contract-tested against central finite differences.
 
 Sign conventions worth stating once:
 
@@ -31,7 +33,7 @@ from .errors import (
     NotSymmetricError,
     OutOfRangeError,
 )
-from .framelets import Band, FrameletSystem, band_index_set
+from .framelets import Band, BandFilter, FrameletSystem, Multiplier, band_index_set
 from .graphs import Graph
 from . import spectral
 
@@ -56,6 +58,7 @@ __all__ = [
 ]
 
 WEIGHT_SYMMETRY_TOL = 1e-12
+OPERATOR_PROBE_TOL = 1e-8
 
 
 def _require_symmetric(name: str, m: np.ndarray) -> np.ndarray:
@@ -199,6 +202,39 @@ def _check_operator(name: str, op: np.ndarray, n: int) -> np.ndarray:
     return op
 
 
+def _operator_values(sys: FrameletSystem, name: str, op, values: np.ndarray) -> np.ndarray:
+    """``values`` (at most 2 in magnitude) after checking that op equals
+    U^T diag(values) U, on one probe vector with distinct spectral
+    coordinates.  Callers then use ``values`` alone, never ``op``."""
+    op, u = _check_operator(name, op, sys.n), sys.spectrum.u
+    probe = np.arange(1.0, sys.n + 1.0)
+    residual = float(np.max(np.abs(op @ (probe @ u) - (values * probe) @ u)))
+    if residual > OPERATOR_PROBE_TOL * sys.n:
+        raise DimensionMismatchError(f"{name} is not diagonal in the system's eigenbasis")
+    return values
+
+
+def adjacency_values(sys: FrameletSystem, ahat) -> np.ndarray:
+    """Per-frequency values 1 - lam of Ahat = I - Lhat, checked against ``ahat``."""
+    return _operator_values(sys, "ahat", ahat, 1.0 - sys.spectrum.eigenvalues)
+
+
+def laplacian_values(sys: FrameletSystem, lap) -> np.ndarray:
+    """Per-frequency values lam of Lhat, checked against ``lap``."""
+    return _operator_values(sys, "laplacian", lap, sys.spectrum.eigenvalues)
+
+
+def to_spectral(sys: FrameletSystem, signal):
+    """(U H as an (n, c) matrix, whether the signal arrived 1-D)."""
+    x, was_vector = _as_columns(signal, sys.n)
+    return spectral.graph_fourier(sys.spectrum, x), was_vector
+
+
+def to_vertex(sys: FrameletSystem, h: np.ndarray, was_vector: bool):
+    """U^T h, shaped like the signal :func:`to_spectral` received."""
+    return _restore(spectral.inverse_graph_fourier(sys.spectrum, h), was_vector)
+
+
 def dirichlet_energy(lap: np.ndarray, signal) -> float:
     """Smoothness measure 0.5 tr(H^T Lhat H); zero exactly on ker(Lhat)."""
     x, _ = _as_columns(signal, np.asarray(lap).shape[0])
@@ -215,26 +251,20 @@ def framelet_dirichlet_energies(
     identity has no meaning for non-tight variants, which are rejected.
     """
     sys.require_tight("band-wise Dirichlet energy conservation")
-    x, _ = _as_columns(signal, sys.n)
-    lap = _check_operator("laplacian", lap, sys.n)
+    h, _ = to_spectral(sys, signal)
+    lam = laplacian_values(sys, lap)
     per_band = {
-        b: 0.5 * float(np.sum((sys.transforms[b] @ x) * (lap @ sys.transforms[b] @ x)))
-        for b in sys.bands
+        b: Multiplier([(sys.responses[b] ** 2 * lam, None)]).quadratic(h) for b in sys.bands
     }
     return per_band, float(sum(per_band.values()))
 
 
 def generalized_energy(ahat: np.ndarray, signal, omega: np.ndarray, w: np.ndarray) -> float:
-    """0.5 tr(H^T H Omega) - 0.5 tr(H^T Ahat H W); Omega = W = I recovers Dirichlet."""
+    """0.5 tr(H^T H Omega) - 0.5 tr(H^T Ahat H W); Omega = W = I recovers Dirichlet.
+
+    The energy is quadratic, so it is 0.5 <H, gradient>."""
     x, _ = _as_columns(signal, np.asarray(ahat).shape[0])
-    ahat = _check_operator("ahat", ahat, x.shape[0])
-    omega = _require_symmetric("omega", omega)
-    w = _require_symmetric("w", w)
-    if omega.shape[0] != x.shape[1] or w.shape[0] != x.shape[1]:
-        raise DimensionMismatchError(
-            f"weights are {omega.shape[0]}x..., signal has {x.shape[1]} channels"
-        )
-    return 0.5 * float(np.sum(x * (x @ omega)) - np.sum(x * (ahat @ x @ w)))
+    return 0.5 * float(np.vdot(x, generalized_energy_gradient(ahat, x, omega, w)))
 
 
 def generalized_energy_gradient(ahat: np.ndarray, signal, omega: np.ndarray, w: np.ndarray):
@@ -243,20 +273,45 @@ def generalized_energy_gradient(ahat: np.ndarray, signal, omega: np.ndarray, w: 
     ahat = _check_operator("ahat", ahat, x.shape[0])
     omega = _require_symmetric("omega", omega)
     w = _require_symmetric("w", w)
+    if omega.shape[0] != x.shape[1] or w.shape[0] != x.shape[1]:
+        raise DimensionMismatchError(
+            f"weights are {omega.shape[0]}x..., signal has {x.shape[1]} channels"
+        )
     return _restore(x @ omega - ahat @ x @ w, was_vector)
 
 
-def _band_terms(sys: FrameletSystem, ahat: np.ndarray, x: np.ndarray, cfg: WeightConfig):
+def _spectral_initial(sys: FrameletSystem, initial, h: np.ndarray) -> Optional[np.ndarray]:
+    """U H0, checked against the signal's shape; None passes through."""
+    if initial is None:
+        return None
+    h0 = to_spectral(sys, initial)[0]
+    if h0.shape != h.shape:
+        raise DimensionMismatchError(f"initial state shape {h0.shape} != signal shape {h.shape}")
+    return h0
+
+
+def source_spectral(sys: FrameletSystem, h0, cfg: WeightConfig) -> np.ndarray:
+    """Source gradient beta * sum_b diag(r_b) Hhat0 Wt_b in spectral coordinates."""
+    if cfg.w_tilde is None:
+        raise ConfigError("source term requested without w_tilde mixing matrices")
+    if h0 is None:
+        raise ConfigError("a source term is configured but no initial state was given")
+    bands = cfg.bands_for(sys)
+    return Multiplier([(cfg.beta * sys.responses[b], cfg.w_tilde[b]) for b in bands]).apply(h0)
+
+
+def framelet_energy_form(
+    sys: FrameletSystem, ahat, cfg: WeightConfig, h0: Optional[np.ndarray] = None
+) -> Multiplier:
+    """Gradient of the total framelet energy on spectral coordinates:
+    sum_b diag(r_b^2) . Omega_b - diag(r_b^2 (1 - lam)) . W_b, minus the
+    source built from the spectral initial state ``h0`` when configured."""
+    a_hat = adjacency_values(sys, ahat)
+    terms = []
     for band in cfg.bands_for(sys):
-        coeff = sys.transforms[band] @ x
-        omega = cfg.omega[band]
-        w = cfg.w[band]
-        if omega.shape[0] != x.shape[1] or w.shape[0] != x.shape[1]:
-            raise DimensionMismatchError(
-                f"weights at {band} are {omega.shape[0]}x{omega.shape[0]} / "
-                f"{w.shape[0]}x{w.shape[0]}, signal has {x.shape[1]} channels"
-            )
-        yield band, coeff, omega, w
+        r2 = sys.responses[band] ** 2
+        terms += [(r2, cfg.omega[band]), (-r2 * a_hat, cfg.w[band])]
+    return Multiplier(terms, source_spectral(sys, h0, cfg) if cfg.has_source else None)
 
 
 def total_framelet_energy(
@@ -271,16 +326,8 @@ def total_framelet_energy(
     With cfg = shared(Omega, W) on a tight system this collapses to
     generalized_energy(ahat, signal, Omega, W).
     """
-    x, _ = _as_columns(signal, sys.n)
-    ahat = _check_operator("ahat", ahat, sys.n)
-    total = 0.0
-    for _, coeff, omega, w in _band_terms(sys, ahat, x, cfg):
-        total += 0.5 * float(np.sum(coeff * (coeff @ omega)) - np.sum(coeff * (ahat @ coeff @ w)))
-    if cfg.has_source:
-        if initial is None:
-            raise ConfigError("a source term is configured but no initial state was given")
-        total -= source_energy_term(sys, x, initial, cfg)
-    return total
+    h, _ = to_spectral(sys, signal)
+    return framelet_energy_form(sys, ahat, cfg, _spectral_initial(sys, initial, h)).quadratic(h)
 
 
 def total_framelet_energy_gradient(
@@ -292,21 +339,9 @@ def total_framelet_energy_gradient(
 ):
     """Analytic gradient sum_b (W_b^T W_b H Omega_b - W_b^T Ahat W_b H W_b)
     minus beta * sum_b W_b^T H0 Wt_b when a source is configured."""
-    x, was_vector = _as_columns(signal, sys.n)
-    ahat = _check_operator("ahat", ahat, sys.n)
-    grad = np.zeros_like(x)
-    for band, coeff, omega, w in _band_terms(sys, ahat, x, cfg):
-        t = sys.transforms[band]
-        grad += t.T @ (coeff @ omega) - t.T @ (ahat @ coeff @ w)
-    if cfg.has_source:
-        if initial is None:
-            raise ConfigError("a source term is configured but no initial state was given")
-        grad -= _restore_to_matrix(source_energy_gradient(sys, initial, cfg), x.shape)
-    return _restore(grad, was_vector)
-
-
-def _restore_to_matrix(g: np.ndarray, shape) -> np.ndarray:
-    return g.reshape(shape) if g.shape != tuple(shape) else g
+    h, was_vector = to_spectral(sys, signal)
+    form = framelet_energy_form(sys, ahat, cfg, _spectral_initial(sys, initial, h))
+    return to_vertex(sys, form.apply(h), was_vector)
 
 
 def source_energy_term(sys: FrameletSystem, signal, initial, cfg: WeightConfig) -> float:
@@ -315,28 +350,23 @@ def source_energy_term(sys: FrameletSystem, signal, initial, cfg: WeightConfig) 
     The flow's governing energy uses this with a minus sign (the source
     attracts the state toward H0-mixed directions).
     """
-    if cfg.w_tilde is None:
-        raise ConfigError("source term requested without w_tilde mixing matrices")
-    x, _ = _as_columns(signal, sys.n)
-    h0, _ = _as_columns(initial, sys.n)
-    if h0.shape != x.shape:
-        raise DimensionMismatchError(f"initial state shape {h0.shape} != signal shape {x.shape}")
-    total = 0.0
-    for band in cfg.bands_for(sys):
-        coeff = sys.transforms[band] @ x
-        total += float(np.sum(coeff * (h0 @ cfg.w_tilde[band])))
-    return cfg.beta * total
+    h, _ = to_spectral(sys, signal)
+    return float(np.vdot(h, source_spectral(sys, _spectral_initial(sys, initial, h), cfg)))
 
 
 def source_energy_gradient(sys: FrameletSystem, initial, cfg: WeightConfig) -> np.ndarray:
     """Gradient beta * sum_b W_b^T H0 Wt_b of :func:`source_energy_term`."""
-    if cfg.w_tilde is None:
-        raise ConfigError("source term requested without w_tilde mixing matrices")
-    h0, was_vector = _as_columns(initial, sys.n)
-    grad = np.zeros_like(h0)
-    for band in cfg.bands_for(sys):
-        grad += sys.transforms[band].T @ (h0 @ cfg.w_tilde[band])
-    return _restore(cfg.beta * grad, was_vector)
+    h0, was_vector = to_spectral(sys, initial)
+    return to_vertex(sys, source_spectral(sys, h0, cfg), was_vector)
+
+
+def perturbed_energy_form(sys: FrameletSystem, lap, epsilon: float) -> Multiplier:
+    """Gradient of the perturbed energy: sum_b diag(r_b^2 (lam + s_b)), with
+    s_b = +eps on the low-pass band and -eps on every high-pass band."""
+    sys.require_tight("the perturbed energy")
+    lam = laplacian_values(sys, lap)
+    shift = {b: -epsilon for b in sys.bands} | {sys.low_pass: epsilon}
+    return Multiplier([(sys.responses[b] ** 2 * (lam + shift[b]), None) for b in sys.bands])
 
 
 def perturbed_energy(sys: FrameletSystem, lap: np.ndarray, signal, epsilon: float) -> float:
@@ -347,30 +377,13 @@ def perturbed_energy(sys: FrameletSystem, lap: np.ndarray, signal, epsilon: floa
     (eps/2) * sum_i gap(lam_i) * (spectral mass of the signal at lam_i); the
     gap is nonnegative on [0, 2], so eps > 0 enhances the energy.
     """
-    sys.require_tight("the perturbed energy")
-    x, _ = _as_columns(signal, sys.n)
-    lap = _check_operator("laplacian", lap, sys.n)
-    n = sys.n
-    total = 0.0
-    for band in sys.bands:
-        coeff = sys.transforms[band] @ x
-        shift = epsilon if band == sys.low_pass else -epsilon
-        op = lap + shift * np.eye(n)
-        total += 0.5 * float(np.sum(coeff * (op @ coeff)))
-    return total
+    return perturbed_energy_form(sys, lap, epsilon).quadratic(to_spectral(sys, signal)[0])
 
 
 def perturbed_energy_gradient(sys: FrameletSystem, lap: np.ndarray, signal, epsilon: float):
     """Gradient W0^T (Lhat + eps I) W0 H + sum_high W^T (Lhat - eps I) W H."""
-    sys.require_tight("the perturbed energy")
-    x, was_vector = _as_columns(signal, sys.n)
-    lap = _check_operator("laplacian", lap, sys.n)
-    grad = np.zeros_like(x)
-    for band in sys.bands:
-        t = sys.transforms[band]
-        shift = epsilon if band == sys.low_pass else -epsilon
-        grad += t.T @ ((lap + shift * np.eye(sys.n)) @ (t @ x))
-    return _restore(grad, was_vector)
+    h, was_vector = to_spectral(sys, signal)
+    return to_vertex(sys, perturbed_energy_form(sys, lap, epsilon).apply(h), was_vector)
 
 
 def energy_gap(lam):
@@ -420,7 +433,7 @@ def particle_decomposition(
 
     Band totals sum to total_framelet_energy (without source term).
     """
-    x, _ = _as_columns(signal, sys.n)
+    h, _ = to_spectral(sys, signal)
     if graph.n != sys.n:
         raise DimensionMismatchError(f"graph has {graph.n} nodes, system expects {sys.n}")
     adj = graph.adjacency()
@@ -428,7 +441,7 @@ def particle_decomposition(
     rows, cols = np.nonzero(adj)
     out = {}
     for band in cfg.bands_for(sys):
-        coeff = sys.transforms[band] @ x
+        coeff = sys.spectrum.u.T @ (sys.responses[band][:, None] * h)
         omega = cfg.omega[band]
         w = cfg.w[band]
         external = 0.5 * float(np.sum(coeff * (coeff @ (omega - w))))
@@ -441,6 +454,27 @@ def particle_decomposition(
     return out
 
 
+def filter_factors(sys: FrameletSystem, cfg: WeightConfig) -> Dict[Band, object]:
+    """Per band, W_b^T diag(theta_b) W_b on spectral coordinates: theta r_b^2
+    for a constant theta_b, else a BandFilter (never an n x n matrix)."""
+    out = {}
+    for band, theta in cfg.theta_for(sys).items():
+        r = sys.responses[band]
+        constant = np.all(theta == theta[0])
+        out[band] = theta[0] * r**2 if constant else BandFilter(sys.spectrum.u, r, theta)
+    return out
+
+
+def spectral_energy_form(sys: FrameletSystem, cfg: WeightConfig) -> Multiplier:
+    """Gradient of the spectral-filter energy: sum_b diag(r_b^2) - F_b . W,
+    with F_b from :func:`filter_factors` and one shared symmetric W."""
+    w = _require_symmetric("w", cfg.shared_w(sys))
+    factors = filter_factors(sys, cfg)
+    return Multiplier(
+        [(sys.responses[b] ** 2, None) for b in sys.bands] + [(factors[b], -w) for b in sys.bands]
+    )
+
+
 def spectral_energy(sys: FrameletSystem, signal, cfg: WeightConfig) -> float:
     """Energy governing the spectral-filter family:
 
@@ -448,25 +482,10 @@ def spectral_energy(sys: FrameletSystem, signal, cfg: WeightConfig) -> float:
 
     with one shared symmetric W across bands.
     """
-    x, _ = _as_columns(signal, sys.n)
-    w = _require_symmetric("w", cfg.shared_w(sys))
-    theta = cfg.theta_for(sys)
-    total = 0.0
-    for band in sys.bands:
-        coeff = sys.transforms[band] @ x
-        filtered = theta[band][:, None] * coeff
-        total += 0.5 * float(np.sum(coeff * coeff) - np.sum(coeff * (filtered @ w)))
-    return total
+    return spectral_energy_form(sys, cfg).quadratic(to_spectral(sys, signal)[0])
 
 
 def spectral_energy_gradient(sys: FrameletSystem, signal, cfg: WeightConfig):
     """Gradient sum_b (W_b^T W_b H - W_b^T diag(theta_b) W_b H W)."""
-    x, was_vector = _as_columns(signal, sys.n)
-    w = _require_symmetric("w", cfg.shared_w(sys))
-    theta = cfg.theta_for(sys)
-    grad = np.zeros_like(x)
-    for band in sys.bands:
-        t = sys.transforms[band]
-        coeff = t @ x
-        grad += t.T @ coeff - t.T @ ((theta[band][:, None] * coeff) @ w)
-    return _restore(grad, was_vector)
+    h, was_vector = to_spectral(sys, signal)
+    return to_vertex(sys, spectral_energy_form(sys, cfg).apply(h), was_vector)

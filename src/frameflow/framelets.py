@@ -14,14 +14,23 @@ response squares do NOT sum to 1, so tightness-dependent identities are
 unavailable and the residual is reported as a diagnostic instead.  At J = 1
 the two variants coincide.
 
-Transform matrices are materialized densely (W = U^T diag(resp) U): they are
-reused across thousands of flow steps and desk-scale n keeps them cheap.
+A system is a spectral object: the eigenbasis U, the eigenvalues and the
+per-band responses r_b(lam).  Every band transform W_b = U^T diag(r_b) U,
+and every operator built from them, Ahat and Lhat, is diagonal in that
+basis, so flows and energies act on spectral coordinates Hhat = U H through
+a :class:`Multiplier`, Hhat -> sum_k diag(a_k) Hhat M_k with c x c channel
+mixers M_k.  A per-vertex filter theta between a band's analysis and
+synthesis is not diagonal there; a :class:`BandFilter` term applies it
+through U^T and U without forming a matrix.  The dense n x n transforms are
+built only on first use of :attr:`FrameletSystem.transforms`
+(decompose/reconstruct and explicit matrix checks).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from functools import cached_property
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -40,6 +49,8 @@ __all__ = [
     "haar_response",
     "FrameletSystem",
     "FrameletCoeffs",
+    "BandFilter",
+    "Multiplier",
     "build_framelet_system",
     "decompose",
     "reconstruct",
@@ -92,14 +103,13 @@ def haar_response(lam, scales: int, variant: str = "tight") -> Dict[Band, np.nda
 
 @dataclass(frozen=True)
 class FrameletSystem:
-    """Materialized framelet transform for one spectrum.
+    """Framelet bank of one spectrum, held per frequency.
 
     Attributes
     ----------
     scales, variant : the filter bank parameters.
     bands : ordered band keys, low-pass first.
     responses : band -> (n,) filter values at each eigenvalue.
-    transforms : band -> (n, n) symmetric matrix U^T diag(resp) U.
     spectrum : the underlying eigendecomposition.
     tightness_residual : max_i |sum_b resp_b(lam_i)^2 - 1| (diagnostic; ~0
         for the tight variant, genuinely nonzero for paper_literal at J=2).
@@ -109,7 +119,6 @@ class FrameletSystem:
     variant: str
     bands: tuple
     responses: Dict[Band, np.ndarray]
-    transforms: Dict[Band, np.ndarray]
     spectrum: Spectrum
     tightness_residual: float
 
@@ -124,6 +133,18 @@ class FrameletSystem:
     @property
     def is_tight(self) -> bool:
         return self.tightness_residual <= TIGHTNESS_TOL
+
+    @cached_property
+    def transforms(self) -> Dict[Band, np.ndarray]:
+        """band -> (n, n) symmetric matrix U^T diag(resp) U, built on first use."""
+        u = self.spectrum.u
+        out = {}
+        for band in self.bands:
+            w = (u.T * self.responses[band]) @ u
+            w = (w + w.T) / 2.0
+            w.setflags(write=False)
+            out[band] = w
+        return out
 
     def require_tight(self, what: str) -> None:
         if not self.is_tight:
@@ -143,22 +164,98 @@ class FrameletCoeffs:
         return self.bands[band]
 
 
+class BandFilter(NamedTuple):
+    """diag(r) U diag(theta) U^T diag(r) on spectral coordinates: a per-vertex
+    filter theta between the analysis and synthesis of the band with response
+    r.  It is not diagonal in the eigenbasis, so a :class:`Multiplier` applies
+    all its filters in one U^T / U round trip, O(n^2 c), never forming the
+    n x n matrix."""
+
+    u: np.ndarray
+    response: np.ndarray
+    theta: np.ndarray
+
+
+def _stack(columns) -> Optional[np.ndarray]:
+    return np.stack(columns, axis=1) if columns else None
+
+
+class Multiplier:
+    """The map Hhat -> sum_k A_k Hhat M_k - S on spectral coordinates Hhat = U H.
+
+    Each term is (factor, mixer).  A 1-D factor is a diagonal A_k, a function
+    of the frequency; a :class:`BandFilter` factor is a per-vertex filter.
+    The mixer is a c x c channel matrix, or None for the identity.  The
+    diagonal terms sum, per frequency, into one c x c matrix sum_k a_k M_k
+    (into one number when no term has a mixer), so an application costs one
+    O(n c^2) product whatever the number of bands.  ``source`` S is an
+    optional constant (n, c) term.  With symmetric mixers the map is the
+    gradient of the energy :meth:`quadratic` evaluates.
+    """
+
+    def __init__(self, terms, source: Optional[np.ndarray] = None):
+        self.diagonal, self.matrices, self.channels, self.source = None, None, None, source
+        mixed, filters = [], []
+        for factor, mixer in terms:
+            if mixer is not None:
+                mixer = np.asarray(mixer, dtype=float)
+                if self.channels not in (None, len(mixer)):
+                    raise DimensionMismatchError(f"mixers of sizes {self.channels}, {len(mixer)}")
+                self.channels = len(mixer)
+            if isinstance(factor, BandFilter):
+                filters.append((factor, mixer))
+            elif mixer is not None:
+                mixed.append((np.asarray(factor, dtype=float), mixer))
+            else:
+                self.diagonal = factor if self.diagonal is None else self.diagonal + factor
+        if mixed:  # n x c x c
+            factors, mixers = _stack([f for f, _ in mixed]), np.stack([m for _, m in mixed])
+            self.matrices = np.einsum("nk,kcd->ncd", factors, mixers)
+            if self.diagonal is not None:
+                self.matrices += self.diagonal[:, None, None] * np.eye(self.channels)
+                self.diagonal = None
+        # n x F responses and per-vertex thetas of the filters, with their mixers
+        self.filter_mixers = [m for _, m in filters]
+        self.filter_responses = _stack([f.response for f, _ in filters])
+        self.filter_thetas = _stack([f.theta for f, _ in filters])
+        self.basis = filters[0][0].u if filters else None
+
+    def apply(self, h: np.ndarray) -> np.ndarray:
+        """sum_k A_k h M_k - S for spectral coordinates h of shape (n, c)."""
+        n, c = h.shape
+        if self.channels not in (None, c):
+            raise DimensionMismatchError(
+                f"weights are {self.channels}x{self.channels}, signal has {c} channels"
+            )
+        if self.matrices is not None:
+            out = np.einsum("nc,ncd->nd", h, self.matrices)
+        else:
+            out = np.zeros_like(h) if self.diagonal is None else self.diagonal[:, None] * h
+        if self.filter_mixers:
+            mixed = np.stack([h if m is None else h @ m for m in self.filter_mixers], axis=1)
+            vertex = self.basis.T @ (self.filter_responses[:, :, None] * mixed).reshape(n, -1)
+            vertex = (self.filter_thetas[:, :, None] * vertex.reshape(n, -1, c)).reshape(n, -1)
+            spectral = (self.basis @ vertex).reshape(n, -1, c)
+            out += np.einsum("nf,nfc->nc", self.filter_responses, spectral)
+        return out if self.source is None else out - self.source
+
+    def quadratic(self, h: np.ndarray) -> float:
+        """0.5 <h, G h> - <h, S>, where G h - S = apply(h)."""
+        grad = self.apply(h)
+        return 0.5 * float(np.vdot(h, grad if self.source is None else grad - self.source))
+
+
 def build_framelet_system(s: Spectrum, scales: int, variant: str = "tight") -> FrameletSystem:
-    """Build responses and dense transform matrices for ``s``.
+    """Evaluate every band's response on the spectrum of ``s``.
 
     Eigenvalues are clipped at 0 from below (solver jitter only) before the
-    trig evaluation.
+    trig evaluation.  No n x n matrix is formed.
     """
     bands = band_index_set(scales)
     lams = np.maximum(_check_lambda(s.eigenvalues), 0.0)
     responses = haar_response(lams, scales, variant)
-    transforms = {}
     for band in bands:
-        w = (s.u.T * responses[band]) @ s.u
-        w = (w + w.T) / 2.0
-        w.setflags(write=False)
         responses[band].setflags(write=False)
-        transforms[band] = w
     square_sum = sum(responses[band] ** 2 for band in bands)
     residual = float(np.max(np.abs(square_sum - 1.0)))
     return FrameletSystem(
@@ -166,7 +263,6 @@ def build_framelet_system(s: Spectrum, scales: int, variant: str = "tight") -> F
         variant=variant,
         bands=bands,
         responses=responses,
-        transforms=transforms,
         spectrum=s,
         tightness_residual=residual,
     )

@@ -160,13 +160,12 @@ def _check_prob(name: str, value) -> float:
     return float(value)
 
 
-def _pairs_lex(n: int):
-    return [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
-
-
-def _draw_edges(rng: np.random.Generator, pairs, prob_of) -> list:
-    draws = rng.random(len(pairs))
-    return [pq for pq, u in zip(pairs, draws) if u < prob_of(pq)]
+def _draw_edges(rng: np.random.Generator, n: int, prob_of_pairs) -> list:
+    """One uniform draw per pair (i, j), i < j, in lexicographic order; the
+    pairs whose draw falls below ``prob_of_pairs(rows, cols)`` are edges."""
+    rows, cols = np.triu_indices(n, k=1)
+    keep = rng.random(rows.shape[0]) < prob_of_pairs(rows, cols)
+    return list(zip(rows[keep].tolist(), cols[keep].tolist()))
 
 
 def _retry_random(build, self_loops: bool) -> Graph:
@@ -212,8 +211,9 @@ def generate_graph(spec: GraphSpec) -> Graph:
             raise InvalidSpecError(f"erdos_renyi needs n >= 1, got {n}")
         p = _check_prob("p", spec.p)
         rng = np.random.default_rng(spec.seed)
-        pairs = _pairs_lex(n)
-        return _retry_random(lambda: (n, _draw_edges(rng, pairs, lambda pq: p)), spec.self_loops)
+        return _retry_random(
+            lambda: (n, _draw_edges(rng, n, lambda rows, cols: p)), spec.self_loops
+        )
     if kind == "sbm":
         sizes = tuple(int(s) for s in (spec.sizes or ()))
         if len(sizes) < 2:
@@ -225,12 +225,11 @@ def generate_graph(spec: GraphSpec) -> Graph:
         total = sum(sizes)
         community = np.repeat(np.arange(len(sizes)), sizes)
         rng = np.random.default_rng(spec.seed)
-        pairs = _pairs_lex(total)
 
-        def prob_of(pq):
-            return p_in if community[pq[0]] == community[pq[1]] else p_out
+        def prob_of(rows, cols):
+            return np.where(community[rows] == community[cols], p_in, p_out)
 
-        return _retry_random(lambda: (total, _draw_edges(rng, pairs, prob_of)), spec.self_loops)
+        return _retry_random(lambda: (total, _draw_edges(rng, total, prob_of)), spec.self_loops)
     if kind == "file":
         if not spec.path:
             raise InvalidSpecError("kind=file requires a path")

@@ -237,7 +237,6 @@ def test_zero_step_trace_undecided():
         dirichlet_normalized=np.array([0.3]),
         total_energy=np.array([0.3]),
         rayleigh=np.array([0.6]),
-        wall_time=np.array([0.0]),
         final_state=np.ones((4, 1)),
         renormalized=True,
         plateaued=False,

@@ -339,6 +339,62 @@ def test_unrenormalized_run_fails_before_eigensolve(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "scheme,extra",
+    [
+        ({"kind": "spatial_framelet"}, {}),
+        ({"kind": "gradf_ufg"}, {"tau": 0.05}),
+        ({"kind": "activated", "activation": "relu"}, {"tau": 0.05}),
+        ({"kind": "ee_ufg", "activation": "relu"}, {"epsilon": 0.2}),
+        ({"kind": "spectral_framelet"}, {"theta": 2.0}),
+        ({"kind": "perturbed_closed_form"}, {"epsilon": 0.5, "tau": 0.05}),
+    ],
+)
+def test_run_and_sweep_never_build_dense_transforms(tmp_path, monkeypatch, scheme, extra):
+    monkeypatch.setattr(ff.FrameletSystem, "transforms", property(_refuse))
+    cfg = c6_config(lambda_w=1.0 if scheme["kind"] == "spectral_framelet" else 2.0,
+                    scales=2, steps=200, **extra)
+    cfg["scheme"] = scheme
+    cli.run_config(cfg, tmp_path / "run")
+    assert (tmp_path / "run" / "trace.csv").exists()
+    if scheme["kind"] == "spatial_framelet":
+        cli.sweep_config(cfg, "lambda_w", [0.5, 10.0], tmp_path / "sweep")
+        assert (tmp_path / "sweep" / "sweep.csv").exists()
+
+
+RAGGED_SHARED = {"mode": "shared", "omega": [[1.0, 0.0], [0.0, 1.0]], "w": [[1.0, 0.0], [0.0]]}
+
+
+@pytest.mark.parametrize(
+    "block,key,value",
+    [
+        ("weights", "lambda_w", float("nan")),  # written as the NaN token
+        ("weights", "lambda_w", float("inf")),  # written as Infinity
+        (None, "tau", "1e999"),  # written as a literal that parses to inf
+        (None, "tau", 10**400),  # an integer literal too large for a float
+        ("weights", "lambda_w", "x"),
+        ("graph", "n", "6"),
+        ("graph", "self_loops", 1),
+        ("run", "steps", 2.7),
+        ("run", "steps", True),
+        ("run", "renormalize", "no"),
+        ("init", "channels", True),
+        (None, "weights", RAGGED_SHARED),
+    ],
+)
+def test_bad_config_values_exit_two_before_any_work(tmp_path, monkeypatch, block, key, value):
+    monkeypatch.setattr(ff.graphs, "generate_graph", _refuse)
+    monkeypatch.setattr(ff.spectral, "eigh", _refuse)
+    cfg = c6_config()
+    (cfg if block is None else cfg[block])[key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg).replace('"1e999"', "1e999"), encoding="utf-8")
+    out = tmp_path / "out"
+    for command in (["run"], ["sweep", "--parameter", "lambda_w", "--grid", "0.5,2.0"]):
+        assert cli.main([*command, "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_run_byte_identical_across_processes_at_n600(tmp_path):
     """LAPACK and BLAS results depend on the thread count, so byte identity
     is promised per thread setting: two fresh processes with the same one."""

@@ -300,6 +300,9 @@ def test_source_term_gradient_finite_difference(rng):
         lambda x: ff.source_energy_term(sys, x, h0, cfg), h, FD_STEP
     )
     grad_close(analytic, numeric)
+    # the value itself, beta * sum_b tr((W_b H)^T H0 Wt_b), from the dense transforms
+    dense = 1.3 * sum(np.sum((sys.transforms[b] @ h) * (h0 @ wt[b])) for b in sys.bands)
+    assert ff.source_energy_term(sys, h, h0, cfg) == pytest.approx(dense, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------

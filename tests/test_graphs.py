@@ -139,6 +139,39 @@ def test_generation_deterministic():
     assert ff.generate_graph(other).edges != ff.generate_graph(spec).edges
 
 
+def _loop_draw(n, prob_of, seed):
+    """The per-pair generation loop random graphs used before vectorization:
+    a Python list of lexicographic pairs, one draw each, re-drawn until no
+    node has degree 0.  Returns (edges of the accepted draw, attempts)."""
+    rng = np.random.default_rng(seed)
+    pairs = [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
+    for attempt in range(1, 101):
+        draws = rng.random(len(pairs))
+        edges = [pq for pq, u in zip(pairs, draws) if u < prob_of(pq)]
+        if len({v for e in edges for v in e}) == n:
+            return edges, attempt
+    raise AssertionError("no accepted draw")
+
+
+@pytest.mark.parametrize("seed", [0, 2, 3, 4])
+def test_random_graphs_match_per_pair_loop(seed):
+    community = np.repeat([0, 1], [6, 6])
+    cases = [
+        (ff.GraphSpec(kind="erdos_renyi", n=12, p=0.2, seed=seed), lambda pq: 0.2),
+        (
+            ff.GraphSpec(kind="sbm", sizes=(6, 6), p_in=0.3, p_out=0.05, seed=seed),
+            lambda pq: 0.3 if community[pq[0]] == community[pq[1]] else 0.05,
+        ),
+    ]
+    retried = 0
+    for spec, prob_of in cases:
+        edges, attempts = _loop_draw(12, prob_of, seed)
+        assert sorted(ff.generate_graph(spec).edges) == sorted(edges)
+        retried += attempts > 1
+    # every seed re-draws at least one kind; seeds 2 and 4 re-draw both
+    assert retried == {0: 1, 2: 2, 3: 1, 4: 2}[seed]
+
+
 def test_sbm_blocks_denser_inside():
     spec = ff.GraphSpec(kind="sbm", sizes=(25, 25), p_in=0.6, p_out=0.05, seed=5)
     g = ff.generate_graph(spec)
