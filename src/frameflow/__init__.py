@@ -69,6 +69,7 @@ from .dynamics import (
     energy_enhanced_omega,
     perturbed_closed_form,
     run_flow,
+    scheme_gains,
     step_activated,
     step_ee_ufg,
     step_gradf_ufg,
@@ -80,11 +81,8 @@ from .analysis import (
     LFD,
     MIXED,
     UNDECIDED,
-    AmplificationFamily,
     DominancePrediction,
     DominanceVerdict,
-    amplification_spatial,
-    amplification_spectral,
     classify_dominance,
     dominant_frequency,
     hfd_projection,

@@ -9,12 +9,11 @@ collapses onto ker(Lhat)) or to rho_L/2 when the top frequency dominates
 interior dominant frequency or a tie - is reported as MIXED, and runs that
 never plateau as UNDECIDED.
 
-The gain families implemented here are the scalar-weight spatial family
-g(lam) = (low^2(lam) + lambda_w * high^2(lam)) (1 - lam), the descent step
-1 - tau (low^2(lam) + high^2(lam) - g(lam)) of the same energy, and the
-uniform spectral-filter family a(lam) = low^2(lam) + theta * high^2(lam);
-thresholds are computed exactly on the actual spectrum rather than from a
-closed form.
+The gains are not computed here: one step of a scheme acts on frequency i
+by a c x c matrix M_i, which dynamics builds with the step itself, and the
+per-eigenvalue spectral radii rho(M_i) arrive as ``FlowTrace.gains``.
+Thresholds therefore hold exactly on the actual spectrum and for every
+weight mode.
 """
 
 from __future__ import annotations
@@ -24,9 +23,8 @@ from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
-from .energies import dirichlet_energy, energy_gap, _as_columns, _restore
-from .errors import OutOfRangeError, TraceNotNormalizedError, ZeroStateError
-from .framelets import haar_response
+from .energies import dirichlet_energy, _as_columns, _restore
+from .errors import TraceNotNormalizedError, ZeroStateError
 from .spectral import Spectrum
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -38,9 +36,6 @@ __all__ = [
     "MIXED",
     "UNDECIDED",
     "normalized_dirichlet",
-    "amplification_spatial",
-    "amplification_spectral",
-    "AmplificationFamily",
     "DominancePrediction",
     "dominant_frequency",
     "hfd_projection",
@@ -68,73 +63,6 @@ def normalized_dirichlet(lap: np.ndarray, signal) -> float:
     return dirichlet_energy(lap, x / norm)
 
 
-def _like_input(lam, out):
-    return float(out) if np.ndim(lam) == 0 else out
-
-
-def amplification_spatial(lam, lambda_w: float, scales: int = 1, variant: str = "tight"):
-    """Per-frequency growth factor of the scalar-weight convolution family:
-
-        g(lam) = (low^2(lam) + lambda_w * high^2(lam)) * (1 - lam)
-
-    Signed; dominance compares |g| over the spectrum.  At lambda_w = 1 the
-    tight variant collapses to g(lam) = 1 - lam.
-    """
-    return _like_input(lam, AmplificationFamily("spatial", lambda_w, scales, variant).gains(lam))
-
-
-def amplification_spectral(lam, theta: float):
-    """Per-frequency gain of the uniform spectral filter at one scale:
-
-        a(lam) = cos^2(lam/8) + theta * sin^2(lam/8)
-
-    Monotone increasing in lam for theta > 1, decreasing for theta in [0, 1),
-    constant 1 at theta = 1.  Requires theta >= 0.
-    """
-    return _like_input(lam, AmplificationFamily("spectral", theta).gains(lam))
-
-
-@dataclass(frozen=True)
-class AmplificationFamily:
-    """A one-parameter per-frequency gain family.
-
-    kind 'spatial' uses coefficient = lambda_w, 'spectral' uses coefficient =
-    theta.  'descent' is one explicit-Euler step of size tau down the energy
-    whose convolution gain is the 'spatial' one (gradf_ufg and the activated
-    scheme's linearization): 1 - tau (sum_b r_b^2 - g).  Two further kinds
-    support the epsilon sweeps: 'ee' is the band-shifted convolution with
-    scalar weights, and 'perturbed' the exponential decay factors of the
-    closed-form flow (whose argmax is the slowest-decaying frequency).
-    Frequencies outside [0, 2] and a negative theta raise OutOfRangeError.
-    """
-
-    kind: str
-    coefficient: float = 1.0
-    scales: int = 1
-    variant: str = "tight"
-    epsilon: float = 0.0
-    tau: float = 1.0
-
-    def gains(self, lam) -> np.ndarray:
-        arr = np.asarray(lam, dtype=float)
-        if self.kind == "perturbed":
-            return np.exp(-(np.maximum(arr, 0.0) + self.epsilon * energy_gap(arr)))
-        if self.kind == "spectral" and self.coefficient < 0.0:
-            raise OutOfRangeError(f"theta must be nonnegative, got {self.coefficient}")
-        responses = haar_response(arr, self.scales, self.variant)
-        low_sq = responses[(0, self.scales)] ** 2
-        high_sq = sum(v**2 for b, v in responses.items() if b[0] != 0)
-        if self.kind in ("spatial", "descent"):
-            conv = (low_sq + self.coefficient * high_sq) * (1.0 - arr)
-            return conv if self.kind == "spatial" else 1.0 - self.tau * (low_sq + high_sq - conv)
-        if self.kind == "spectral":
-            return low_sq + self.coefficient * high_sq
-        if self.kind == "ee":
-            eps = self.epsilon
-            return (1.0 - arr - eps) * low_sq + self.coefficient * (1.0 - arr + eps) * high_sq
-        raise OutOfRangeError(f"unknown amplification family {self.kind!r}")
-
-
 @dataclass(frozen=True)
 class DominancePrediction:
     """Outcome of the gain-argmax analysis over an actual spectrum.
@@ -149,41 +77,34 @@ class DominancePrediction:
     gains: Dict[float, float]
 
 
-def dominant_frequency(spectrum: Spectrum, family: AmplificationFamily) -> DominancePrediction:
-    """Evaluate |gain| on every distinct eigenvalue and classify the argmax.
+def dominant_frequency(spectrum: Spectrum, gains: np.ndarray) -> DominancePrediction:
+    """Classify the argmax of |gain| over the distinct eigenvalues.
 
+    ``gains`` holds one per-step gain per eigenvalue (``FlowTrace.gains``);
+    eigenvalues within 1e-9 form one frequency, whose gain is their largest.
     LFD when frequency 0 wins, HFD when rho_L wins, MIXED for an interior
-    winner or any tie (including the 0-vs-rho_L tie).
+    winner or any tie within a relative 1e-9 (including the 0-vs-rho_L tie).
+    A tie reports its lowest tied frequency as lambda_star.
     """
-    lams = np.maximum(spectrum.eigenvalues, 0.0)
-    distinct: list = []
-    for lam in lams:
+    distinct, values = [], []
+    for lam, gain in zip(np.maximum(spectrum.eigenvalues, 0.0), np.abs(gains)):
         if not distinct or lam - distinct[-1] > FREQ_GROUP_TOL:
             distinct.append(float(lam))
-    values = np.abs(family.gains(np.asarray(distinct)))
-    gmax = float(np.max(values))
-    winner_idx = int(np.argmax(values))
-    scale = max(1.0, gmax)
-    tied = [i for i, v in enumerate(values) if gmax - v <= FREQ_GROUP_TOL * scale]
-    others = values[[i for i in range(len(distinct)) if i != winner_idx]]
+            values.append(float(gain))
+        else:
+            values[-1] = max(values[-1], float(gain))
+    values = np.asarray(values)
+    gmax, best = float(np.max(values)), int(np.argmax(values))
+    tied = np.flatnonzero(gmax - values <= FREQ_GROUP_TOL * gmax)
+    others = np.delete(values, best)
     margin = 1.0 - float(np.max(others)) / gmax if others.size and gmax > 0.0 else 1.0
-    lambda_star = distinct[winner_idx]
-    is_zero = lambda_star <= FREQ_GROUP_TOL
-    is_top = abs(lambda_star - spectrum.rho_l) <= FREQ_GROUP_TOL
-    if len(tied) > 1:
-        dominance = MIXED
-    elif is_zero:
+    lambda_star = distinct[int(tied[0])]
+    dominance = MIXED
+    if tied.size == 1 and lambda_star <= FREQ_GROUP_TOL:
         dominance = LFD
-    elif is_top:
+    elif tied.size == 1 and abs(lambda_star - spectrum.rho_l) <= FREQ_GROUP_TOL:
         dominance = HFD
-    else:
-        dominance = MIXED
-    return DominancePrediction(
-        lambda_star=lambda_star,
-        dominance=dominance,
-        margin=margin,
-        gains={lam: float(v) for lam, v in zip(distinct, values)},
-    )
+    return DominancePrediction(lambda_star, dominance, margin, dict(zip(distinct, values.tolist())))
 
 
 def _projection(spectrum: Spectrum, signal, mask: np.ndarray):

@@ -183,7 +183,7 @@ def load_config(path) -> dict:
 
 
 def validate_config(cfg: dict) -> None:
-    """Check every key's name and value type before any work is done."""
+    """Check every key's name, value type and range before any work is done."""
     _check_keys("config", cfg)
     _check_keys("graph", _require("config", cfg, "graph"))
     _require("graph", cfg["graph"], "kind")
@@ -210,6 +210,20 @@ def validate_config(cfg: dict) -> None:
         _require("init", icfg, "path" if imode == "file" else "index")
     _check_keys("run", cfg.get("run", {}))
     _check_keys("output", cfg.get("output", {}))
+    framelets.band_index_set(cfg.get("framelet", {}).get("scales", 1))
+    for block, key in (("init", "channels"), ("run", "steps"), ("run", "plateau_window")):
+        if cfg.get(block, {}).get(key, 1) < 1:
+            raise ConfigError(f"{block}.{key} must be >= 1, got {cfg[block][key]}")
+    if theta is not None and min(_theta_values(theta)) < 0.0:
+        raise OutOfRangeError(f"theta must be nonnegative, got {theta!r}")
+
+
+def _theta_values(theta) -> list:
+    """Every filter coefficient of a validated theta block."""
+    if not isinstance(theta, dict):
+        return [theta]
+    bands = [x for values in theta.get("bands", {}).values() for x in values]
+    return [theta.get("low", 1.0), theta.get("high", 1.0), *bands]
 
 
 def _build_graph(cfg: dict, seed: Optional[int]) -> graphs.Graph:
@@ -268,8 +282,6 @@ def _build_init(cfg: dict, spectrum: spectral.Spectrum, seed: Optional[int]) -> 
     mode = icfg["mode"]
     if mode == "random_normal":
         channels = int(icfg.get("channels", 1))
-        if channels < 1:
-            raise ConfigError(f"init.channels must be >= 1, got {channels}")
         rng = np.random.default_rng(int(seed if seed is not None else icfg.get("seed", 0)))
         return rng.standard_normal((spectrum.n, channels))
     if mode == "file":
@@ -453,9 +465,8 @@ def run_flows(cfgs: List[dict], seed: Optional[int] = None, jobs: int = 1) -> li
         trace = dynamics.run_flow(
             exp.scheme, exp.system, exp.ahat, exp.lap, exp.initial, exp.weights, exp.stop
         )
-        family = prediction_family(cfg, exp)
         prediction = (
-            analysis.dominant_frequency(exp.spectrum, family) if family is not None else None
+            None if trace.gains is None else analysis.dominant_frequency(exp.spectrum, trace.gains)
         )
         verdict = analysis.classify_dominance(trace, exp.spectrum, exp.tol, prediction)
         return exp, trace, prediction, verdict
@@ -464,33 +475,6 @@ def run_flows(cfgs: List[dict], seed: Optional[int] = None, jobs: int = 1) -> li
         return [flow(cfg) for cfg in cfgs]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(flow, cfgs))
-
-
-def prediction_family(cfg: dict, exp: Experiment) -> Optional[analysis.AmplificationFamily]:
-    """Gain family of the experiment's flow, when its weight mode has one."""
-    bank = {"scales": exp.system.scales, "variant": exp.system.variant}
-    kind = exp.scheme.kind
-    if kind == "spectral_framelet":
-        theta = cfg.get("theta")
-        if isinstance(theta, (int, float)):
-            return analysis.AmplificationFamily("spectral", float(theta), **bank)
-        if isinstance(theta, dict) and "bands" not in theta:
-            low, high = float(theta.get("low", 1.0)), float(theta.get("high", 1.0))
-            if low != 0.0:
-                return analysis.AmplificationFamily("spectral", high / low, **bank)
-        return None
-    if cfg["weights"]["mode"] != "scalar":
-        return None
-    lambda_w = float(cfg["weights"]["lambda_w"])
-    if kind == "spatial_framelet":
-        return analysis.AmplificationFamily("spatial", lambda_w, **bank)
-    if kind in ("gradf_ufg", "activated"):
-        return analysis.AmplificationFamily("descent", lambda_w, **bank, tau=exp.weights.tau)
-    if kind == "ee_ufg":
-        return analysis.AmplificationFamily("ee", lambda_w, **bank, epsilon=exp.weights.epsilon)
-    if kind == "perturbed_closed_form":
-        return analysis.AmplificationFamily("perturbed", scales=2, epsilon=exp.weights.epsilon)
-    return None
 
 
 PAPER_CHECK = {

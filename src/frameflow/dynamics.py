@@ -16,7 +16,13 @@ spectral coordinates Hhat = U H, and ``run_flow`` keeps Hhat as its state:
 linear schemes and the closed form never leave spectral coordinates;
 relu/tanh descent, the banded ee activation and a per-vertex theta_b take
 one U^T / U round trip per step; the final state is U^T Hhat, formed once.
-The public ``step_*`` functions are vertex-domain wrappers around the same
+
+Each scheme is written once, in ``_scheme_operator``: its step, the c x c
+matrix M_i by which one step of its linear part acts on frequency i, and
+its governing energy.  ``run_flow`` records the spectral radii rho(M_i) as
+``FlowTrace.gains`` (:func:`scheme_gains` gives the same numbers without a
+run), and analysis.dominant_frequency predicts the limit from them.  The
+public ``step_*`` functions are vertex-domain wrappers around the same
 steps.
 
 ``run_flow`` iterates a scheme, recording per step the state norm, the
@@ -31,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import pairwise
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Iterable, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -78,6 +84,7 @@ __all__ = [
     "perturbed_closed_form",
     "energy_enhanced_omega",
     "run_flow",
+    "scheme_gains",
 ]
 
 SCHEME_KINDS = (
@@ -160,6 +167,7 @@ class FlowTrace:
     renormalized: bool
     plateaued: bool
     steps_to_plateau: Optional[int]
+    gains: Optional[np.ndarray] = None  # per eigenvalue; see scheme_gains
 
     @property
     def steps_run(self) -> int:
@@ -188,34 +196,67 @@ def _descend(h: np.ndarray, grad: np.ndarray, tau: float, activation: str, u: np
     return h + tau * (u @ _activate(activation, -(u.T @ grad)))
 
 
-def _make_step(
-    kind: str,
-    activation: str,
-    sys: FrameletSystem,
-    ahat: Optional[np.ndarray],
-    h0: Optional[np.ndarray],
-    cfg: WeightConfig,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """One step of scheme ``kind`` as a map on spectral coordinates.  ``h0``
-    is the spectral initial state; it only matters when a source term is
-    configured (beta != 0 with mixing matrices)."""
-    u = sys.spectrum.u
-    if kind in ("gradf_ufg", "activated"):
-        form = framelet_energy_form(sys, ahat, cfg, h0 if cfg.has_source else None)
-        return lambda h: _descend(h, form.apply(h), cfg.tau, activation, u)
+class SchemeOperator(NamedTuple):
+    """A scheme on spectral coordinates: its step Hhat -> Hhat (for the closed
+    form, k -> the exact state at t = k tau); the one-step matrices M_i of its
+    linear part per frequency, (n, c, c) (the closed form's decay factors as
+    (n, 1, 1)), or None for a per-vertex theta; and the gradient map of its
+    governing energy."""
+
+    step: Callable
+    one_step: Optional[np.ndarray]
+    energy: Multiplier
+
+
+def _scheme_operator(
+    scheme: Scheme, sys: FrameletSystem, a_hat, lam, cfg: WeightConfig, h0: Optional[np.ndarray]
+) -> SchemeOperator:
+    """Build ``scheme``'s operator from the checked per-frequency values
+    ``a_hat`` = 1 - lam and ``lam`` of Ahat and Lhat.  ``h0`` is the spectral
+    initial state; the closed form starts from it, and otherwise it only
+    matters when a source term is configured (beta != 0 with mixing
+    matrices)."""
+    kind, activation, tau, u = scheme.kind, scheme.activation, cfg.tau, sys.spectrum.u
+    if kind == "perturbed_closed_form":
+        # the closed form's decay rates are the two-scale gap profile
+        sys.require_tight("the closed-form perturbed flow")
+        if sys.scales != 2:
+            raise ConfigError("the closed-form perturbed flow needs a two-scale system")
+        rates = _decay_rates(sys.spectrum, cfg.epsilon)
+        return SchemeOperator(
+            lambda k: np.exp(-rates * (k * tau))[:, None] * h0,
+            np.exp(-rates * tau)[:, None, None],
+            perturbed_energy_form(sys, lam, cfg.epsilon),
+        )
     if kind == "spectral_framelet":
         w, factors = cfg.shared_w(sys), filter_factors(sys, cfg)
-        return Multiplier([(factors[b], cfg.tau * w) for b in sys.bands]).apply
-    if kind not in ("spatial_framelet", "ee_ufg"):
-        raise ConfigError(f"unknown scheme kind {kind!r}")
-    a_hat, bands, resp = adjacency_values(sys, ahat), cfg.bands_for(sys), sys.responses
+        step = Multiplier([(factors[b], tau * w) for b in sys.bands])
+        one_step = None if step.filter_mixers else step.matrices
+        return SchemeOperator(step.apply, one_step, spectral_energy_form(sys, w, factors))
+    if a_hat is None:
+        raise ConfigError(f"scheme {kind!r} needs the normalized adjacency ahat")
+    if kind in ("gradf_ufg", "activated"):
+        form = framelet_energy_form(sys, a_hat, cfg, h0 if cfg.has_source else None)
+        return SchemeOperator(
+            lambda h: _descend(h, form.apply(h), tau, activation, u),
+            np.eye(form.channels) - tau * form.matrices,
+            form,
+        )
+    bands, resp = cfg.bands_for(sys), sys.responses
     if kind == "spatial_framelet":
-        return Multiplier([(cfg.tau * resp[b] ** 2 * a_hat, cfg.w[b]) for b in bands]).apply
-    # ee: band b analyses through r_b (Ahat -+ eps), synthesis weights by r_b
+        step = Multiplier([(tau * resp[b] ** 2 * a_hat, cfg.w[b]) for b in bands])
+        eye = {b: np.eye(cfg.w[b].shape[0]) for b in bands}
+        energy = framelet_energy_form(sys, a_hat, replace(cfg, omega=eye))
+        return SchemeOperator(step.apply, step.matrices, energy)
+    # ee: band b analyses through r_b (Ahat -+ eps), synthesis weights by r_b.
+    # The energy is exact for the linearized form only; with a banded
+    # activation it is recorded as a diagnostic, not a Lyapunov value.
     shift = {b: cfg.epsilon for b in bands} | {sys.low_pass: -cfg.epsilon}
     analysis = {b: resp[b] * (a_hat + shift[b]) for b in bands}
+    linear = Multiplier([(resp[b] * analysis[b], cfg.w[b]) for b in bands])
+    energy = framelet_energy_form(sys, a_hat, energy_enhanced_omega(sys, cfg))
     if activation == "identity":
-        return Multiplier([(resp[b] * analysis[b], cfg.w[b]) for b in bands]).apply
+        return SchemeOperator(linear.apply, linear.matrices, energy)
     banded = [Multiplier([(analysis[b], cfg.w[b])]) for b in bands]
 
     def banded_step(h):  # every band's activation in one U^T / U round trip
@@ -223,14 +264,35 @@ def _make_step(
         post = np.split(u @ _activate(activation, u.T @ pre), len(bands), axis=1)
         return sum(resp[b][:, None] * part for b, part in zip(bands, post))
 
-    return banded_step
+    return SchemeOperator(banded_step, linear.matrices, energy)
+
+
+def _radii(one_step: np.ndarray) -> np.ndarray:
+    """Spectral radius of each frequency's one-step matrix (every M_i is
+    symmetric, because WeightConfig rejects asymmetric Omega and W)."""
+    return np.max(np.abs(np.linalg.eigvalsh(one_step)), axis=1)
+
+
+def scheme_gains(
+    scheme: Scheme, sys: FrameletSystem, ahat: Optional[np.ndarray], cfg: WeightConfig
+) -> Optional[np.ndarray]:
+    """Per-eigenvalue gain rho(M_i) of one step of ``scheme``'s linear part,
+    the numbers :func:`run_flow` records as ``FlowTrace.gains``; None for a
+    per-vertex theta.  ``ahat`` may be None for the spectral and closed-form
+    schemes, which do not read it."""
+    a_hat = None if ahat is None else adjacency_values(sys, ahat)
+    linear = replace(cfg, beta=0.0)  # a source term is constant
+    m = _scheme_operator(scheme, sys, a_hat, sys.spectrum.eigenvalues, linear, None).one_step
+    return None if m is None else _radii(m)
 
 
 def _vertex_step(kind, activation, sys, ahat, signal, initial, cfg: WeightConfig):
     """One step of ``kind`` on a vertex-domain signal: U^T step(U H)."""
     h, was_vector = to_spectral(sys, signal)
     h0 = _spectral_initial(sys, initial, h) if cfg.has_source else None
-    return to_vertex(sys, _make_step(kind, activation, sys, ahat, h0, cfg)(h), was_vector)
+    a_hat = None if ahat is None else adjacency_values(sys, ahat)
+    op = _scheme_operator(Scheme(kind, activation), sys, a_hat, sys.spectrum.eigenvalues, cfg, h0)
+    return to_vertex(sys, op.step(h), was_vector)
 
 
 def step_spatial_framelet(sys: FrameletSystem, ahat: np.ndarray, signal, cfg: WeightConfig):
@@ -321,31 +383,6 @@ def perturbed_closed_form(spectrum: Spectrum, initial, epsilon: float, t: float)
     return _restore(out, was_vector)
 
 
-def _governing_energy(
-    kind: str,
-    sys: FrameletSystem,
-    ahat: Optional[np.ndarray],
-    lap: np.ndarray,
-    cfg: WeightConfig,
-    h0: np.ndarray,
-) -> Multiplier:
-    """The gradient map of the scheme's governing energy on spectral coordinates."""
-    if kind == "spatial_framelet":
-        eye = {b: np.eye(cfg.w[b].shape[0]) for b in cfg.w}
-        return framelet_energy_form(sys, ahat, replace(cfg, omega=eye))
-    if kind in ("gradf_ufg", "activated"):
-        return framelet_energy_form(sys, ahat, cfg, h0 if cfg.has_source else None)
-    if kind == "ee_ufg":
-        # exact governing energy for the linearized form only; with banded
-        # activation this is recorded as a diagnostic, not a Lyapunov value
-        return framelet_energy_form(sys, ahat, energy_enhanced_omega(sys, cfg))
-    if kind == "spectral_framelet":
-        return spectral_energy_form(sys, cfg)
-    if kind == "perturbed_closed_form":
-        return perturbed_energy_form(sys, lap, cfg.epsilon)
-    raise ConfigError(f"unknown scheme kind {kind!r}")
-
-
 def run_flow(
     scheme: Scheme,
     sys: FrameletSystem,
@@ -361,22 +398,16 @@ def run_flow(
     renormalization the state norm is guarded against overflow (abort at
     1e150).  For the closed-form scheme, states are evaluated exactly at
     t = k * tau rather than iterated.  The state is kept in spectral
-    coordinates throughout; ``final_state`` is mapped back once.
+    coordinates throughout; ``final_state`` is mapped back once.  Ahat and
+    Lhat are each checked once, and ``gains`` holds rho(M_i) per eigenvalue.
     """
     x0, _ = _as_columns(initial, sys.n)
     closed_form = scheme.kind == "perturbed_closed_form"
-    if closed_form:
-        # the closed form's decay rates are the two-scale gap profile
-        sys.require_tight("the closed-form perturbed flow")
-        if sys.scales != 2:
-            raise ConfigError("the closed-form perturbed flow needs a two-scale system")
     h0 = sys.spectrum.u @ x0
-    energy = _governing_energy(scheme.kind, sys, ahat, lap, cfg, h0)
-    dirichlet = Multiplier([(laplacian_values(sys, lap), None)])
-    if closed_form:
-        rates = _decay_rates(sys.spectrum, cfg.epsilon)
-    else:
-        stepper = _make_step(scheme.kind, scheme.activation, sys, ahat, h0, cfg)
+    lam = laplacian_values(sys, lap)
+    a_hat = None if ahat is None else adjacency_values(sys, ahat)
+    op = _scheme_operator(scheme, sys, a_hat, lam, cfg, h0)
+    energy, dirichlet = op.energy, Multiplier([(lam, None)])
 
     steps: List[int] = []
     norms: List[float] = []
@@ -400,10 +431,7 @@ def run_flow(
         nonlocal state
         yield record(0, norm0, h0)
         for k in range(1, stop.max_steps + 1):
-            if closed_form:
-                state = np.exp(-rates * (k * cfg.tau))[:, None] * h0
-            else:
-                state = stepper(state)
+            state = op.step(k) if closed_form else op.step(state)
             norm = float(np.linalg.norm(state))
             if norm == 0.0:
                 raise ZeroStateError(f"state vanished at step {k}")
@@ -429,4 +457,5 @@ def run_flow(
         renormalized=scheme.renormalize,
         plateaued=steps_to_plateau is not None,
         steps_to_plateau=steps_to_plateau,
+        gains=None if op.one_step is None else _radii(op.one_step),
     )

@@ -301,12 +301,11 @@ def source_spectral(sys: FrameletSystem, h0, cfg: WeightConfig) -> np.ndarray:
 
 
 def framelet_energy_form(
-    sys: FrameletSystem, ahat, cfg: WeightConfig, h0: Optional[np.ndarray] = None
+    sys: FrameletSystem, a_hat: np.ndarray, cfg: WeightConfig, h0: Optional[np.ndarray] = None
 ) -> Multiplier:
-    """Gradient of the total framelet energy on spectral coordinates:
-    sum_b diag(r_b^2) . Omega_b - diag(r_b^2 (1 - lam)) . W_b, minus the
-    source built from the spectral initial state ``h0`` when configured."""
-    a_hat = adjacency_values(sys, ahat)
+    """Gradient of the total framelet energy on spectral coordinates, with
+    a_hat = 1 - lam: sum_b diag(r_b^2) . Omega_b - diag(r_b^2 a_hat) . W_b,
+    minus the source built from the spectral initial state ``h0`` if configured."""
     terms = []
     for band in cfg.bands_for(sys):
         r2 = sys.responses[band] ** 2
@@ -327,7 +326,10 @@ def total_framelet_energy(
     generalized_energy(ahat, signal, Omega, W).
     """
     h, _ = to_spectral(sys, signal)
-    return framelet_energy_form(sys, ahat, cfg, _spectral_initial(sys, initial, h)).quadratic(h)
+    form = framelet_energy_form(
+        sys, adjacency_values(sys, ahat), cfg, _spectral_initial(sys, initial, h)
+    )
+    return form.quadratic(h)
 
 
 def total_framelet_energy_gradient(
@@ -340,7 +342,9 @@ def total_framelet_energy_gradient(
     """Analytic gradient sum_b (W_b^T W_b H Omega_b - W_b^T Ahat W_b H W_b)
     minus beta * sum_b W_b^T H0 Wt_b when a source is configured."""
     h, was_vector = to_spectral(sys, signal)
-    form = framelet_energy_form(sys, ahat, cfg, _spectral_initial(sys, initial, h))
+    form = framelet_energy_form(
+        sys, adjacency_values(sys, ahat), cfg, _spectral_initial(sys, initial, h)
+    )
     return to_vertex(sys, form.apply(h), was_vector)
 
 
@@ -360,11 +364,10 @@ def source_energy_gradient(sys: FrameletSystem, initial, cfg: WeightConfig) -> n
     return to_vertex(sys, source_spectral(sys, h0, cfg), was_vector)
 
 
-def perturbed_energy_form(sys: FrameletSystem, lap, epsilon: float) -> Multiplier:
+def perturbed_energy_form(sys: FrameletSystem, lam: np.ndarray, epsilon: float) -> Multiplier:
     """Gradient of the perturbed energy: sum_b diag(r_b^2 (lam + s_b)), with
     s_b = +eps on the low-pass band and -eps on every high-pass band."""
     sys.require_tight("the perturbed energy")
-    lam = laplacian_values(sys, lap)
     shift = {b: -epsilon for b in sys.bands} | {sys.low_pass: epsilon}
     return Multiplier([(sys.responses[b] ** 2 * (lam + shift[b]), None) for b in sys.bands])
 
@@ -377,13 +380,15 @@ def perturbed_energy(sys: FrameletSystem, lap: np.ndarray, signal, epsilon: floa
     (eps/2) * sum_i gap(lam_i) * (spectral mass of the signal at lam_i); the
     gap is nonnegative on [0, 2], so eps > 0 enhances the energy.
     """
-    return perturbed_energy_form(sys, lap, epsilon).quadratic(to_spectral(sys, signal)[0])
+    form = perturbed_energy_form(sys, laplacian_values(sys, lap), epsilon)
+    return form.quadratic(to_spectral(sys, signal)[0])
 
 
 def perturbed_energy_gradient(sys: FrameletSystem, lap: np.ndarray, signal, epsilon: float):
     """Gradient W0^T (Lhat + eps I) W0 H + sum_high W^T (Lhat - eps I) W H."""
     h, was_vector = to_spectral(sys, signal)
-    return to_vertex(sys, perturbed_energy_form(sys, lap, epsilon).apply(h), was_vector)
+    form = perturbed_energy_form(sys, laplacian_values(sys, lap), epsilon)
+    return to_vertex(sys, form.apply(h), was_vector)
 
 
 def energy_gap(lam):
@@ -465,11 +470,9 @@ def filter_factors(sys: FrameletSystem, cfg: WeightConfig) -> Dict[Band, object]
     return out
 
 
-def spectral_energy_form(sys: FrameletSystem, cfg: WeightConfig) -> Multiplier:
+def spectral_energy_form(sys: FrameletSystem, w: np.ndarray, factors) -> Multiplier:
     """Gradient of the spectral-filter energy: sum_b diag(r_b^2) - F_b . W,
-    with F_b from :func:`filter_factors` and one shared symmetric W."""
-    w = _require_symmetric("w", cfg.shared_w(sys))
-    factors = filter_factors(sys, cfg)
+    with F_b from :func:`filter_factors` and W from WeightConfig.shared_w."""
     return Multiplier(
         [(sys.responses[b] ** 2, None) for b in sys.bands] + [(factors[b], -w) for b in sys.bands]
     )
@@ -482,10 +485,12 @@ def spectral_energy(sys: FrameletSystem, signal, cfg: WeightConfig) -> float:
 
     with one shared symmetric W across bands.
     """
-    return spectral_energy_form(sys, cfg).quadratic(to_spectral(sys, signal)[0])
+    form = spectral_energy_form(sys, cfg.shared_w(sys), filter_factors(sys, cfg))
+    return form.quadratic(to_spectral(sys, signal)[0])
 
 
 def spectral_energy_gradient(sys: FrameletSystem, signal, cfg: WeightConfig):
     """Gradient sum_b (W_b^T W_b H - W_b^T diag(theta_b) W_b H W)."""
     h, was_vector = to_spectral(sys, signal)
-    return to_vertex(sys, spectral_energy_form(sys, cfg).apply(h), was_vector)
+    form = spectral_energy_form(sys, cfg.shared_w(sys), filter_factors(sys, cfg))
+    return to_vertex(sys, form.apply(h), was_vector)

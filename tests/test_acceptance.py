@@ -68,8 +68,9 @@ def run_scalar(lambda_w: float, scales: int, max_steps: int = 50_000, self_loops
     return trace, spec
 
 
-def predict_scalar(spec, lambda_w: float, scales: int) -> ff.DominancePrediction:
-    return ff.dominant_frequency(spec, ff.AmplificationFamily("spatial", lambda_w, scales))
+def predict(trace: ff.FlowTrace, spec) -> ff.DominancePrediction:
+    """The prediction from the per-frequency gains the run recorded."""
+    return ff.dominant_frequency(spec, trace.gains)
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +306,13 @@ def test_c06_unit_weight_asserted_to_smooth():
     for scales in (1, 2):
         trace, spec = run_scalar(1.0, scales, self_loops=True)
         assert spec.rho_l < 2.0
-        pred = predict_scalar(spec, 1.0, scales)
+        pred = predict(trace, spec)
         verdict = ff.classify_dominance(trace, spec, prediction=pred)
         assert pred.dominance == ff.LFD and verdict.dominance == ff.LFD
         assert verdict.limit_value <= 1e-6
 
         trace, spec = run_scalar(1.0, scales)
-        pred = predict_scalar(spec, 1.0, scales)
+        pred = predict(trace, spec)
         verdict = ff.classify_dominance(trace, spec, prediction=pred)
         assert pred.dominance == ff.MIXED and pred.margin <= 1e-9
         assert trace.plateaued and verdict.dominance == ff.MIXED
@@ -353,12 +354,12 @@ def test_c06_negative_large_weight_asserted_to_separate():
         assert 10.0 < threshold < 40.0
 
         trace, spec = run_scalar(-10.0, scales)
-        pred = predict_scalar(spec, -10.0, scales)
+        pred = predict(trace, spec)
         verdict = ff.classify_dominance(trace, spec, prediction=pred)
         assert pred.dominance == ff.LFD and verdict.dominance == ff.LFD
 
         trace, spec = run_scalar(-40.0, scales)
-        pred = predict_scalar(spec, -40.0, scales)
+        pred = predict(trace, spec)
         verdict = ff.classify_dominance(trace, spec, prediction=pred)
         assert trace.steps_run <= 50_000
         assert pred.dominance == ff.HFD
@@ -387,7 +388,7 @@ def test_c07_spectral_filter_dominance():
             ff.Scheme("spectral_framelet", renormalize=True),
             sys, ahat, lap, h0, cfg, ff.StopRule(max_steps=50_000),
         )
-        pred = ff.dominant_frequency(spec, ff.AmplificationFamily("spectral", theta, 1))
+        pred = predict(trace, spec)
         outcomes[theta] = (pred, ff.classify_dominance(trace, spec, prediction=pred))
     pred, verdict = outcomes[4.0]
     assert pred.dominance == ff.HFD and verdict.dominance == ff.HFD

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import event, assume, given, settings, strategies as st
 
 import frameflow as ff
+from frameflow import cli
 from frameflow.errors import OutOfRangeError, TraceNotNormalizedError, ZeroStateError
 
-from conftest import random_er_graph
+from conftest import random_er_graph, random_symmetric
 
 
 def c_n(n, self_loops=False):
@@ -41,51 +43,84 @@ def test_normalized_dirichlet_zero_state_rejected():
 
 
 # ---------------------------------------------------------------------------
-# Gain families
+# Per-frequency gains of one step
 # ---------------------------------------------------------------------------
+
+
+def scalar_gains(spec, ahat, kind, lambda_w=1.0, scales=1, variant="tight", theta=None, **knobs):
+    """ff.scheme_gains for scalar weights on one channel; ``theta`` is the
+    high-pass filter coefficient (the low-pass one is 1)."""
+    sys = ff.build_framelet_system(spec, scales, variant)
+    thetas = None if theta is None else {
+        b: np.full(spec.n, 1.0 if b[0] == 0 else theta) for b in sys.bands
+    }
+    cfg = ff.WeightConfig.scalar(scales, lambda_w, 1, theta=thetas, **knobs)
+    return ff.scheme_gains(ff.Scheme(kind), sys, ahat, cfg)
+
+
+def gains_at(lams, kind, **kwargs):
+    """Gains at the frequencies ``lams`` (ascending): the spectrum of diag(lams)."""
+    lap = np.diag(np.asarray(lams, dtype=float))
+    return scalar_gains(ff.eigh(lap), np.eye(len(lams)) - lap, kind, **kwargs)
 
 
 def test_spatial_gain_at_zero_frequency():
     for lw in (-10.0, 0.0, 0.5, 7.0):
         for scales in (1, 2):
-            assert ff.amplification_spatial(0.0, lw, scales) == pytest.approx(1.0, abs=1e-15)
+            gain = gains_at([0.0], "spatial_framelet", lambda_w=lw, scales=scales)[0]
+            assert gain == pytest.approx(1.0, abs=1e-15)
 
 
 def test_spatial_gain_unit_weight_is_one_minus_lambda():
     grid = np.linspace(0.0, 2.0, 200)
     for scales in (1, 2):
         np.testing.assert_allclose(
-            ff.amplification_spatial(grid, 1.0, scales), 1.0 - grid, atol=1e-14
+            gains_at(grid, "spatial_framelet", scales=scales), np.abs(1.0 - grid), atol=1e-14
         )
 
 
 def test_spatial_gain_large_weight_top_frequency():
-    assert abs(ff.amplification_spatial(2.0, 100.0, 1)) == pytest.approx(7.0597, abs=2e-4)
+    gain = gains_at([2.0], "spatial_framelet", lambda_w=100.0)[0]
+    assert gain == pytest.approx(7.0597, abs=2e-4)
 
 
 def test_spatial_gain_paper_literal_variant_differs():
-    tight = ff.amplification_spatial(1.5, 3.0, 2, "tight")
-    literal = ff.amplification_spatial(1.5, 3.0, 2, "paper_literal")
-    assert tight != literal
+    tight = gains_at([1.5], "spatial_framelet", lambda_w=3.0, scales=2, variant="tight")
+    literal = gains_at([1.5], "spatial_framelet", lambda_w=3.0, scales=2, variant="paper_literal")
+    assert tight[0] != literal[0]
 
 
 def test_spectral_gain_values_and_range_checks():
-    assert ff.amplification_spectral(1.7, 1.0) == 1.0
-    assert ff.amplification_spectral(2.0, 0.0) == pytest.approx(0.9387913, abs=1e-7)
-    assert ff.amplification_spectral(2.0, 4.0) == pytest.approx(1.1836261, abs=1e-7)
+    assert gains_at([1.7], "spectral_framelet", theta=1.0)[0] == 1.0
+    assert gains_at([2.0], "spectral_framelet", theta=0.0)[0] == pytest.approx(0.9387913, abs=1e-7)
+    assert gains_at([2.0], "spectral_framelet", theta=4.0)[0] == pytest.approx(1.1836261, abs=1e-7)
+    cfg = {
+        "graph": {"kind": "cycle", "n": 6},
+        "scheme": {"kind": "spectral_framelet"},
+        "weights": {"mode": "scalar", "lambda_w": 1.0},
+        "init": {"mode": "random_normal"},
+        "theta": -0.5,
+    }
     with pytest.raises(OutOfRangeError):
-        ff.amplification_spectral(1.0, -0.5)
+        cli.validate_config(cfg)
     with pytest.raises(OutOfRangeError):
-        ff.amplification_spectral(2.5, 1.0)
+        gains_at([2.5], "spectral_framelet", theta=1.0)
+
+
+@pytest.fixture(scope="module")
+def cycle_1000():
+    return c_n(1000)[3]
 
 
 @pytest.mark.parametrize(
     "theta,direction",
     [(4.0, 1), (0.25, -1), (1.0, 0)],
 )
-def test_spectral_gain_monotone_structure(theta, direction):
-    grid = np.linspace(0.0, 2.0, 1000)
-    values = ff.amplification_spectral(grid, theta)
+def test_spectral_gain_monotone_structure(cycle_1000, theta, direction):
+    gains = scalar_gains(cycle_1000, None, "spectral_framelet", theta=theta)
+    per_frequency = ff.dominant_frequency(cycle_1000, gains).gains
+    values = np.array([per_frequency[lam] for lam in sorted(per_frequency)])
+    assert len(values) == 501  # the distinct eigenvalues of the 1000-cycle
     diffs = np.diff(values)
     if direction == 1:
         assert np.all(diffs > 0)
@@ -100,16 +135,20 @@ def test_spectral_gain_monotone_structure(theta, direction):
 # ---------------------------------------------------------------------------
 
 
+def predict(spec, ahat, kind, **kwargs):
+    return ff.dominant_frequency(spec, scalar_gains(spec, ahat, kind, **kwargs))
+
+
 def test_prediction_small_weight_is_low_frequency():
     for n in (4, 6, 9):
-        _, _, _, spec = c_n(n)
-        pred = ff.dominant_frequency(spec, ff.AmplificationFamily("spatial", 0.5, 1))
+        _, ahat, _, spec = c_n(n)
+        pred = predict(spec, ahat, "spatial_framelet", lambda_w=0.5)
         assert pred.dominance == ff.LFD and pred.lambda_star <= 1e-9
 
 
 def test_prediction_large_weight_on_bipartite_cycle():
-    _, _, _, spec = c_n(4)
-    pred = ff.dominant_frequency(spec, ff.AmplificationFamily("spatial", 100.0, 1))
+    _, ahat, _, spec = c_n(4)
+    pred = predict(spec, ahat, "spatial_framelet", lambda_w=100.0)
     assert pred.dominance == ff.HFD
     assert pred.lambda_star == pytest.approx(2.0, abs=1e-9)
     assert pred.margin >= 0.01
@@ -118,24 +157,24 @@ def test_prediction_large_weight_on_bipartite_cycle():
 def test_prediction_degenerate_top_frequency_one():
     g = ff.Graph.from_edges(2, [(0, 1)], self_loops=True)
     spec = ff.eigh(ff.normalized_laplacian(g))
-    pred = ff.dominant_frequency(spec, ff.AmplificationFamily("spatial", 100.0, 1))
+    pred = predict(spec, ff.normalized_adjacency(g), "spatial_framelet", lambda_w=100.0)
     assert pred.dominance == ff.LFD
     top_gain = pred.gains[max(pred.gains)]
     assert top_gain == pytest.approx(0.0, abs=1e-12)
 
 
 def test_prediction_unit_weight_ties_on_bipartite():
-    _, _, _, spec = c_n(6)
-    pred = ff.dominant_frequency(spec, ff.AmplificationFamily("spatial", 1.0, 1))
+    _, ahat, _, spec = c_n(6)
+    pred = predict(spec, ahat, "spatial_framelet", lambda_w=1.0)
     assert pred.dominance == ff.MIXED
     assert pred.margin <= 1e-9
 
 
 def test_prediction_spectral_family():
     _, _, _, spec = c_n(6)
-    up = ff.dominant_frequency(spec, ff.AmplificationFamily("spectral", 4.0, 1))
-    down = ff.dominant_frequency(spec, ff.AmplificationFamily("spectral", 0.25, 1))
-    flat = ff.dominant_frequency(spec, ff.AmplificationFamily("spectral", 1.0, 1))
+    up = predict(spec, None, "spectral_framelet", theta=4.0)
+    down = predict(spec, None, "spectral_framelet", theta=0.25)
+    flat = predict(spec, None, "spectral_framelet", theta=1.0)
     assert up.dominance == ff.HFD
     assert down.dominance == ff.LFD
     assert flat.dominance == ff.MIXED and flat.margin <= 1e-9
@@ -145,8 +184,69 @@ def test_prediction_perturbed_family_always_low(rng):
     g = random_er_graph(rng, 10)
     spec = ff.eigh(ff.normalized_laplacian(g))
     for eps in (0.1, 1.0, 10.0):
-        pred = ff.dominant_frequency(spec, ff.AmplificationFamily("perturbed", epsilon=eps))
+        pred = predict(spec, None, "perturbed_closed_form", scales=2, epsilon=eps)
         assert pred.dominance == ff.LFD
+
+
+def test_prediction_groups_repeated_eigenvalues_by_their_largest_gain():
+    _, _, _, spec = c_n(6)  # eigenvalues 0, 0.5, 0.5, 1.5, 1.5, 2
+    pred = ff.dominant_frequency(spec, np.array([1.0, 0.2, 0.2, 0.2, 3.0, 0.2]))
+    assert list(pred.gains.values()) == [1.0, 0.2, 3.0, 0.2]
+    assert pred.dominance == ff.MIXED and pred.lambda_star == pytest.approx(1.5, abs=1e-12)
+    assert pred.margin == pytest.approx(1.0 - 1.0 / 3.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e3])
+def test_prediction_ignores_the_scale_of_the_gains(scale):
+    # a 1e-8 relative gap is a winner at any step size, never a tie
+    _, _, _, spec = c_n(6)
+    pred = ff.dominant_frequency(spec, scale * np.array([1.0, 0.5, 0.5, 0.5, 0.5, 1.0 - 1e-8]))
+    assert pred.dominance == ff.LFD and pred.lambda_star <= 1e-9
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["spatial_framelet", "gradf_ufg"]),
+    mode=st.sampled_from(["shared", "full"]),
+    graph=st.sampled_from(["erdos_renyi", "sbm"]),
+    scales=st.sampled_from([1, 2]),
+    high=st.floats(0.5, 64.0),
+)
+def test_random_weight_matrices_predict_the_measured_class(seed, kind, mode, graph, scales, high):
+    """Shared or per-band random symmetric weights (the high-pass ones scaled
+    by ``high``): whenever the best gain beats every other frequency by 5%,
+    the run ends in the predicted class."""
+    rng = np.random.default_rng(seed)
+    g = ff.generate_graph(
+        ff.GraphSpec(kind="erdos_renyi", n=14, p=0.3, seed=seed)
+        if graph == "erdos_renyi"
+        else ff.GraphSpec(kind="sbm", sizes=(7, 7), p_in=0.6, p_out=0.1, seed=seed)
+    )
+    ahat, lap = ff.normalized_adjacency(g), ff.normalized_laplacian(g)
+    spec = ff.eigh(lap)
+    sys = ff.build_framelet_system(spec, scales)
+    tau = 1.0 if kind == "spatial_framelet" else 0.2
+    if mode == "shared":
+        cfg = ff.WeightConfig.shared(
+            scales, random_symmetric(rng, 3), random_symmetric(rng, 3), tau=tau
+        )
+    else:
+        cfg = ff.WeightConfig(
+            omega={b: random_symmetric(rng, 3) for b in sys.bands},
+            w={b: random_symmetric(rng, 3, 1.0 if b[0] == 0 else high) for b in sys.bands},
+            tau=tau,
+        )
+    trace = ff.run_flow(
+        ff.Scheme(kind, renormalize=True), sys, ahat, lap, rng.standard_normal((g.n, 3)), cfg,
+        ff.StopRule(max_steps=3000),
+    )
+    np.testing.assert_array_equal(trace.gains, ff.scheme_gains(ff.Scheme(kind), sys, ahat, cfg))
+    pred = ff.dominant_frequency(spec, trace.gains)
+    assume(pred.margin > 0.05)
+    event(pred.dominance)
+    verdict = ff.classify_dominance(trace, spec, prediction=pred)
+    assert verdict.dominance == pred.dominance
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +349,9 @@ def test_zero_step_trace_undecided():
 def test_prediction_and_simulation_agree_on_scalar_family():
     _, _, _, spec = c_n(6)
     for lambda_w, expected in ((0.5, ff.LFD), (-0.5, ff.LFD), (2.0, ff.HFD), (10.0, ff.HFD)):
-        pred = ff.dominant_frequency(spec, ff.AmplificationFamily("spatial", lambda_w, 1))
-        assert pred.dominance == expected and pred.margin >= 0.01
         trace, _ = run_scalar_flow(lambda_w)
+        pred = ff.dominant_frequency(spec, trace.gains)
+        assert pred.dominance == expected and pred.margin >= 0.01
         verdict = ff.classify_dominance(trace, spec, prediction=pred)
         assert verdict.dominance == expected
         assert verdict.predicted == expected

@@ -419,3 +419,108 @@ def test_run_byte_identical_across_processes_at_n600(tmp_path):
     for name in ("trace.csv", "summary.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
     assert len((outs[0] / "trace.csv").read_text().splitlines()) > 2
+
+
+@pytest.mark.parametrize(
+    "block,key,value,code",
+    [
+        ("init", "channels", 0, 2),
+        ("run", "steps", 0, 2),
+        ("run", "plateau_window", 0, 2),
+        ("framelet", "scales", 3, 9),
+        (None, "theta", -0.5, 9),
+        (None, "theta", {"low": 1.0, "high": -2.0}, 9),
+        (None, "theta", {"bands": {"0,1": [1.0] * 6, "1,1": [1.0] * 5 + [-1.0]}}, 9),
+    ],
+)
+def test_out_of_range_config_values_exit_before_any_work(
+    tmp_path, monkeypatch, block, key, value, code
+):
+    monkeypatch.setattr(ff.graphs, "generate_graph", _refuse)
+    monkeypatch.setattr(ff.spectral, "eigh", _refuse)
+    cfg = c6_config()
+    (cfg if block is None else cfg[block])[key] = value
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    for command in (["run"], ["sweep", "--parameter", "lambda_w", "--grid", "0.5,2.0"]):
+        assert cli.main([*command, "--config", str(path), "--out", str(out)]) == code
+    assert not out.exists()
+
+
+def _spectral_theta_config(theta, n=6, scales=1):
+    cfg = c6_config(lambda_w=1.0, scales=scales, steps=3000, theta=theta)
+    cfg["graph"] = {"kind": "cycle", "n": n}
+    cfg["scheme"] = {"kind": "spectral_framelet"}
+    return cfg
+
+
+def test_per_vertex_theta_predicts_nothing(tmp_path):
+    cfg = _spectral_theta_config({"bands": {"0,1": [1.0] * 6, "1,1": [0.5, 1, 2, 3, 2, 1]}})
+    summary = cli.run_config(cfg, tmp_path / "run")
+    assert summary["verdict"]["predicted"] is None
+    assert summary["verdict"]["dominant_lambda"] is None
+    assert '"predicted": null' in (tmp_path / "run" / "summary.json").read_text()
+    [row] = cli.sweep_config(cfg, "lambda_w", [1.0], tmp_path / "sweep")
+    assert row["predicted"] == "NONE" and row["margin"] is None
+    assert (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1].split(",")[1] == "NONE"
+
+
+@pytest.mark.parametrize(
+    "weights,expected",
+    [
+        ({"mode": "shared", "omega": [[1.0, 0.0], [0.0, 1.0]], "w": [[1.0, 0.5], [0.5, 1.0]]},
+         "LFD"),
+        ({"mode": "full", "omega": {"0,1": [[1.0, 0.0], [0.0, 1.0]], "1,1": [[1.0, 0.0], [0.0, 1.0]]},
+          "w": {"0,1": [[1.0, 0.5], [0.5, 1.0]], "1,1": [[60.0, 2.0], [2.0, -5.0]]}}, "HFD"),
+    ],
+)
+def test_weight_matrices_and_constant_band_thetas_are_predicted(tmp_path, weights, expected):
+    cfg = c6_config(lambda_w=1.0)
+    cfg["graph"] = {"kind": "erdos_renyi", "n": 20, "p": 0.3, "seed": 2}
+    cfg["weights"] = weights
+    summary = cli.run_config(cfg, tmp_path / "weights")
+    assert summary["verdict"]["predicted"] == summary["verdict"]["dominance"] == expected
+    cfg = _spectral_theta_config({"bands": {"0,1": [1.0] * 6, "1,1": [4.0] * 6}})
+    summary = cli.run_config(cfg, tmp_path / "theta")
+    assert summary["verdict"]["predicted"] == summary["verdict"]["dominance"] == "HFD"
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [c6_config(lambda_w=1.0), c6_config(lambda_w=1.0, scales=2),
+     _spectral_theta_config(1.0, n=51, scales=2)],
+    ids=["c6_unit_weight_J1", "c6_unit_weight_J2", "c51_flat_theta_J2"],
+)
+def test_tie_reports_its_lowest_frequency(tmp_path, cfg):
+    summary = cli.run_config(cfg, tmp_path)
+    lowest = max(0.0, float(cli.build_geometry(cfg).spectrum.eigenvalues[0]))
+    assert summary["verdict"]["predicted"] == "MIXED"
+    assert summary["verdict"]["dominant_lambda"] == lowest
+
+
+@pytest.mark.parametrize(
+    "scheme,extra",
+    [
+        ({"kind": "spatial_framelet"}, {}),
+        ({"kind": "gradf_ufg"}, {"tau": 0.05}),
+        ({"kind": "activated", "activation": "relu"}, {"tau": 0.05}),
+        ({"kind": "ee_ufg"}, {"epsilon": 0.2}),
+        ({"kind": "ee_ufg", "activation": "relu"}, {"epsilon": 0.2}),
+        ({"kind": "spectral_framelet"}, {"theta": 2.0}),
+        ({"kind": "perturbed_closed_form"}, {"epsilon": 0.5, "tau": 0.05}),
+    ],
+)
+def test_each_run_probes_each_operator_once(tmp_path, monkeypatch, scheme, extra):
+    probes = []
+    original = ff.energies._operator_values
+
+    def counted(sys, name, op, values):
+        probes.append(name)
+        return original(sys, name, op, values)
+
+    monkeypatch.setattr(ff.energies, "_operator_values", counted)
+    cfg = c6_config(lambda_w=1.0 if scheme["kind"] == "spectral_framelet" else 2.0,
+                    scales=2, steps=5, **extra)
+    cfg["scheme"] = scheme
+    cli.run_config(cfg, tmp_path)
+    assert sorted(probes) == ["ahat", "laplacian"]

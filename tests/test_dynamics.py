@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import frameflow as ff
+from frameflow import dynamics, energies
 from frameflow.errors import (
     IllegalRenormalizeError,
     NumericOverflowError,
@@ -329,6 +330,47 @@ def test_spectral_core_matches_kronecker_oracles(rng, scales, variant):
         )
         out = ff.step_spectral_framelet(sys, h, sp_cfg)
         assert np.linalg.norm(vec(out) - spectral_step_operator(sys, sp_cfg) @ vec(h)) <= tol
+
+
+@pytest.mark.parametrize("scales,variant", [(1, "tight"), (2, "tight"), (2, "paper_literal")])
+def test_one_step_matrices_pool_to_the_kronecker_spectrum(rng, scales, variant):
+    """With full, non-scalar W_b the n c x n c Kronecker operator of one step
+    has the eigenvalues of the per-frequency matrices M_i, pooled over i,
+    and the gains are their spectral radii."""
+    from conftest import spatial_step_operator, spectral_step_operator
+
+    n, c = 7, 3  # n*c = 21
+    g = random_er_graph(rng, n)
+    ahat = ff.normalized_adjacency(g)
+    sys = build(g, scales, variant)
+    omega = {b: random_symmetric(rng, c) for b in sys.bands}
+    w = {b: random_symmetric(rng, c) for b in sys.bands}
+    cfg = ff.WeightConfig(omega=omega, w=w, epsilon=0.4, tau=0.7)
+    shifted = {b: ahat + (-0.4 if b == sys.low_pass else 0.4) * np.eye(n) for b in sys.bands}
+    theta = {b: np.full(n, 1.0 if b[0] == 0 else 2.5) for b in sys.bands}
+    sp_cfg = ff.WeightConfig.shared(scales, np.eye(c), random_symmetric(rng, c), theta=theta, tau=0.9)
+    kronecker = {
+        "spatial_framelet": (cfg, spatial_step_operator(sys, ahat, cfg)),
+        "gradf_ufg": (cfg, np.eye(n * c) - 2.0 * cfg.tau * assemble_quadratic_operator(sys, ahat, cfg)),
+        "ee_ufg": (cfg, sum(
+            np.kron(w[b].T, sys.transforms[b].T @ shifted[b] @ sys.transforms[b])
+            for b in sys.bands
+        )),
+        "spectral_framelet": (sp_cfg, spectral_step_operator(sys, sp_cfg)),
+    }
+    a_hat, lam = energies.adjacency_values(sys, ahat), sys.spectrum.eigenvalues
+    for kind, (kcfg, oracle) in kronecker.items():
+        m = dynamics._scheme_operator(ff.Scheme(kind), sys, a_hat, lam, kcfg, None).one_step
+        assert m.shape == (n, c, c)
+        pooled = np.linalg.eigvalsh(m)
+        np.testing.assert_allclose(
+            np.sort(pooled.ravel()), np.linalg.eigvalsh(oracle), atol=1e-10, err_msg=kind
+        )
+        gains = ff.scheme_gains(ff.Scheme(kind), sys, ahat, kcfg)
+        np.testing.assert_array_equal(gains, np.max(np.abs(pooled), axis=1))
+    # the banded activation predicts from the same linear part
+    relu = ff.scheme_gains(ff.Scheme("ee_ufg", "relu"), sys, ahat, cfg)
+    np.testing.assert_array_equal(relu, ff.scheme_gains(ff.Scheme("ee_ufg"), sys, ahat, cfg))
 
 
 # ---------------------------------------------------------------------------
