@@ -183,7 +183,7 @@ def load_config(path) -> dict:
 
 
 def validate_config(cfg: dict) -> None:
-    """Check every key's name, value type and range before any work is done."""
+    """Check every key's name, value type, range and choice before any work."""
     _check_keys("config", cfg)
     _check_keys("graph", _require("config", cfg, "graph"))
     _require("graph", cfg["graph"], "kind")
@@ -210,12 +210,18 @@ def validate_config(cfg: dict) -> None:
         _require("init", icfg, "path" if imode == "file" else "index")
     _check_keys("run", cfg.get("run", {}))
     _check_keys("output", cfg.get("output", {}))
-    framelets.band_index_set(cfg.get("framelet", {}).get("scales", 1))
+    fcfg = cfg.get("framelet", {})
+    framelets.haar_response(0.0, fcfg.get("scales", 1), fcfg.get("variant", "tight"))
     for block, key in (("init", "channels"), ("run", "steps"), ("run", "plateau_window")):
         if cfg.get(block, {}).get(key, 1) < 1:
             raise ConfigError(f"{block}.{key} must be >= 1, got {cfg[block][key]}")
     if theta is not None and min(_theta_values(theta)) < 0.0:
         raise OutOfRangeError(f"theta must be nonnegative, got {theta!r}")
+    _scheme(cfg)  # dynamics.Scheme rejects an unknown or misplaced kind or activation
+    if mode == "full":
+        for key in ("omega", "w", "w_tilde"):
+            if key in wcfg:
+                _band_matrix_map(key, wcfg[key], fcfg.get("scales", 1))
 
 
 def _theta_values(theta) -> list:
@@ -224,6 +230,15 @@ def _theta_values(theta) -> list:
         return [theta]
     bands = [x for values in theta.get("bands", {}).values() for x in values]
     return [theta.get("low", 1.0), theta.get("high", 1.0), *bands]
+
+
+def _scheme(cfg: dict) -> dynamics.Scheme:
+    scfg = cfg.get("scheme", {})
+    return dynamics.Scheme(
+        kind=scfg.get("kind", "spatial_framelet"),
+        activation=scfg.get("activation", "identity"),
+        renormalize=bool(cfg.get("run", {}).get("renormalize", True)),
+    )
 
 
 def _build_graph(cfg: dict, seed: Optional[int]) -> graphs.Graph:
@@ -393,6 +408,8 @@ class Experiment(Geometry):
 
 def build_geometry(cfg: dict, seed: Optional[int] = None) -> Geometry:
     graph = _build_graph(cfg, seed)
+    if cfg["init"]["mode"] == "eigenvector" and not 0 <= cfg["init"]["index"] < graph.n:
+        raise ConfigError(f"init.index {cfg['init']['index']} outside [0, {graph.n})")
     ahat = graphs.normalized_adjacency(graph)
     lap = np.eye(graph.n) - ahat
     spectrum = spectral.eigh(lap)
@@ -414,12 +431,7 @@ def _run_rules(cfg: dict):
 
 def assemble(cfg: dict, geometry: Geometry, seed: Optional[int] = None) -> Experiment:
     """Add the scheme, initial state, weights and stop rule to a geometry."""
-    scfg = cfg.get("scheme", {})
-    scheme = dynamics.Scheme(
-        kind=scfg.get("kind", "spatial_framelet"),
-        activation=scfg.get("activation", "identity"),
-        renormalize=bool(cfg.get("run", {}).get("renormalize", True)),
-    )
+    scheme = _scheme(cfg)
     initial = _build_init(cfg, geometry.spectrum, seed)
     weights = _build_weights(cfg, geometry.system.scales, initial.shape[1], geometry.spectrum.n)
     stop, tol = _run_rules(cfg)
@@ -493,15 +505,11 @@ PAPER_CHECK = {
 
 
 def write_trace_csv(path, trace: dynamics.FlowTrace) -> None:
-    lines = ["step,norm,dirichlet_normalized,total_energy,rayleigh"]
-    for i in range(trace.steps.shape[0]):
-        lines.append(
-            f"{int(trace.steps[i])},{_fmt(trace.norms[i])},"
-            f"{_fmt(trace.dirichlet_normalized[i])},{_fmt(trace.total_energy[i])},"
-            f"{_fmt(trace.rayleigh[i])}"
-        )
+    e = trace.dirichlet_normalized
+    columns = (trace.steps, trace.norms, e, trace.total_energy, trace.rayleigh)
+    rows = (f"{k},{a!r},{b!r},{c!r},{d!r}" for k, a, b, c, d in zip(*(x.tolist() for x in columns)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(["step,norm,dirichlet_normalized,total_energy,rayleigh", *rows]) + "\n")
 
 
 def run_config(cfg: dict, out_dir, seed: Optional[int] = None) -> dict:

@@ -8,14 +8,17 @@ Five iterated schemes plus one closed form:
                               + sum_high W^T (Ahat + eps I) W H W   (stepsize 1)
 * ``spectral_framelet``  H' = tau * sum_b W_b^T diag(theta_b) W_b H W
 * ``activated``          H' = H + tau * act(-grad), act in {identity, relu, tanh}
-* ``perturbed_closed_form``  H(t) = U^T diag(exp(-(lam_i + eps*gap_i) t)) U H(0)
+* ``perturbed_closed_form``  H_k = U^T diag(exp(-(lam_i + eps*gap_i) tau))^k U H(0)
 
 Every operator above except a per-vertex theta_b is diagonal in the
 Laplacian eigenbasis, so a linear step is one framelets.Multiplier on
-spectral coordinates Hhat = U H, and ``run_flow`` keeps Hhat as its state:
-linear schemes and the closed form never leave spectral coordinates;
-relu/tanh descent, the banded ee activation and a per-vertex theta_b take
-one U^T / U round trip per step; the final state is U^T Hhat, formed once.
+spectral coordinates Hhat = U H.  ``run_flow`` advances a linear scheme in
+the eigenbasis Q_i of its one-step matrices M_i: mode z = Q_i^T hhat_i is
+mu^k z after k steps, so a block of steps is one product of powers (the
+closed form is powers of exp(-rate_i tau), not an evaluation at k tau).
+Relu/tanh descent, the banded ee activation and a per-vertex theta_b step
+on Hhat, with one U^T / U round trip per step.  The final state is mapped
+back once.
 
 Each scheme is written once, in ``_scheme_operator``: its step, the c x c
 matrix M_i by which one step of its linear part acts on frequency i, and
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import pairwise
-from typing import Callable, Iterable, List, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -97,6 +100,7 @@ SCHEME_KINDS = (
 )
 ACTIVATIONS = ("identity", "relu", "tanh")
 OVERFLOW_GUARD = 1e150
+BLOCK = 64  # steps a linear flow advances per product
 
 
 @dataclass(frozen=True)
@@ -197,11 +201,10 @@ def _descend(h: np.ndarray, grad: np.ndarray, tau: float, activation: str, u: np
 
 
 class SchemeOperator(NamedTuple):
-    """A scheme on spectral coordinates: its step Hhat -> Hhat (for the closed
-    form, k -> the exact state at t = k tau); the one-step matrices M_i of its
-    linear part per frequency, (n, c, c) (the closed form's decay factors as
-    (n, 1, 1)), or None for a per-vertex theta; and the gradient map of its
-    governing energy."""
+    """A scheme on spectral coordinates: its step Hhat -> Hhat; the one-step
+    matrices M_i of its linear part per frequency, (n, c, c) (the closed
+    form's decay factors exp(-rate_i tau) as (n, 1, 1)), or None for a
+    per-vertex theta; and the gradient map of its governing energy."""
 
     step: Callable
     one_step: Optional[np.ndarray]
@@ -213,20 +216,18 @@ def _scheme_operator(
 ) -> SchemeOperator:
     """Build ``scheme``'s operator from the checked per-frequency values
     ``a_hat`` = 1 - lam and ``lam`` of Ahat and Lhat.  ``h0`` is the spectral
-    initial state; the closed form starts from it, and otherwise it only
-    matters when a source term is configured (beta != 0 with mixing
-    matrices)."""
+    initial state; it only matters when a source term is configured (beta != 0
+    with mixing matrices)."""
     kind, activation, tau, u = scheme.kind, scheme.activation, cfg.tau, sys.spectrum.u
     if kind == "perturbed_closed_form":
         # the closed form's decay rates are the two-scale gap profile
         sys.require_tight("the closed-form perturbed flow")
         if sys.scales != 2:
             raise ConfigError("the closed-form perturbed flow needs a two-scale system")
-        rates = _decay_rates(sys.spectrum, cfg.epsilon)
+        decay = np.exp(-_decay_rates(sys.spectrum, cfg.epsilon) * tau)
+        step = Multiplier([(decay, None)])
         return SchemeOperator(
-            lambda k: np.exp(-rates * (k * tau))[:, None] * h0,
-            np.exp(-rates * tau)[:, None, None],
-            perturbed_energy_form(sys, lam, cfg.epsilon),
+            step.apply, decay[:, None, None], perturbed_energy_form(sys, lam, cfg.epsilon)
         )
     if kind == "spectral_framelet":
         w, factors = cfg.shared_w(sys), filter_factors(sys, cfg)
@@ -267,10 +268,13 @@ def _scheme_operator(
     return SchemeOperator(banded_step, linear.matrices, energy)
 
 
-def _radii(one_step: np.ndarray) -> np.ndarray:
-    """Spectral radius of each frequency's one-step matrix (every M_i is
-    symmetric, because WeightConfig rejects asymmetric Omega and W)."""
-    return np.max(np.abs(np.linalg.eigvalsh(one_step)), axis=1)
+def _modes(one_step: np.ndarray):
+    """(mu, Q), eigenvalues (n, c) by eigvalsh and eigenvectors (n, c, c) by
+    eigh of every M_i (symmetric: WeightConfig rejects asymmetric Omega, W);
+    1 x 1 factors have Q None.  The gains rho(M_i) are max |mu| per row."""
+    if one_step.shape[-1] == 1:
+        return one_step[:, :, 0], None
+    return np.linalg.eigvalsh(one_step), np.linalg.eigh(one_step)[1]
 
 
 def scheme_gains(
@@ -283,7 +287,7 @@ def scheme_gains(
     a_hat = None if ahat is None else adjacency_values(sys, ahat)
     linear = replace(cfg, beta=0.0)  # a source term is constant
     m = _scheme_operator(scheme, sys, a_hat, sys.spectrum.eigenvalues, linear, None).one_step
-    return None if m is None else _radii(m)
+    return None if m is None else np.max(np.abs(_modes(m)[0]), axis=1)
 
 
 def _vertex_step(kind, activation, sys, ahat, signal, initial, cfg: WeightConfig):
@@ -383,6 +387,59 @@ def perturbed_closed_form(spectrum: Spectrum, initial, epsilon: float, t: float)
     return _restore(out, was_vector)
 
 
+def _check_norm(norm: float, k: int, renormalize: bool) -> None:
+    """Raise if the norm after step k is zero, non-finite or over the guard."""
+    if norm == 0.0:
+        raise ZeroStateError(f"state vanished at step {k}")
+    if not np.isfinite(norm) or (not renormalize and norm > OVERFLOW_GUARD):
+        raise NumericOverflowError(f"state norm {norm:.3e} at step {k}; renormalize or shrink tau")
+
+
+def _mode_blocks(scheme: Scheme, op: SchemeOperator, modes, lam, h0, norm0, max_steps):
+    """Blocks of rows (norms, E, energies) up to the first failing step, where
+    it raises, and the state at step k.  Each linear scheme's energy matrices
+    a_i I + b M_i are diagonal in Q_i too, so rows are powers (mu / r)^2k."""
+    (mu, q), (n, c) = modes, h0.shape
+    q = np.broadcast_to(np.eye(c), (n, c, c)) if q is None else q  # 1 x 1 factors: per channel
+    z = np.einsum("nji,nj->ni", q, h0) / norm0
+    g = np.stack([np.sum(q[..., j] * op.energy.apply(q[..., j]), axis=1) for j in range(c)], 1)
+    mu, live = np.broadcast_to(mu, z.shape), (z * z > 0.0) & (mu != 0.0)  # zero mu: gone at step 1
+    if not live.any():
+        raise ZeroStateError("state vanished at step 1")
+    r = float(np.max(np.abs(mu[live])))
+    log_q = 2.0 * np.log(np.abs(mu[live]) / r)
+    values = np.stack(np.broadcast_arrays(1.0, lam[:, None] / 2, g / 2), axis=2)  # n, c, 3
+    weights = (z * z)[live, None] * values[live]
+    powers = np.exp(np.outer(np.arange(1, BLOCK + 1), log_q))  # (mu / r)^2j, j = 1..BLOCK
+
+    def blocks():
+        last = 1.0  # squared mass of the unit initial state
+        for start in range(1, max_steps + 1, BLOCK):
+            k = np.arange(start, min(start + BLOCK, max_steps + 1))
+            shifted = np.exp((start - 1) * log_q)[:, None] * weights
+            mass, dirichlet, energy = (powers[: len(k)] @ shifted).T
+            with np.errstate(over="ignore", invalid="ignore"):  # failing rows are cut
+                if scheme.kind == "perturbed_closed_form" or not scheme.renormalize:
+                    growth = np.exp(2.0 * (k * np.log(r) + np.log(norm0)))  # norm0^2 r^2k
+                else:  # the squared growth factor of the renormalized state
+                    growth = r * r / np.concatenate([[last], mass[:-1]])
+                norm = np.sqrt(growth * mass)
+                energy = energy / mass if scheme.renormalize else energy * growth
+            bad = (norm == 0.0) | ~np.isfinite(norm)
+            bad |= (not scheme.renormalize) & (norm > OVERFLOW_GUARD)
+            cut = int(np.argmax(bad)) if bad.any() else len(k)
+            yield norm[:cut].tolist(), (dirichlet / mass)[:cut].tolist(), energy[:cut].tolist()
+            if cut < len(k):
+                _check_norm(float(norm[cut]), int(k[cut]), scheme.renormalize)
+            last = mass[-1]
+
+    def state(k: int, norm: float) -> np.ndarray:
+        h = np.einsum("nij,nj->ni", q, z * (np.where(live, mu, 0.0) / r) ** k)
+        return h * ((1.0 if scheme.renormalize else norm) / np.linalg.norm(h))
+
+    return blocks(), state
+
+
 def run_flow(
     scheme: Scheme,
     sys: FrameletSystem,
@@ -396,66 +453,61 @@ def run_flow(
 
     Stops at the plateau rule or max_steps, whichever comes first.  Without
     renormalization the state norm is guarded against overflow (abort at
-    1e150).  For the closed-form scheme, states are evaluated exactly at
-    t = k * tau rather than iterated.  The state is kept in spectral
-    coordinates throughout; ``final_state`` is mapped back once.  Ahat and
-    Lhat are each checked once, and ``gains`` holds rho(M_i) per eigenvalue.
+    1e150).  A linear scheme (identity activation, no source) advances BLOCK
+    steps per product; the closed form's norm column is ||H(k tau)||.  Ahat
+    and Lhat are each checked once; ``gains`` holds rho(M_i) per eigenvalue.
     """
     x0, _ = _as_columns(initial, sys.n)
-    closed_form = scheme.kind == "perturbed_closed_form"
     h0 = sys.spectrum.u @ x0
     lam = laplacian_values(sys, lap)
     a_hat = None if ahat is None else adjacency_values(sys, ahat)
     op = _scheme_operator(scheme, sys, a_hat, lam, cfg, h0)
-    energy, dirichlet = op.energy, Multiplier([(lam, None)])
-
-    steps: List[int] = []
-    norms: List[float] = []
-    e_norms: List[float] = []
-    energies: List[float] = []
-
-    def record(step_index: int, raw_norm: float, h: np.ndarray) -> float:
-        e_norm = dirichlet.quadratic(h) / float(np.vdot(h, h))
-        steps.append(step_index)
-        norms.append(raw_norm)
-        e_norms.append(e_norm)
-        energies.append(energy.quadratic(h))
-        return e_norm
+    dirichlet = Multiplier([(lam, None)])
 
     norm0 = float(np.linalg.norm(x0))
     if norm0 == 0.0:
         raise ZeroStateError("initial state has zero norm")
     state = h0 / norm0 if scheme.renormalize else h0
 
-    def stepped():  # runs only as far as the plateau rule reads
+    def stepped():  # one row per step
         nonlocal state
-        yield record(0, norm0, h0)
         for k in range(1, stop.max_steps + 1):
-            state = op.step(k) if closed_form else op.step(state)
+            state = op.step(state)
             norm = float(np.linalg.norm(state))
-            if norm == 0.0:
-                raise ZeroStateError(f"state vanished at step {k}")
-            if not np.isfinite(norm) or (not scheme.renormalize and norm > OVERFLOW_GUARD):
-                raise NumericOverflowError(
-                    f"state norm {norm:.3e} at step {k}; renormalize or shrink tau"
-                )
+            _check_norm(norm, k, scheme.renormalize)
             if scheme.renormalize:
                 state = state / norm
-            yield record(k, norm, state)
+            e_norm = dirichlet.quadratic(state) / float(np.vdot(state, state))
+            yield [norm], [e_norm], [op.energy.quadratic(state)]
 
-    steps_to_plateau = stop.plateau_step(stepped())
+    modes = None if op.one_step is None else _modes(op.one_step)
+    if modes is not None and scheme.activation == "identity" and op.energy.source is None:
+        blocks, state_at = _mode_blocks(scheme, op, modes, lam, h0, norm0, stop.max_steps)
+    else:
+        blocks, state_at = stepped(), lambda k, norm: state
+    e0 = dirichlet.quadratic(h0) / float(np.vdot(h0, h0))
+    columns = ([norm0], [e0], [op.energy.quadratic(h0)])  # norms, E, energies
 
-    e_arr = np.asarray(e_norms)
+    def fed():  # runs only as far as the plateau rule reads
+        yield e0
+        for block in blocks:
+            for column, values in zip(columns, block):
+                column.extend(values)
+            yield from block[1]
+
+    steps_to_plateau = stop.plateau_step(fed())
+    last = stop.max_steps if steps_to_plateau is None else steps_to_plateau
+    norms, e_arr, energies = (np.asarray(column[: last + 1]) for column in columns)
     return FlowTrace(
         scheme=scheme,
-        steps=np.asarray(steps, dtype=np.int64),
-        norms=np.asarray(norms),
+        steps=np.arange(last + 1, dtype=np.int64),
+        norms=norms,
         dirichlet_normalized=e_arr,
-        total_energy=np.asarray(energies),
+        total_energy=energies,
         rayleigh=2.0 * e_arr,
-        final_state=sys.spectrum.u.T @ state,
+        final_state=sys.spectrum.u.T @ state_at(last, norms[-1]),
         renormalized=scheme.renormalize,
         plateaued=steps_to_plateau is not None,
         steps_to_plateau=steps_to_plateau,
-        gains=None if op.one_step is None else _radii(op.one_step),
+        gains=None if modes is None else np.max(np.abs(modes[0]), axis=1),
     )

@@ -447,6 +447,71 @@ def test_out_of_range_config_values_exit_before_any_work(
     assert not out.exists()
 
 
+FULL_MISSING_BAND = {"mode": "full", "omega": {"0,1": [[1.0]]}, "w": {"0,1": [[1.0]], "1,1": [[2.0]]}}
+
+
+@pytest.mark.parametrize(
+    "block,key,value,code",
+    [
+        ("scheme", "kind", "bogus", 2),
+        ("scheme", "activation", "bogus", 2),
+        ("scheme", "activation", "relu", 2),  # the spatial scheme is linear
+        ("framelet", "variant", "bogus", 9),
+        (None, "init", {"mode": "eigenvector", "index": 99}, 2),
+        (None, "weights", FULL_MISSING_BAND, 2),
+    ],
+)
+def test_choice_config_values_exit_before_the_eigensolve(
+    tmp_path, monkeypatch, block, key, value, code
+):
+    """Only the eigenvector index needs the graph (for its node count)."""
+    if key != "init":
+        monkeypatch.setattr(ff.graphs, "generate_graph", _refuse)
+    monkeypatch.setattr(ff.spectral, "eigh", _refuse)
+    cfg = c6_config()
+    (cfg if block is None else cfg[block])[key] = value
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    for command in (["run"], ["sweep", "--parameter", "lambda_w", "--grid", "0.5,2.0"]):
+        assert cli.main([*command, "--config", str(path), "--out", str(out)]) == code
+    assert not out.exists()
+
+
+def _per_value_trace_csv(trace) -> str:
+    """The trace CSV as it was written value by value, kept as the reference."""
+    lines = ["step,norm,dirichlet_normalized,total_energy,rayleigh"]
+    for i in range(trace.steps.shape[0]):
+        lines.append(
+            f"{int(trace.steps[i])},{repr(float(trace.norms[i]))},"
+            f"{repr(float(trace.dirichlet_normalized[i]))},{repr(float(trace.total_energy[i]))},"
+            f"{repr(float(trace.rayleigh[i]))}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def test_trace_writer_matches_per_value_formatting(tmp_path):
+    values = np.array([0.0, -0.0, 1e-300, 1e300, 3.0, -2.0, 1e16, 2.0**53, 0.1, 5e-324, np.pi])
+    rng = np.random.default_rng(7)
+    trace = ff.FlowTrace(
+        scheme=ff.Scheme("spatial_framelet"),
+        steps=np.arange(values.size, dtype=np.int64),
+        norms=values,
+        dirichlet_normalized=values[::-1].copy(),
+        total_energy=rng.standard_normal(values.size) * values,
+        rayleigh=np.concatenate([values[3:], values[:3]]),
+        final_state=np.zeros((2, 1)),
+        renormalized=False,
+        plateaued=False,
+        steps_to_plateau=None,
+    )
+    cli.write_trace_csv(tmp_path / "trace.csv", trace)
+    assert (tmp_path / "trace.csv").read_bytes() == _per_value_trace_csv(trace).encode("utf-8")
+    summary = cli.run_config(c6_config(lambda_w=2.0, steps=300), tmp_path / "run")
+    assert summary["final"]["steps_run"] > 64
+    [(_, flow, _, _)] = cli.run_flows([c6_config(lambda_w=2.0, steps=300)])
+    assert (tmp_path / "run" / "trace.csv").read_text(encoding="utf-8") == _per_value_trace_csv(flow)
+
+
 def _spectral_theta_config(theta, n=6, scales=1):
     cfg = c6_config(lambda_w=1.0, scales=scales, steps=3000, theta=theta)
     cfg["graph"] = {"kind": "cycle", "n": n}

@@ -1,18 +1,22 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import frameflow as ff
-from frameflow import dynamics, energies
+from frameflow import dynamics, energies, framelets
 from frameflow.errors import (
     IllegalRenormalizeError,
     NumericOverflowError,
     OutOfRangeError,
+    ZeroStateError,
 )
 
 from conftest import (
     assemble_quadratic_operator,
     random_er_graph,
     random_symmetric,
+    unvec,
     vec,
 )
 
@@ -490,3 +494,232 @@ def test_plateau_rule_reads_no_further_than_the_plateau():
     assert consumed == values[:6]
     assert stop.plateau_step(values[:5]) is None
     assert stop.plateau_step([0.3]) is None
+
+
+# ---------------------------------------------------------------------------
+# Linear flows advanced in mode coordinates
+# ---------------------------------------------------------------------------
+
+
+def dense_map(fun, n, c):
+    """The n c x n c matrix of a linear map of (n, c) signals, column by column."""
+    eye = np.eye(n * c)
+    return np.stack([vec(fun(unvec(eye[:, j], (n, c)))) for j in range(n * c)], axis=1)
+
+
+def reference_flow(step, grad, lap, x0, stop, renormalize=True):
+    """Iterate the dense matrix of one public step from x0, recording rows
+    (norm, E, energy) like run_flow; energy is 0.5 <v, G v> with G the dense
+    matrix of the public energy gradient.  Returns (rows, states, failure),
+    failure being (error class, step) or None."""
+    n, c = x0.shape
+    t, g = dense_map(step, n, c), dense_map(grad, n, c)
+    dirichlet = np.kron(np.eye(c), lap)
+
+    def row(norm, v):
+        return norm, 0.5 * v @ dirichlet @ v / (v @ v), 0.5 * v @ g @ v
+
+    v = vec(x0)
+    rows, states, failure = [row(np.linalg.norm(v), v)], [v], None
+    state = v / rows[0][0] if renormalize else v
+    for k in range(1, stop.max_steps + 1):
+        state = t @ state
+        norm = np.linalg.norm(state)
+        if norm == 0.0 or (not renormalize and norm > dynamics.OVERFLOW_GUARD):
+            failure = (ZeroStateError if norm == 0.0 else NumericOverflowError, k)
+            break
+        if renormalize:
+            state = state / norm
+        rows.append(row(norm, state))
+        states.append(state)
+    rows = np.array(rows)
+    last = stop.plateau_step(rows[:, 1])
+    if last is None:
+        return rows, states, failure
+    return rows[: last + 1], states[: last + 1], None
+
+
+def assert_trace_matches(trace, rows, states, stop, shape, tol=1e-12):
+    assert trace.steps_to_plateau == stop.plateau_step(rows[:, 1])
+    assert trace.steps_run == len(rows) - 1
+    for column, ref in zip((trace.norms, trace.dirichlet_normalized, trace.total_energy), rows.T):
+        np.testing.assert_allclose(column, ref, rtol=tol, atol=tol * np.max(np.abs(ref)))
+    np.testing.assert_array_equal(trace.rayleigh, 2.0 * trace.dirichlet_normalized)
+    np.testing.assert_allclose(
+        trace.final_state, unvec(states[-1], shape), rtol=0, atol=tol * np.max(np.abs(states[-1]))
+    )
+
+
+def linear_case(rng, scheme, weights, scales, variant, graph=None, c=2):
+    """(system, ahat, lap, config, public step, public energy gradient)."""
+    g = graph or random_er_graph(rng, 8, p=0.5)
+    ahat, lap = ff.normalized_adjacency(g), ff.normalized_laplacian(g)
+    sys = build(g, scales, variant)
+    bands = sys.bands
+    if scheme == "spectral_framelet":  # one shared W across bands
+        w = {"scalar": np.eye(c), "shared": random_symmetric(rng, c), "full": random_symmetric(rng, c)}[weights]
+        theta = {b: np.full(g.n, 1.0 if b[0] == 0 else 2.5) for b in bands}
+        omega = {b: random_symmetric(rng, c) if weights == "full" else np.eye(c) for b in bands}
+        cfg = ff.WeightConfig(omega=omega, w={b: w for b in bands}, theta=theta, tau=0.9)
+    elif weights == "scalar":  # lambda_w = 64 gives negative multipliers at the top
+        cfg = ff.WeightConfig.scalar(scales, 64.0, c, epsilon=0.3, tau=0.05)
+    elif weights == "shared":
+        cfg = ff.WeightConfig.shared(
+            scales, np.eye(c) + random_symmetric(rng, c, 0.3), random_symmetric(rng, c),
+            epsilon=0.3, tau=0.05,
+        )
+    else:
+        cfg = ff.WeightConfig(
+            omega={b: random_symmetric(rng, c) for b in bands},
+            w={b: random_symmetric(rng, c, 4.0 if b[0] else 1.0) for b in bands},
+            epsilon=0.3, tau=0.05,
+        )
+    if scheme == "spatial_framelet":
+        if weights != "scalar":
+            cfg = replace(cfg, tau=1.0)
+        step = lambda x: ff.step_spatial_framelet(sys, ahat, x, cfg)  # noqa: E731
+        eye = {b: np.eye(c) for b in bands}
+        grad = lambda x: energies.total_framelet_energy_gradient(sys, ahat, x, replace(cfg, omega=eye))  # noqa: E731
+    elif scheme in ("gradf_ufg", "activated"):
+        step = lambda x: ff.step_activated(sys, ahat, x, None, cfg, "identity")  # noqa: E731
+        grad = lambda x: energies.total_framelet_energy_gradient(sys, ahat, x, cfg)  # noqa: E731
+    elif scheme == "ee_ufg":
+        step = lambda x: ff.step_ee_ufg(sys, ahat, x, cfg)  # noqa: E731
+        grad = lambda x: energies.total_framelet_energy_gradient(  # noqa: E731
+            sys, ahat, x, ff.energy_enhanced_omega(sys, cfg)
+        )
+    else:
+        step = lambda x: ff.step_spectral_framelet(sys, x, cfg)  # noqa: E731
+        grad = lambda x: energies.spectral_energy_gradient(sys, x, cfg)  # noqa: E731
+    return sys, ahat, lap, cfg, step, grad
+
+
+LINEAR_KINDS = ("spatial_framelet", "gradf_ufg", "ee_ufg", "spectral_framelet", "activated")
+
+
+@pytest.mark.parametrize("weights", ["scalar", "shared", "full"])
+@pytest.mark.parametrize("scales,variant", [(1, "tight"), (2, "tight"), (2, "paper_literal")])
+@pytest.mark.parametrize("kind", LINEAR_KINDS)
+def test_linear_flow_matches_iterated_public_steps(rng, kind, scales, variant, weights):
+    sys, ahat, lap, cfg, step, grad = linear_case(rng, kind, weights, scales, variant)
+    x0 = rng.standard_normal((sys.n, 2))
+    stop = ff.StopRule(max_steps=2000)
+    rows, states, failure = reference_flow(step, grad, lap, x0, stop)
+    assert failure is None
+    trace = ff.run_flow(ff.Scheme(kind, renormalize=True), sys, ahat, lap, x0, cfg, stop)
+    assert_trace_matches(trace, rows, states, stop, x0.shape)
+
+
+@pytest.mark.parametrize(
+    "kind,weights,c", [("spatial_framelet", "scalar", 1), ("spectral_framelet", "full", 2)]
+)
+def test_linear_flow_on_the_51_cycle_matches_iterated_steps(rng, kind, weights, c):
+    """Double eigenvalues: the eigenbasis inside each pair is the solver's
+    choice.  One channel: the one-step factors are 1 x 1, some negative."""
+    cycle = ff.generate_graph(ff.GraphSpec(kind="cycle", n=51))
+    sys, ahat, lap, cfg, step, grad = linear_case(rng, kind, weights, 2, "tight", cycle, c)
+    x0 = rng.standard_normal((51, c))
+    stop = ff.StopRule(max_steps=2000)
+    rows, states, _ = reference_flow(step, grad, lap, x0, stop)
+    trace = ff.run_flow(ff.Scheme(kind, renormalize=True), sys, ahat, lap, x0, cfg, stop)
+    assert_trace_matches(trace, rows, states, stop, x0.shape)
+
+
+@pytest.mark.parametrize("renormalize", [True, False])
+def test_closed_form_flow_is_the_closed_form_at_k_tau(rng, renormalize):
+    g = random_er_graph(rng, 10, p=0.5)
+    lap = ff.normalized_laplacian(g)
+    spec = ff.eigh(lap)
+    sys = ff.build_framelet_system(spec, 2)
+    x0 = rng.standard_normal((10, 3))
+    cfg = ff.WeightConfig.shared(2, np.eye(3), np.eye(3), epsilon=0.5, tau=0.01)
+    stop = ff.StopRule(max_steps=2000)
+    trace = ff.run_flow(ff.Scheme("perturbed_closed_form", renormalize=renormalize),
+                        sys, None, lap, x0, cfg, stop)
+    states = [ff.perturbed_closed_form(spec, x0, 0.5, k * 0.01) for k in range(trace.steps_run + 1)]
+    norms = np.array([np.linalg.norm(x) for x in states])
+    e_ref = np.array([ff.normalized_dirichlet(lap, x) for x in states])
+    scale = norms.copy() if renormalize else np.ones_like(norms)
+    scale[0] = 1.0  # row 0 records the initial state itself
+    energy = np.array([ff.perturbed_energy(sys, lap, x / s, 0.5) for x, s in zip(states, scale)])
+    assert trace.steps_to_plateau == stop.plateau_step(e_ref)
+    np.testing.assert_allclose(trace.norms, norms, rtol=1e-12)
+    np.testing.assert_allclose(trace.dirichlet_normalized, e_ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(trace.total_energy, energy, rtol=1e-12, atol=1e-12 * energy.max())
+    final = states[-1] / norms[-1] if renormalize else states[-1]
+    np.testing.assert_allclose(trace.final_state, final, rtol=0, atol=1e-12 * np.abs(final).max())
+
+
+def test_final_state_is_the_state_at_a_stop_inside_a_block(rng):
+    sys, ahat, lap, cfg, step, grad = linear_case(rng, "gradf_ufg", "full", 2, "tight")
+    x0 = rng.standard_normal((sys.n, 2))
+    stop = ff.StopRule(max_steps=2000, plateau_tol=1e-6)
+    rows, states, _ = reference_flow(step, grad, lap, x0, stop)
+    trace = ff.run_flow(ff.Scheme("gradf_ufg", renormalize=True), sys, ahat, lap, x0, cfg, stop)
+    assert trace.steps_to_plateau % dynamics.BLOCK not in (0, dynamics.BLOCK - 1)
+    assert_trace_matches(trace, rows, states, stop, x0.shape)
+    # one step on is a different state
+    later = step(unvec(states[-1], x0.shape))
+    assert np.linalg.norm(later / np.linalg.norm(later) - trace.final_state) > 1e-9
+
+
+def test_zero_step_size_vanishes_at_step_one(rng):
+    sys, ahat, lap, cfg, _, _ = linear_case(rng, "spatial_framelet", "scalar", 2, "tight")
+    with pytest.raises(ZeroStateError, match="at step 1$"):
+        ff.run_flow(ff.Scheme("spatial_framelet", renormalize=True), sys, ahat, lap,
+                    rng.standard_normal((sys.n, 2)), replace(cfg, tau=0.0), ff.StopRule(10))
+
+
+def test_unrenormalized_flow_overflows_at_the_reference_step(rng):
+    _, ahat, lap, _, sys, h0 = c6_pieces()
+    cfg = ff.WeightConfig.scalar(1, 1e8, 2, tau=1e6)
+    stop = ff.StopRule(max_steps=100000, plateau_tol=0.0)
+    step = lambda x: ff.step_spatial_framelet(sys, ahat, x, cfg)  # noqa: E731
+    grad = lambda x: energies.total_framelet_energy_gradient(sys, ahat, x, cfg)  # noqa: E731
+    _, _, (error, k) = reference_flow(step, grad, lap, h0, stop, renormalize=False)
+    assert error is NumericOverflowError
+    with pytest.raises(NumericOverflowError, match=f"at step {k};"):
+        ff.run_flow(ff.Scheme("spatial_framelet"), sys, ahat, lap, h0, cfg, stop)
+
+
+def test_plateau_just_before_an_overflow_in_the_same_block_returns_a_trace():
+    """A constant initial state on the 5-cycle is the lambda = 0 mode, which
+    grows by tau per step: norm 1e-5 tau^k, past the guard (but finite) first
+    at step 13."""
+    g = ff.generate_graph(ff.GraphSpec(kind="cycle", n=5))
+    ahat, lap = ff.normalized_adjacency(g), ff.normalized_laplacian(g)
+    sys = build(g, 2)
+    x0 = np.full((5, 1), 1e-5 / np.sqrt(5.0))
+    cfg = ff.WeightConfig.scalar(2, 1.0, 1, tau=1e12)
+    scheme = ff.Scheme("spatial_framelet")
+    trace = ff.run_flow(scheme, sys, ahat, lap, x0, cfg, ff.StopRule(50, plateau_window=10))
+    assert trace.steps_to_plateau == 10 and trace.steps_run == 10
+    np.testing.assert_allclose(trace.norms[1:], 1e-5 * 1e12 ** np.arange(1, 11), rtol=1e-12)
+    np.testing.assert_allclose(trace.final_state, x0 * 1e120, rtol=1e-12)
+    with pytest.raises(NumericOverflowError, match="at step 13;"):
+        ff.run_flow(scheme, sys, ahat, lap, x0, cfg, ff.StopRule(50, plateau_window=13))
+
+
+@pytest.mark.parametrize("scales,variant", [(1, "tight"), (2, "tight"), (2, "paper_literal")])
+@pytest.mark.parametrize("kind", ["spatial_framelet", "gradf_ufg", "ee_ufg", "spectral_framelet"])
+def test_one_step_eigenvectors_diagonalize_the_governing_energy(rng, kind, scales, variant):
+    sys, ahat, lap, cfg, _, _ = linear_case(rng, kind, "full", scales, variant, c=4)
+    a_hat = energies.adjacency_values(sys, ahat)
+    op = dynamics._scheme_operator(ff.Scheme(kind), sys, a_hat, sys.spectrum.eigenvalues, cfg, None)
+    _, q = dynamics._modes(op.one_step)
+    for g_i, q_i in zip(op.energy.matrices, q):
+        rotated = q_i.T @ g_i @ q_i
+        off = rotated - np.diag(np.diag(rotated))
+        assert np.max(np.abs(off)) <= 1e-12 * np.linalg.norm(g_i, 2)
+
+
+def test_linear_run_applies_multipliers_once_per_block_at_most(rng, monkeypatch):
+    sys, ahat, lap, cfg, _, _ = linear_case(rng, "ee_ufg", "full", 2, "tight")
+    calls = []
+    apply = framelets.Multiplier.apply
+    monkeypatch.setattr(framelets.Multiplier, "apply", lambda self, h: calls.append(1) or apply(self, h))
+    stop = ff.StopRule(max_steps=2000, plateau_tol=0.0)
+    trace = ff.run_flow(ff.Scheme("ee_ufg", renormalize=True), sys, ahat, lap,
+                        rng.standard_normal((sys.n, 2)), cfg, stop)
+    assert trace.steps_run == 2000
+    assert len(calls) <= 2000 // dynamics.BLOCK + 4
