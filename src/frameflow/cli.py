@@ -121,6 +121,8 @@ VALUE_KINDS = {  # kind -> (test, what a value of that kind must be)
     "number": (_is_number, "a finite number"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "str": (lambda v: isinstance(v, str), "a string"),
+    "name": (lambda v: isinstance(v, str) and v not in ("", "..") and Path(v).name == v,
+             "a file name with no directory part"),
     "ints": (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
     "matrix": (_is_matrix, "a matrix of finite numbers"),
     "matrices": (
@@ -151,7 +153,7 @@ CONFIG_KEYS = {
     "init.file": {"mode": "str", "path": "str"},
     "init.eigenvector": {"mode": "str", "index": "int"},
     "run": {"steps": "int", "tol": "number", "plateau_window": "int", "renormalize": "bool"},
-    "output": {"csv": "str", "summary": "str"},
+    "output": {"csv": "name", "summary": "name"},
 }
 
 
@@ -210,26 +212,25 @@ def validate_config(cfg: dict) -> None:
         _require("init", icfg, "path" if imode == "file" else "index")
     _check_keys("run", cfg.get("run", {}))
     _check_keys("output", cfg.get("output", {}))
-    fcfg = cfg.get("framelet", {})
-    framelets.haar_response(0.0, fcfg.get("scales", 1), fcfg.get("variant", "tight"))
-    for block, key in (("init", "channels"), ("run", "steps"), ("run", "plateau_window")):
-        if cfg.get(block, {}).get(key, 1) < 1:
-            raise ConfigError(f"{block}.{key} must be >= 1, got {cfg[block][key]}")
-    if theta is not None and min(_theta_values(theta)) < 0.0:
-        raise OutOfRangeError(f"theta must be nonnegative, got {theta!r}")
+    scales, variant = _framelet(cfg)
+    framelets.haar_response(0.0, scales, variant)
+    for block, key, least in (("init", "channels", 1), ("init", "seed", 0), ("graph", "seed", 0)):
+        if cfg[block].get(key, least) < least:
+            raise ConfigError(f"{block}.{key} must be >= {least}, got {cfg[block][key]}")
+    _run_rules(cfg)  # StopRule rejects run.steps or run.plateau_window below 1
+    if theta is not None:
+        _theta_bands(theta, scales)  # rejects a negative coefficient or a bad band key
     _scheme(cfg)  # dynamics.Scheme rejects an unknown or misplaced kind or activation
     if mode == "full":
         for key in ("omega", "w", "w_tilde"):
             if key in wcfg:
-                _band_matrix_map(key, wcfg[key], fcfg.get("scales", 1))
+                _band_matrix_map(key, wcfg[key], scales)
 
 
-def _theta_values(theta) -> list:
-    """Every filter coefficient of a validated theta block."""
-    if not isinstance(theta, dict):
-        return [theta]
-    bands = [x for values in theta.get("bands", {}).values() for x in values]
-    return [theta.get("low", 1.0), theta.get("high", 1.0), *bands]
+def _framelet(cfg: dict) -> tuple:
+    """(scales, variant) of the framelet block."""
+    fcfg = cfg.get("framelet", {})
+    return fcfg.get("scales", 1), fcfg.get("variant", "tight")
 
 
 def _scheme(cfg: dict) -> dynamics.Scheme:
@@ -242,6 +243,8 @@ def _scheme(cfg: dict) -> dynamics.Scheme:
 
 
 def _build_graph(cfg: dict, seed: Optional[int]) -> graphs.Graph:
+    if seed is not None and seed < 0:
+        raise ConfigError(f"seed override must be >= 0, got {seed}")
     gcfg = cfg["graph"]
     sizes = gcfg.get("sizes")
     spec = graphs.GraphSpec(
@@ -294,27 +297,22 @@ def write_signal_matrix(path, mat: np.ndarray) -> None:
 
 def _build_init(cfg: dict, spectrum: spectral.Spectrum, seed: Optional[int]) -> np.ndarray:
     icfg = cfg["init"]
-    mode = icfg["mode"]
-    if mode == "random_normal":
+    if icfg["mode"] == "random_normal":
         channels = int(icfg.get("channels", 1))
         rng = np.random.default_rng(int(seed if seed is not None else icfg.get("seed", 0)))
         return rng.standard_normal((spectrum.n, channels))
-    if mode == "file":
+    if icfg["mode"] == "file":
         return read_signal_matrix(icfg["path"], spectrum.n)
-    if mode == "eigenvector":
-        index = int(icfg["index"])
-        if not (0 <= index < spectrum.n):
-            raise ConfigError(f"init.index {index} outside [0, {spectrum.n})")
-        # inside a repeated eigenvalue's eigenspace the row is the solver's choice
-        lam = spectrum.eigenvalues
-        multiplicity = int(np.sum(np.abs(lam - lam[index]) <= spectral.TOP_TIE_TOL))
-        if multiplicity > 1:
-            raise ConfigError(
-                f"init.index {index}: eigenvalue {lam[index]!r} has multiplicity "
-                f"{multiplicity}, so its eigenvector is not unique"
-            )
-        return spectrum.u[index][:, None].copy()
-    raise ConfigError(f"unknown init mode {mode!r}")
+    # an eigenvector, whose index build_geometry checked against the graph;
+    # inside a repeated eigenvalue's eigenspace the row is the solver's choice
+    index, lam = icfg["index"], spectrum.eigenvalues
+    multiplicity = int(np.sum(np.abs(lam - lam[index]) <= spectral.TOP_TIE_TOL))
+    if multiplicity > 1:
+        raise ConfigError(
+            f"init.index {index}: eigenvalue {lam[index]!r} has multiplicity "
+            f"{multiplicity}, so its eigenvector is not unique"
+        )
+    return spectrum.u[index][:, None].copy()
 
 
 def _parse_band_key(key: str) -> tuple:
@@ -325,23 +323,29 @@ def _parse_band_key(key: str) -> tuple:
         raise ConfigError(f"band key {key!r} must look like 'r,j'") from exc
 
 
+def _theta_bands(theta, scales: int) -> dict:
+    """Each band's filter coefficients in a checked theta block: a number, or a
+    list with one per vertex.  ``bands`` replaces ``low`` and ``high``; every
+    coefficient given, replaced or not, must be >= 0."""
+    block = theta if isinstance(theta, dict) else {"high": theta}
+    out = {b: block.get("high" if b[0] else "low", 1.0) for b in framelets.band_index_set(scales)}
+    values = list(out.values())
+    if "bands" in block:
+        out = {_parse_band_key(key): v for key, v in block["bands"].items()}
+        values += [x for v in out.values() for x in v]
+    if min(values) < 0.0:
+        raise OutOfRangeError(f"theta must be nonnegative, got {theta!r}")
+    return out
+
+
 def _theta_map(cfg: dict, scales: int, n: int) -> Optional[Dict[tuple, np.ndarray]]:
     theta = cfg.get("theta")
     if theta is None:
         return None
-    bands = framelets.band_index_set(scales)
-    ones = np.ones(n)
-    if isinstance(theta, (int, float)):
-        return {b: (ones if b[0] == 0 else float(theta) * ones) for b in bands}
-    if "bands" in theta:
-        out = {}
-        for key, values in theta["bands"].items():
-            vec = np.asarray(values, dtype=float).ravel()
-            out[_parse_band_key(key)] = vec
-        return out
-    low = float(theta.get("low", 1.0))
-    high = float(theta.get("high", 1.0))
-    return {b: (low * ones if b[0] == 0 else high * ones) for b in bands}
+    return {
+        b: np.asarray(v, dtype=float) if isinstance(v, list) else np.full(n, float(v))
+        for b, v in _theta_bands(theta, scales).items()
+    }
 
 
 def _band_matrix_map(name: str, obj: dict, scales: int) -> Dict[tuple, np.ndarray]:
@@ -352,37 +356,27 @@ def _band_matrix_map(name: str, obj: dict, scales: int) -> Dict[tuple, np.ndarra
     return out
 
 
-def _build_weights(cfg: dict, scales: int, channels: int, n: int) -> energies.WeightConfig:
-    wcfg = cfg["weights"]
-    mode = wcfg["mode"]
-    scheme_kind = cfg.get("scheme", {}).get("kind", "spatial_framelet")
-    tau = float(cfg.get("tau", DEFAULT_TAU.get(scheme_kind, 1.0)))
+def _build_weights(cfg: dict, kind: str, channels: int, n: int) -> energies.WeightConfig:
+    wcfg, scales = cfg["weights"], _framelet(cfg)[0]
     common = {
         "epsilon": float(cfg.get("epsilon", 0.0)),
         "beta": float(cfg.get("beta", 0.0)),
         "theta": _theta_map(cfg, scales, n),
-        "tau": tau,
+        "tau": float(cfg.get("tau", DEFAULT_TAU[kind])),
     }
-    if mode == "scalar":
+    if wcfg["mode"] == "scalar":
         return energies.WeightConfig.scalar(
             scales, float(wcfg["lambda_w"]), channels, **common
         )
-    if mode == "shared":
-        return energies.WeightConfig.shared(
-            scales,
-            np.asarray(wcfg["omega"], dtype=float),
-            np.asarray(wcfg["w"], dtype=float),
-            **common,
-        )
-    if mode == "full":
-        w_tilde = wcfg.get("w_tilde")
-        return energies.WeightConfig(
-            omega=_band_matrix_map("omega", wcfg["omega"], scales),
-            w=_band_matrix_map("w", wcfg["w"], scales),
-            w_tilde=None if w_tilde is None else _band_matrix_map("w_tilde", w_tilde, scales),
-            **common,
-        )
-    raise ConfigError(f"unknown weights mode {mode!r}")
+    if wcfg["mode"] == "shared":
+        return energies.WeightConfig.shared(scales, wcfg["omega"], wcfg["w"], **common)
+    w_tilde = wcfg.get("w_tilde")
+    return energies.WeightConfig(
+        omega=_band_matrix_map("omega", wcfg["omega"], scales),
+        w=_band_matrix_map("w", wcfg["w"], scales),
+        w_tilde=None if w_tilde is None else _band_matrix_map("w_tilde", w_tilde, scales),
+        **common,
+    )
 
 
 @dataclass
@@ -413,9 +407,7 @@ def build_geometry(cfg: dict, seed: Optional[int] = None) -> Geometry:
     ahat = graphs.normalized_adjacency(graph)
     lap = np.eye(graph.n) - ahat
     spectrum = spectral.eigh(lap)
-    fcfg = cfg.get("framelet", {})
-    scales = int(fcfg.get("scales", 1))
-    system = framelets.build_framelet_system(spectrum, scales, fcfg.get("variant", "tight"))
+    system = framelets.build_framelet_system(spectrum, *_framelet(cfg))
     return Geometry(ahat, lap, spectrum, system)
 
 
@@ -433,7 +425,7 @@ def assemble(cfg: dict, geometry: Geometry, seed: Optional[int] = None) -> Exper
     """Add the scheme, initial state, weights and stop rule to a geometry."""
     scheme = _scheme(cfg)
     initial = _build_init(cfg, geometry.spectrum, seed)
-    weights = _build_weights(cfg, geometry.system.scales, initial.shape[1], geometry.spectrum.n)
+    weights = _build_weights(cfg, scheme.kind, initial.shape[1], geometry.spectrum.n)
     stop, tol = _run_rules(cfg)
     if scheme.kind in ("ee_ufg", "perturbed_closed_form") and weights.epsilon <= 0.0:
         print(
@@ -450,16 +442,12 @@ def _check_flow_config(cfg: dict) -> None:
     """Reject before any geometry is built what a flow would reject later:
     unequal band weights under spectral filtering (WeightConfig.shared_w)
     and an unrenormalized run, which has no verdict."""
-    wcfg = cfg["weights"]
-    if cfg.get("scheme", {}).get("kind") == "spectral_framelet" and wcfg["mode"] != "shared":
-        if wcfg["mode"] == "scalar":
-            band_w = [1.0, float(wcfg["lambda_w"])]
-        else:
-            scales = int(cfg.get("framelet", {}).get("scales", 1))
-            band_w = list(_band_matrix_map("w", wcfg["w"], scales).values())
+    scheme = _scheme(cfg)
+    if scheme.kind == "spectral_framelet":  # one channel and one vertex: only W_b is compared
+        band_w = list(_build_weights(cfg, scheme.kind, 1, 1).w.values())
         if not all(np.array_equal(w, band_w[0]) for w in band_w):
             raise ConfigError("spectral filtering uses one shared w across all bands")
-    if not cfg.get("run", {}).get("renormalize", True):
+    if not scheme.renormalize:
         raise TraceNotNormalizedError("dominance is defined on renormalized runs only")
 
 
@@ -616,12 +604,10 @@ def energy_report(cfg: dict, seed: Optional[int] = None) -> dict:
     report["total_framelet"] = energies.total_framelet_energy(
         exp.system, exp.ahat, x, exp.weights, initial=x if exp.weights.has_source else None
     )
-    if cfg["weights"]["mode"] == "shared":
+    if cfg["weights"]["mode"] == "shared":  # every band holds the one (omega, w) pair
+        band = exp.system.low_pass
         report["generalized"] = energies.generalized_energy(
-            exp.ahat,
-            x,
-            np.asarray(cfg["weights"]["omega"], dtype=float),
-            np.asarray(cfg["weights"]["w"], dtype=float),
+            exp.ahat, x, exp.weights.omega[band], exp.weights.w[band]
         )
     if exp.weights.epsilon != 0.0 and exp.system.is_tight:
         report["perturbed"] = energies.perturbed_energy(

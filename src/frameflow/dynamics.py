@@ -183,13 +183,8 @@ class FlowTrace:
 
 
 def _activate(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "identity":
-        return z
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "tanh":
-        return np.tanh(z)
-    raise ConfigError(f"unknown activation {name!r}")
+    """A nonlinear activation: relu or tanh (callers apply the identity inline)."""
+    return np.maximum(z, 0.0) if name == "relu" else np.tanh(z)
 
 
 def _descend(h: np.ndarray, grad: np.ndarray, tau: float, activation: str, u: np.ndarray):
@@ -217,7 +212,7 @@ def _scheme_operator(
     """Build ``scheme``'s operator from the checked per-frequency values
     ``a_hat`` = 1 - lam and ``lam`` of Ahat and Lhat.  ``h0`` is the spectral
     initial state; it only matters when a source term is configured (beta != 0
-    with mixing matrices)."""
+    with mixing matrices), which only the descent schemes have."""
     kind, activation, tau, u = scheme.kind, scheme.activation, cfg.tau, sys.spectrum.u
     if kind == "perturbed_closed_form":
         # the closed form's decay rates are the two-scale gap profile
@@ -247,7 +242,7 @@ def _scheme_operator(
     if kind == "spatial_framelet":
         step = Multiplier([(tau * resp[b] ** 2 * a_hat, cfg.w[b]) for b in bands])
         eye = {b: np.eye(cfg.w[b].shape[0]) for b in bands}
-        energy = framelet_energy_form(sys, a_hat, replace(cfg, omega=eye))
+        energy = framelet_energy_form(sys, a_hat, replace(cfg, omega=eye, beta=0.0))
         return SchemeOperator(step.apply, step.matrices, energy)
     # ee: band b analyses through r_b (Ahat -+ eps), synthesis weights by r_b.
     # The energy is exact for the linearized form only; with a banded
@@ -255,7 +250,8 @@ def _scheme_operator(
     shift = {b: cfg.epsilon for b in bands} | {sys.low_pass: -cfg.epsilon}
     analysis = {b: resp[b] * (a_hat + shift[b]) for b in bands}
     linear = Multiplier([(resp[b] * analysis[b], cfg.w[b]) for b in bands])
-    energy = framelet_energy_form(sys, a_hat, energy_enhanced_omega(sys, cfg))
+    plain = replace(cfg, beta=0.0) if cfg.has_source else cfg
+    energy = framelet_energy_form(sys, a_hat, energy_enhanced_omega(sys, plain))
     if activation == "identity":
         return SchemeOperator(linear.apply, linear.matrices, energy)
     banded = [Multiplier([(analysis[b], cfg.w[b])]) for b in bands]
@@ -268,13 +264,14 @@ def _scheme_operator(
     return SchemeOperator(banded_step, linear.matrices, energy)
 
 
-def _modes(one_step: np.ndarray):
-    """(mu, Q), eigenvalues (n, c) by eigvalsh and eigenvectors (n, c, c) by
-    eigh of every M_i (symmetric: WeightConfig rejects asymmetric Omega, W);
-    1 x 1 factors have Q None.  The gains rho(M_i) are max |mu| per row."""
+def _modes(one_step: np.ndarray, vectors: bool = True):
+    """(mu, Q), eigenvalues (n, c) by eigvalsh and, if ``vectors``,
+    eigenvectors (n, c, c) by eigh of every M_i (symmetric: WeightConfig
+    rejects asymmetric Omega, W); otherwise, and for 1 x 1 factors, Q is
+    None.  The gains rho(M_i) are max |mu| per row."""
     if one_step.shape[-1] == 1:
         return one_step[:, :, 0], None
-    return np.linalg.eigvalsh(one_step), np.linalg.eigh(one_step)[1]
+    return np.linalg.eigvalsh(one_step), np.linalg.eigh(one_step)[1] if vectors else None
 
 
 def scheme_gains(
@@ -287,7 +284,7 @@ def scheme_gains(
     a_hat = None if ahat is None else adjacency_values(sys, ahat)
     linear = replace(cfg, beta=0.0)  # a source term is constant
     m = _scheme_operator(scheme, sys, a_hat, sys.spectrum.eigenvalues, linear, None).one_step
-    return None if m is None else np.max(np.abs(_modes(m)[0]), axis=1)
+    return None if m is None else np.max(np.abs(_modes(m, vectors=False)[0]), axis=1)
 
 
 def _vertex_step(kind, activation, sys, ahat, signal, initial, cfg: WeightConfig):
@@ -467,6 +464,9 @@ def run_flow(
     norm0 = float(np.linalg.norm(x0))
     if norm0 == 0.0:
         raise ZeroStateError("initial state has zero norm")
+    e0 = dirichlet.quadratic(h0) / float(np.vdot(h0, h0))
+    # row 0 first: the energy's Multiplier checks the channel count
+    columns = ([norm0], [e0], [op.energy.quadratic(h0)])  # norms, E, energies
     state = h0 / norm0 if scheme.renormalize else h0
 
     def stepped():  # one row per step
@@ -480,13 +480,12 @@ def run_flow(
             e_norm = dirichlet.quadratic(state) / float(np.vdot(state, state))
             yield [norm], [e_norm], [op.energy.quadratic(state)]
 
-    modes = None if op.one_step is None else _modes(op.one_step)
-    if modes is not None and scheme.activation == "identity" and op.energy.source is None:
+    power = op.one_step is not None and scheme.activation == "identity" and op.energy.source is None
+    modes = None if op.one_step is None else _modes(op.one_step, vectors=power)
+    if power:
         blocks, state_at = _mode_blocks(scheme, op, modes, lam, h0, norm0, stop.max_steps)
     else:
         blocks, state_at = stepped(), lambda k, norm: state
-    e0 = dirichlet.quadratic(h0) / float(np.vdot(h0, h0))
-    columns = ([norm0], [e0], [op.energy.quadratic(h0)])  # norms, E, energies
 
     def fed():  # runs only as far as the plateau rule reads
         yield e0

@@ -589,3 +589,199 @@ def test_each_run_probes_each_operator_once(tmp_path, monkeypatch, scheme, extra
     cfg["scheme"] = scheme
     cli.run_config(cfg, tmp_path)
     assert sorted(probes) == ["ahat", "laplacian"]
+
+
+EYE2 = [[1.0, 0.0], [0.0, 1.0]]
+
+
+def _full_weights(w_high=1.0, w_tilde=None):
+    """One-channel `full` weights on the J = 1 bands, optionally with source mixers."""
+    weights = {"mode": "full", "omega": {"0,1": [[1.0]], "1,1": [[1.0]]},
+               "w": {"0,1": [[1.0]], "1,1": [[w_high]]}}
+    if w_tilde is not None:
+        weights["w_tilde"] = {"0,1": [[w_tilde]], "1,1": [[w_tilde]]}
+    return weights
+
+
+def test_energy_command_writes_every_applicable_energy(tmp_path, capsys):
+    cfg = c6_config(theta=2.0, beta=0.5, epsilon=0.25)
+    cfg["weights"] = _full_weights(w_tilde=0.5)
+    cfg["init"]["channels"] = 1
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["energy", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    text = (tmp_path / "out" / "energies.json").read_text(encoding="utf-8")
+    report = json.loads(text)
+    assert {"dirichlet", "band_dirichlet", "band_dirichlet_sum", "total_framelet", "perturbed",
+            "spectral", "source_term"} <= set(report)
+    assert "generalized" not in report  # only shared weights have one (Omega, W) pair
+    assert report == cli.energy_report(cfg)
+    assert json.loads(capsys.readouterr().out) == report
+
+
+def test_energy_report_generalized_energy_reads_the_shared_pair(tmp_path):
+    cfg = c6_config()
+    cfg["weights"] = {"mode": "shared", "omega": [[2.0, 0.5], [0.5, 1.0]],
+                      "w": [[1.0, -0.25], [-0.25, 3.0]]}
+    report = cli.energy_report(cfg)
+    exp = cli.assemble(cfg, cli.build_geometry(cfg))
+    expected = ff.generalized_energy(
+        exp.ahat, exp.initial, np.array(cfg["weights"]["omega"]), np.array(cfg["weights"]["w"])
+    )
+    assert report["generalized"] == expected
+
+
+def test_epsilon_sweep_on_ee_ufg_through_main(tmp_path, capsys):
+    cfg = c6_config(lambda_w=1.0, scales=2, steps=3000, epsilon=0.1)
+    cfg["scheme"] = {"kind": "ee_ufg"}
+    path = write_config(tmp_path, cfg)
+    argv = ["sweep", "--config", str(path), "--out", str(tmp_path), "--parameter", "epsilon",
+            "--grid", "0.05,0.5,2"]
+    assert cli.main(argv) == 0
+    lines = (tmp_path / "sweep.csv").read_text(encoding="utf-8").splitlines()
+    assert [ln.split(",")[0] for ln in lines[1:]] == ["0.05", "0.5", "2.0"]
+    for line in lines[1:]:
+        _, predicted, measured, _, _ = line.split(",")
+        assert predicted == measured
+    assert len(capsys.readouterr().out.splitlines()) == 3
+
+
+def test_sweep_prints_one_line_per_grid_value(tmp_path, capsys):
+    path = write_config(tmp_path, c6_config())
+    argv = ["sweep", "--config", str(path), "--out", str(tmp_path), "--parameter", "lambda_w",
+            "--grid", "0.5, 10"]
+    assert cli.main(argv) == 0
+    rows = cli.sweep_config(c6_config(), "lambda_w", [0.5, 10.0], tmp_path / "again")
+    expected = [f"{r['value']}: predicted={r['predicted']} measured={r['measured']} "
+                f"limit={r['limit_value']:.3e}" for r in rows]
+    assert capsys.readouterr().out.splitlines() == expected
+    assert expected[0].startswith("0.5: predicted=LFD measured=LFD limit=")
+    assert expected[1].startswith("10.0: predicted=HFD measured=HFD limit=")
+
+
+@pytest.mark.parametrize(
+    "theta,same_as",
+    [
+        ({"low": 0.5, "high": 3}, {"bands": {"0,1": [0.5] * 6, "1,1": [3.0] * 6}}),
+        (2, 2.0),
+        (3, {"low": 1.0, "high": 3.0}),
+    ],
+    ids=["low_high", "int", "int_as_high"],
+)
+def test_theta_forms_run_the_same_flow(tmp_path, theta, same_as):
+    runs = []
+    for name, value in (("a", theta), ("b", same_as)):
+        path = write_config(tmp_path, _spectral_theta_config(value), name=f"{name}.json")
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+        runs.append((tmp_path / name / "trace.csv").read_bytes())
+    assert runs[0] == runs[1]
+    verdict = json.loads((tmp_path / "a" / "summary.json").read_text())["verdict"]
+    assert verdict["dominance"] == "HFD"
+
+
+def test_lambda_w_sweep_on_shared_weights_exits_two(tmp_path, monkeypatch):
+    monkeypatch.setattr(ff.spectral, "eigh", _refuse)
+    cfg = c6_config()
+    cfg["weights"] = {"mode": "shared", "omega": EYE2, "w": EYE2}
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    argv = ["sweep", "--config", str(path), "--out", str(out), "--parameter", "lambda_w",
+            "--grid", "0.5,2"]
+    assert cli.main(argv) == 2
+    assert not out.exists()
+
+
+EYE3 = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+
+
+@pytest.mark.parametrize(
+    "scheme,extra",
+    [
+        ({"kind": "spatial_framelet"}, {}),  # advanced by powers
+        ({"kind": "gradf_ufg"}, {"tau": 0.05}),  # advanced by powers
+        ({"kind": "activated", "activation": "relu"}, {"tau": 0.05}),  # stepped
+    ],
+)
+def test_channel_mismatch_exits_eight(tmp_path, scheme, extra):
+    cfg = c6_config(steps=200, **extra)
+    cfg["scheme"] = scheme
+    cfg["weights"] = {"mode": "shared", "omega": EYE3, "w": EYE3}
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 8
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "block,key,value",
+    [
+        ("init", "seed", -1),
+        (None, "graph", {"kind": "erdos_renyi", "n": 10, "p": 0.5, "seed": -1}),
+        (None, "graph", {"kind": "sbm", "sizes": [5, 5], "p_in": 0.5, "p_out": 0.1, "seed": -1}),
+        (None, "graph", {"kind": "cycle", "n": 6, "seed": -3}),
+        (None, None, None),  # a valid config with --seed -1
+    ],
+)
+def test_negative_seeds_exit_two_before_any_work(tmp_path, monkeypatch, block, key, value):
+    monkeypatch.setattr(ff.graphs, "generate_graph", _refuse)
+    monkeypatch.setattr(ff.spectral, "eigh", _refuse)
+    cfg = c6_config()
+    seed = []
+    if key is None:
+        seed = ["--seed", "-1"]
+    else:
+        (cfg if block is None else cfg[block])[key] = value
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    for command in (["run"], ["sweep", "--parameter", "lambda_w", "--grid", "0.5,2.0"],
+                    ["gen"], ["energy"]):
+        assert cli.main([*command, "--config", str(path), "--out", str(out), *seed]) == 2
+    assert not out.exists()
+
+
+def test_seed_zero_is_accepted(tmp_path):
+    cfg = c6_config(steps=50)
+    cfg["graph"] = {"kind": "erdos_renyi", "n": 10, "p": 0.5, "seed": 0}
+    cfg["init"]["seed"] = 0
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path), "--seed", "0"]) == 0
+
+
+@pytest.mark.parametrize("kind", ["spatial_framelet", "ee_ufg"])
+def test_source_term_leaves_convolution_flows_unchanged(tmp_path, kind):
+    """Neither convolution step has a source term, so beta changes nothing."""
+    traces = []
+    for beta in (0.5, 0.0):
+        cfg = c6_config(steps=400, beta=beta, epsilon=0.2)
+        cfg["scheme"] = {"kind": kind}
+        cfg["weights"] = _full_weights(w_high=2.0, w_tilde=0.5)
+        cfg["init"]["channels"] = 1
+        path = write_config(tmp_path, cfg, name=f"{beta}.json")
+        out = tmp_path / repr(beta)
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+        traces.append((out / "trace.csv").read_bytes())
+    assert traces[0] == traces[1]
+
+
+def test_tracer_wraps_names_that_exist():
+    """perfbench/tracer.py installs its spans by (module, name); every name
+    it wraps must still be an attribute of that frameflow module."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [(mod, name) for mod, name in tracer.WRAPPED if not hasattr(getattr(ff, mod), name)]
+    assert tracer.WRAPPED and not missing
+
+
+@pytest.mark.parametrize("key", ["csv", "summary"])
+@pytest.mark.parametrize("name", ["", ".", "..", "sub/trace.csv", "/trace.csv"])
+def test_output_names_must_be_file_names(tmp_path, monkeypatch, key, name):
+    monkeypatch.setattr(ff.spectral, "eigh", _refuse)
+    cfg = c6_config()
+    cfg["output"][key] = name
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()

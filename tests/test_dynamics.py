@@ -723,3 +723,25 @@ def test_linear_run_applies_multipliers_once_per_block_at_most(rng, monkeypatch)
                         rng.standard_normal((sys.n, 2)), cfg, stop)
     assert trace.steps_run == 2000
     assert len(calls) <= 2000 // dynamics.BLOCK + 4
+
+
+@pytest.mark.parametrize(
+    "kind,activation", [("spatial_framelet", "identity"), ("gradf_ufg", "identity"),
+                        ("activated", "relu"), ("ee_ufg", "relu")]
+)
+def test_channel_mismatch_raises_before_the_flow_runs(rng, kind, activation):
+    g, ahat, lap, sys, _ = setting(rng, n=8, scales=1)
+    cfg = ff.WeightConfig.shared(1, np.eye(3), np.eye(3), epsilon=0.2, tau=0.05)
+    scheme = ff.Scheme(kind, activation, renormalize=True)
+    with pytest.raises(ff.DimensionMismatchError, match="signal has 2 channels"):
+        ff.run_flow(scheme, sys, ahat, lap, rng.standard_normal((8, 2)), cfg, ff.StopRule(50))
+
+
+@pytest.mark.parametrize("kind,activation", [("activated", "relu"), ("ee_ufg", "relu")])
+def test_stepped_flows_decompose_no_one_step_eigenvectors(rng, monkeypatch, kind, activation):
+    g, ahat, lap, sys, h = setting(rng, n=8, scales=2)
+    cfg = ff.WeightConfig.scalar(2, 0.5, h.shape[1], epsilon=0.2, tau=0.05)
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: pytest.fail("eigh was called"))
+    trace = ff.run_flow(ff.Scheme(kind, activation, renormalize=True), sys, ahat, lap, h, cfg,
+                        ff.StopRule(20))
+    assert trace.gains is not None and trace.steps_run == 20
