@@ -20,6 +20,7 @@ endings.  ``--seed`` overrides both the graph seed and the init seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -66,6 +67,7 @@ EXIT_CODES = {
     IllegalRenormalizeError: 13,
     ZeroStateError: 14,
     TraceNotNormalizedError: 15,
+    MemoryError: 9,  # a config too large for the machine is out of range
 }
 
 DEFAULT_TAU = {
@@ -220,17 +222,29 @@ def validate_config(cfg: dict) -> None:
     _run_rules(cfg)  # StopRule rejects run.steps or run.plateau_window below 1
     if theta is not None:
         _theta_bands(theta, scales)  # rejects a negative coefficient or a bad band key
-    _scheme(cfg)  # dynamics.Scheme rejects an unknown or misplaced kind or activation
-    if mode == "full":
-        for key in ("omega", "w", "w_tilde"):
-            if key in wcfg:
-                _band_matrix_map(key, wcfg[key], scales)
+    scheme = _scheme(cfg)  # dynamics.Scheme rejects an unknown or misplaced kind or activation
+    _build_weights(cfg, scheme.kind, 1, 1)  # WeightConfig rejects tau < 0, asymmetric weights
+    csv, summary = _output_names(cfg)
+    if csv == summary:
+        raise ConfigError(f"output.csv and output.summary are both {csv!r}")
 
 
 def _framelet(cfg: dict) -> tuple:
     """(scales, variant) of the framelet block."""
     fcfg = cfg.get("framelet", {})
     return fcfg.get("scales", 1), fcfg.get("variant", "tight")
+
+
+def _output_names(cfg: dict) -> tuple:
+    ocfg = cfg.get("output", {})
+    return ocfg.get("csv", "trace.csv"), ocfg.get("summary", "summary.json")
+
+
+@functools.cache
+def _probe_bank(scales: int, variant: str) -> framelets.FrameletSystem:
+    """The bank at 0 and 2, the ends of every normalized Laplacian spectrum."""
+    ends = spectral.Spectrum(np.array([0.0, 2.0]), np.eye(2), 2.0, 1)
+    return framelets.build_framelet_system(ends, scales, variant)
 
 
 def _scheme(cfg: dict) -> dynamics.Scheme:
@@ -402,8 +416,14 @@ class Experiment(Geometry):
 
 def build_geometry(cfg: dict, seed: Optional[int] = None) -> Geometry:
     graph = _build_graph(cfg, seed)
-    if cfg["init"]["mode"] == "eigenvector" and not 0 <= cfg["init"]["index"] < graph.n:
-        raise ConfigError(f"init.index {cfg['init']['index']} outside [0, {graph.n})")
+    # before the eigendecomposition: what has to fit the node count n
+    icfg, kind, n = cfg["init"], _scheme(cfg).kind, graph.n
+    if icfg["mode"] == "eigenvector" and not 0 <= icfg["index"] < n:
+        raise ConfigError(f"init.index {icfg['index']} outside [0, {n})")
+    if icfg["mode"] == "file":
+        read_signal_matrix(icfg["path"], n)
+    if kind == "spectral_framelet" and cfg.get("theta") is not None:
+        _build_weights(cfg, kind, 1, n).theta_for(_probe_bank(*_framelet(cfg)).bands, n)
     ahat = graphs.normalized_adjacency(graph)
     lap = np.eye(graph.n) - ahat
     spectrum = spectral.eigh(lap)
@@ -439,14 +459,16 @@ def assemble(cfg: dict, geometry: Geometry, seed: Optional[int] = None) -> Exper
 
 
 def _check_flow_config(cfg: dict) -> None:
-    """Reject before any geometry is built what a flow would reject later:
-    unequal band weights under spectral filtering (WeightConfig.shared_w)
-    and an unrenormalized run, which has no verdict."""
-    scheme = _scheme(cfg)
-    if scheme.kind == "spectral_framelet":  # one channel and one vertex: only W_b is compared
-        band_w = list(_build_weights(cfg, scheme.kind, 1, 1).w.values())
-        if not all(np.array_equal(w, band_w[0]) for w in band_w):
-            raise ConfigError("spectral filtering uses one shared w across all bands")
+    """Reject before any geometry is built what a flow would reject later: the
+    closed form off a tight two-scale bank, spectral filtering without a theta
+    per band or with unequal band weights, and an unrenormalized run."""
+    scheme, bank = _scheme(cfg), _probe_bank(*_framelet(cfg))
+    if scheme.kind == "perturbed_closed_form":
+        dynamics.require_closed_form_bank(bank)
+    if scheme.kind == "spectral_framelet":
+        weights = _build_weights(cfg, scheme.kind, 1, 1)
+        weights.theta_for(bank.bands)
+        weights.shared_w(bank)
     if not scheme.renormalize:
         raise TraceNotNormalizedError("dominance is defined on renormalized runs only")
 
@@ -505,9 +527,7 @@ def run_config(cfg: dict, out_dir, seed: Optional[int] = None) -> dict:
     [(exp, trace, _, verdict)] = run_flows([cfg], seed)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ocfg = cfg.get("output", {})
-    csv_path = out_dir / ocfg.get("csv", "trace.csv")
-    summary_path = out_dir / ocfg.get("summary", "summary.json")
+    csv_path, summary_path = (out_dir / name for name in _output_names(cfg))
     write_trace_csv(csv_path, trace)
     summary = {
         "verdict": asdict(verdict),
@@ -713,7 +733,7 @@ def main(argv=None) -> int:
         elif args.command == "classify":
             verdict = classify_trace_csv(cfg, args.trace, seed=args.seed)
             print(json.dumps(verdict, indent=2, sort_keys=True))
-    except FrameflowError as exc:
+    except (FrameflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         for klass, code in EXIT_CODES.items():
             if isinstance(exc, klass):

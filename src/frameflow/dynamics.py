@@ -17,8 +17,9 @@ the eigenbasis Q_i of its one-step matrices M_i: mode z = Q_i^T hhat_i is
 mu^k z after k steps, so a block of steps is one product of powers (the
 closed form is powers of exp(-rate_i tau), not an evaluation at k tau).
 Relu/tanh descent, the banded ee activation and a per-vertex theta_b step
-on Hhat, with one U^T / U round trip per step.  The final state is mapped
-back once.
+on Hhat, with one U^T / U round trip and one energy gradient per step (the
+row's governing energy and the next descent step share it).  The final
+state is mapped back once.
 
 Each scheme is written once, in ``_scheme_operator``: its step, the c x c
 matrix M_i by which one step of its linear part acts on frequency i, and
@@ -196,14 +197,25 @@ def _descend(h: np.ndarray, grad: np.ndarray, tau: float, activation: str, u: np
 
 
 class SchemeOperator(NamedTuple):
-    """A scheme on spectral coordinates: its step Hhat -> Hhat; the one-step
-    matrices M_i of its linear part per frequency, (n, c, c) (the closed
-    form's decay factors exp(-rate_i tau) as (n, 1, 1)), or None for a
-    per-vertex theta; and the gradient map of its governing energy."""
+    """A scheme on spectral coordinates: its step (Hhat, energy gradient at Hhat)
+    -> Hhat (only descent reads the gradient); its linear part's one-step
+    matrices M_i per frequency, (n, c, c), (n, 1, 1) when each is a number,
+    or None for a per-vertex theta; and its governing energy's gradient map."""
 
     step: Callable
     one_step: Optional[np.ndarray]
     energy: Multiplier
+
+
+def require_closed_form_bank(sys: FrameletSystem) -> None:
+    """Raise unless ``sys`` is tight and two-scale: the closed form's rates are its gap profile."""
+    sys.require_tight("the closed-form perturbed flow")
+    if sys.scales != 2:
+        raise ConfigError("the closed-form perturbed flow needs a two-scale system")
+
+
+def _linear_operator(step: Multiplier, energy: Multiplier) -> SchemeOperator:
+    return SchemeOperator(lambda h, _: step.apply(h), step.per_frequency, energy)
 
 
 def _scheme_operator(
@@ -215,27 +227,22 @@ def _scheme_operator(
     with mixing matrices), which only the descent schemes have."""
     kind, activation, tau, u = scheme.kind, scheme.activation, cfg.tau, sys.spectrum.u
     if kind == "perturbed_closed_form":
-        # the closed form's decay rates are the two-scale gap profile
-        sys.require_tight("the closed-form perturbed flow")
-        if sys.scales != 2:
-            raise ConfigError("the closed-form perturbed flow needs a two-scale system")
+        require_closed_form_bank(sys)
         decay = np.exp(-_decay_rates(sys.spectrum, cfg.epsilon) * tau)
         step = Multiplier([(decay, None)])
-        return SchemeOperator(
-            step.apply, decay[:, None, None], perturbed_energy_form(sys, lam, cfg.epsilon)
-        )
+        return _linear_operator(step, perturbed_energy_form(sys, lam, cfg.epsilon))
     if kind == "spectral_framelet":
         w, factors = cfg.shared_w(sys), filter_factors(sys, cfg)
         step = Multiplier([(factors[b], tau * w) for b in sys.bands])
-        one_step = None if step.filter_mixers else step.matrices
-        return SchemeOperator(step.apply, one_step, spectral_energy_form(sys, w, factors))
+        return _linear_operator(step, spectral_energy_form(sys, w, factors))
     if a_hat is None:
         raise ConfigError(f"scheme {kind!r} needs the normalized adjacency ahat")
     if kind in ("gradf_ufg", "activated"):
         form = framelet_energy_form(sys, a_hat, cfg, h0 if cfg.has_source else None)
+        g = form.per_frequency
         return SchemeOperator(
-            lambda h: _descend(h, form.apply(h), tau, activation, u),
-            np.eye(form.channels) - tau * form.matrices,
+            lambda h, grad: _descend(h, grad, tau, activation, u),
+            np.eye(g.shape[-1]) - tau * g,
             form,
         )
     bands, resp = cfg.bands_for(sys), sys.responses
@@ -243,7 +250,7 @@ def _scheme_operator(
         step = Multiplier([(tau * resp[b] ** 2 * a_hat, cfg.w[b]) for b in bands])
         eye = {b: np.eye(cfg.w[b].shape[0]) for b in bands}
         energy = framelet_energy_form(sys, a_hat, replace(cfg, omega=eye, beta=0.0))
-        return SchemeOperator(step.apply, step.matrices, energy)
+        return _linear_operator(step, energy)
     # ee: band b analyses through r_b (Ahat -+ eps), synthesis weights by r_b.
     # The energy is exact for the linearized form only; with a banded
     # activation it is recorded as a diagnostic, not a Lyapunov value.
@@ -253,15 +260,16 @@ def _scheme_operator(
     plain = replace(cfg, beta=0.0) if cfg.has_source else cfg
     energy = framelet_energy_form(sys, a_hat, energy_enhanced_omega(sys, plain))
     if activation == "identity":
-        return SchemeOperator(linear.apply, linear.matrices, energy)
+        return _linear_operator(linear, energy)
     banded = [Multiplier([(analysis[b], cfg.w[b])]) for b in bands]
+    synthesis = np.stack([resp[b] for b in bands], axis=1)[:, :, None]  # n, bands, 1
 
-    def banded_step(h):  # every band's activation in one U^T / U round trip
+    def banded_step(h, _):  # every band's activation in one U^T / U round trip
         pre = np.concatenate([m.apply(h) for m in banded], axis=1)
-        post = np.split(u @ _activate(activation, u.T @ pre), len(bands), axis=1)
-        return sum(resp[b][:, None] * part for b, part in zip(bands, post))
+        post = u @ _activate(activation, u.T @ pre)
+        return (synthesis * post.reshape(len(h), len(bands), -1)).sum(axis=1)
 
-    return SchemeOperator(banded_step, linear.matrices, energy)
+    return SchemeOperator(banded_step, linear.per_frequency, energy)
 
 
 def _modes(one_step: np.ndarray, vectors: bool = True):
@@ -293,7 +301,7 @@ def _vertex_step(kind, activation, sys, ahat, signal, initial, cfg: WeightConfig
     h0 = _spectral_initial(sys, initial, h) if cfg.has_source else None
     a_hat = None if ahat is None else adjacency_values(sys, ahat)
     op = _scheme_operator(Scheme(kind, activation), sys, a_hat, sys.spectrum.eigenvalues, cfg, h0)
-    return to_vertex(sys, op.step(h), was_vector)
+    return to_vertex(sys, op.step(h, op.energy.apply(h)), was_vector)
 
 
 def step_spatial_framelet(sys: FrameletSystem, ahat: np.ndarray, signal, cfg: WeightConfig):
@@ -469,16 +477,18 @@ def run_flow(
     columns = ([norm0], [e0], [op.energy.quadratic(h0)])  # norms, E, energies
     state = h0 / norm0 if scheme.renormalize else h0
 
-    def stepped():  # one row per step
+    def stepped():  # one row and one energy gradient per step
         nonlocal state
+        grad = op.energy.apply(state)
         for k in range(1, stop.max_steps + 1):
-            state = op.step(state)
+            state = op.step(state, grad)
             norm = float(np.linalg.norm(state))
             _check_norm(norm, k, scheme.renormalize)
             if scheme.renormalize:
                 state = state / norm
+            grad = op.energy.apply(state)  # the row's energy and the next step's descent
             e_norm = dirichlet.quadratic(state) / float(np.vdot(state, state))
-            yield [norm], [e_norm], [op.energy.quadratic(state)]
+            yield [norm], [e_norm], [op.energy.quadratic(state, grad)]
 
     power = op.one_step is not None and scheme.activation == "identity" and op.energy.source is None
     modes = None if op.one_step is None else _modes(op.one_step, vectors=power)

@@ -65,7 +65,7 @@ def _require_symmetric(name: str, m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"{name} must be square, got shape {m.shape}")
-    asym = float(np.max(np.abs(m - m.T))) if m.size else 0.0
+    asym = float(abs(m - m.T).max()) if len(m) > 1 else 0.0  # 1 x 1 is symmetric
     if asym > WEIGHT_SYMMETRY_TOL:
         raise NotSymmetricError(f"{name} asymmetry {asym:.3e} exceeds {WEIGHT_SYMMETRY_TOL}")
     return m
@@ -158,14 +158,13 @@ class WeightConfig:
             )
         return sys.bands
 
-    def theta_for(self, sys: FrameletSystem) -> Dict[Band, np.ndarray]:
-        if self.theta is None or set(self.theta) != set(sys.bands):
+    def theta_for(self, bands: tuple, n: Optional[int] = None) -> Dict[Band, np.ndarray]:
+        """theta, checked to cover ``bands`` and, given n, to hold n values per band."""
+        if self.theta is None or set(self.theta) != set(bands):
             raise BandMismatchError("theta must cover exactly the system's bands")
         for b, v in self.theta.items():
-            if v.shape[0] != sys.n:
-                raise DimensionMismatchError(
-                    f"theta{b} has length {v.shape[0]}, expected {sys.n}"
-                )
+            if n is not None and v.shape[0] != n:
+                raise DimensionMismatchError(f"theta{b} has length {v.shape[0]}, expected {n}")
         return self.theta
 
     def shared_w(self, sys: FrameletSystem) -> np.ndarray:
@@ -463,7 +462,7 @@ def filter_factors(sys: FrameletSystem, cfg: WeightConfig) -> Dict[Band, object]
     """Per band, W_b^T diag(theta_b) W_b on spectral coordinates: theta r_b^2
     for a constant theta_b, else a BandFilter (never an n x n matrix)."""
     out = {}
-    for band, theta in cfg.theta_for(sys).items():
+    for band, theta in cfg.theta_for(sys.bands, sys.n).items():
         r = sys.responses[band]
         constant = np.all(theta == theta[0])
         out[band] = theta[0] * r**2 if constant else BandFilter(sys.spectrum.u, r, theta)

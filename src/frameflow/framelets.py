@@ -186,11 +186,11 @@ class Multiplier:
     Each term is (factor, mixer).  A 1-D factor is a diagonal A_k, a function
     of the frequency; a :class:`BandFilter` factor is a per-vertex filter.
     The mixer is a c x c channel matrix, or None for the identity.  The
-    diagonal terms sum, per frequency, into one c x c matrix sum_k a_k M_k
-    (into one number when no term has a mixer), so an application costs one
-    O(n c^2) product whatever the number of bands.  ``source`` S is an
-    optional constant (n, c) term.  With symmetric mixers the map is the
-    gradient of the energy :meth:`quadratic` evaluates.
+    diagonal terms sum, per frequency, into one c x c matrix sum_k a_k M_k,
+    or one number when every M_k is s_k I, so an application costs one
+    O(n c^2), or O(n c), product whatever the number of bands.  ``source`` S
+    is an optional constant (n, c) term.  With symmetric mixers the map is
+    the gradient of the energy :meth:`quadratic` evaluates.
     """
 
     def __init__(self, terms, source: Optional[np.ndarray] = None):
@@ -214,11 +214,20 @@ class Multiplier:
             if self.diagonal is not None:
                 self.matrices += self.diagonal[:, None, None] * np.eye(self.channels)
                 self.diagonal = None
+            if all(np.array_equal(m, m[0, 0] * np.eye(len(m))) for _, m in mixed):  # all s_k I
+                self.diagonal, self.matrices = self.matrices[:, 0, 0].copy(), None  # its bits kept
         # n x F responses and per-vertex thetas of the filters, with their mixers
         self.filter_mixers = [m for _, m in filters]
         self.filter_responses = _stack([f.response for f, _ in filters])
         self.filter_thetas = _stack([f.theta for f, _ in filters])
         self.basis = filters[0][0].u if filters else None
+
+    @property
+    def per_frequency(self) -> Optional[np.ndarray]:
+        """sum_k a_k M_k per frequency: (n, c, c), (n, 1, 1) if a number, None with a filter."""
+        if self.filter_mixers:
+            return None
+        return self.diagonal[:, None, None] if self.matrices is None else self.matrices
 
     def apply(self, h: np.ndarray) -> np.ndarray:
         """sum_k A_k h M_k - S for spectral coordinates h of shape (n, c)."""
@@ -239,9 +248,9 @@ class Multiplier:
             out += np.einsum("nf,nfc->nc", self.filter_responses, spectral)
         return out if self.source is None else out - self.source
 
-    def quadratic(self, h: np.ndarray) -> float:
-        """0.5 <h, G h> - <h, S>, where G h - S = apply(h)."""
-        grad = self.apply(h)
+    def quadratic(self, h: np.ndarray, grad: Optional[np.ndarray] = None) -> float:
+        """0.5 <h, G h> - <h, S>, where G h - S = apply(h), or ``grad`` if given."""
+        grad = self.apply(h) if grad is None else grad
         return 0.5 * float(np.vdot(h, grad if self.source is None else grad - self.source))
 
 

@@ -448,6 +448,8 @@ def test_out_of_range_config_values_exit_before_any_work(
 
 
 FULL_MISSING_BAND = {"mode": "full", "omega": {"0,1": [[1.0]]}, "w": {"0,1": [[1.0]], "1,1": [[2.0]]}}
+EYE2, ASYMMETRIC = [[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.5], [0.0, 1.0]]
+SPECTRAL = {"scheme": {"kind": "spectral_framelet"}, "weights": {"mode": "scalar", "lambda_w": 1.0}}
 
 
 @pytest.mark.parametrize(
@@ -459,21 +461,67 @@ FULL_MISSING_BAND = {"mode": "full", "omega": {"0,1": [[1.0]]}, "w": {"0,1": [[1
         ("framelet", "variant", "bogus", 9),
         (None, "init", {"mode": "eigenvector", "index": 99}, 2),
         (None, "weights", FULL_MISSING_BAND, 2),
+        (None, "tau", -1, 9),
+        ("scheme", "kind", "perturbed_closed_form", 2),  # at J = 1
+        # several blocks at once (key None): the closed form on a bank that is not tight
+        (None, None, {"scheme": {"kind": "perturbed_closed_form"}, "epsilon": 0.5,
+                      "framelet": {"scales": 2, "variant": "paper_literal"}}, 10),
+        (None, None, dict(SPECTRAL, theta={"bands": {"0,1": [1.0] * 6}}), 11),
+        (None, None, dict(SPECTRAL, theta={"bands": {"0,1": [1.0] * 5, "1,1": [2.0] * 5}}), 8),
+        (None, "weights", {"mode": "shared", "omega": EYE2, "w": ASYMMETRIC}, 6),
+        (None, "weights", {"mode": "full", "omega": {"0,1": EYE2, "1,1": EYE2},
+                           "w": {"0,1": EYE2, "1,1": ASYMMETRIC}}, 6),
+        (None, "init", {"mode": "file", "path": "no/such/signal.csv"}, 5),
     ],
 )
 def test_choice_config_values_exit_before_the_eigensolve(
     tmp_path, monkeypatch, block, key, value, code
 ):
-    """Only the eigenvector index needs the graph (for its node count)."""
-    if key != "init":
+    """Only the eigenvector index, the signal file and per-vertex theta
+    lengths (exit 8) need the graph (for its node count)."""
+    if key != "init" and code != 8:
         monkeypatch.setattr(ff.graphs, "generate_graph", _refuse)
     monkeypatch.setattr(ff.spectral, "eigh", _refuse)
     cfg = c6_config()
-    (cfg if block is None else cfg[block])[key] = value
+    if key is None:
+        cfg.update(value)
+    else:
+        (cfg if block is None else cfg[block])[key] = value
     path = write_config(tmp_path, cfg)
     out = tmp_path / "out"
-    for command in (["run"], ["sweep", "--parameter", "lambda_w", "--grid", "0.5,2.0"]):
+    # spectral filtering rejects unequal band weights before it sees the graph
+    grid = "1.0" if cfg["scheme"]["kind"] == "spectral_framelet" else "0.5,2.0"
+    for command in (["run"], ["sweep", "--parameter", "lambda_w", "--grid", grid]):
         assert cli.main([*command, "--config", str(path), "--out", str(out)]) == code
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("output", [{"csv": "x.out", "summary": "x.out"}, {"csv": "summary.json"}])
+def test_output_names_that_collide_exit_two_before_any_work(tmp_path, monkeypatch, output):
+    monkeypatch.setattr(ff.graphs, "generate_graph", _refuse)
+    path = write_config(tmp_path, c6_config(output=output))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_identity_multiple_weights_still_check_the_channel_count(tmp_path):
+    two_eye = [[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]]
+    cfg = c6_config(weights={"mode": "shared", "omega": two_eye, "w": two_eye})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 8
+    assert not out.exists()
+
+
+def test_out_of_memory_exits_nine_without_a_traceback(tmp_path, monkeypatch, capsys):
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 477. GiB for an array with shape (6, 10000000000)")
+
+    monkeypatch.setattr(cli, "_build_init", too_large)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(write_config(tmp_path, c6_config())),
+                     "--out", str(out)]) == 9
+    assert capsys.readouterr().err.startswith("error: Unable to allocate")
     assert not out.exists()
 
 

@@ -745,3 +745,88 @@ def test_stepped_flows_decompose_no_one_step_eigenvectors(rng, monkeypatch, kind
     trace = ff.run_flow(ff.Scheme(kind, activation, renormalize=True), sys, ahat, lap, h, cfg,
                         ff.StopRule(20))
     assert trace.gains is not None and trace.steps_run == 20
+
+
+def identity_basis(rng, scales, n=9):
+    """A bank whose eigenbasis U is the identity, with Ahat = diag(1 - lam)
+    and Lhat = diag(lam) for the spectrum of a random graph: vertex and
+    spectral coordinates coincide bit for bit, so the vertex-domain steps
+    replay run_flow exactly."""
+    lam = ff.eigh(ff.normalized_laplacian(random_er_graph(rng, n, p=0.5))).eigenvalues
+    sys = ff.build_framelet_system(ff.Spectrum(lam, np.eye(n), float(lam[-1]), 1), scales)
+    return sys, np.diag(1.0 - lam), np.diag(lam)
+
+
+def stepped_config(rng, kind, weights, bands, c):
+    tau, lambda_w = (1.0, 20.0) if kind == "ee_ufg" else (0.05, 0.5)
+    source = {"w_tilde": {b: rng.standard_normal((c, c)) for b in bands}, "beta": 0.5}
+    extra = dict(source if kind == "gradf_ufg" else {}, epsilon=0.1, tau=tau)
+    if weights == "scalar":
+        return ff.WeightConfig.scalar(len(bands) - 1, lambda_w, c, **extra)
+    return ff.WeightConfig(
+        omega={b: np.eye(c) + random_symmetric(rng, c, 0.2) for b in bands},
+        w={b: random_symmetric(rng, c, lambda_w) for b in bands}, **extra,
+    )
+
+
+@pytest.mark.parametrize("weights", ["scalar", "full"])
+@pytest.mark.parametrize(
+    "kind,activation,renormalize",
+    [("activated", "relu", True), ("activated", "tanh", False),
+     ("gradf_ufg", "identity", True), ("ee_ufg", "relu", True)],
+)
+def test_stepped_trace_replays_the_public_steps_bit_for_bit(rng, kind, activation, renormalize,
+                                                            weights):
+    """gradf_ufg runs with a source term, so it steps rather than taking powers."""
+    sys, ahat, lap = identity_basis(rng, 2)
+    x0 = rng.standard_normal((sys.n, 3))
+    cfg = stepped_config(rng, kind, weights, sys.bands, 3)
+    steps, lam = 200, np.diag(lap)
+    trace = ff.run_flow(ff.Scheme(kind, activation, renormalize), sys, ahat, lap, x0, cfg,
+                        ff.StopRule(steps, plateau_tol=0.0))
+    assert trace.steps_run == steps
+
+    def step(x):
+        if kind == "activated":
+            return ff.step_activated(sys, ahat, x, x0, cfg, activation)
+        if kind == "gradf_ufg":
+            return ff.step_gradf_ufg(sys, ahat, x, x0, cfg)
+        return ff.step_ee_ufg(sys, ahat, x, cfg, activation)
+
+    energy_cfg = ff.energy_enhanced_omega(sys, cfg) if kind == "ee_ufg" else cfg
+    initial = x0 if cfg.has_source else None
+
+    def row(x, norm):
+        e_norm = 0.5 * float(np.vdot(x, lam[:, None] * x)) / float(np.vdot(x, x))
+        return norm, e_norm, ff.total_framelet_energy(sys, ahat, x, energy_cfg, initial)
+
+    rows = [row(x0, float(np.linalg.norm(x0)))]
+    x = x0 / rows[0][0] if renormalize else x0
+    for _ in range(steps):
+        x = step(x)
+        norm = float(np.linalg.norm(x))
+        x = x / norm if renormalize else x
+        rows.append(row(x, norm))
+    norms, e_norms, energies = np.array(rows).T
+    np.testing.assert_array_equal(trace.norms, norms)
+    np.testing.assert_array_equal(trace.dirichlet_normalized, e_norms)
+    np.testing.assert_array_equal(trace.total_energy, energies)
+    np.testing.assert_array_equal(trace.final_state, x)
+
+
+@pytest.mark.parametrize("activation,renormalize", [("relu", True), ("tanh", False)])
+def test_stepped_descent_computes_one_energy_gradient_per_step(rng, monkeypatch, activation,
+                                                               renormalize):
+    g, ahat, lap, sys, h = setting(rng, n=8, scales=2)
+    cfg = ff.WeightConfig.scalar(2, 0.5, h.shape[1], tau=0.05)
+    forms, calls = [], []
+    build_form, apply = dynamics.framelet_energy_form, framelets.Multiplier.apply
+    monkeypatch.setattr(dynamics, "framelet_energy_form",
+                        lambda *a: forms.append(build_form(*a)) or forms[-1])
+    monkeypatch.setattr(framelets.Multiplier, "apply", lambda self, h: calls.append(self) or apply(self, h))
+    steps = 50
+    trace = ff.run_flow(ff.Scheme("activated", activation, renormalize), sys, ahat, lap, h, cfg,
+                        ff.StopRule(steps, plateau_tol=0.0))
+    assert trace.steps_run == steps
+    [form] = forms
+    assert sum(m is form for m in calls) <= steps + 3

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import frameflow as ff
+from frameflow import framelets
 from frameflow.errors import BandMismatchError, DimensionMismatchError, OutOfRangeError
 
 from conftest import random_er_graph
@@ -152,3 +153,27 @@ def test_paper_literal_residual_reported_not_zero(rng):
     assert not sys.is_tight
     tight = ff.build_framelet_system(ff.eigh(ff.normalized_laplacian(g)), 2, "tight")
     assert tight.tightness_residual <= 1e-12
+
+
+@pytest.mark.parametrize("with_source", [False, True])
+def test_identity_multiple_mixers_stay_scalars_with_the_matrix_path_bits(rng, with_source):
+    """s I mixers fold into their factors (one number per frequency); a term
+    with a zero factor and a general mixer adds exact zeros, so it forces the
+    same terms through the (n, c, c) path without changing a sum."""
+    n, c = 11, 4
+    terms = [(rng.standard_normal(n), s * np.eye(c)) for s in (1.0, -0.5, 20.0, 0.3)]
+    terms += [(rng.standard_normal(n), None), (rng.standard_normal(n), 2.0 * np.eye(c))]
+    source = rng.standard_normal((n, c)) if with_source else None
+    scalar = framelets.Multiplier(terms, source)
+    general = rng.standard_normal((c, c))
+    forced = framelets.Multiplier(terms + [(np.zeros(n), general + general.T)], source)
+    assert scalar.matrices is None and scalar.per_frequency.shape == (n, 1, 1)
+    assert forced.matrices is not None and forced.per_frequency.shape == (n, c, c)
+    assert scalar.channels == forced.channels == c
+    np.testing.assert_array_equal(forced.per_frequency[:, 1, 1], scalar.per_frequency[:, 0, 0])
+    h = rng.standard_normal((n, c))
+    np.testing.assert_array_equal(scalar.apply(h), forced.apply(h))
+    assert scalar.quadratic(h) == forced.quadratic(h)
+    assert scalar.quadratic(h, scalar.apply(h)) == scalar.quadratic(h)
+    with pytest.raises(DimensionMismatchError, match="signal has 3 channels"):
+        scalar.apply(h[:, :3])
