@@ -174,7 +174,7 @@ def _reject_constant(token: str):
 
 
 def load_config(path) -> dict:
-    """Parse and structurally validate a config file."""
+    """Parse a config file; ``validate_config`` checks it (each command calls it once)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh, parse_constant=_reject_constant)
@@ -182,7 +182,6 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    validate_config(cfg)
     return cfg
 
 
@@ -474,11 +473,10 @@ def _check_flow_config(cfg: dict) -> None:
 
 
 def run_flows(cfgs: List[dict], seed: Optional[int] = None, jobs: int = 1) -> list:
-    """Check every config, build the geometry they share once, then run
-    assemble -> run -> predict -> classify for each, on ``jobs`` threads.
+    """Check every validated config's flow, build the geometry they share once,
+    then run assemble -> run -> predict -> classify for each, on ``jobs`` threads.
     Returns (experiment, trace, prediction, verdict) per config, in order."""
     for cfg in cfgs:
-        validate_config(cfg)
         _check_flow_config(cfg)
     geometry = build_geometry(cfgs[0], seed)
 
@@ -524,6 +522,7 @@ def write_trace_csv(path, trace: dynamics.FlowTrace) -> None:
 
 def run_config(cfg: dict, out_dir, seed: Optional[int] = None) -> dict:
     """Run one experiment; write the trace CSV + summary JSON; return the summary."""
+    validate_config(cfg)
     [(exp, trace, _, verdict)] = run_flows([cfg], seed)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -554,6 +553,8 @@ SWEEP_PARAMETERS = ("lambda_w", "theta", "epsilon")
 
 
 def _apply_sweep_value(cfg: dict, parameter: str, value: float) -> dict:
+    if not _is_number(value):  # the rest of cfg is validated
+        raise ConfigError(f"sweep value must be a finite number, got {value!r}")
     out = json.loads(json.dumps(cfg))
     if parameter == "lambda_w":
         if out["weights"]["mode"] != "scalar":
@@ -562,6 +563,7 @@ def _apply_sweep_value(cfg: dict, parameter: str, value: float) -> dict:
     elif parameter == "theta":
         if out.get("scheme", {}).get("kind") != "spectral_framelet":
             raise ConfigError("theta sweeps need scheme.kind == 'spectral_framelet'")
+        _theta_bands(value, 1)  # rejects a negative theta
         out["theta"] = value
     elif parameter == "epsilon":
         if out.get("scheme", {}).get("kind") not in ("ee_ufg", "perturbed_closed_form"):
@@ -703,6 +705,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         out_dir = Path(args.out)
         if args.command == "gen":
+            validate_config(cfg)
             graph = _build_graph(cfg, args.seed)
             out_dir.mkdir(parents=True, exist_ok=True)
             path = out_dir / "graph.edges"

@@ -17,9 +17,9 @@ the eigenbasis Q_i of its one-step matrices M_i: mode z = Q_i^T hhat_i is
 mu^k z after k steps, so a block of steps is one product of powers (the
 closed form is powers of exp(-rate_i tau), not an evaluation at k tau).
 Relu/tanh descent, the banded ee activation and a per-vertex theta_b step
-on Hhat, with one U^T / U round trip and one energy gradient per step (the
-row's governing energy and the next descent step share it).  The final
-state is mapped back once.
+on Hhat, with one U^T / U round trip per step; a descent step also computes
+the energy gradient the next step reads.  Either way a block of BLOCK steps
+is recorded at once.  The final state is mapped back once.
 
 Each scheme is written once, in ``_scheme_operator``: its step, the c x c
 matrix M_i by which one step of its linear part acts on frequency i, and
@@ -29,16 +29,17 @@ run), and analysis.dominant_frequency predicts the limit from them.  The
 public ``step_*`` functions are vertex-domain wrappers around the same
 steps.
 
-``run_flow`` iterates a scheme, recording per step the state norm, the
-normalized Dirichlet energy E(H/||H||), the scheme's governing energy, and
-the Rayleigh quotient 2 E(H/||H||).  Renormalization (dividing the state by
-its Frobenius norm after each step) is the default for dominance
-classification; it is only legal for positively homogeneous steps, which
-excludes tanh activation.
+``run_flow`` iterates a scheme, recording per step, BLOCK rows at a time,
+the state norm, the normalized Dirichlet energy E(H/||H||), the scheme's
+governing energy, and the Rayleigh quotient 2 E(H/||H||).  Renormalization
+(dividing the state by its Frobenius norm after each step) is the default
+for dominance classification; it is only legal for positively homogeneous
+steps, which excludes tanh activation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from itertools import pairwise
 from typing import Callable, Iterable, NamedTuple, Optional
@@ -101,7 +102,7 @@ SCHEME_KINDS = (
 )
 ACTIVATIONS = ("identity", "relu", "tanh")
 OVERFLOW_GUARD = 1e150
-BLOCK = 64  # steps a linear flow advances per product
+BLOCK = 64  # steps a flow records per block (a linear flow: per product)
 
 
 @dataclass(frozen=True)
@@ -262,12 +263,19 @@ def _scheme_operator(
     if activation == "identity":
         return _linear_operator(linear, energy)
     banded = [Multiplier([(analysis[b], cfg.w[b])]) for b in bands]
-    synthesis = np.stack([resp[b] for b in bands], axis=1)[:, :, None]  # n, bands, 1
+    synthesis = np.stack([resp[b] for b in bands], axis=1)  # n, bands
+    if all(m.matrices is None for m in banded):  # identity multiples: one factor per band
+        factors = np.stack([m.diagonal for m in banded], axis=1)[:, :, None]  # n, bands, 1
+        analyse = lambda h: factors * h[:, None, :]
+    else:
+        analyse = lambda h: np.stack([m.apply(h) for m in banded], axis=1)
 
     def banded_step(h, _):  # every band's activation in one U^T / U round trip
-        pre = np.concatenate([m.apply(h) for m in banded], axis=1)
-        post = u @ _activate(activation, u.T @ pre)
-        return (synthesis * post.reshape(len(h), len(bands), -1)).sum(axis=1)
+        pre = analyse(h).reshape(len(h), -1)
+        post = (u @ _activate(activation, u.T @ pre)).reshape(len(h), len(bands), -1)
+        if post.shape[2] == 1:  # einsum sums a lone channel in another order than the sum
+            return (synthesis[:, :, None] * post).sum(axis=1)
+        return np.einsum("nb,nbc->nc", synthesis, post)
 
     return SchemeOperator(banded_step, linear.per_frequency, energy)
 
@@ -396,7 +404,7 @@ def _check_norm(norm: float, k: int, renormalize: bool) -> None:
     """Raise if the norm after step k is zero, non-finite or over the guard."""
     if norm == 0.0:
         raise ZeroStateError(f"state vanished at step {k}")
-    if not np.isfinite(norm) or (not renormalize and norm > OVERFLOW_GUARD):
+    if not math.isfinite(norm) or (not renormalize and norm > OVERFLOW_GUARD):
         raise NumericOverflowError(f"state norm {norm:.3e} at step {k}; renormalize or shrink tau")
 
 
@@ -445,6 +453,44 @@ def _mode_blocks(scheme: Scheme, op: SchemeOperator, modes, lam, h0, norm0, max_
     return blocks(), state
 
 
+def _stepped_blocks(scheme: Scheme, op: SchemeOperator, lam, state, max_steps):
+    """Blocks of rows (norms, E, energies) of a stepped flow up to the first
+    failing step, where it raises, and the state at step k.  A step keeps what
+    the next reads, the state and (descent) its energy gradient, in one-block
+    buffers; three stacked products give a block's rows with per-row vdot bits."""
+    size, descent = min(BLOCK, max_steps), scheme.kind in ("gradf_ufg", "activated")
+    states, norms, nc = np.empty((size, *state.shape)), np.empty(size), state.size
+    grads = np.empty_like(states) if descent else None
+
+    def rows(m: int):
+        h = states[:m]
+        g = grads[:m] if descent else op.energy.apply(h)  # the step ignored the gradient
+        g = g if op.energy.source is None else g - op.energy.source
+        with np.errstate(over="ignore", invalid="ignore"):  # as silent as vdot
+            mass, dirichlet, energy = ((h.reshape(m, 1, nc) @ x.reshape(m, nc, 1)).ravel()
+                                       for x in (h, lam[:, None] * h, g))
+        return norms[:m].tolist(), (0.5 * dirichlet / mass).tolist(), (0.5 * energy).tolist()
+
+    def blocks():
+        h, grad = state, op.energy.apply(state) if descent else None
+        for start in range(1, max_steps + 1, size):
+            for j, k in enumerate(range(start, min(start + size, max_steps + 1))):
+                h = op.step(h, grad)
+                norms[j] = norm = math.sqrt(np.vdot(h, h))  # the bits of np.linalg.norm
+                try:
+                    _check_norm(norm, k, scheme.renormalize)
+                except (ZeroStateError, NumericOverflowError):  # the plateau rule reads rows first
+                    if j:
+                        yield rows(j)
+                    raise
+                h = np.divide(h, norm if scheme.renormalize else 1.0, out=states[j])
+                if descent:
+                    grads[j] = grad = op.energy.apply(h)
+            yield rows(j + 1)
+
+    return blocks(), lambda k, norm: states[(k - 1) % size]
+
+
 def run_flow(
     scheme: Scheme,
     sys: FrameletSystem,
@@ -459,8 +505,9 @@ def run_flow(
     Stops at the plateau rule or max_steps, whichever comes first.  Without
     renormalization the state norm is guarded against overflow (abort at
     1e150).  A linear scheme (identity activation, no source) advances BLOCK
-    steps per product; the closed form's norm column is ||H(k tau)||.  Ahat
-    and Lhat are each checked once; ``gains`` holds rho(M_i) per eigenvalue.
+    steps per product; the closed form's norm column is ||H(k tau)||.  Other
+    schemes step and record BLOCK rows at a time.  Ahat and Lhat are each
+    checked once; ``gains`` holds rho(M_i) per eigenvalue.
     """
     x0, _ = _as_columns(initial, sys.n)
     h0 = sys.spectrum.u @ x0
@@ -475,27 +522,13 @@ def run_flow(
     e0 = dirichlet.quadratic(h0) / float(np.vdot(h0, h0))
     # row 0 first: the energy's Multiplier checks the channel count
     columns = ([norm0], [e0], [op.energy.quadratic(h0)])  # norms, E, energies
-    state = h0 / norm0 if scheme.renormalize else h0
-
-    def stepped():  # one row and one energy gradient per step
-        nonlocal state
-        grad = op.energy.apply(state)
-        for k in range(1, stop.max_steps + 1):
-            state = op.step(state, grad)
-            norm = float(np.linalg.norm(state))
-            _check_norm(norm, k, scheme.renormalize)
-            if scheme.renormalize:
-                state = state / norm
-            grad = op.energy.apply(state)  # the row's energy and the next step's descent
-            e_norm = dirichlet.quadratic(state) / float(np.vdot(state, state))
-            yield [norm], [e_norm], [op.energy.quadratic(state, grad)]
-
     power = op.one_step is not None and scheme.activation == "identity" and op.energy.source is None
     modes = None if op.one_step is None else _modes(op.one_step, vectors=power)
     if power:
         blocks, state_at = _mode_blocks(scheme, op, modes, lam, h0, norm0, stop.max_steps)
     else:
-        blocks, state_at = stepped(), lambda k, norm: state
+        state = h0 / norm0 if scheme.renormalize else h0
+        blocks, state_at = _stepped_blocks(scheme, op, lam, state, stop.max_steps)
 
     def fed():  # runs only as far as the plateau rule reads
         yield e0

@@ -230,8 +230,10 @@ class Multiplier:
         return self.diagonal[:, None, None] if self.matrices is None else self.matrices
 
     def apply(self, h: np.ndarray) -> np.ndarray:
-        """sum_k A_k h M_k - S for spectral coordinates h of shape (n, c)."""
-        n, c = h.shape
+        """sum_k A_k h M_k - S for spectral coordinates h, (n, c) or a stack (k, n, c)."""
+        if h.ndim == 3 and (self.matrices is not None or self.filter_mixers):
+            return np.stack([self.apply(x) for x in h])
+        n, c = h.shape[-2:]
         if self.channels not in (None, c):
             raise DimensionMismatchError(
                 f"weights are {self.channels}x{self.channels}, signal has {c} channels"

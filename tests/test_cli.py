@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -833,3 +834,63 @@ def test_output_names_must_be_file_names(tmp_path, monkeypatch, key, name):
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["gen"], ["run"], ["sweep", "--parameter", "lambda_w", "--grid", "0.5,2.0,8.0,64.0"],
+     ["energy"], ["classify"]],
+    ids=lambda command: command[0],
+)
+def test_main_validates_the_config_once(tmp_path, monkeypatch, command):
+    """A sweep point only differs from the validated config by its swept value."""
+    cfg = c6_config(lambda_w=0.5, steps=300)
+    cli.run_config(cfg, tmp_path / "trace")
+    path = write_config(tmp_path, cfg)
+    calls, validate = [], cli.validate_config
+    monkeypatch.setattr(cli, "validate_config", lambda cfg: calls.append(cfg) or validate(cfg))
+    extra = ["--trace", str(tmp_path / "trace" / "trace.csv")] if command == ["classify"] else []
+    argv = [command[0], "--config", str(path), "--out", str(tmp_path / "out"), *command[1:]]
+    assert cli.main(argv + extra) == 0
+    assert len(calls) == 1
+
+
+LIBRARY_CALLS = {
+    "run_config": lambda cfg, path: cli.run_config(cfg, path),
+    "sweep_config": lambda cfg, path: cli.sweep_config(cfg, "lambda_w", [0.5, 2.0], path),
+    "energy_report": lambda cfg, path: cli.energy_report(cfg),
+    "classify_trace_csv": lambda cfg, path: cli.classify_trace_csv(cfg, path / "trace.csv"),
+}
+
+
+@pytest.mark.parametrize("call", sorted(LIBRARY_CALLS))
+@pytest.mark.parametrize("block,key,value", [(None, "grpah", {"kind": "cycle"}),
+                                             ("run", "steps", 0), ("theta", None, -1.0)])
+def test_library_calls_still_validate_their_config(tmp_path, monkeypatch, call, block, key, value):
+    monkeypatch.setattr(ff.graphs, "generate_graph", _refuse)
+    cfg = c6_config()
+    if block == "theta":
+        cfg["theta"] = value
+    else:
+        (cfg if block is None else cfg[block])[key] = value
+    with pytest.raises(ff.FrameflowError) as expected:
+        cli.validate_config(cfg)
+    with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
+        LIBRARY_CALLS[call](cfg, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "parameter,value,error",
+    [("lambda_w", float("nan"), ConfigError), ("lambda_w", "2", ConfigError),
+     ("lambda_w", True, ConfigError), ("theta", -1.0, ff.OutOfRangeError),
+     ("theta", float("inf"), ConfigError), ("epsilon", float("-inf"), ConfigError)],
+)
+def test_a_bad_swept_value_is_rejected_before_any_work(tmp_path, monkeypatch, parameter, value,
+                                                       error):
+    monkeypatch.setattr(ff.graphs, "generate_graph", _refuse)
+    scheme = {"theta": "spectral_framelet", "epsilon": "ee_ufg"}.get(parameter, "spatial_framelet")
+    cfg = c6_config(lambda_w=1.0, scheme={"kind": scheme}, epsilon=0.2, theta=2.0)
+    with pytest.raises(error):
+        cli.sweep_config(cfg, parameter, [1.0, value], tmp_path / "out")
+    assert not (tmp_path / "out").exists()

@@ -830,3 +830,63 @@ def test_stepped_descent_computes_one_energy_gradient_per_step(rng, monkeypatch,
     assert trace.steps_run == steps
     [form] = forms
     assert sum(m is form for m in calls) <= steps + 3
+
+
+def test_banded_ee_step_with_scalar_weights_applies_no_band_multiplier(rng, monkeypatch):
+    g, ahat, lap, sys, h = setting(rng, n=8, scales=2)
+    cfg = ff.WeightConfig.scalar(2, 20.0, h.shape[1], epsilon=0.1, tau=1.0)
+    calls, apply = [], framelets.Multiplier.apply
+    monkeypatch.setattr(framelets.Multiplier, "apply", lambda self, h: calls.append(self) or apply(self, h))
+    steps = 200
+    trace = ff.run_flow(ff.Scheme("ee_ufg", "relu", True), sys, ahat, lap, h, cfg,
+                        ff.StopRule(steps, plateau_tol=0.0))
+    assert trace.steps_run == steps
+    # two for row 0, then one per block: the gradients of steps that do not read them
+    assert len(calls) <= steps // dynamics.BLOCK + 3
+
+
+def _rows(trace):
+    return trace.steps, trace.norms, trace.dirichlet_normalized, trace.total_energy
+
+
+@pytest.mark.parametrize("max_steps", [1, dynamics.BLOCK - 1, dynamics.BLOCK, dynamics.BLOCK + 1,
+                                       2 * dynamics.BLOCK + 7])
+@pytest.mark.parametrize("kind", ["activated", "ee_ufg"])
+def test_a_plateau_inside_a_block_returns_the_rows_and_state_of_its_step(rng, kind, max_steps):
+    """With an infinite tolerance the plateau rule fires at step plateau_window;
+    the run must equal the same run capped there with the rule off."""
+    sys, ahat, lap = identity_basis(rng, 2)
+    x0 = rng.standard_normal((sys.n, 3))
+    cfg = stepped_config(rng, kind, "scalar", sys.bands, 3)
+    scheme = ff.Scheme(kind, "relu", renormalize=True)
+    for window in sorted({1, max(1, max_steps // 2), max(1, max_steps - 1), max_steps}):
+        stopped = ff.run_flow(scheme, sys, ahat, lap, x0, cfg,
+                              ff.StopRule(max_steps, plateau_tol=np.inf, plateau_window=window))
+        capped = ff.run_flow(scheme, sys, ahat, lap, x0, cfg, ff.StopRule(window, plateau_tol=0.0))
+        assert stopped.steps_to_plateau == window and capped.steps_to_plateau is None
+        for a, b in zip(_rows(stopped), _rows(capped)):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(stopped.final_state, capped.final_state)
+
+
+@pytest.mark.parametrize("tau", [3.0, 130.0, 143.0, 1e4])  # overflow at steps 258, 65, 64, 36
+def test_a_stepped_overflow_names_its_step_unless_the_plateau_fires_first(rng, tau):
+    """Unrenormalized descent with a source term and a large tau; the failing
+    step k comes from replaying the public steps (bit-equal on an identity basis)."""
+    sys, ahat, lap = identity_basis(rng, 2)
+    x0 = rng.standard_normal((sys.n, 3))
+    cfg = ff.WeightConfig.scalar(2, 0.5, 3, tau=tau, beta=0.5,
+                                 w_tilde={b: rng.standard_normal((3, 3)) for b in sys.bands})
+    x, k = x0, 0
+    while float(np.linalg.norm(x)) <= dynamics.OVERFLOW_GUARD:
+        x, k = ff.step_gradf_ufg(sys, ahat, x, x0, cfg), k + 1
+    assert 1 < k < 400
+    scheme = ff.Scheme("gradf_ufg", renormalize=False)
+    with pytest.raises(NumericOverflowError, match=rf"at step {k};"):
+        ff.run_flow(scheme, sys, ahat, lap, x0, cfg, ff.StopRule(400, plateau_tol=0.0))
+    early = ff.run_flow(scheme, sys, ahat, lap, x0, cfg,
+                        ff.StopRule(400, plateau_tol=np.inf, plateau_window=k - 1))
+    assert early.steps_to_plateau == early.steps_run == k - 1
+    capped = ff.run_flow(scheme, sys, ahat, lap, x0, cfg, ff.StopRule(k - 1, plateau_tol=0.0))
+    for a, b in zip(_rows(early), _rows(capped)):
+        np.testing.assert_array_equal(a, b)

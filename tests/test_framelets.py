@@ -5,7 +5,7 @@ import frameflow as ff
 from frameflow import framelets
 from frameflow.errors import BandMismatchError, DimensionMismatchError, OutOfRangeError
 
-from conftest import random_er_graph
+from conftest import random_er_graph, random_symmetric
 
 
 def system_for(graph, scales, variant="tight"):
@@ -177,3 +177,18 @@ def test_identity_multiple_mixers_stay_scalars_with_the_matrix_path_bits(rng, wi
     assert scalar.quadratic(h, scalar.apply(h)) == scalar.quadratic(h)
     with pytest.raises(DimensionMismatchError, match="signal has 3 channels"):
         scalar.apply(h[:, :3])
+
+
+@pytest.mark.parametrize("kind", ["numbers", "matrices", "filter"])
+def test_a_stack_applies_as_its_slices_bit_for_bit(rng, kind):
+    """A (k, n, c) stack, as a stepped flow records a block of states."""
+    n, c = 9, 3
+    u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    mixer = np.eye(c) if kind == "numbers" else random_symmetric(rng, c, 1.0)
+    terms = [(rng.standard_normal(n), 2.0 * mixer), (rng.standard_normal(n), None)]
+    if kind == "filter":
+        terms.append((framelets.BandFilter(u, rng.standard_normal(n), rng.random(n)), mixer))
+    m = framelets.Multiplier(terms, rng.standard_normal((n, c)))
+    assert (m.matrices is None) == (kind == "numbers")
+    stack = rng.standard_normal((5, n, c))
+    np.testing.assert_array_equal(m.apply(stack), np.stack([m.apply(h) for h in stack]))

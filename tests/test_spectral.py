@@ -173,8 +173,14 @@ def _rotate_degenerate_clusters(spec, rng):
     return ff.Spectrum(lam, u, spec.rho_l, spec.top_multiplicity)
 
 
-def test_degenerate_basis_choice_leaves_transforms_and_flow_unchanged():
-    g = ff.generate_graph(ff.GraphSpec(kind="cycle", n=51))
+SPATIAL = ff.Scheme("spatial_framelet", renormalize=True)
+RELU = ff.Scheme("activated", "relu", renormalize=True)
+CYCLE_51 = ff.GraphSpec(kind="cycle", n=51)  # double eigenvalues
+K_7_12 = ff.GraphSpec(kind="complete_bipartite", m=7, n=12)  # lambda = 1, 17 times
+
+
+def _assert_basis_choice_changes_nothing(spec: ff.GraphSpec, scheme: ff.Scheme):
+    g = ff.generate_graph(spec)
     ahat, lap = ff.normalized_adjacency(g), ff.normalized_laplacian(g)
     spec = ff.eigh(lap)
     rotated = _rotate_degenerate_clusters(spec, np.random.default_rng(7))
@@ -184,14 +190,23 @@ def test_degenerate_basis_choice_leaves_transforms_and_flow_unchanged():
         np.testing.assert_allclose(
             systems[1].transforms[band], systems[0].transforms[band], rtol=0, atol=1e-12
         )
-    h0 = np.random.default_rng(5).standard_normal((51, 3))
+    h0 = np.random.default_rng(5).standard_normal((g.n, 3))
+    cfg = ff.WeightConfig.scalar(2, 3.0, 3, tau=1.0 if scheme.kind == "spatial_framelet" else 0.05)
     a, b = (
-        ff.run_flow(
-            ff.Scheme("spatial_framelet", renormalize=True), sys, ahat, lap, h0,
-            ff.WeightConfig.scalar(2, 3.0, 3), ff.StopRule(max_steps=200, plateau_window=201),
-        )
+        ff.run_flow(scheme, sys, ahat, lap, h0, cfg, ff.StopRule(max_steps=200, plateau_window=201))
         for sys in systems
     )
     assert a.steps_run == b.steps_run == 200
     for column in ("norms", "dirichlet_normalized", "total_energy", "rayleigh", "final_state"):
         np.testing.assert_allclose(getattr(a, column), getattr(b, column), rtol=0, atol=1e-12)
+
+
+def test_degenerate_basis_choice_leaves_transforms_and_flow_unchanged():
+    _assert_basis_choice_changes_nothing(CYCLE_51, SPATIAL)
+
+
+@pytest.mark.parametrize("spec,scheme", [(CYCLE_51, RELU), (K_7_12, SPATIAL), (K_7_12, RELU)],
+                         ids=["cycle51-relu", "k7_12-spatial", "k7_12-relu"])
+def test_degenerate_basis_choice_leaves_stepped_flows_and_bipartite_graphs_unchanged(spec, scheme):
+    """The relu flow steps on spectral coordinates; K_{7,12} has one eigenvalue 17 times."""
+    _assert_basis_choice_changes_nothing(spec, scheme)
