@@ -27,7 +27,7 @@ h = rng.standard_normal((graph.n, 3))
 
 print("graph: two-block SBM (6+6, p_in=0.7, p_out=0.15); signal: 12x3 gaussian\n")
 
-per_band, total = ff.framelet_dirichlet_energies(sys, lap, h)
+per_band, total = ff.framelet_dirichlet_energies(sys, h)
 print("1) conservation across bands")
 print("   E(H) on the graph      =", f"{ff.dirichlet_energy(lap, h):.10f}")
 for band, value in per_band.items():
@@ -38,12 +38,12 @@ omega = np.diag([1.0, 2.0, 0.5])
 w = np.array([[0.5, 0.2, 0.0], [0.2, -0.3, 0.1], [0.0, 0.1, 1.2]])
 shared = ff.WeightConfig.shared(2, omega, w)
 print("2) shared weights collapse the band structure")
-print("   total framelet energy  =", f"{ff.total_framelet_energy(sys, ahat, h, shared):.10f}")
+print("   total framelet energy  =", f"{ff.total_framelet_energy(sys, h, shared):.10f}")
 print("   plain generalized      =", f"{ff.generalized_energy(ahat, h, omega, w):.10f}")
 eye = np.eye(3)
 identity = ff.WeightConfig.shared(2, eye, eye)
 print("   identity weights       =",
-      f"{ff.total_framelet_energy(sys, ahat, h, identity):.10f}",
+      f"{ff.total_framelet_energy(sys, h, identity):.10f}",
       "(the Dirichlet energy again)\n")
 
 print("3) particle breakdown (external + attraction - repulsion per band)")
@@ -58,4 +58,4 @@ for band, parts in breakdown.items():
           f"  repulsion {parts.repulsion:.6f}  -> total {parts.total:+.6f}")
     grand_total += parts.total
 print("   grand total            =", f"{grand_total:.10f}")
-print("   total framelet energy  =", f"{ff.total_framelet_energy(sys, ahat, h, mixed):.10f}")
+print("   total framelet energy  =", f"{ff.total_framelet_energy(sys, h, mixed):.10f}")

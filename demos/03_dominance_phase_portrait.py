@@ -31,7 +31,7 @@ print(f"{'v':>8} | {'predicted':>9} {'margin':>7} | {'measured':>9} {'limit':>12
 for v in (-40.0, -10.0, -0.5, 0.5, 1.0, 2.0, 10.0):
     cfg = ff.WeightConfig.scalar(1, v, 2, tau=1.0)
     trace = ff.run_flow(
-        ff.Scheme("spatial_framelet", renormalize=True), sys, ahat, lap, h0, cfg, stop
+        ff.Scheme("spatial_framelet", renormalize=True), sys, h0, cfg, stop
     )
     pred = ff.dominant_frequency(spectrum, trace.gains)
     verdict = ff.classify_dominance(trace, spectrum, prediction=pred)
@@ -48,7 +48,7 @@ for theta in (0.0, 0.25, 1.0, 2.0, 4.0):
     theta_map = {b: np.full(6, 1.0 if b[0] == 0 else theta) for b in sys.bands}
     cfg = ff.WeightConfig.shared(1, np.eye(2), np.eye(2), theta=theta_map, tau=1.0)
     trace = ff.run_flow(
-        ff.Scheme("spectral_framelet", renormalize=True), sys, ahat, lap, h0, cfg, stop
+        ff.Scheme("spectral_framelet", renormalize=True), sys, h0, cfg, stop
     )
     pred = ff.dominant_frequency(spectrum, trace.gains)
     verdict = ff.classify_dominance(trace, spectrum, prediction=pred)

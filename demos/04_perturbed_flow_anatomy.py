@@ -31,7 +31,7 @@ h0 = rng.standard_normal((12, 2))
 eps = 1.0
 
 plain = ff.dirichlet_energy(lap, h0)
-shifted = ff.perturbed_energy(sys, lap, h0, eps)
+shifted = ff.perturbed_energy(sys, h0, eps)
 print(f"\nDirichlet energy        = {plain:.6f}")
 print(f"band-shifted (eps={eps})   = {shifted:.6f}   (enhancement {shifted - plain:+.6f})")
 

@@ -38,12 +38,12 @@ print(f"curvature constant of the energy's quadratic form: {curvature:.3f}\n")
 
 for activation in ("identity", "relu", "tanh"):
     state = h0.copy()
-    energy = ff.total_framelet_energy(sys, ahat, state, cfg)
+    energy = ff.total_framelet_energy(sys, state, cfg)
     start = energy
     worst_violation = -np.inf
     for _ in range(400):
-        nxt = ff.step_activated(sys, ahat, state, None, cfg, activation)
-        nxt_energy = ff.total_framelet_energy(sys, ahat, nxt, cfg)
+        nxt = ff.step_activated(sys, state, None, cfg, activation)
+        nxt_energy = ff.total_framelet_energy(sys, nxt, cfg)
         slack = nxt_energy - energy - curvature * float(np.linalg.norm(nxt - state)) ** 2
         worst_violation = max(worst_violation, slack)
         state, energy = nxt, nxt_energy

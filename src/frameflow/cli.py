@@ -309,13 +309,12 @@ def write_signal_matrix(path, mat: np.ndarray) -> None:
 
 
 def _build_init(cfg: dict, spectrum: spectral.Spectrum, seed: Optional[int]) -> np.ndarray:
+    """A random_normal or eigenvector init block's state; build_geometry reads a file's."""
     icfg = cfg["init"]
     if icfg["mode"] == "random_normal":
         channels = int(icfg.get("channels", 1))
         rng = np.random.default_rng(int(seed if seed is not None else icfg.get("seed", 0)))
         return rng.standard_normal((spectrum.n, channels))
-    if icfg["mode"] == "file":
-        return read_signal_matrix(icfg["path"], spectrum.n)
     # an eigenvector, whose index build_geometry checked against the graph;
     # inside a repeated eigenvalue's eigenspace the row is the solver's choice
     index, lam = icfg["index"], spectrum.eigenvalues
@@ -394,12 +393,13 @@ def _build_weights(cfg: dict, kind: str, channels: int, n: int) -> energies.Weig
 
 @dataclass
 class Geometry:
-    """The part of an experiment fixed by the graph, framelet and seed blocks."""
+    """The part of an experiment fixed by the graph, framelet, init and seed
+    blocks, which a sweep never varies."""
 
     ahat: np.ndarray
-    lap: np.ndarray
     spectrum: spectral.Spectrum
     system: framelets.FrameletSystem
+    initial: np.ndarray
 
 
 @dataclass
@@ -408,7 +408,6 @@ class Experiment(Geometry):
 
     scheme: dynamics.Scheme
     weights: energies.WeightConfig
-    initial: np.ndarray
     stop: dynamics.StopRule
     tol: float
 
@@ -419,15 +418,14 @@ def build_geometry(cfg: dict, seed: Optional[int] = None) -> Geometry:
     icfg, kind, n = cfg["init"], _scheme(cfg).kind, graph.n
     if icfg["mode"] == "eigenvector" and not 0 <= icfg["index"] < n:
         raise ConfigError(f"init.index {icfg['index']} outside [0, {n})")
-    if icfg["mode"] == "file":
-        read_signal_matrix(icfg["path"], n)
+    signal = read_signal_matrix(icfg["path"], n) if icfg["mode"] == "file" else None
     if kind == "spectral_framelet" and cfg.get("theta") is not None:
         _build_weights(cfg, kind, 1, n).theta_for(_probe_bank(*_framelet(cfg)).bands, n)
     ahat = graphs.normalized_adjacency(graph)
-    lap = np.eye(graph.n) - ahat
-    spectrum = spectral.eigh(lap)
+    spectrum = spectral.eigh(np.eye(graph.n) - ahat)
     system = framelets.build_framelet_system(spectrum, *_framelet(cfg))
-    return Geometry(ahat, lap, spectrum, system)
+    initial = _build_init(cfg, spectrum, seed) if signal is None else signal
+    return Geometry(ahat, spectrum, system, initial)
 
 
 def _run_rules(cfg: dict):
@@ -440,11 +438,10 @@ def _run_rules(cfg: dict):
     return stop, float(rcfg.get("tol", analysis.DEFAULT_TOL))
 
 
-def assemble(cfg: dict, geometry: Geometry, seed: Optional[int] = None) -> Experiment:
-    """Add the scheme, initial state, weights and stop rule to a geometry."""
+def assemble(cfg: dict, geometry: Geometry) -> Experiment:
+    """Add the scheme, weights and stop rule to a geometry."""
     scheme = _scheme(cfg)
-    initial = _build_init(cfg, geometry.spectrum, seed)
-    weights = _build_weights(cfg, scheme.kind, initial.shape[1], geometry.spectrum.n)
+    weights = _build_weights(cfg, scheme.kind, geometry.initial.shape[1], geometry.spectrum.n)
     stop, tol = _run_rules(cfg)
     if scheme.kind in ("ee_ufg", "perturbed_closed_form") and weights.epsilon <= 0.0:
         print(
@@ -452,9 +449,7 @@ def assemble(cfg: dict, geometry: Geometry, seed: Optional[int] = None) -> Exper
             "the band shifts degenerate",
             file=sys.stderr,
         )
-    return Experiment(
-        **vars(geometry), scheme=scheme, weights=weights, initial=initial, stop=stop, tol=tol
-    )
+    return Experiment(**vars(geometry), scheme=scheme, weights=weights, stop=stop, tol=tol)
 
 
 def _check_flow_config(cfg: dict) -> None:
@@ -481,10 +476,8 @@ def run_flows(cfgs: List[dict], seed: Optional[int] = None, jobs: int = 1) -> li
     geometry = build_geometry(cfgs[0], seed)
 
     def flow(cfg: dict):
-        exp = assemble(cfg, geometry, seed)
-        trace = dynamics.run_flow(
-            exp.scheme, exp.system, exp.ahat, exp.lap, exp.initial, exp.weights, exp.stop
-        )
+        exp = assemble(cfg, geometry)
+        trace = dynamics.run_flow(exp.scheme, exp.system, exp.initial, exp.weights, exp.stop)
         prediction = (
             None if trace.gains is None else analysis.dominant_frequency(exp.spectrum, trace.gains)
         )
@@ -616,15 +609,15 @@ def sweep_config(
 def energy_report(cfg: dict, seed: Optional[int] = None) -> dict:
     """Evaluate every energy the config makes applicable for its signal."""
     validate_config(cfg)
-    exp = assemble(cfg, build_geometry(cfg, seed), seed)
+    exp = assemble(cfg, build_geometry(cfg, seed))
     x = exp.initial
-    report = {"dirichlet": energies.dirichlet_energy(exp.lap, x)}
+    report = {"dirichlet": energies.dirichlet_energy(np.eye(exp.spectrum.n) - exp.ahat, x)}
     if exp.system.is_tight:
-        per_band, total = energies.framelet_dirichlet_energies(exp.system, exp.lap, x)
+        per_band, total = energies.framelet_dirichlet_energies(exp.system, x)
         report["band_dirichlet"] = {f"{b[0]},{b[1]}": v for b, v in per_band.items()}
         report["band_dirichlet_sum"] = total
     report["total_framelet"] = energies.total_framelet_energy(
-        exp.system, exp.ahat, x, exp.weights, initial=x if exp.weights.has_source else None
+        exp.system, x, exp.weights, initial=x if exp.weights.has_source else None
     )
     if cfg["weights"]["mode"] == "shared":  # every band holds the one (omega, w) pair
         band = exp.system.low_pass
@@ -632,9 +625,7 @@ def energy_report(cfg: dict, seed: Optional[int] = None) -> dict:
             exp.ahat, x, exp.weights.omega[band], exp.weights.w[band]
         )
     if exp.weights.epsilon != 0.0 and exp.system.is_tight:
-        report["perturbed"] = energies.perturbed_energy(
-            exp.system, exp.lap, x, exp.weights.epsilon
-        )
+        report["perturbed"] = energies.perturbed_energy(exp.system, x, exp.weights.epsilon)
     if exp.weights.theta is not None:
         report["spectral"] = energies.spectral_energy(exp.system, x, exp.weights)
     if exp.weights.has_source:

@@ -12,14 +12,16 @@ Five iterated schemes plus one closed form:
 
 Every operator above except a per-vertex theta_b is diagonal in the
 Laplacian eigenbasis, so a linear step is one framelets.Multiplier on
-spectral coordinates Hhat = U H.  ``run_flow`` advances a linear scheme in
-the eigenbasis Q_i of its one-step matrices M_i: mode z = Q_i^T hhat_i is
-mu^k z after k steps, so a block of steps is one product of powers (the
-closed form is powers of exp(-rate_i tau), not an evaluation at k tau).
-Relu/tanh descent, the banded ee activation and a per-vertex theta_b step
-on Hhat, with one U^T / U round trip per step; a descent step also computes
-the energy gradient the next step reads.  Either way a block of BLOCK steps
-is recorded at once.  The final state is mapped back once.
+spectral coordinates Hhat = U H, and flows and steps take the
+FrameletSystem alone: Lhat and Ahat = I - Lhat are its eigenvalues lam and
+1 - lam.  ``run_flow`` advances a linear scheme in the eigenbasis Q_i of its
+one-step matrices M_i: mode z = Q_i^T hhat_i is mu^k z after k steps, so a
+block of steps is one product of powers (the closed form is powers of
+exp(-rate_i tau), not an evaluation at k tau).  Relu/tanh descent, the
+banded ee activation and a per-vertex theta_b step on Hhat, with one
+U^T / U round trip per step; a descent step also computes the energy
+gradient the next step reads.  Either way a block of BLOCK steps is
+recorded at once.  The final state is mapped back once.
 
 Each scheme is written once, in ``_scheme_operator``: its step, the c x c
 matrix M_i by which one step of its linear part acts on frequency i, and
@@ -48,12 +50,10 @@ import numpy as np
 
 from .energies import (  # the vertex-domain energies stay importable here for tracing
     WeightConfig,
-    adjacency_values,
     dirichlet_energy,  # noqa: F401
     energy_gap,
     filter_factors,
     framelet_energy_form,
-    laplacian_values,
     perturbed_energy,  # noqa: F401
     perturbed_energy_form,
     spectral_energy,  # noqa: F401
@@ -220,37 +220,35 @@ def _linear_operator(step: Multiplier, energy: Multiplier) -> SchemeOperator:
 
 
 def _scheme_operator(
-    scheme: Scheme, sys: FrameletSystem, a_hat, lam, cfg: WeightConfig, h0: Optional[np.ndarray]
+    scheme: Scheme, sys: FrameletSystem, cfg: WeightConfig, h0: Optional[np.ndarray]
 ) -> SchemeOperator:
-    """Build ``scheme``'s operator from the checked per-frequency values
-    ``a_hat`` = 1 - lam and ``lam`` of Ahat and Lhat.  ``h0`` is the spectral
-    initial state; it only matters when a source term is configured (beta != 0
-    with mixing matrices), which only the descent schemes have."""
+    """Build ``scheme``'s operator from the system's per-frequency values lam
+    of Lhat and a_hat = 1 - lam of Ahat.  ``h0`` is the spectral initial
+    state; it only matters when a source term is configured (beta != 0 with
+    mixing matrices), which only the descent schemes have."""
     kind, activation, tau, u = scheme.kind, scheme.activation, cfg.tau, sys.spectrum.u
     if kind == "perturbed_closed_form":
         require_closed_form_bank(sys)
         decay = np.exp(-_decay_rates(sys.spectrum, cfg.epsilon) * tau)
         step = Multiplier([(decay, None)])
-        return _linear_operator(step, perturbed_energy_form(sys, lam, cfg.epsilon))
+        return _linear_operator(step, perturbed_energy_form(sys, cfg.epsilon))
     if kind == "spectral_framelet":
         w, factors = cfg.shared_w(sys), filter_factors(sys, cfg)
         step = Multiplier([(factors[b], tau * w) for b in sys.bands])
         return _linear_operator(step, spectral_energy_form(sys, w, factors))
-    if a_hat is None:
-        raise ConfigError(f"scheme {kind!r} needs the normalized adjacency ahat")
     if kind in ("gradf_ufg", "activated"):
-        form = framelet_energy_form(sys, a_hat, cfg, h0 if cfg.has_source else None)
+        form = framelet_energy_form(sys, cfg, h0 if cfg.has_source else None)
         g = form.per_frequency
         return SchemeOperator(
             lambda h, grad: _descend(h, grad, tau, activation, u),
             np.eye(g.shape[-1]) - tau * g,
             form,
         )
-    bands, resp = cfg.bands_for(sys), sys.responses
+    bands, resp, a_hat = cfg.bands_for(sys), sys.responses, 1.0 - sys.spectrum.eigenvalues
     if kind == "spatial_framelet":
         step = Multiplier([(tau * resp[b] ** 2 * a_hat, cfg.w[b]) for b in bands])
         eye = {b: np.eye(cfg.w[b].shape[0]) for b in bands}
-        energy = framelet_energy_form(sys, a_hat, replace(cfg, omega=eye, beta=0.0))
+        energy = framelet_energy_form(sys, replace(cfg, omega=eye, beta=0.0))
         return _linear_operator(step, energy)
     # ee: band b analyses through r_b (Ahat -+ eps), synthesis weights by r_b.
     # The energy is exact for the linearized form only; with a banded
@@ -259,7 +257,7 @@ def _scheme_operator(
     analysis = {b: resp[b] * (a_hat + shift[b]) for b in bands}
     linear = Multiplier([(resp[b] * analysis[b], cfg.w[b]) for b in bands])
     plain = replace(cfg, beta=0.0) if cfg.has_source else cfg
-    energy = framelet_energy_form(sys, a_hat, energy_enhanced_omega(sys, plain))
+    energy = framelet_energy_form(sys, energy_enhanced_omega(sys, plain))
     if activation == "identity":
         return _linear_operator(linear, energy)
     banded = [Multiplier([(analysis[b], cfg.w[b])]) for b in bands]
@@ -290,44 +288,39 @@ def _modes(one_step: np.ndarray, vectors: bool = True):
     return np.linalg.eigvalsh(one_step), np.linalg.eigh(one_step)[1] if vectors else None
 
 
-def scheme_gains(
-    scheme: Scheme, sys: FrameletSystem, ahat: Optional[np.ndarray], cfg: WeightConfig
-) -> Optional[np.ndarray]:
-    """Per-eigenvalue gain rho(M_i) of one step of ``scheme``'s linear part,
-    the numbers :func:`run_flow` records as ``FlowTrace.gains``; None for a
-    per-vertex theta.  ``ahat`` may be None for the spectral and closed-form
-    schemes, which do not read it."""
-    a_hat = None if ahat is None else adjacency_values(sys, ahat)
+def scheme_gains(scheme: Scheme, sys: FrameletSystem, cfg: WeightConfig) -> Optional[np.ndarray]:
+    """Per-eigenvalue gain rho(M_i) of one step of ``scheme``'s linear part
+    on ``sys``, the numbers :func:`run_flow` records as ``FlowTrace.gains``;
+    None for a per-vertex theta."""
     linear = replace(cfg, beta=0.0)  # a source term is constant
-    m = _scheme_operator(scheme, sys, a_hat, sys.spectrum.eigenvalues, linear, None).one_step
+    m = _scheme_operator(scheme, sys, linear, None).one_step
     return None if m is None else np.max(np.abs(_modes(m, vectors=False)[0]), axis=1)
 
 
-def _vertex_step(kind, activation, sys, ahat, signal, initial, cfg: WeightConfig):
+def _vertex_step(kind, activation, sys, signal, initial, cfg: WeightConfig):
     """One step of ``kind`` on a vertex-domain signal: U^T step(U H)."""
     h, was_vector = to_spectral(sys, signal)
     h0 = _spectral_initial(sys, initial, h) if cfg.has_source else None
-    a_hat = None if ahat is None else adjacency_values(sys, ahat)
-    op = _scheme_operator(Scheme(kind, activation), sys, a_hat, sys.spectrum.eigenvalues, cfg, h0)
+    op = _scheme_operator(Scheme(kind, activation), sys, cfg, h0)
     return to_vertex(sys, op.step(h, op.energy.apply(h)), was_vector)
 
 
-def step_spatial_framelet(sys: FrameletSystem, ahat: np.ndarray, signal, cfg: WeightConfig):
+def step_spatial_framelet(sys: FrameletSystem, signal, cfg: WeightConfig):
     """One band-wise convolution step tau * sum_b W_b^T Ahat W_b H W_b.
 
     With a shared weight matrix on a tight system this collapses to the
     plain one-hop propagation Ahat H W.
     """
-    return _vertex_step("spatial_framelet", "identity", sys, ahat, signal, None, cfg)
+    return _vertex_step("spatial_framelet", "identity", sys, signal, None, cfg)
 
 
-def step_gradf_ufg(sys: FrameletSystem, ahat: np.ndarray, signal, initial, cfg: WeightConfig):
+def step_gradf_ufg(sys: FrameletSystem, signal, initial, cfg: WeightConfig):
     """One explicit-Euler step down the total framelet energy gradient.
 
     ``initial`` is the flow's captured starting state; it only matters when
     a source term is configured (beta != 0 with mixing matrices).
     """
-    return step_activated(sys, ahat, signal, initial, cfg, "identity")
+    return step_activated(sys, signal, initial, cfg, "identity")
 
 
 def energy_enhanced_omega(sys: FrameletSystem, cfg: WeightConfig) -> WeightConfig:
@@ -345,13 +338,7 @@ def energy_enhanced_omega(sys: FrameletSystem, cfg: WeightConfig) -> WeightConfi
     return replace(cfg, omega=omega)
 
 
-def step_ee_ufg(
-    sys: FrameletSystem,
-    ahat: np.ndarray,
-    signal,
-    cfg: WeightConfig,
-    activation: str = "identity",
-):
+def step_ee_ufg(sys: FrameletSystem, signal, cfg: WeightConfig, activation: str = "identity"):
     """One energy-enhanced convolution step: the low-pass band propagates
     through Ahat - eps I, every high-pass band through Ahat + eps I.
 
@@ -360,24 +347,22 @@ def step_ee_ufg(
     energy; the banded nonlinear variant is offered without any claimed
     energy identity.
     """
-    return _vertex_step("ee_ufg", activation, sys, ahat, signal, None, cfg)
+    return _vertex_step("ee_ufg", activation, sys, signal, None, cfg)
 
 
 def step_spectral_framelet(sys: FrameletSystem, signal, cfg: WeightConfig):
     """One spectral filtering step tau * sum_b W_b^T diag(theta_b) W_b H W."""
-    return _vertex_step("spectral_framelet", "identity", sys, None, signal, None, cfg)
+    return _vertex_step("spectral_framelet", "identity", sys, signal, None, cfg)
 
 
-def step_activated(
-    sys: FrameletSystem, ahat: np.ndarray, signal, initial, cfg: WeightConfig, activation: str
-):
+def step_activated(sys: FrameletSystem, signal, initial, cfg: WeightConfig, activation: str):
     """One activated descent step H + tau * act(-grad).
 
     With the identity activation this is step_gradf_ufg, bit for bit: both
     run this code.  Any activation with x*act(x) >= 0 keeps the energy
     non-increasing for small enough tau.
     """
-    return _vertex_step("activated", activation, sys, ahat, signal, initial, cfg)
+    return _vertex_step("activated", activation, sys, signal, initial, cfg)
 
 
 def _decay_rates(spectrum: Spectrum, epsilon: float) -> np.ndarray:
@@ -492,28 +477,20 @@ def _stepped_blocks(scheme: Scheme, op: SchemeOperator, lam, state, max_steps):
 
 
 def run_flow(
-    scheme: Scheme,
-    sys: FrameletSystem,
-    ahat: Optional[np.ndarray],
-    lap: np.ndarray,
-    initial,
-    cfg: WeightConfig,
-    stop: StopRule,
+    scheme: Scheme, sys: FrameletSystem, initial, cfg: WeightConfig, stop: StopRule
 ) -> FlowTrace:
-    """Iterate ``scheme`` from ``initial`` and record a FlowTrace.
+    """Iterate ``scheme`` on ``sys`` from ``initial`` and record a FlowTrace.
 
     Stops at the plateau rule or max_steps, whichever comes first.  Without
     renormalization the state norm is guarded against overflow (abort at
     1e150).  A linear scheme (identity activation, no source) advances BLOCK
     steps per product; the closed form's norm column is ||H(k tau)||.  Other
-    schemes step and record BLOCK rows at a time.  Ahat and Lhat are each
-    checked once; ``gains`` holds rho(M_i) per eigenvalue.
+    schemes step and record BLOCK rows at a time.  Every operator is read off
+    the system's eigenvalues; ``gains`` holds rho(M_i) per eigenvalue.
     """
     x0, _ = _as_columns(initial, sys.n)
-    h0 = sys.spectrum.u @ x0
-    lam = laplacian_values(sys, lap)
-    a_hat = None if ahat is None else adjacency_values(sys, ahat)
-    op = _scheme_operator(scheme, sys, a_hat, lam, cfg, h0)
+    h0, lam = sys.spectrum.u @ x0, sys.spectrum.eigenvalues
+    op = _scheme_operator(scheme, sys, cfg, h0)
     dirichlet = Multiplier([(lam, None)])
 
     norm0 = float(np.linalg.norm(x0))

@@ -58,7 +58,6 @@ __all__ = [
 ]
 
 WEIGHT_SYMMETRY_TOL = 1e-12
-OPERATOR_PROBE_TOL = 1e-8
 
 
 def _require_symmetric(name: str, m: np.ndarray) -> np.ndarray:
@@ -201,28 +200,6 @@ def _check_operator(name: str, op: np.ndarray, n: int) -> np.ndarray:
     return op
 
 
-def _operator_values(sys: FrameletSystem, name: str, op, values: np.ndarray) -> np.ndarray:
-    """``values`` (at most 2 in magnitude) after checking that op equals
-    U^T diag(values) U, on one probe vector with distinct spectral
-    coordinates.  Callers then use ``values`` alone, never ``op``."""
-    op, u = _check_operator(name, op, sys.n), sys.spectrum.u
-    probe = np.arange(1.0, sys.n + 1.0)
-    residual = float(np.max(np.abs(op @ (probe @ u) - (values * probe) @ u)))
-    if residual > OPERATOR_PROBE_TOL * sys.n:
-        raise DimensionMismatchError(f"{name} is not diagonal in the system's eigenbasis")
-    return values
-
-
-def adjacency_values(sys: FrameletSystem, ahat) -> np.ndarray:
-    """Per-frequency values 1 - lam of Ahat = I - Lhat, checked against ``ahat``."""
-    return _operator_values(sys, "ahat", ahat, 1.0 - sys.spectrum.eigenvalues)
-
-
-def laplacian_values(sys: FrameletSystem, lap) -> np.ndarray:
-    """Per-frequency values lam of Lhat, checked against ``lap``."""
-    return _operator_values(sys, "laplacian", lap, sys.spectrum.eigenvalues)
-
-
 def to_spectral(sys: FrameletSystem, signal):
     """(U H as an (n, c) matrix, whether the signal arrived 1-D)."""
     x, was_vector = _as_columns(signal, sys.n)
@@ -241,17 +218,16 @@ def dirichlet_energy(lap: np.ndarray, signal) -> float:
     return 0.5 * float(np.sum(x * (lap @ x)))
 
 
-def framelet_dirichlet_energies(
-    sys: FrameletSystem, lap: np.ndarray, signal
-) -> Tuple[Dict[Band, float], float]:
+def framelet_dirichlet_energies(sys: FrameletSystem, signal) -> Tuple[Dict[Band, float], float]:
     """Per-band Dirichlet energies of the framelet coefficients and their sum.
 
-    On a tight system the sum reproduces dirichlet_energy(lap, signal); the
-    identity has no meaning for non-tight variants, which are rejected.
+    On a tight system the sum reproduces dirichlet_energy(Lhat, signal) for
+    the system's Lhat; the identity has no meaning for non-tight variants,
+    which are rejected.
     """
     sys.require_tight("band-wise Dirichlet energy conservation")
     h, _ = to_spectral(sys, signal)
-    lam = laplacian_values(sys, lap)
+    lam = sys.spectrum.eigenvalues
     per_band = {
         b: Multiplier([(sys.responses[b] ** 2 * lam, None)]).quadratic(h) for b in sys.bands
     }
@@ -300,50 +276,34 @@ def source_spectral(sys: FrameletSystem, h0, cfg: WeightConfig) -> np.ndarray:
 
 
 def framelet_energy_form(
-    sys: FrameletSystem, a_hat: np.ndarray, cfg: WeightConfig, h0: Optional[np.ndarray] = None
+    sys: FrameletSystem, cfg: WeightConfig, h0: Optional[np.ndarray] = None
 ) -> Multiplier:
     """Gradient of the total framelet energy on spectral coordinates, with
     a_hat = 1 - lam: sum_b diag(r_b^2) . Omega_b - diag(r_b^2 a_hat) . W_b,
     minus the source built from the spectral initial state ``h0`` if configured."""
-    terms = []
+    a_hat, terms = 1.0 - sys.spectrum.eigenvalues, []
     for band in cfg.bands_for(sys):
         r2 = sys.responses[band] ** 2
         terms += [(r2, cfg.omega[band]), (-r2 * a_hat, cfg.w[band])]
     return Multiplier(terms, source_spectral(sys, h0, cfg) if cfg.has_source else None)
 
 
-def total_framelet_energy(
-    sys: FrameletSystem,
-    ahat: np.ndarray,
-    signal,
-    cfg: WeightConfig,
-    initial=None,
-) -> float:
+def total_framelet_energy(sys: FrameletSystem, signal, cfg: WeightConfig, initial=None) -> float:
     """Sum of per-band generalized energies (minus the source term if configured).
 
     With cfg = shared(Omega, W) on a tight system this collapses to
-    generalized_energy(ahat, signal, Omega, W).
+    generalized_energy(Ahat, signal, Omega, W) for the system's Ahat.
     """
     h, _ = to_spectral(sys, signal)
-    form = framelet_energy_form(
-        sys, adjacency_values(sys, ahat), cfg, _spectral_initial(sys, initial, h)
-    )
+    form = framelet_energy_form(sys, cfg, _spectral_initial(sys, initial, h))
     return form.quadratic(h)
 
 
-def total_framelet_energy_gradient(
-    sys: FrameletSystem,
-    ahat: np.ndarray,
-    signal,
-    cfg: WeightConfig,
-    initial=None,
-):
+def total_framelet_energy_gradient(sys: FrameletSystem, signal, cfg: WeightConfig, initial=None):
     """Analytic gradient sum_b (W_b^T W_b H Omega_b - W_b^T Ahat W_b H W_b)
     minus beta * sum_b W_b^T H0 Wt_b when a source is configured."""
     h, was_vector = to_spectral(sys, signal)
-    form = framelet_energy_form(
-        sys, adjacency_values(sys, ahat), cfg, _spectral_initial(sys, initial, h)
-    )
+    form = framelet_energy_form(sys, cfg, _spectral_initial(sys, initial, h))
     return to_vertex(sys, form.apply(h), was_vector)
 
 
@@ -363,15 +323,16 @@ def source_energy_gradient(sys: FrameletSystem, initial, cfg: WeightConfig) -> n
     return to_vertex(sys, source_spectral(sys, h0, cfg), was_vector)
 
 
-def perturbed_energy_form(sys: FrameletSystem, lam: np.ndarray, epsilon: float) -> Multiplier:
+def perturbed_energy_form(sys: FrameletSystem, epsilon: float) -> Multiplier:
     """Gradient of the perturbed energy: sum_b diag(r_b^2 (lam + s_b)), with
     s_b = +eps on the low-pass band and -eps on every high-pass band."""
     sys.require_tight("the perturbed energy")
     shift = {b: -epsilon for b in sys.bands} | {sys.low_pass: epsilon}
+    lam = sys.spectrum.eigenvalues
     return Multiplier([(sys.responses[b] ** 2 * (lam + shift[b]), None) for b in sys.bands])
 
 
-def perturbed_energy(sys: FrameletSystem, lap: np.ndarray, signal, epsilon: float) -> float:
+def perturbed_energy(sys: FrameletSystem, signal, epsilon: float) -> float:
     """Band-shifted Dirichlet energy: (Lhat + eps I) on the low-pass band,
     (Lhat - eps I) on every high-pass band.
 
@@ -379,14 +340,14 @@ def perturbed_energy(sys: FrameletSystem, lap: np.ndarray, signal, epsilon: floa
     (eps/2) * sum_i gap(lam_i) * (spectral mass of the signal at lam_i); the
     gap is nonnegative on [0, 2], so eps > 0 enhances the energy.
     """
-    form = perturbed_energy_form(sys, laplacian_values(sys, lap), epsilon)
+    form = perturbed_energy_form(sys, epsilon)
     return form.quadratic(to_spectral(sys, signal)[0])
 
 
-def perturbed_energy_gradient(sys: FrameletSystem, lap: np.ndarray, signal, epsilon: float):
+def perturbed_energy_gradient(sys: FrameletSystem, signal, epsilon: float):
     """Gradient W0^T (Lhat + eps I) W0 H + sum_high W^T (Lhat - eps I) W H."""
     h, was_vector = to_spectral(sys, signal)
-    form = perturbed_energy_form(sys, laplacian_values(sys, lap), epsilon)
+    form = perturbed_energy_form(sys, epsilon)
     return to_vertex(sys, form.apply(h), was_vector)
 
 

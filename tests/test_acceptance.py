@@ -63,7 +63,7 @@ def run_scalar(lambda_w: float, scales: int, max_steps: int = 50_000, self_loops
     cfg = ff.WeightConfig.scalar(scales, lambda_w, h0.shape[1], tau=1.0)
     trace = ff.run_flow(
         ff.Scheme("spatial_framelet", renormalize=True),
-        sys, ahat, lap, h0, cfg, ff.StopRule(max_steps=max_steps),
+        sys, h0, cfg, ff.StopRule(max_steps=max_steps),
     )
     return trace, spec
 
@@ -115,7 +115,7 @@ def test_c02_band_energy_conservation():
         reference = ff.dirichlet_energy(lap, h)
         for scales in (1, 2):
             sys = ff.build_framelet_system(spectrum, scales)
-            _, total = ff.framelet_dirichlet_energies(sys, lap, h)
+            _, total = ff.framelet_dirichlet_energies(sys, h)
             assert abs(total - reference) <= 1e-8 * max(1.0, reference)
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
@@ -139,7 +139,7 @@ def test_c03_shared_weight_reduction_and_dirichlet_special_case():
             sys = ff.build_framelet_system(spectrum, scales)
             omega, w = random_symmetric(rng, c), random_symmetric(rng, c)
             total = ff.total_framelet_energy(
-                sys, ahat, h, ff.WeightConfig.shared(scales, omega, w)
+                sys, h, ff.WeightConfig.shared(scales, omega, w)
             )
             plain = ff.generalized_energy(ahat, h, omega, w)
             assert abs(total - plain) <= 1e-8 * max(1.0, abs(plain))
@@ -177,9 +177,9 @@ def test_c04_gradient_finite_difference_checks():
             w={b: random_symmetric(rng, c) for b in sys.bands},
         )
         close(
-            ff.total_framelet_energy_gradient(sys, ahat, h, base),
+            ff.total_framelet_energy_gradient(sys, h, base),
             central_diff_gradient(
-                lambda x: ff.total_framelet_energy(sys, ahat, x, base), h, h_step
+                lambda x: ff.total_framelet_energy(sys, x, base), h, h_step
             ),
         )
         sourced = ff.WeightConfig(
@@ -189,9 +189,9 @@ def test_c04_gradient_finite_difference_checks():
             beta=float(rng.uniform(0.2, 2.0)),
         )
         close(
-            ff.total_framelet_energy_gradient(sys, ahat, h, sourced, initial=h0),
+            ff.total_framelet_energy_gradient(sys, h, sourced, initial=h0),
             central_diff_gradient(
-                lambda x: ff.total_framelet_energy(sys, ahat, x, sourced, initial=h0),
+                lambda x: ff.total_framelet_energy(sys, x, sourced, initial=h0),
                 h, h_step,
             ),
         )
@@ -207,9 +207,9 @@ def test_c04_gradient_finite_difference_checks():
         )
         eps = float(rng.uniform(0.1, 2.0))
         close(
-            ff.perturbed_energy_gradient(sys, lap, h, eps),
+            ff.perturbed_energy_gradient(sys, h, eps),
             central_diff_gradient(
-                lambda x: ff.perturbed_energy(sys, lap, x, eps), h, h_step
+                lambda x: ff.perturbed_energy(sys, x, eps), h, h_step
             ),
         )
     report(4, "20 instances x 4 energies, relative error <= 1e-5")
@@ -234,20 +234,20 @@ def test_c05_exact_scheme_equivalences():
         eye = {b: np.eye(c) for b in sys.bands}
 
         conv_cfg = ff.WeightConfig(omega=eye, w=w, tau=1.0)
-        gap = ff.step_gradf_ufg(sys, ahat, h, None, conv_cfg) - ff.step_spatial_framelet(
-            sys, ahat, h, conv_cfg
+        gap = ff.step_gradf_ufg(sys, h, None, conv_cfg) - ff.step_spatial_framelet(
+            sys, h, conv_cfg
         )
         assert np.linalg.norm(gap) <= 1e-12 * scale
 
         ee_cfg = ff.WeightConfig(omega=eye, w=w, epsilon=float(rng.uniform(0.1, 1.0)), tau=1.0)
-        gap = ff.step_ee_ufg(sys, ahat, h, ee_cfg) - ff.step_gradf_ufg(
-            sys, ahat, h, None, ff.energy_enhanced_omega(sys, ee_cfg)
+        gap = ff.step_ee_ufg(sys, h, ee_cfg) - ff.step_gradf_ufg(
+            sys, h, None, ff.energy_enhanced_omega(sys, ee_cfg)
         )
         assert np.linalg.norm(gap) <= 1e-12 * scale
 
         shared_w = random_symmetric(rng, c)
         shared_cfg = ff.WeightConfig.shared(scales, np.eye(c), shared_w, tau=1.0)
-        gap = ff.step_spatial_framelet(sys, ahat, h, shared_cfg) - ahat @ h @ shared_w
+        gap = ff.step_spatial_framelet(sys, h, shared_cfg) - ahat @ h @ shared_w
         assert np.linalg.norm(gap) <= 1e-10 * scale
     report(5, "descent/convolution identities <= 1e-12, one-hop collapse <= 1e-10")
 
@@ -386,7 +386,7 @@ def test_c07_spectral_filter_dominance():
         cfg = ff.WeightConfig.shared(1, np.eye(2), np.eye(2), theta=theta_map, tau=1.0)
         trace = ff.run_flow(
             ff.Scheme("spectral_framelet", renormalize=True),
-            sys, ahat, lap, h0, cfg, ff.StopRule(max_steps=50_000),
+            sys, h0, cfg, ff.StopRule(max_steps=50_000),
         )
         pred = predict(trace, spec)
         outcomes[theta] = (pred, ff.classify_dominance(trace, spec, prediction=pred))
@@ -505,10 +505,10 @@ def test_c09_activated_descent_bound():
         c_m = float(np.max(np.abs(np.linalg.eigvalsh(assemble_quadratic_operator(sys, ahat, cfg)))))
         for activation in ("relu", "tanh"):
             state = h0
-            energy = ff.total_framelet_energy(sys, ahat, state, cfg)
+            energy = ff.total_framelet_energy(sys, state, cfg)
             for _ in range(steps):
-                nxt = ff.step_activated(sys, ahat, state, None, cfg, activation)
-                nxt_energy = ff.total_framelet_energy(sys, ahat, nxt, cfg)
+                nxt = ff.step_activated(sys, state, None, cfg, activation)
+                nxt_energy = ff.total_framelet_energy(sys, nxt, cfg)
                 gap = float(np.linalg.norm(nxt - state)) ** 2
                 assert nxt_energy <= energy + c_m * gap + 1e-12
                 state, energy = nxt, nxt_energy
@@ -521,10 +521,10 @@ def test_c09_activated_descent_monotone_small_step():
         cfg = ff.WeightConfig(**cfg_mats, tau=1e-4)
         for activation in ("relu", "tanh"):
             state = h0
-            energy = ff.total_framelet_energy(sys, ahat, state, cfg)
+            energy = ff.total_framelet_energy(sys, state, cfg)
             for _ in range(steps):
-                state = ff.step_activated(sys, ahat, state, None, cfg, activation)
-                nxt_energy = ff.total_framelet_energy(sys, ahat, state, cfg)
+                state = ff.step_activated(sys, state, None, cfg, activation)
+                nxt_energy = ff.total_framelet_energy(sys, state, cfg)
                 assert nxt_energy <= energy + 1e-9
                 energy = nxt_energy
     report(9, "energy non-increasing within 1e-9 slack per step at tau = 1e-4")
@@ -562,20 +562,20 @@ def test_c11_vectorized_oracle_equivalence():
     w = {b: random_symmetric(rng, c) for b in sys.bands}
 
     cfg = ff.WeightConfig(omega=omega, w=w, tau=0.6)
-    out = ff.step_spatial_framelet(sys, ahat, h, cfg)
+    out = ff.step_spatial_framelet(sys, h, cfg)
     assert np.linalg.norm(vec(out) - spatial_step_operator(sys, ahat, cfg) @ vec(h)) <= tol
 
     grad_op = 2.0 * assemble_quadratic_operator(sys, ahat, cfg)
-    out = ff.step_gradf_ufg(sys, ahat, h, None, cfg)
+    out = ff.step_gradf_ufg(sys, h, None, cfg)
     assert np.linalg.norm(vec(out) - (vec(h) - cfg.tau * grad_op @ vec(h))) <= tol
 
-    out = ff.step_activated(sys, ahat, h, None, cfg, "relu")
+    out = ff.step_activated(sys, h, None, cfg, "relu")
     oracle = vec(h) + cfg.tau * np.maximum(-(grad_op @ vec(h)), 0.0)
     assert np.linalg.norm(vec(out) - oracle) <= tol
 
     ee_cfg = ff.WeightConfig(omega=omega, w=w, epsilon=0.3, tau=1.0)
     shifted = ff.energy_enhanced_omega(sys, ee_cfg)
-    out = ff.step_ee_ufg(sys, ahat, h, ee_cfg)
+    out = ff.step_ee_ufg(sys, h, ee_cfg)
     oracle = vec(h) - 2.0 * assemble_quadratic_operator(sys, ahat, shifted) @ vec(h)
     assert np.linalg.norm(vec(out) - oracle) <= tol
 

@@ -55,7 +55,7 @@ def scalar_gains(spec, ahat, kind, lambda_w=1.0, scales=1, variant="tight", thet
         b: np.full(spec.n, 1.0 if b[0] == 0 else theta) for b in sys.bands
     }
     cfg = ff.WeightConfig.scalar(scales, lambda_w, 1, theta=thetas, **knobs)
-    return ff.scheme_gains(ff.Scheme(kind), sys, ahat, cfg)
+    return ff.scheme_gains(ff.Scheme(kind), sys, cfg)
 
 
 def gains_at(lams, kind, **kwargs):
@@ -238,10 +238,10 @@ def test_random_weight_matrices_predict_the_measured_class(seed, kind, mode, gra
             tau=tau,
         )
     trace = ff.run_flow(
-        ff.Scheme(kind, renormalize=True), sys, ahat, lap, rng.standard_normal((g.n, 3)), cfg,
+        ff.Scheme(kind, renormalize=True), sys, rng.standard_normal((g.n, 3)), cfg,
         ff.StopRule(max_steps=3000),
     )
-    np.testing.assert_array_equal(trace.gains, ff.scheme_gains(ff.Scheme(kind), sys, ahat, cfg))
+    np.testing.assert_array_equal(trace.gains, ff.scheme_gains(ff.Scheme(kind), sys, cfg))
     pred = ff.dominant_frequency(spec, trace.gains)
     assume(pred.margin > 0.05)
     event(pred.dominance)
@@ -294,7 +294,7 @@ def run_scalar_flow(lambda_w, scales=1, steps=50000, self_loops=False, channels=
     h0 = np.random.default_rng(11).standard_normal((6, channels))
     cfg = ff.WeightConfig.scalar(scales, lambda_w, channels, tau=1.0)
     trace = ff.run_flow(
-        ff.Scheme("spatial_framelet", renormalize=True), sys, ahat, lap, h0, cfg,
+        ff.Scheme("spatial_framelet", renormalize=True), sys, h0, cfg,
         ff.StopRule(max_steps=steps),
     )
     return trace, spec
@@ -321,7 +321,7 @@ def test_classification_requires_renormalized_trace():
     sys = ff.build_framelet_system(spec, 1)
     cfg = ff.WeightConfig.scalar(1, 0.5, 1)
     trace = ff.run_flow(
-        ff.Scheme("spatial_framelet", renormalize=False), sys, ahat, lap,
+        ff.Scheme("spatial_framelet", renormalize=False), sys,
         np.ones((6, 1)), cfg, ff.StopRule(max_steps=5),
     )
     with pytest.raises(TraceNotNormalizedError):

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -612,34 +613,6 @@ def test_tie_reports_its_lowest_frequency(tmp_path, cfg):
     assert summary["verdict"]["dominant_lambda"] == lowest
 
 
-@pytest.mark.parametrize(
-    "scheme,extra",
-    [
-        ({"kind": "spatial_framelet"}, {}),
-        ({"kind": "gradf_ufg"}, {"tau": 0.05}),
-        ({"kind": "activated", "activation": "relu"}, {"tau": 0.05}),
-        ({"kind": "ee_ufg"}, {"epsilon": 0.2}),
-        ({"kind": "ee_ufg", "activation": "relu"}, {"epsilon": 0.2}),
-        ({"kind": "spectral_framelet"}, {"theta": 2.0}),
-        ({"kind": "perturbed_closed_form"}, {"epsilon": 0.5, "tau": 0.05}),
-    ],
-)
-def test_each_run_probes_each_operator_once(tmp_path, monkeypatch, scheme, extra):
-    probes = []
-    original = ff.energies._operator_values
-
-    def counted(sys, name, op, values):
-        probes.append(name)
-        return original(sys, name, op, values)
-
-    monkeypatch.setattr(ff.energies, "_operator_values", counted)
-    cfg = c6_config(lambda_w=1.0 if scheme["kind"] == "spectral_framelet" else 2.0,
-                    scales=2, steps=5, **extra)
-    cfg["scheme"] = scheme
-    cli.run_config(cfg, tmp_path)
-    assert sorted(probes) == ["ahat", "laplacian"]
-
-
 EYE2 = [[1.0, 0.0], [0.0, 1.0]]
 
 
@@ -894,3 +867,85 @@ def test_a_bad_swept_value_is_rejected_before_any_work(tmp_path, monkeypatch, pa
     with pytest.raises(error):
         cli.sweep_config(cfg, parameter, [1.0, value], tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["run"], ["sweep", "--parameter", "lambda_w", "--grid", "0.5,2.0,8.0,64.0"], ["energy"]],
+    ids=lambda command: command[0],
+)
+def test_each_command_reads_the_init_file_once(tmp_path, monkeypatch, command):
+    sig = tmp_path / "h.csv"
+    cli.write_signal_matrix(sig, np.arange(12, dtype=float).reshape(6, 2) + 1.0)
+    cfg = c6_config(lambda_w=0.5, steps=300)
+    cfg["init"] = {"mode": "file", "path": str(sig)}
+    path = write_config(tmp_path, cfg)
+    reads, read = [], cli.read_signal_matrix
+    monkeypatch.setattr(cli, "read_signal_matrix", lambda *a: reads.append(a) or read(*a))
+    argv = [command[0], "--config", str(path), "--out", str(tmp_path / "out"), *command[1:]]
+    assert cli.main(argv) == 0
+    assert len(reads) == 1
+
+
+def _run_with_signal_file(text: str):
+    def argv(tmp_path):
+        (tmp_path / "h.csv").write_text(text, encoding="utf-8")
+        cfg = c6_config(lambda_w=0.5, steps=300)
+        cfg["init"] = {"mode": "file", "path": str(tmp_path / "h.csv")}
+        return ["run", "--config", str(write_config(tmp_path, cfg))]
+    return argv
+
+
+def _classify_trace(text: Optional[str]):
+    """classify on a trace file holding ``text``; None: no file."""
+    def argv(tmp_path):
+        if text is not None:
+            (tmp_path / "trace.csv").write_text(text, encoding="utf-8")
+        return ["classify", "--config", str(write_config(tmp_path, c6_config())),
+                "--trace", str(tmp_path / "trace.csv")]
+    return argv
+
+
+def _config_file(text: Optional[str], *rest: str):
+    """``rest`` on a config file holding ``text``; None: no file."""
+    def argv(tmp_path):
+        if text is not None:
+            (tmp_path / "config.json").write_text(text, encoding="utf-8")
+        return [*rest[:1], "--config", str(tmp_path / "config.json"), *rest[1:]]
+    return argv
+
+
+TRACE_HEADER = "step,norm,dirichlet_normalized,total_energy,rayleigh\n"
+
+
+@pytest.mark.parametrize(
+    "argv,code,line",
+    [
+        (_run_with_signal_file("1,2\n" * 5 + "3,x\n"), 5, "error:"),
+        (_run_with_signal_file(""), 5, "error:"),
+        (_run_with_signal_file("1,2\n" * 5 + "3\n"), 5, "error:"),
+        (_run_with_signal_file("1,2\n3,4\n"), 8, "error:"),
+        (_run_with_signal_file("1,2\n\n" + "3,4\n" * 5), 0, None),
+        (_classify_trace(None), 5, "error:"),
+        (_classify_trace("time,value\n0,1.0\n"), 5, "error:"),
+        (_classify_trace(TRACE_HEADER + "0,1.0\n"), 5, "error:"),
+        (_classify_trace(TRACE_HEADER), 5, "error:"),
+        (_config_file(None, "run"), 2, "error:"),
+        (_config_file("{", "run"), 2, "error:"),
+        (_config_file(json.dumps(c6_config()), "sweep", "--parameter", "lambda_w", "--grid", "1,abc"),
+         2, "error:"),
+        (_config_file(json.dumps(c6_config(steps=300, scheme={"kind": "ee_ufg"})), "run"),
+         0, "warning: scheme ee_ufg with epsilon=0.0 <= 0"),
+    ],
+    ids=["init-non-numeric", "init-empty", "init-ragged", "init-two-rows", "init-blank-line",
+         "classify-missing", "classify-header", "classify-short-row", "classify-no-rows",
+         "config-missing", "config-invalid-json", "sweep-bad-grid", "ee-warning"],
+)
+def test_failure_paths_exit_with_their_code_and_one_line(tmp_path, capsys, argv, code, line):
+    assert cli.main([*argv(tmp_path), "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if line is None:
+        assert err == ""
+    else:
+        assert any(ln.startswith(line) for ln in err.splitlines()), err

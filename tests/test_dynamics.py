@@ -46,7 +46,7 @@ def test_spatial_step_shared_identity_is_one_hop(rng, scales):
     g, ahat, _, _, h = setting(rng, n=10, scales=scales)
     sys = build(g, scales)
     cfg = ff.WeightConfig.scalar(scales, 1.0, 3, tau=1.0)
-    out = ff.step_spatial_framelet(sys, ahat, h, cfg)
+    out = ff.step_spatial_framelet(sys, h, cfg)
     assert np.linalg.norm(out - ahat @ h) <= 1e-10 * max(1.0, np.linalg.norm(h))
 
 
@@ -54,7 +54,7 @@ def test_spatial_step_shared_weight_matrix(rng):
     g, ahat, _, sys, h = setting(rng, n=9, scales=1)
     w = random_symmetric(rng, 3)
     cfg = ff.WeightConfig.shared(1, np.eye(3), w, tau=1.0)
-    out = ff.step_spatial_framelet(sys, ahat, h, cfg)
+    out = ff.step_spatial_framelet(sys, h, cfg)
     assert np.linalg.norm(out - ahat @ h @ w) <= 1e-10 * max(1.0, np.linalg.norm(h))
 
 
@@ -62,14 +62,14 @@ def test_spatial_step_two_node_annihilates_alternating():
     g = ff.Graph.from_edges(2, [(0, 1)], self_loops=True)
     sys = build(g, 1)
     cfg = ff.WeightConfig.scalar(1, 1.0, 1, tau=1.0)
-    out = ff.step_spatial_framelet(sys, ff.normalized_adjacency(g), np.array([1.0, -1.0]), cfg)
+    out = ff.step_spatial_framelet(sys, np.array([1.0, -1.0]), cfg)
     np.testing.assert_allclose(out, [0.0, 0.0], atol=1e-12)
 
 
 def test_spatial_step_zero_signal(rng):
     _, ahat, _, sys, _ = setting(rng)
     cfg = ff.WeightConfig.scalar(2, 5.0, 2)
-    np.testing.assert_allclose(ff.step_spatial_framelet(sys, ahat, np.zeros((8, 2)), cfg), 0.0)
+    np.testing.assert_allclose(ff.step_spatial_framelet(sys, np.zeros((8, 2)), cfg), 0.0)
 
 
 def test_gradient_step_identity_omega_equals_spatial(rng):
@@ -77,21 +77,21 @@ def test_gradient_step_identity_omega_equals_spatial(rng):
     w = {b: random_symmetric(rng, 3) for b in sys.bands}
     eye = {b: np.eye(3) for b in sys.bands}
     cfg = ff.WeightConfig(omega=eye, w=w, tau=1.0)
-    left = ff.step_gradf_ufg(sys, ahat, h, None, cfg)
-    right = ff.step_spatial_framelet(sys, ahat, h, cfg)
+    left = ff.step_gradf_ufg(sys, h, None, cfg)
+    right = ff.step_spatial_framelet(sys, h, cfg)
     assert np.linalg.norm(left - right) <= EXACT_TOL * max(1.0, np.linalg.norm(h))
 
 
 def test_gradient_step_zero_tau_is_identity(rng):
     g, ahat, _, sys, h = setting(rng)
     cfg = ff.WeightConfig.shared(2, np.eye(3), random_symmetric(rng, 3), tau=0.0)
-    np.testing.assert_allclose(ff.step_gradf_ufg(sys, ahat, h, None, cfg), h)
+    np.testing.assert_allclose(ff.step_gradf_ufg(sys, h, None, cfg), h)
 
 
 def test_gradient_step_identity_weights_is_heat_step(rng):
     g, ahat, lap, sys, h = setting(rng, n=11)
     cfg = ff.WeightConfig.shared(2, np.eye(3), np.eye(3), tau=0.2)
-    out = ff.step_gradf_ufg(sys, ahat, h, None, cfg)
+    out = ff.step_gradf_ufg(sys, h, None, cfg)
     assert np.linalg.norm(out - (h - 0.2 * lap @ h)) <= 1e-9 * max(1.0, np.linalg.norm(h))
 
 
@@ -100,15 +100,15 @@ def test_energy_enhanced_step_matches_gradient_path(rng):
     w = {b: random_symmetric(rng, 3) for b in sys.bands}
     eye = {b: np.eye(3) for b in sys.bands}
     base = ff.WeightConfig(omega=eye, w=w, epsilon=0.37, tau=1.0)
-    left = ff.step_ee_ufg(sys, ahat, h, base)
-    right = ff.step_gradf_ufg(sys, ahat, h, None, ff.energy_enhanced_omega(sys, base))
+    left = ff.step_ee_ufg(sys, h, base)
+    right = ff.step_gradf_ufg(sys, h, None, ff.energy_enhanced_omega(sys, base))
     assert np.linalg.norm(left - right) <= EXACT_TOL * max(1.0, np.linalg.norm(h))
 
 
 def test_energy_enhanced_step_zero_epsilon_reduces_to_spatial(rng):
     g, ahat, _, sys, h = setting(rng, n=7, scales=1)
     cfg = ff.WeightConfig.scalar(1, 1.0, 3, epsilon=0.0, tau=1.0)
-    out = ff.step_ee_ufg(sys, ahat, h, cfg)
+    out = ff.step_ee_ufg(sys, h, cfg)
     assert np.linalg.norm(out - ahat @ h) <= 1e-10 * max(1.0, np.linalg.norm(h))
 
 
@@ -117,9 +117,9 @@ def test_energy_enhanced_banded_activation_variant(rng):
     # activation must reproduce the linear path, and relu keeps homogeneity
     g, ahat, _, sys, h = setting(rng, n=7, scales=2)
     cfg = ff.WeightConfig.shared(2, np.eye(3), random_symmetric(rng, 3), epsilon=0.3)
-    plain = ff.step_ee_ufg(sys, ahat, h, cfg)
-    assert np.array_equal(plain, ff.step_ee_ufg(sys, ahat, h, cfg, "identity"))
-    banded = lambda x: ff.step_ee_ufg(sys, ahat, x, cfg, "relu")
+    plain = ff.step_ee_ufg(sys, h, cfg)
+    assert np.array_equal(plain, ff.step_ee_ufg(sys, h, cfg, "identity"))
+    banded = lambda x: ff.step_ee_ufg(sys, x, cfg, "relu")
     assert not np.allclose(banded(h), plain)
     assert np.linalg.norm(banded(2.5 * h) - 2.5 * banded(h)) <= 1e-10
 
@@ -127,7 +127,7 @@ def test_energy_enhanced_banded_activation_variant(rng):
 def test_energy_enhanced_step_zero_signal(rng):
     _, ahat, _, sys, _ = setting(rng)
     cfg = ff.WeightConfig.shared(2, np.eye(2), np.eye(2), epsilon=0.5)
-    np.testing.assert_allclose(ff.step_ee_ufg(sys, ahat, np.zeros((8, 2)), cfg), 0.0)
+    np.testing.assert_allclose(ff.step_ee_ufg(sys, np.zeros((8, 2)), cfg), 0.0)
 
 
 def test_spectral_step_flat_filter_is_identity(rng):
@@ -165,8 +165,8 @@ def test_activated_identity_matches_gradient_step_bitwise(rng):
         w={b: random_symmetric(rng, 3) for b in sys.bands},
         tau=0.05,
     )
-    a = ff.step_activated(sys, ahat, h, None, cfg, "identity")
-    b = ff.step_gradf_ufg(sys, ahat, h, None, cfg)
+    a = ff.step_activated(sys, h, None, cfg, "identity")
+    b = ff.step_gradf_ufg(sys, h, None, cfg)
     assert np.array_equal(a, b)
 
 
@@ -175,7 +175,7 @@ def test_activated_relu_freezes_on_nonpositive_descent():
     sys = build(g, 1)
     cfg = ff.WeightConfig.shared(1, np.array([[2.0]]), np.array([[0.0]]), tau=0.1)
     h = np.array([[1.0]])
-    out = ff.step_activated(sys, ff.normalized_adjacency(g), h, None, cfg, "relu")
+    out = ff.step_activated(sys, h, None, cfg, "relu")
     np.testing.assert_allclose(out, h)
 
 
@@ -191,9 +191,9 @@ def test_activated_descent_bound_per_step(rng, activation):
     c_m = float(np.max(np.abs(np.linalg.eigvalsh(s))))
     state = h
     for _ in range(50):
-        before = ff.total_framelet_energy(sys, ahat, state, cfg)
-        after_state = ff.step_activated(sys, ahat, state, None, cfg, activation)
-        after = ff.total_framelet_energy(sys, ahat, after_state, cfg)
+        before = ff.total_framelet_energy(sys, state, cfg)
+        after_state = ff.step_activated(sys, state, None, cfg, activation)
+        after = ff.total_framelet_energy(sys, after_state, cfg)
         gap = float(np.linalg.norm(after_state - state)) ** 2
         assert after <= before + c_m * gap + 1e-12
         state = after_state
@@ -267,17 +267,17 @@ def test_steps_match_vectorized_forms(rng):
     shared_w = random_symmetric(rng, 3)
 
     cfg = ff.WeightConfig(omega=omega, w=w, tau=0.7)
-    out = ff.step_spatial_framelet(sys, ahat, h, cfg)
+    out = ff.step_spatial_framelet(sys, h, cfg)
     oracle = spatial_step_operator(sys, ahat, cfg) @ vec(h)
     assert np.linalg.norm(vec(out) - oracle) <= tol
 
     grad_op = 2.0 * assemble_quadratic_operator(sys, ahat, cfg)
-    out = ff.step_gradf_ufg(sys, ahat, h, None, cfg)
+    out = ff.step_gradf_ufg(sys, h, None, cfg)
     oracle = vec(h) - cfg.tau * (grad_op @ vec(h))
     assert np.linalg.norm(vec(out) - oracle) <= tol
 
     ee_cfg = ff.WeightConfig(omega=omega, w=w, epsilon=0.4, tau=1.0)
-    out = ff.step_ee_ufg(sys, ahat, h, ee_cfg)
+    out = ff.step_ee_ufg(sys, h, ee_cfg)
     shifted = ff.energy_enhanced_omega(sys, ee_cfg)
     oracle = vec(h) - 2.0 * assemble_quadratic_operator(sys, ahat, shifted) @ vec(h)
     assert np.linalg.norm(vec(out) - oracle) <= tol
@@ -303,16 +303,16 @@ def test_spectral_core_matches_kronecker_oracles(rng, scales, variant):
     cfg = ff.WeightConfig(omega=omega, w=w, epsilon=0.4, tau=0.7)
     quad = assemble_quadratic_operator(sys, ahat, cfg)
 
-    energy = ff.total_framelet_energy(sys, ahat, h, cfg)
+    energy = ff.total_framelet_energy(sys, h, cfg)
     assert abs(energy - float(vec(h) @ quad @ vec(h))) <= tol
-    grad = ff.total_framelet_energy_gradient(sys, ahat, h, cfg)
+    grad = ff.total_framelet_energy_gradient(sys, h, cfg)
     assert np.linalg.norm(vec(grad) - 2.0 * quad @ vec(h)) <= tol
 
-    out = ff.step_spatial_framelet(sys, ahat, h, cfg)
+    out = ff.step_spatial_framelet(sys, h, cfg)
     assert np.linalg.norm(vec(out) - spatial_step_operator(sys, ahat, cfg) @ vec(h)) <= tol
-    out = ff.step_gradf_ufg(sys, ahat, h, None, cfg)
+    out = ff.step_gradf_ufg(sys, h, None, cfg)
     assert np.linalg.norm(vec(out) - (vec(h) - cfg.tau * 2.0 * quad @ vec(h))) <= tol
-    out = ff.step_activated(sys, ahat, h, None, cfg, "relu")
+    out = ff.step_activated(sys, h, None, cfg, "relu")
     oracle = vec(h) + cfg.tau * np.maximum(-2.0 * quad @ vec(h), 0.0)
     assert np.linalg.norm(vec(out) - oracle) <= tol
 
@@ -321,7 +321,7 @@ def test_spectral_core_matches_kronecker_oracles(rng, scales, variant):
     ee_op = sum(
         np.kron(w[b].T, sys.transforms[b].T @ shifted[b] @ sys.transforms[b]) for b in sys.bands
     )
-    out = ff.step_ee_ufg(sys, ahat, h, cfg)
+    out = ff.step_ee_ufg(sys, h, cfg)
     assert np.linalg.norm(vec(out) - ee_op @ vec(h)) <= tol
 
     # a constant theta per band is a frequency function, a per-vertex one is not
@@ -362,19 +362,18 @@ def test_one_step_matrices_pool_to_the_kronecker_spectrum(rng, scales, variant):
         )),
         "spectral_framelet": (sp_cfg, spectral_step_operator(sys, sp_cfg)),
     }
-    a_hat, lam = energies.adjacency_values(sys, ahat), sys.spectrum.eigenvalues
     for kind, (kcfg, oracle) in kronecker.items():
-        m = dynamics._scheme_operator(ff.Scheme(kind), sys, a_hat, lam, kcfg, None).one_step
+        m = dynamics._scheme_operator(ff.Scheme(kind), sys, kcfg, None).one_step
         assert m.shape == (n, c, c)
         pooled = np.linalg.eigvalsh(m)
         np.testing.assert_allclose(
             np.sort(pooled.ravel()), np.linalg.eigvalsh(oracle), atol=1e-10, err_msg=kind
         )
-        gains = ff.scheme_gains(ff.Scheme(kind), sys, ahat, kcfg)
+        gains = ff.scheme_gains(ff.Scheme(kind), sys, kcfg)
         np.testing.assert_array_equal(gains, np.max(np.abs(pooled), axis=1))
     # the banded activation predicts from the same linear part
-    relu = ff.scheme_gains(ff.Scheme("ee_ufg", "relu"), sys, ahat, cfg)
-    np.testing.assert_array_equal(relu, ff.scheme_gains(ff.Scheme("ee_ufg"), sys, ahat, cfg))
+    relu = ff.scheme_gains(ff.Scheme("ee_ufg", "relu"), sys, cfg)
+    np.testing.assert_array_equal(relu, ff.scheme_gains(ff.Scheme("ee_ufg"), sys, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +394,7 @@ def test_run_flow_single_step_has_two_rows():
     _, ahat, lap, _, sys, h0 = c6_pieces()
     cfg = ff.WeightConfig.scalar(1, 1.0, 2)
     trace = ff.run_flow(
-        ff.Scheme("spatial_framelet", renormalize=True), sys, ahat, lap, h0, cfg,
+        ff.Scheme("spatial_framelet", renormalize=True), sys, h0, cfg,
         ff.StopRule(max_steps=1),
     )
     assert list(trace.steps) == [0, 1]
@@ -410,7 +409,7 @@ def test_run_flow_gcn_reduction_smooths():
     sys = ff.build_framelet_system(spec, 1)
     cfg = ff.WeightConfig.scalar(1, 1.0, 2)
     trace = ff.run_flow(
-        ff.Scheme("spatial_framelet", renormalize=True), sys, ahat, lap, h0, cfg,
+        ff.Scheme("spatial_framelet", renormalize=True), sys, h0, cfg,
         ff.StopRule(max_steps=20000),
     )
     verdict = ff.classify_dominance(trace, spec)
@@ -422,7 +421,7 @@ def test_run_flow_trace_rows_stay_in_range():
     _, ahat, lap, spec, sys, h0 = c6_pieces()
     cfg = ff.WeightConfig.scalar(1, 3.0, 2)
     trace = ff.run_flow(
-        ff.Scheme("spatial_framelet", renormalize=True), sys, ahat, lap, h0, cfg,
+        ff.Scheme("spatial_framelet", renormalize=True), sys, h0, cfg,
         ff.StopRule(max_steps=300),
     )
     upper = spec.rho_l / 2.0 + 1e-9
@@ -435,7 +434,7 @@ def test_run_flow_overflow_guard():
     cfg = ff.WeightConfig.scalar(1, 1e8, 2, tau=1e6)
     with pytest.raises(NumericOverflowError):
         ff.run_flow(
-            ff.Scheme("spatial_framelet", renormalize=False), sys, ahat, lap, h0, cfg,
+            ff.Scheme("spatial_framelet", renormalize=False), sys, h0, cfg,
             ff.StopRule(max_steps=100000, plateau_tol=0.0),
         )
 
@@ -452,11 +451,11 @@ def test_linear_schemes_positively_homogeneous(rng):
     spectral_cfg = ff.WeightConfig.shared(1, np.eye(3), random_symmetric(rng, 3), theta=theta)
     alpha = 3.7
     for step in (
-        lambda x: ff.step_spatial_framelet(sys, ahat, x, cfg),
-        lambda x: ff.step_gradf_ufg(sys, ahat, x, None, cfg),
-        lambda x: ff.step_ee_ufg(sys, ahat, x, cfg),
+        lambda x: ff.step_spatial_framelet(sys, x, cfg),
+        lambda x: ff.step_gradf_ufg(sys, x, None, cfg),
+        lambda x: ff.step_ee_ufg(sys, x, cfg),
         lambda x: ff.step_spectral_framelet(sys, x, spectral_cfg),
-        lambda x: ff.step_activated(sys, ahat, x, None, cfg, "relu"),
+        lambda x: ff.step_activated(sys, x, None, cfg, "relu"),
     ):
         left = step(alpha * h)
         right = alpha * step(h)
@@ -471,7 +470,7 @@ def test_closed_form_scheme_runs_in_flow(rng):
     h0 = rng.standard_normal((8, 2))
     cfg = ff.WeightConfig.shared(2, np.eye(2), np.eye(2), epsilon=1.0, tau=0.05)
     trace = ff.run_flow(
-        ff.Scheme("perturbed_closed_form", renormalize=True), sys, None, lap, h0, cfg,
+        ff.Scheme("perturbed_closed_form", renormalize=True), sys, h0, cfg,
         ff.StopRule(max_steps=4000),
     )
     verdict = ff.classify_dominance(trace, spec)
@@ -577,16 +576,16 @@ def linear_case(rng, scheme, weights, scales, variant, graph=None, c=2):
     if scheme == "spatial_framelet":
         if weights != "scalar":
             cfg = replace(cfg, tau=1.0)
-        step = lambda x: ff.step_spatial_framelet(sys, ahat, x, cfg)  # noqa: E731
+        step = lambda x: ff.step_spatial_framelet(sys, x, cfg)  # noqa: E731
         eye = {b: np.eye(c) for b in bands}
-        grad = lambda x: energies.total_framelet_energy_gradient(sys, ahat, x, replace(cfg, omega=eye))  # noqa: E731
+        grad = lambda x: energies.total_framelet_energy_gradient(sys, x, replace(cfg, omega=eye))  # noqa: E731
     elif scheme in ("gradf_ufg", "activated"):
-        step = lambda x: ff.step_activated(sys, ahat, x, None, cfg, "identity")  # noqa: E731
-        grad = lambda x: energies.total_framelet_energy_gradient(sys, ahat, x, cfg)  # noqa: E731
+        step = lambda x: ff.step_activated(sys, x, None, cfg, "identity")  # noqa: E731
+        grad = lambda x: energies.total_framelet_energy_gradient(sys, x, cfg)  # noqa: E731
     elif scheme == "ee_ufg":
-        step = lambda x: ff.step_ee_ufg(sys, ahat, x, cfg)  # noqa: E731
+        step = lambda x: ff.step_ee_ufg(sys, x, cfg)  # noqa: E731
         grad = lambda x: energies.total_framelet_energy_gradient(  # noqa: E731
-            sys, ahat, x, ff.energy_enhanced_omega(sys, cfg)
+            sys, x, ff.energy_enhanced_omega(sys, cfg)
         )
     else:
         step = lambda x: ff.step_spectral_framelet(sys, x, cfg)  # noqa: E731
@@ -606,7 +605,7 @@ def test_linear_flow_matches_iterated_public_steps(rng, kind, scales, variant, w
     stop = ff.StopRule(max_steps=2000)
     rows, states, failure = reference_flow(step, grad, lap, x0, stop)
     assert failure is None
-    trace = ff.run_flow(ff.Scheme(kind, renormalize=True), sys, ahat, lap, x0, cfg, stop)
+    trace = ff.run_flow(ff.Scheme(kind, renormalize=True), sys, x0, cfg, stop)
     assert_trace_matches(trace, rows, states, stop, x0.shape)
 
 
@@ -621,7 +620,7 @@ def test_linear_flow_on_the_51_cycle_matches_iterated_steps(rng, kind, weights, 
     x0 = rng.standard_normal((51, c))
     stop = ff.StopRule(max_steps=2000)
     rows, states, _ = reference_flow(step, grad, lap, x0, stop)
-    trace = ff.run_flow(ff.Scheme(kind, renormalize=True), sys, ahat, lap, x0, cfg, stop)
+    trace = ff.run_flow(ff.Scheme(kind, renormalize=True), sys, x0, cfg, stop)
     assert_trace_matches(trace, rows, states, stop, x0.shape)
 
 
@@ -635,13 +634,13 @@ def test_closed_form_flow_is_the_closed_form_at_k_tau(rng, renormalize):
     cfg = ff.WeightConfig.shared(2, np.eye(3), np.eye(3), epsilon=0.5, tau=0.01)
     stop = ff.StopRule(max_steps=2000)
     trace = ff.run_flow(ff.Scheme("perturbed_closed_form", renormalize=renormalize),
-                        sys, None, lap, x0, cfg, stop)
+                        sys, x0, cfg, stop)
     states = [ff.perturbed_closed_form(spec, x0, 0.5, k * 0.01) for k in range(trace.steps_run + 1)]
     norms = np.array([np.linalg.norm(x) for x in states])
     e_ref = np.array([ff.normalized_dirichlet(lap, x) for x in states])
     scale = norms.copy() if renormalize else np.ones_like(norms)
     scale[0] = 1.0  # row 0 records the initial state itself
-    energy = np.array([ff.perturbed_energy(sys, lap, x / s, 0.5) for x, s in zip(states, scale)])
+    energy = np.array([ff.perturbed_energy(sys, x / s, 0.5) for x, s in zip(states, scale)])
     assert trace.steps_to_plateau == stop.plateau_step(e_ref)
     np.testing.assert_allclose(trace.norms, norms, rtol=1e-12)
     np.testing.assert_allclose(trace.dirichlet_normalized, e_ref, rtol=0, atol=1e-12)
@@ -655,7 +654,7 @@ def test_final_state_is_the_state_at_a_stop_inside_a_block(rng):
     x0 = rng.standard_normal((sys.n, 2))
     stop = ff.StopRule(max_steps=2000, plateau_tol=1e-6)
     rows, states, _ = reference_flow(step, grad, lap, x0, stop)
-    trace = ff.run_flow(ff.Scheme("gradf_ufg", renormalize=True), sys, ahat, lap, x0, cfg, stop)
+    trace = ff.run_flow(ff.Scheme("gradf_ufg", renormalize=True), sys, x0, cfg, stop)
     assert trace.steps_to_plateau % dynamics.BLOCK not in (0, dynamics.BLOCK - 1)
     assert_trace_matches(trace, rows, states, stop, x0.shape)
     # one step on is a different state
@@ -666,7 +665,7 @@ def test_final_state_is_the_state_at_a_stop_inside_a_block(rng):
 def test_zero_step_size_vanishes_at_step_one(rng):
     sys, ahat, lap, cfg, _, _ = linear_case(rng, "spatial_framelet", "scalar", 2, "tight")
     with pytest.raises(ZeroStateError, match="at step 1$"):
-        ff.run_flow(ff.Scheme("spatial_framelet", renormalize=True), sys, ahat, lap,
+        ff.run_flow(ff.Scheme("spatial_framelet", renormalize=True), sys,
                     rng.standard_normal((sys.n, 2)), replace(cfg, tau=0.0), ff.StopRule(10))
 
 
@@ -674,12 +673,12 @@ def test_unrenormalized_flow_overflows_at_the_reference_step(rng):
     _, ahat, lap, _, sys, h0 = c6_pieces()
     cfg = ff.WeightConfig.scalar(1, 1e8, 2, tau=1e6)
     stop = ff.StopRule(max_steps=100000, plateau_tol=0.0)
-    step = lambda x: ff.step_spatial_framelet(sys, ahat, x, cfg)  # noqa: E731
-    grad = lambda x: energies.total_framelet_energy_gradient(sys, ahat, x, cfg)  # noqa: E731
+    step = lambda x: ff.step_spatial_framelet(sys, x, cfg)  # noqa: E731
+    grad = lambda x: energies.total_framelet_energy_gradient(sys, x, cfg)  # noqa: E731
     _, _, (error, k) = reference_flow(step, grad, lap, h0, stop, renormalize=False)
     assert error is NumericOverflowError
     with pytest.raises(NumericOverflowError, match=f"at step {k};"):
-        ff.run_flow(ff.Scheme("spatial_framelet"), sys, ahat, lap, h0, cfg, stop)
+        ff.run_flow(ff.Scheme("spatial_framelet"), sys, h0, cfg, stop)
 
 
 def test_plateau_just_before_an_overflow_in_the_same_block_returns_a_trace():
@@ -692,20 +691,19 @@ def test_plateau_just_before_an_overflow_in_the_same_block_returns_a_trace():
     x0 = np.full((5, 1), 1e-5 / np.sqrt(5.0))
     cfg = ff.WeightConfig.scalar(2, 1.0, 1, tau=1e12)
     scheme = ff.Scheme("spatial_framelet")
-    trace = ff.run_flow(scheme, sys, ahat, lap, x0, cfg, ff.StopRule(50, plateau_window=10))
+    trace = ff.run_flow(scheme, sys, x0, cfg, ff.StopRule(50, plateau_window=10))
     assert trace.steps_to_plateau == 10 and trace.steps_run == 10
     np.testing.assert_allclose(trace.norms[1:], 1e-5 * 1e12 ** np.arange(1, 11), rtol=1e-12)
     np.testing.assert_allclose(trace.final_state, x0 * 1e120, rtol=1e-12)
     with pytest.raises(NumericOverflowError, match="at step 13;"):
-        ff.run_flow(scheme, sys, ahat, lap, x0, cfg, ff.StopRule(50, plateau_window=13))
+        ff.run_flow(scheme, sys, x0, cfg, ff.StopRule(50, plateau_window=13))
 
 
 @pytest.mark.parametrize("scales,variant", [(1, "tight"), (2, "tight"), (2, "paper_literal")])
 @pytest.mark.parametrize("kind", ["spatial_framelet", "gradf_ufg", "ee_ufg", "spectral_framelet"])
 def test_one_step_eigenvectors_diagonalize_the_governing_energy(rng, kind, scales, variant):
     sys, ahat, lap, cfg, _, _ = linear_case(rng, kind, "full", scales, variant, c=4)
-    a_hat = energies.adjacency_values(sys, ahat)
-    op = dynamics._scheme_operator(ff.Scheme(kind), sys, a_hat, sys.spectrum.eigenvalues, cfg, None)
+    op = dynamics._scheme_operator(ff.Scheme(kind), sys, cfg, None)
     _, q = dynamics._modes(op.one_step)
     for g_i, q_i in zip(op.energy.matrices, q):
         rotated = q_i.T @ g_i @ q_i
@@ -719,7 +717,7 @@ def test_linear_run_applies_multipliers_once_per_block_at_most(rng, monkeypatch)
     apply = framelets.Multiplier.apply
     monkeypatch.setattr(framelets.Multiplier, "apply", lambda self, h: calls.append(1) or apply(self, h))
     stop = ff.StopRule(max_steps=2000, plateau_tol=0.0)
-    trace = ff.run_flow(ff.Scheme("ee_ufg", renormalize=True), sys, ahat, lap,
+    trace = ff.run_flow(ff.Scheme("ee_ufg", renormalize=True), sys,
                         rng.standard_normal((sys.n, 2)), cfg, stop)
     assert trace.steps_run == 2000
     assert len(calls) <= 2000 // dynamics.BLOCK + 4
@@ -734,7 +732,7 @@ def test_channel_mismatch_raises_before_the_flow_runs(rng, kind, activation):
     cfg = ff.WeightConfig.shared(1, np.eye(3), np.eye(3), epsilon=0.2, tau=0.05)
     scheme = ff.Scheme(kind, activation, renormalize=True)
     with pytest.raises(ff.DimensionMismatchError, match="signal has 2 channels"):
-        ff.run_flow(scheme, sys, ahat, lap, rng.standard_normal((8, 2)), cfg, ff.StopRule(50))
+        ff.run_flow(scheme, sys, rng.standard_normal((8, 2)), cfg, ff.StopRule(50))
 
 
 @pytest.mark.parametrize("kind,activation", [("activated", "relu"), ("ee_ufg", "relu")])
@@ -742,7 +740,7 @@ def test_stepped_flows_decompose_no_one_step_eigenvectors(rng, monkeypatch, kind
     g, ahat, lap, sys, h = setting(rng, n=8, scales=2)
     cfg = ff.WeightConfig.scalar(2, 0.5, h.shape[1], epsilon=0.2, tau=0.05)
     monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: pytest.fail("eigh was called"))
-    trace = ff.run_flow(ff.Scheme(kind, activation, renormalize=True), sys, ahat, lap, h, cfg,
+    trace = ff.run_flow(ff.Scheme(kind, activation, renormalize=True), sys, h, cfg,
                         ff.StopRule(20))
     assert trace.gains is not None and trace.steps_run == 20
 
@@ -782,23 +780,23 @@ def test_stepped_trace_replays_the_public_steps_bit_for_bit(rng, kind, activatio
     x0 = rng.standard_normal((sys.n, 3))
     cfg = stepped_config(rng, kind, weights, sys.bands, 3)
     steps, lam = 200, np.diag(lap)
-    trace = ff.run_flow(ff.Scheme(kind, activation, renormalize), sys, ahat, lap, x0, cfg,
+    trace = ff.run_flow(ff.Scheme(kind, activation, renormalize), sys, x0, cfg,
                         ff.StopRule(steps, plateau_tol=0.0))
     assert trace.steps_run == steps
 
     def step(x):
         if kind == "activated":
-            return ff.step_activated(sys, ahat, x, x0, cfg, activation)
+            return ff.step_activated(sys, x, x0, cfg, activation)
         if kind == "gradf_ufg":
-            return ff.step_gradf_ufg(sys, ahat, x, x0, cfg)
-        return ff.step_ee_ufg(sys, ahat, x, cfg, activation)
+            return ff.step_gradf_ufg(sys, x, x0, cfg)
+        return ff.step_ee_ufg(sys, x, cfg, activation)
 
     energy_cfg = ff.energy_enhanced_omega(sys, cfg) if kind == "ee_ufg" else cfg
     initial = x0 if cfg.has_source else None
 
     def row(x, norm):
         e_norm = 0.5 * float(np.vdot(x, lam[:, None] * x)) / float(np.vdot(x, x))
-        return norm, e_norm, ff.total_framelet_energy(sys, ahat, x, energy_cfg, initial)
+        return norm, e_norm, ff.total_framelet_energy(sys, x, energy_cfg, initial)
 
     rows = [row(x0, float(np.linalg.norm(x0)))]
     x = x0 / rows[0][0] if renormalize else x0
@@ -825,7 +823,7 @@ def test_stepped_descent_computes_one_energy_gradient_per_step(rng, monkeypatch,
                         lambda *a: forms.append(build_form(*a)) or forms[-1])
     monkeypatch.setattr(framelets.Multiplier, "apply", lambda self, h: calls.append(self) or apply(self, h))
     steps = 50
-    trace = ff.run_flow(ff.Scheme("activated", activation, renormalize), sys, ahat, lap, h, cfg,
+    trace = ff.run_flow(ff.Scheme("activated", activation, renormalize), sys, h, cfg,
                         ff.StopRule(steps, plateau_tol=0.0))
     assert trace.steps_run == steps
     [form] = forms
@@ -838,7 +836,7 @@ def test_banded_ee_step_with_scalar_weights_applies_no_band_multiplier(rng, monk
     calls, apply = [], framelets.Multiplier.apply
     monkeypatch.setattr(framelets.Multiplier, "apply", lambda self, h: calls.append(self) or apply(self, h))
     steps = 200
-    trace = ff.run_flow(ff.Scheme("ee_ufg", "relu", True), sys, ahat, lap, h, cfg,
+    trace = ff.run_flow(ff.Scheme("ee_ufg", "relu", True), sys, h, cfg,
                         ff.StopRule(steps, plateau_tol=0.0))
     assert trace.steps_run == steps
     # two for row 0, then one per block: the gradients of steps that do not read them
@@ -860,9 +858,9 @@ def test_a_plateau_inside_a_block_returns_the_rows_and_state_of_its_step(rng, ki
     cfg = stepped_config(rng, kind, "scalar", sys.bands, 3)
     scheme = ff.Scheme(kind, "relu", renormalize=True)
     for window in sorted({1, max(1, max_steps // 2), max(1, max_steps - 1), max_steps}):
-        stopped = ff.run_flow(scheme, sys, ahat, lap, x0, cfg,
+        stopped = ff.run_flow(scheme, sys, x0, cfg,
                               ff.StopRule(max_steps, plateau_tol=np.inf, plateau_window=window))
-        capped = ff.run_flow(scheme, sys, ahat, lap, x0, cfg, ff.StopRule(window, plateau_tol=0.0))
+        capped = ff.run_flow(scheme, sys, x0, cfg, ff.StopRule(window, plateau_tol=0.0))
         assert stopped.steps_to_plateau == window and capped.steps_to_plateau is None
         for a, b in zip(_rows(stopped), _rows(capped)):
             np.testing.assert_array_equal(a, b)
@@ -879,14 +877,14 @@ def test_a_stepped_overflow_names_its_step_unless_the_plateau_fires_first(rng, t
                                  w_tilde={b: rng.standard_normal((3, 3)) for b in sys.bands})
     x, k = x0, 0
     while float(np.linalg.norm(x)) <= dynamics.OVERFLOW_GUARD:
-        x, k = ff.step_gradf_ufg(sys, ahat, x, x0, cfg), k + 1
+        x, k = ff.step_gradf_ufg(sys, x, x0, cfg), k + 1
     assert 1 < k < 400
     scheme = ff.Scheme("gradf_ufg", renormalize=False)
     with pytest.raises(NumericOverflowError, match=rf"at step {k};"):
-        ff.run_flow(scheme, sys, ahat, lap, x0, cfg, ff.StopRule(400, plateau_tol=0.0))
-    early = ff.run_flow(scheme, sys, ahat, lap, x0, cfg,
+        ff.run_flow(scheme, sys, x0, cfg, ff.StopRule(400, plateau_tol=0.0))
+    early = ff.run_flow(scheme, sys, x0, cfg,
                         ff.StopRule(400, plateau_tol=np.inf, plateau_window=k - 1))
     assert early.steps_to_plateau == early.steps_run == k - 1
-    capped = ff.run_flow(scheme, sys, ahat, lap, x0, cfg, ff.StopRule(k - 1, plateau_tol=0.0))
+    capped = ff.run_flow(scheme, sys, x0, cfg, ff.StopRule(k - 1, plateau_tol=0.0))
     for a, b in zip(_rows(early), _rows(capped)):
         np.testing.assert_array_equal(a, b)

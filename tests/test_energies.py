@@ -71,7 +71,7 @@ def test_band_energies_two_node_single_scale():
     _, _, lap = two_node()
     g, _, _ = two_node()
     sys = build(g, 1)
-    per_band, total = ff.framelet_dirichlet_energies(sys, lap, np.array([1.0, -1.0]))
+    per_band, total = ff.framelet_dirichlet_energies(sys, np.array([1.0, -1.0]))
     assert per_band[(0, 1)] == pytest.approx(0.9844562, abs=1e-7)
     assert per_band[(1, 1)] == pytest.approx(0.0155438, abs=1e-7)
     assert total == pytest.approx(1.0, abs=1e-9)
@@ -81,7 +81,7 @@ def test_band_energies_kernel_vector():
     g = ff.generate_graph(ff.GraphSpec(kind="cycle", n=7))
     sys = build(g, 2)
     per_band, total = ff.framelet_dirichlet_energies(
-        sys, ff.normalized_laplacian(g), np.sqrt(g.degrees().astype(float))
+        sys, np.sqrt(g.degrees().astype(float))
     )
     assert total <= 1e-10
     assert all(abs(v) <= 1e-10 for v in per_band.values())
@@ -94,7 +94,7 @@ def test_band_energy_conservation_random(rng, scales):
         lap = ff.normalized_laplacian(g)
         sys = build(g, scales)
         h = rng.standard_normal((g.n, 2))
-        _, total = ff.framelet_dirichlet_energies(sys, lap, h)
+        _, total = ff.framelet_dirichlet_energies(sys, h)
         reference = ff.dirichlet_energy(lap, h)
         assert abs(total - reference) <= 1e-8 * max(1.0, reference)
 
@@ -103,7 +103,7 @@ def test_band_energies_reject_non_tight(rng):
     g = random_er_graph(rng, 8)
     sys = build(g, 2, "paper_literal")
     with pytest.raises(VariantNotTightError):
-        ff.framelet_dirichlet_energies(sys, ff.normalized_laplacian(g), np.ones((8, 1)))
+        ff.framelet_dirichlet_energies(sys, np.ones((8, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +150,7 @@ def test_weight_config_band_coverage_checked(rng):
     sys = build(g, 2)
     cfg = ff.WeightConfig.shared(1, np.eye(2), np.eye(2))  # J=1 bands on a J=2 system
     with pytest.raises(BandMismatchError):
-        ff.total_framelet_energy(sys, ff.normalized_adjacency(g), np.ones((6, 2)), cfg)
+        ff.total_framelet_energy(sys, np.ones((6, 2)), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +167,7 @@ def test_total_energy_shared_weights_collapse(rng):
         w = random_symmetric(rng, 3)
         cfg = ff.WeightConfig.shared(scales, omega, w)
         h = rng.standard_normal((10, 3))
-        total = ff.total_framelet_energy(sys, ahat, h, cfg)
+        total = ff.total_framelet_energy(sys, h, cfg)
         plain = ff.generalized_energy(ahat, h, omega, w)
         assert abs(total - plain) <= 1e-8 * max(1.0, abs(plain))
 
@@ -183,14 +183,14 @@ def test_total_energy_matches_kronecker_oracle(rng):
     h = rng.standard_normal((4, 2))
     s = assemble_quadratic_operator(sys, ahat, cfg)
     oracle = float(vec(h) @ s @ vec(h))
-    assert ff.total_framelet_energy(sys, ahat, h, cfg) == pytest.approx(oracle, abs=1e-9)
+    assert ff.total_framelet_energy(sys, h, cfg) == pytest.approx(oracle, abs=1e-9)
 
 
 def test_total_energy_zero_signal(rng):
     g = random_er_graph(rng, 7)
     sys = build(g, 2)
     cfg = ff.WeightConfig.shared(2, np.eye(2), np.eye(2))
-    assert ff.total_framelet_energy(sys, ff.normalized_adjacency(g), np.zeros((7, 2)), cfg) == 0.0
+    assert ff.total_framelet_energy(sys, np.zeros((7, 2)), cfg) == 0.0
 
 
 def test_quadratic_operator_symmetric(rng):
@@ -209,7 +209,7 @@ def test_total_gradient_zero_at_origin(rng):
     sys = build(g, 1)
     cfg = ff.WeightConfig.shared(1, np.eye(2), np.eye(2))
     grad = ff.total_framelet_energy_gradient(
-        sys, ff.normalized_adjacency(g), np.zeros((6, 2)), cfg
+        sys, np.zeros((6, 2)), cfg
     )
     np.testing.assert_allclose(grad, 0.0)
 
@@ -220,7 +220,7 @@ def test_total_gradient_identity_weights_is_laplacian(rng):
     sys = build(g, 2)
     cfg = ff.WeightConfig.shared(2, np.eye(3), np.eye(3))
     h = rng.standard_normal((9, 3))
-    grad = ff.total_framelet_energy_gradient(sys, ahat, h, cfg)
+    grad = ff.total_framelet_energy_gradient(sys, h, cfg)
     assert np.linalg.norm(grad - lap @ h) <= 1e-9 * max(1.0, np.linalg.norm(h))
 
 
@@ -235,9 +235,9 @@ def test_total_gradient_finite_difference(rng):
             w={b: random_symmetric(rng, c) for b in sys.bands},
         )
         h = rng.standard_normal((n, c))
-        analytic = ff.total_framelet_energy_gradient(sys, ahat, h, cfg)
+        analytic = ff.total_framelet_energy_gradient(sys, h, cfg)
         numeric = central_diff_gradient(
-            lambda x: ff.total_framelet_energy(sys, ahat, x, cfg), h, FD_STEP
+            lambda x: ff.total_framelet_energy(sys, x, cfg), h, FD_STEP
         )
         grad_close(analytic, numeric)
 
@@ -255,9 +255,9 @@ def test_total_gradient_with_source_finite_difference(rng):
     )
     h0 = rng.standard_normal((n, c))
     h = rng.standard_normal((n, c))
-    analytic = ff.total_framelet_energy_gradient(sys, ahat, h, cfg, initial=h0)
+    analytic = ff.total_framelet_energy_gradient(sys, h, cfg, initial=h0)
     numeric = central_diff_gradient(
-        lambda x: ff.total_framelet_energy(sys, ahat, x, cfg, initial=h0), h, FD_STEP
+        lambda x: ff.total_framelet_energy(sys, x, cfg, initial=h0), h, FD_STEP
     )
     grad_close(analytic, numeric)
 
@@ -269,7 +269,7 @@ def test_source_requires_initial_state(rng):
         1, np.eye(2), np.eye(2), beta=1.0, w_tilde={b: np.eye(2) for b in sys.bands}
     )
     with pytest.raises(ConfigError):
-        ff.total_framelet_energy(sys, ff.normalized_adjacency(g), np.ones((5, 2)), cfg)
+        ff.total_framelet_energy(sys, np.ones((5, 2)), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +315,7 @@ def test_perturbed_zero_epsilon_is_dirichlet(rng):
     lap = ff.normalized_laplacian(g)
     sys = build(g, 2)
     h = rng.standard_normal((8, 2))
-    assert ff.perturbed_energy(sys, lap, h, 0.0) == pytest.approx(
+    assert ff.perturbed_energy(sys, h, 0.0) == pytest.approx(
         ff.dirichlet_energy(lap, h), abs=1e-10
     )
 
@@ -324,7 +324,7 @@ def test_perturbed_two_node_hand_value():
     g, _, lap = two_node()
     sys = build(g, 2)
     h = np.array([1.0, -1.0])
-    value = ff.perturbed_energy(sys, lap, h, 1.0)
+    value = ff.perturbed_energy(sys, h, 1.0)
     assert value == pytest.approx(1.9612315, abs=1e-6)
 
 
@@ -334,7 +334,7 @@ def test_perturbed_kernel_signal_rate(rng):
     sys = build(g, 2)
     v = np.sqrt(g.degrees().astype(float))
     eps = 0.8
-    assert ff.perturbed_energy(sys, lap, v, eps) == pytest.approx(
+    assert ff.perturbed_energy(sys, v, eps) == pytest.approx(
         eps * float(v @ v) / 2.0, abs=1e-9
     )
 
@@ -349,7 +349,7 @@ def test_perturbed_spectral_identity(rng):
     mass = np.sum(ff.graph_fourier(spec, h) ** 2, axis=1)
     gaps = ff.energy_gap(np.maximum(spec.eigenvalues, 0.0))
     expected = ff.dirichlet_energy(lap, h) + 0.5 * eps * float(gaps @ mass)
-    assert ff.perturbed_energy(sys, lap, h, eps) == pytest.approx(expected, abs=1e-8)
+    assert ff.perturbed_energy(sys, h, eps) == pytest.approx(expected, abs=1e-8)
 
 
 def test_perturbed_enhances_dirichlet(rng):
@@ -362,7 +362,7 @@ def test_perturbed_enhances_dirichlet(rng):
     floor = ff.energy_gap(2.0)
     for _ in range(5):
         h = rng.standard_normal((12, 2))
-        boost = ff.perturbed_energy(sys, lap, h, eps) - ff.dirichlet_energy(lap, h)
+        boost = ff.perturbed_energy(sys, h, eps) - ff.dirichlet_energy(lap, h)
         assert boost >= 0.5 * eps * floor * float(np.sum(h * h)) - 1e-9
 
 
@@ -371,8 +371,8 @@ def test_perturbed_gradient_finite_difference(rng):
     lap = ff.normalized_laplacian(g)
     sys = build(g, 2)
     h = rng.standard_normal((8, 3))
-    analytic = ff.perturbed_energy_gradient(sys, lap, h, 0.9)
-    numeric = central_diff_gradient(lambda x: ff.perturbed_energy(sys, lap, x, 0.9), h, FD_STEP)
+    analytic = ff.perturbed_energy_gradient(sys, h, 0.9)
+    numeric = central_diff_gradient(lambda x: ff.perturbed_energy(sys, x, 0.9), h, FD_STEP)
     grad_close(analytic, numeric)
 
 
@@ -404,8 +404,8 @@ def test_perturbation_comparison_identity(rng):
     frame_cfg = ff.WeightConfig(omega=eye, w=w)
     shifted_cfg = ff.energy_enhanced_omega(sys, ff.WeightConfig(omega=eye, w=w, epsilon=0.4))
     h = rng.standard_normal((9, c))
-    lhs = ff.total_framelet_energy(sys, ahat, h, shifted_cfg) - ff.total_framelet_energy(
-        sys, ahat, h, frame_cfg
+    lhs = ff.total_framelet_energy(sys, h, shifted_cfg) - ff.total_framelet_energy(
+        sys, h, frame_cfg
     )
     low = sys.low_pass
     coeff = {b: sys.transforms[b] @ h for b in sys.bands}
@@ -452,7 +452,7 @@ def test_particle_decomposition_identity_weights(rng):
     cfg = ff.WeightConfig.shared(1, np.eye(2), np.eye(2))
     h = rng.standard_normal((8, 2))
     breakdown = ff.particle_decomposition(sys, g, h, cfg)
-    per_band, _ = ff.framelet_dirichlet_energies(sys, lap, h)
+    per_band, _ = ff.framelet_dirichlet_energies(sys, h)
     for band, parts in breakdown.items():
         assert parts.external == pytest.approx(0.0, abs=1e-12)
         assert parts.repulsion == pytest.approx(0.0, abs=1e-12)
@@ -479,7 +479,7 @@ def test_particle_decomposition_sums_to_total(rng):
         h = np.random.default_rng(5).standard_normal((4, 3))
         breakdown = ff.particle_decomposition(sys, g, h, cfg)
         total = sum(parts.total for parts in breakdown.values())
-        reference = ff.total_framelet_energy(sys, ahat, h, cfg)
+        reference = ff.total_framelet_energy(sys, h, cfg)
         assert abs(total - reference) <= 1e-8 * max(1.0, abs(reference))
 
 

@@ -177,6 +177,8 @@ SPATIAL = ff.Scheme("spatial_framelet", renormalize=True)
 RELU = ff.Scheme("activated", "relu", renormalize=True)
 CYCLE_51 = ff.GraphSpec(kind="cycle", n=51)  # double eigenvalues
 K_7_12 = ff.GraphSpec(kind="complete_bipartite", m=7, n=12)  # lambda = 1, 17 times
+# two blocks with no edge between them: a disjoint union, so lambda = 0 is double
+SBM_DISJOINT = ff.GraphSpec(kind="sbm", sizes=(20, 31), p_in=0.3, p_out=0.0, seed=3)
 
 
 def _assert_basis_choice_changes_nothing(spec: ff.GraphSpec, scheme: ff.Scheme):
@@ -193,7 +195,7 @@ def _assert_basis_choice_changes_nothing(spec: ff.GraphSpec, scheme: ff.Scheme):
     h0 = np.random.default_rng(5).standard_normal((g.n, 3))
     cfg = ff.WeightConfig.scalar(2, 3.0, 3, tau=1.0 if scheme.kind == "spatial_framelet" else 0.05)
     a, b = (
-        ff.run_flow(scheme, sys, ahat, lap, h0, cfg, ff.StopRule(max_steps=200, plateau_window=201))
+        ff.run_flow(scheme, sys, h0, cfg, ff.StopRule(max_steps=200, plateau_window=201))
         for sys in systems
     )
     assert a.steps_run == b.steps_run == 200
@@ -205,8 +207,13 @@ def test_degenerate_basis_choice_leaves_transforms_and_flow_unchanged():
     _assert_basis_choice_changes_nothing(CYCLE_51, SPATIAL)
 
 
-@pytest.mark.parametrize("spec,scheme", [(CYCLE_51, RELU), (K_7_12, SPATIAL), (K_7_12, RELU)],
-                         ids=["cycle51-relu", "k7_12-spatial", "k7_12-relu"])
+@pytest.mark.parametrize(
+    "spec,scheme",
+    [(CYCLE_51, RELU), (K_7_12, SPATIAL), (K_7_12, RELU), (SBM_DISJOINT, SPATIAL),
+     (SBM_DISJOINT, RELU)],
+    ids=["cycle51-relu", "k7_12-spatial", "k7_12-relu", "sbm_disjoint-spatial", "sbm_disjoint-relu"],
+)
 def test_degenerate_basis_choice_leaves_stepped_flows_and_bipartite_graphs_unchanged(spec, scheme):
-    """The relu flow steps on spectral coordinates; K_{7,12} has one eigenvalue 17 times."""
+    """The relu flow steps on spectral coordinates; K_{7,12} has one eigenvalue
+    17 times; the disjoint SBM repeats lambda = 0, one per component."""
     _assert_basis_choice_changes_nothing(spec, scheme)
