@@ -40,7 +40,7 @@ gap_matrix = spectrum.u.T @ np.diag(ff.energy_gap(np.maximum(spectrum.eigenvalue
 state = h0.copy()
 for _ in range(1000):
     state = state - 1e-4 * ((lap + eps * gap_matrix) @ state)
-exact = ff.perturbed_closed_form(spectrum, h0, eps, 0.1)
+exact = ff.perturbed_closed_form(sys, h0, eps, 0.1)
 print("   relative difference =",
       f"{np.linalg.norm(state - exact) / np.linalg.norm(exact):.2e}")
 
@@ -51,7 +51,7 @@ bound0 = 0.5 * spectrum.rho_l * float(np.sum(h0 * h0))
 print(f"\ndecay along a log-spaced time grid (slowest positive rate {slowest:.3f}):")
 print(f"{'t':>8} {'E(H(t))':>12} {'envelope':>12}")
 for t in np.logspace(-2, 1, 7):
-    value = ff.dirichlet_energy(lap, ff.perturbed_closed_form(spectrum, h0, eps, t))
+    value = ff.dirichlet_energy(lap, ff.perturbed_closed_form(sys, h0, eps, t))
     print(f"{t:>8.3f} {value:>12.3e} {bound0 * np.exp(-2 * t * slowest):>12.3e}")
 print("\nevery row sits under its envelope: the perturbation slows smoothing")
 print("but cannot prevent it -- separating behavior needs per-band weights.")

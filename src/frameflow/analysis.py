@@ -25,7 +25,7 @@ import numpy as np
 
 from .energies import dirichlet_energy, _as_columns, _restore
 from .errors import TraceNotNormalizedError, ZeroStateError
-from .spectral import Spectrum
+from .spectral import TOP_TIE_TOL, Spectrum
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dynamics import FlowTrace
@@ -50,7 +50,6 @@ HFD = "HFD"
 MIXED = "MIXED"
 UNDECIDED = "UNDECIDED"
 
-FREQ_GROUP_TOL = 1e-9
 DEFAULT_TOL = 1e-6
 
 
@@ -88,21 +87,21 @@ def dominant_frequency(spectrum: Spectrum, gains: np.ndarray) -> DominancePredic
     """
     distinct, values = [], []
     for lam, gain in zip(np.maximum(spectrum.eigenvalues, 0.0), np.abs(gains)):
-        if not distinct or lam - distinct[-1] > FREQ_GROUP_TOL:
+        if not distinct or lam - distinct[-1] > TOP_TIE_TOL:
             distinct.append(float(lam))
             values.append(float(gain))
         else:
             values[-1] = max(values[-1], float(gain))
     values = np.asarray(values)
     gmax, best = float(np.max(values)), int(np.argmax(values))
-    tied = np.flatnonzero(gmax - values <= FREQ_GROUP_TOL * gmax)
+    tied = np.flatnonzero(gmax - values <= TOP_TIE_TOL * gmax)
     others = np.delete(values, best)
     margin = 1.0 - float(np.max(others)) / gmax if others.size and gmax > 0.0 else 1.0
     lambda_star = distinct[int(tied[0])]
     dominance = MIXED
-    if tied.size == 1 and lambda_star <= FREQ_GROUP_TOL:
+    if tied.size == 1 and lambda_star <= TOP_TIE_TOL:
         dominance = LFD
-    elif tied.size == 1 and abs(lambda_star - spectrum.rho_l) <= FREQ_GROUP_TOL:
+    elif tied.size == 1 and abs(lambda_star - spectrum.rho_l) <= TOP_TIE_TOL:
         dominance = HFD
     return DominancePrediction(lambda_star, dominance, margin, dict(zip(distinct, values.tolist())))
 
@@ -116,13 +115,13 @@ def _projection(spectrum: Spectrum, signal, mask: np.ndarray):
 def hfd_projection(spectrum: Spectrum, signal):
     """Project each channel onto the eigenspace of all eigenvalues within
     1e-9 of rho_L (spectral projector, so top-frequency ties are handled)."""
-    mask = spectrum.eigenvalues >= spectrum.rho_l - FREQ_GROUP_TOL
+    mask = spectrum.eigenvalues >= spectrum.rho_l - TOP_TIE_TOL
     return _projection(spectrum, signal, mask)
 
 
 def kernel_projection(spectrum: Spectrum, signal):
     """Project each channel onto the eigenspace of eigenvalues within 1e-9 of 0."""
-    mask = np.abs(spectrum.eigenvalues) <= FREQ_GROUP_TOL
+    mask = np.abs(spectrum.eigenvalues) <= TOP_TIE_TOL
     return _projection(spectrum, signal, mask)
 
 

@@ -669,32 +669,27 @@ def classify_trace_csv(cfg: dict, trace_path, seed: Optional[int] = None) -> dic
     }
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", required=True, help="path to the JSON config")
-    parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--seed", type=int, default=None, help="override graph/init seeds")
-    parser.add_argument("--jobs", type=int, default=1, help="worker pool size for sweeps")
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="frameflow", description="framelet flow experiment runner"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("gen", "run", "energy"):
-        _add_common(sub.add_parser(name))
-    p_sweep = sub.add_parser("sweep")
-    _add_common(p_sweep)
-    p_sweep.add_argument("--parameter", required=True, choices=SWEEP_PARAMETERS)
-    p_sweep.add_argument("--grid", required=True, help="comma-separated values")
-    p_classify = sub.add_parser("classify")
-    _add_common(p_classify)
-    p_classify.add_argument("--trace", required=True, help="existing trace CSV")
+    names = ("gen", "run", "energy", "sweep", "classify")
+    commands = {name: sub.add_parser(name) for name in names}
+    for name, command in commands.items():
+        command.add_argument("--config", required=True, help="path to the JSON config")
+        if name != "classify":
+            command.add_argument("--out", default=".", help="output directory")
+        command.add_argument("--seed", type=int, default=None, help="override graph/init seeds")
+    commands["sweep"].add_argument("--parameter", required=True, choices=SWEEP_PARAMETERS)
+    commands["sweep"].add_argument("--grid", required=True, help="comma-separated values")
+    commands["sweep"].add_argument("--jobs", type=int, default=1, help="worker threads")
+    commands["classify"].add_argument("--trace", required=True, help="existing trace CSV")
     args = parser.parse_args(argv)
 
     try:
         cfg = load_config(args.config)
-        out_dir = Path(args.out)
+        out_dir = None if args.command == "classify" else Path(args.out)
         if args.command == "gen":
             validate_config(cfg)
             graph = _build_graph(cfg, args.seed)

@@ -8,7 +8,9 @@ Five iterated schemes plus one closed form:
                               + sum_high W^T (Ahat + eps I) W H W   (stepsize 1)
 * ``spectral_framelet``  H' = tau * sum_b W_b^T diag(theta_b) W_b H W
 * ``activated``          H' = H + tau * act(-grad), act in {identity, relu, tanh}
-* ``perturbed_closed_form``  H_k = U^T diag(exp(-(lam_i + eps*gap_i) tau))^k U H(0)
+* ``perturbed_closed_form``  H_k = U^T diag(exp(-rate_i tau))^k U H(0), the exact
+  flow of the perturbed energy: rate_i = sum_b r_b(lam_i)^2 (lam_i + s_b) =
+  lam_i + eps*gap_i, with the band shifts s_b of energies.band_shifts (ee_ufg's too)
 
 Every operator above except a per-vertex theta_b is diagonal in the
 Laplacian eigenbasis, so a linear step is one framelets.Multiplier on
@@ -50,8 +52,8 @@ import numpy as np
 
 from .energies import (  # the vertex-domain energies stay importable here for tracing
     WeightConfig,
+    band_shifts,
     dirichlet_energy,  # noqa: F401
-    energy_gap,
     filter_factors,
     framelet_energy_form,
     perturbed_energy,  # noqa: F401
@@ -62,7 +64,6 @@ from .energies import (  # the vertex-domain energies stay importable here for t
     to_vertex,
     total_framelet_energy,  # noqa: F401
     _as_columns,
-    _restore,
     _spectral_initial,
 )
 from .errors import (
@@ -73,7 +74,6 @@ from .errors import (
     ZeroStateError,
 )
 from .framelets import FrameletSystem, Multiplier
-from .spectral import Spectrum
 
 __all__ = [
     "SCHEME_KINDS",
@@ -227,11 +227,10 @@ def _scheme_operator(
     state; it only matters when a source term is configured (beta != 0 with
     mixing matrices), which only the descent schemes have."""
     kind, activation, tau, u = scheme.kind, scheme.activation, cfg.tau, sys.spectrum.u
-    if kind == "perturbed_closed_form":
+    if kind == "perturbed_closed_form":  # the exact flow of the perturbed energy, over tau
         require_closed_form_bank(sys)
-        decay = np.exp(-_decay_rates(sys.spectrum, cfg.epsilon) * tau)
-        step = Multiplier([(decay, None)])
-        return _linear_operator(step, perturbed_energy_form(sys, cfg.epsilon))
+        energy = perturbed_energy_form(sys, cfg.epsilon)
+        return _linear_operator(Multiplier([(np.exp(-tau * energy.diagonal), None)]), energy)
     if kind == "spectral_framelet":
         w, factors = cfg.shared_w(sys), filter_factors(sys, cfg)
         step = Multiplier([(factors[b], tau * w) for b in sys.bands])
@@ -250,11 +249,11 @@ def _scheme_operator(
         eye = {b: np.eye(cfg.w[b].shape[0]) for b in bands}
         energy = framelet_energy_form(sys, replace(cfg, omega=eye, beta=0.0))
         return _linear_operator(step, energy)
-    # ee: band b analyses through r_b (Ahat -+ eps), synthesis weights by r_b.
+    # ee: band b analyses through r_b (Ahat - s_b), synthesis weights by r_b.
     # The energy is exact for the linearized form only; with a banded
     # activation it is recorded as a diagnostic, not a Lyapunov value.
-    shift = {b: cfg.epsilon for b in bands} | {sys.low_pass: -cfg.epsilon}
-    analysis = {b: resp[b] * (a_hat + shift[b]) for b in bands}
+    shift = band_shifts(sys, cfg.epsilon)
+    analysis = {b: resp[b] * (a_hat - shift[b]) for b in bands}
     linear = Multiplier([(resp[b] * analysis[b], cfg.w[b]) for b in bands])
     plain = replace(cfg, beta=0.0) if cfg.has_source else cfg
     energy = framelet_energy_form(sys, energy_enhanced_omega(sys, plain))
@@ -324,17 +323,14 @@ def step_gradf_ufg(sys: FrameletSystem, signal, initial, cfg: WeightConfig):
 
 
 def energy_enhanced_omega(sys: FrameletSystem, cfg: WeightConfig) -> WeightConfig:
-    """Rewrite cfg with Omega_low = I + eps*W_low, Omega_high = I - eps*W_high.
+    """Rewrite cfg with Omega_b = I + s_b W_b, s_b from energies.band_shifts:
+    Omega_low = I + eps*W_low, Omega_high = I - eps*W_high.
 
     Under this choice the gradient step of the total framelet energy (tau=1,
     no source) reproduces :func:`step_ee_ufg` exactly.
     """
-    bands = cfg.bands_for(sys)
-    eps = cfg.epsilon
-    omega = {}
-    for band in bands:
-        eye = np.eye(cfg.w[band].shape[0])
-        omega[band] = eye + eps * cfg.w[band] if band == sys.low_pass else eye - eps * cfg.w[band]
+    shift = band_shifts(sys, cfg.epsilon)
+    omega = {b: np.eye(len(cfg.w[b])) + shift[b] * cfg.w[b] for b in cfg.bands_for(sys)}
     return replace(cfg, omega=omega)
 
 
@@ -365,24 +361,21 @@ def step_activated(sys: FrameletSystem, signal, initial, cfg: WeightConfig, acti
     return _vertex_step("activated", activation, sys, signal, initial, cfg)
 
 
-def _decay_rates(spectrum: Spectrum, epsilon: float) -> np.ndarray:
-    lams = np.maximum(spectrum.eigenvalues, 0.0)
-    return lams + epsilon * energy_gap(lams)
+def perturbed_closed_form(sys: FrameletSystem, initial, epsilon: float, t: float):
+    """Exact state at time t >= 0 of the gradient flow of the perturbed energy
+    on a tight two-scale system.
 
-
-def perturbed_closed_form(spectrum: Spectrum, initial, epsilon: float, t: float):
-    """Exact state of the perturbed two-scale Haar flow at time t >= 0.
-
-    Each frequency component decays at rate lam_i + epsilon * gap(lam_i):
-    H(t) = U^T diag(exp(-(lam_i + eps*gap_i) t)) U H(0).  No Kronecker
-    product is materialized; channels decouple.
+    Each frequency component decays at its per-frequency value of that energy,
+    rate_i = sum_b r_b(lam_i)^2 (lam_i + s_b) = lam_i + epsilon * gap(lam_i):
+    H(t) = U^T diag(exp(-rate_i t)) U H(0).  No Kronecker product is
+    materialized; channels decouple.
     """
     if t < 0.0:
         raise OutOfRangeError(f"time must be nonnegative, got {t}")
-    x, was_vector = _as_columns(initial, spectrum.n)
-    factors = np.exp(-_decay_rates(spectrum, epsilon) * t)
-    out = spectrum.u.T @ (factors[:, None] * (spectrum.u @ x))
-    return _restore(out, was_vector)
+    require_closed_form_bank(sys)
+    h, was_vector = to_spectral(sys, initial)
+    factors = np.exp(-t * perturbed_energy_form(sys, epsilon).diagonal)
+    return to_vertex(sys, factors[:, None] * h, was_vector)
 
 
 def _check_norm(norm: float, k: int, renormalize: bool) -> None:

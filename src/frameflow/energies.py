@@ -33,7 +33,7 @@ from .errors import (
     NotSymmetricError,
     OutOfRangeError,
 )
-from .framelets import Band, BandFilter, FrameletSystem, Multiplier, band_index_set
+from .framelets import Band, BandFilter, FrameletSystem, Multiplier, band_index_set, haar_response
 from .graphs import Graph
 from . import spectral
 
@@ -48,6 +48,7 @@ __all__ = [
     "total_framelet_energy_gradient",
     "perturbed_energy",
     "perturbed_energy_gradient",
+    "band_shifts",
     "energy_gap",
     "weight_split",
     "particle_decomposition",
@@ -323,12 +324,18 @@ def source_energy_gradient(sys: FrameletSystem, initial, cfg: WeightConfig) -> n
     return to_vertex(sys, source_spectral(sys, h0, cfg), was_vector)
 
 
+def band_shifts(sys: FrameletSystem, epsilon: float) -> Dict[Band, float]:
+    """The perturbation's shift s_b of each band: +eps on the low-pass band,
+    -eps on every high-pass band.  The perturbed energy, the ee_ufg step and
+    its energy-enhanced weights all read it from here."""
+    return {b: -epsilon for b in sys.bands} | {sys.low_pass: epsilon}
+
+
 def perturbed_energy_form(sys: FrameletSystem, epsilon: float) -> Multiplier:
     """Gradient of the perturbed energy: sum_b diag(r_b^2 (lam + s_b)), with
-    s_b = +eps on the low-pass band and -eps on every high-pass band."""
+    s_b from :func:`band_shifts`."""
     sys.require_tight("the perturbed energy")
-    shift = {b: -epsilon for b in sys.bands} | {sys.low_pass: epsilon}
-    lam = sys.spectrum.eigenvalues
+    shift, lam = band_shifts(sys, epsilon), sys.spectrum.eigenvalues
     return Multiplier([(sys.responses[b] ** 2 * (lam + shift[b]), None) for b in sys.bands])
 
 
@@ -352,21 +359,14 @@ def perturbed_energy_gradient(sys: FrameletSystem, signal, epsilon: float):
 
 
 def energy_gap(lam):
-    """Per-frequency perturbation rate of the two-scale Haar bank:
-
-        gap(lam) = cos^2(lam/8) cos^2(lam/16)
-                   - sin^2(lam/8) cos^2(lam/16) - sin^2(lam/16)
-
-    i.e. low-pass response squared minus the high-pass squares.  Decreasing
-    on [0, 2] from gap(0) = 1 down to gap(2) ~ 0.8484, hence nonnegative.
+    """Per-frequency perturbation rate of the two-scale Haar bank: the squared
+    low-pass response minus the squared high-pass ones.  Decreasing on [0, 2]
+    from gap(0) = 1 down to gap(2) ~ 0.8484, hence nonnegative.
     """
-    arr = np.asarray(lam, dtype=float)
-    if np.any(arr < -1e-9) or np.any(arr > 2.0 + 1e-9):
-        raise OutOfRangeError("energy gap is defined for frequencies in [0, 2]")
-    c8, s8 = np.cos(arr / 8.0), np.sin(arr / 8.0)
-    c16, s16 = np.cos(arr / 16.0), np.sin(arr / 16.0)
-    out = c8**2 * c16**2 - s8**2 * c16**2 - s16**2
-    return float(out) if np.isscalar(lam) or np.ndim(lam) == 0 else out
+    low, *high = band_index_set(2)
+    r = haar_response(lam, 2)
+    out = r[low] ** 2 - sum(r[b] ** 2 for b in high)
+    return float(out) if np.ndim(lam) == 0 else out
 
 
 def weight_split(w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -1,18 +1,15 @@
 """Haar-type undecimated framelet transforms on a graph spectrum.
 
 A system at scale count J holds one low-pass band (0, J) and high-pass bands
-(1, j) for j = 1..J.  Filter responses at frequency lam (in [0, 2]):
-
-* J = 1:  low cos(lam/8), high sin(lam/8)
-* J = 2 tight:  low cos(lam/8)cos(lam/16), highs sin(lam/8)cos(lam/16)
-  and sin(lam/16)
-
-The squares of the tight responses sum to 1 at every frequency, which is
-what makes decomposition/reconstruction lossless.  A second J = 2 variant,
-``paper_literal``, replaces the low-pass by cos^2(lam/8)cos(lam/16); its
-response squares do NOT sum to 1, so tightness-dependent identities are
-unavailable and the residual is reported as a diagnostic instead.  At J = 1
-the two variants coincide.
+(1, j) for j = 1..J, built recursively (Dong 2017) from the two-scale Haar
+pair a(x) = cos(x/2), b(x) = sin(x/2) at x_j = lam / 2^(j+1), lam in [0, 2]:
+low = a(x_1)...a(x_J) and band (1, j) = b(x_j) a(x_(j+1))...a(x_J), so J = 1
+gives cos(lam/8) and sin(lam/8).  The squares telescope to 1 at every
+frequency, which is what makes decomposition/reconstruction lossless.  A
+second J = 2 variant, ``paper_literal``, replaces the low-pass by
+cos^2(lam/8)cos(lam/16); its response squares do NOT sum to 1, so
+tightness-dependent identities are unavailable and the residual is reported
+as a diagnostic instead.  At J = 1 the two variants coincide.
 
 A system is a spectral object: the eigenbasis U, the eigenvalues and the
 per-band responses r_b(lam).  Every band transform W_b = U^T diag(r_b) U,
@@ -28,6 +25,7 @@ built only on first use of :attr:`FrameletSystem.transforms`
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, NamedTuple, Optional, Tuple
@@ -84,21 +82,17 @@ def haar_response(lam, scales: int, variant: str = "tight") -> Dict[Band, np.nda
     Returns a dict keyed by band.  For the tight variant the squared values
     sum to 1 identically in lam.
     """
+    bands = band_index_set(scales)
     if variant not in VARIANTS:
         raise OutOfRangeError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     arr = _check_lambda(lam)
-    if scales == 1:
-        return {(0, 1): np.cos(arr / 8.0), (1, 1): np.sin(arr / 8.0)}
-    if scales == 2:
-        low = np.cos(arr / 8.0) * np.cos(arr / 16.0)
-        if variant == "paper_literal":
-            low = np.cos(arr / 8.0) ** 2 * np.cos(arr / 16.0)
-        return {
-            (0, 2): low,
-            (1, 1): np.sin(arr / 8.0) * np.cos(arr / 16.0),
-            (1, 2): np.sin(arr / 16.0),
-        }
-    raise OutOfRangeError(f"scales must be 1 or 2, got {scales}")
+    halves = [arr / 2.0 ** (j + 2) for j in range(1, scales + 1)]  # x_j / 2, j = 1..J
+    a, b = [np.cos(x) for x in halves], [np.sin(x) for x in halves]
+    out = {(0, scales): math.prod(a)}
+    out |= {(1, j): math.prod([b[j - 1], *a[j:]]) for _, j in bands[1:]}
+    if variant == "paper_literal" and scales == 2:
+        out[(0, 2)] = a[0] ** 2 * a[1]
+    return out
 
 
 @dataclass(frozen=True)
@@ -250,9 +244,9 @@ class Multiplier:
             out += np.einsum("nf,nfc->nc", self.filter_responses, spectral)
         return out if self.source is None else out - self.source
 
-    def quadratic(self, h: np.ndarray, grad: Optional[np.ndarray] = None) -> float:
-        """0.5 <h, G h> - <h, S>, where G h - S = apply(h), or ``grad`` if given."""
-        grad = self.apply(h) if grad is None else grad
+    def quadratic(self, h: np.ndarray) -> float:
+        """0.5 <h, G h> - <h, S>, where G h - S = apply(h)."""
+        grad = self.apply(h)
         return 0.5 * float(np.vdot(h, grad if self.source is None else grad - self.source))
 
 

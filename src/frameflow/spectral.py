@@ -31,7 +31,7 @@ from .errors import (
 __all__ = ["Spectrum", "eigh", "graph_fourier", "inverse_graph_fourier"]
 
 SYMMETRY_TOL = 1e-12
-TOP_TIE_TOL = 1e-9
+TOP_TIE_TOL = 1e-9  # eigenvalues this close are one frequency, here and in analysis
 
 
 @dataclass(frozen=True)

@@ -423,6 +423,7 @@ def test_c08_perturbed_flow_decay_and_bound():
     # noise-vs-noise.  Within the grid the bound spans ~7 decades.
     times = np.logspace(-2.0, 1.0, 12)
     for _, lap, spectrum, h0 in perturbed_cases():
+        sys = ff.build_framelet_system(spectrum, 2)
         lams = np.maximum(spectrum.eigenvalues, 0.0)
         positive = lams[lams > 1e-9]
         for eps in (0.1, 1.0, 10.0):
@@ -431,7 +432,7 @@ def test_c08_perturbed_flow_decay_and_bound():
             bound0 = 0.5 * spectrum.rho_l * float(np.sum(h0 * h0))
             previous = np.inf
             for t in times:
-                value = ff.dirichlet_energy(lap, ff.perturbed_closed_form(spectrum, h0, eps, t))
+                value = ff.dirichlet_energy(lap, ff.perturbed_closed_form(sys, h0, eps, t))
                 assert value <= previous + 1e-12
                 assert value <= bound0 * np.exp(-2.0 * t * slowest) * (1.0 + 1e-9)
                 previous = value
@@ -447,7 +448,7 @@ def _euler_gap(
     state = h0.copy()
     for _ in range(int(round(t_end / tau))):
         state = state - tau * (generator @ state)
-    exact = ff.perturbed_closed_form(spectrum, h0, eps, t_end)
+    exact = ff.perturbed_closed_form(ff.build_framelet_system(spectrum, 2), h0, eps, t_end)
     return float(np.linalg.norm(state - exact) / np.linalg.norm(exact))
 
 
@@ -592,7 +593,7 @@ def test_c11_vectorized_oracle_equivalence():
     generator = np.kron(np.eye(c), spectrum.u.T @ np.diag(rates) @ spectrum.u)
     gw, gv = np.linalg.eigh(generator)
     oracle = gv @ (np.exp(-gw * t) * (gv.T @ vec(h)))
-    out = ff.perturbed_closed_form(spectrum, h, eps, t)
+    out = ff.perturbed_closed_form(sys, h, eps, t)
     assert np.linalg.norm(vec(out) - oracle) <= tol
     report(11, "all six schemes match their Kronecker forms <= 1e-10")
 

@@ -36,6 +36,12 @@ def test_normalized_dirichlet_two_node_alternating():
     assert ff.normalized_dirichlet(lap, np.array([1.0, -1.0])) == pytest.approx(0.5, abs=1e-12)
 
 
+def test_limit_dominance_rejects_a_zero_state():
+    _, _, _, spec = c_n(4)
+    with pytest.raises(ZeroStateError):
+        ff.analysis.limit_dominance(True, 0.0, spec, 1e-6, np.zeros((4, 2)))
+
+
 def test_normalized_dirichlet_zero_state_rejected():
     _, _, lap, _ = c_n(4)
     with pytest.raises(ZeroStateError):

@@ -219,8 +219,7 @@ def test_classify_command_via_main(tmp_path):
     cfg_path = write_config(tmp_path, c6_config(lambda_w=0.5))
     assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
     code = cli.main(
-        ["classify", "--config", str(cfg_path), "--out", str(tmp_path),
-         "--trace", str(tmp_path / "trace.csv")]
+        ["classify", "--config", str(cfg_path), "--trace", str(tmp_path / "trace.csv")]
     )
     assert code == 0
 
@@ -822,8 +821,9 @@ def test_main_validates_the_config_once(tmp_path, monkeypatch, command):
     path = write_config(tmp_path, cfg)
     calls, validate = [], cli.validate_config
     monkeypatch.setattr(cli, "validate_config", lambda cfg: calls.append(cfg) or validate(cfg))
-    extra = ["--trace", str(tmp_path / "trace" / "trace.csv")] if command == ["classify"] else []
-    argv = [command[0], "--config", str(path), "--out", str(tmp_path / "out"), *command[1:]]
+    extra = (["--trace", str(tmp_path / "trace" / "trace.csv")] if command == ["classify"]
+             else ["--out", str(tmp_path / "out")])
+    argv = [command[0], "--config", str(path), *command[1:]]
     assert cli.main(argv + extra) == 0
     assert len(calls) == 1
 
@@ -906,6 +906,16 @@ def _classify_trace(text: Optional[str]):
     return argv
 
 
+def _run_on_edge_file(text: Optional[str]):
+    """run on a graph read from an edge file holding ``text``; None: no file."""
+    def argv(tmp_path):
+        if text is not None:
+            (tmp_path / "graph.edges").write_text(text, encoding="utf-8")
+        cfg = c6_config(graph={"kind": "file", "path": str(tmp_path / "graph.edges")})
+        return ["run", "--config", str(write_config(tmp_path, cfg))]
+    return argv
+
+
 def _config_file(text: Optional[str], *rest: str):
     """``rest`` on a config file holding ``text``; None: no file."""
     def argv(tmp_path):
@@ -913,6 +923,11 @@ def _config_file(text: Optional[str], *rest: str):
             (tmp_path / "config.json").write_text(text, encoding="utf-8")
         return [*rest[:1], "--config", str(tmp_path / "config.json"), *rest[1:]]
     return argv
+
+
+def _run_on_graph(**graph):
+    """run on a config whose graph block is ``graph``."""
+    return _config_file(json.dumps(c6_config(graph=graph)), "run")
 
 
 TRACE_HEADER = "step,norm,dirichlet_normalized,total_energy,rayleigh\n"
@@ -936,13 +951,32 @@ TRACE_HEADER = "step,norm,dirichlet_normalized,total_energy,rayleigh\n"
          2, "error:"),
         (_config_file(json.dumps(c6_config(steps=300, scheme={"kind": "ee_ufg"})), "run"),
          0, "warning: scheme ee_ufg with epsilon=0.0 <= 0"),
+        (_run_with_signal_file("0,0\n" * 6), 14, "error:"),
+        (_run_on_graph(kind="path", n=0), 3, "error:"),
+        (_run_on_graph(kind="complete_bipartite", m=0, n=3), 3, "error:"),
+        (_run_on_graph(kind="erdos_renyi", n=0, p=0.5), 3, "error:"),
+        (_run_on_graph(kind="sbm", sizes=[0, 3], p_in=0.5, p_out=0.5), 3, "error:"),
+        (_run_on_graph(kind="file"), 3, "error:"),
+        (_run_on_edge_file(None), 5, "error:"),
+        (_run_on_edge_file("n=x\n0 1\n"), 5, "error:"),
+        (_run_on_edge_file("# comments only\n"), 5, "error:"),
+        (_run_on_edge_file("n=2\n0 5\n"), 5, "error:"),
+        (_config_file(json.dumps(c6_config(theta={"bands": {"x": [1.0]}})), "run"), 2, "error:"),
+        (_config_file(json.dumps(c6_config()), "sweep", "--parameter", "epsilon", "--grid", "0.5"),
+         2, "error:"),
     ],
     ids=["init-non-numeric", "init-empty", "init-ragged", "init-two-rows", "init-blank-line",
          "classify-missing", "classify-header", "classify-short-row", "classify-no-rows",
-         "config-missing", "config-invalid-json", "sweep-bad-grid", "ee-warning"],
+         "config-missing", "config-invalid-json", "sweep-bad-grid", "ee-warning",
+         "init-all-zero", "graph-path-no-nodes", "graph-bipartite-no-nodes", "graph-er-no-nodes",
+         "graph-sbm-empty-block", "graph-file-no-path", "edges-missing", "edges-bad-header",
+         "edges-comments-only", "edges-index-past-header", "theta-bad-band-key",
+         "sweep-epsilon-unshifted"],
 )
 def test_failure_paths_exit_with_their_code_and_one_line(tmp_path, capsys, argv, code, line):
-    assert cli.main([*argv(tmp_path), "--out", str(tmp_path / "out")]) == code
+    args = argv(tmp_path)  # classify writes nothing, so it takes no --out
+    out = [] if args[0] == "classify" else ["--out", str(tmp_path / "out")]
+    assert cli.main([*args, *out]) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
     if line is None:

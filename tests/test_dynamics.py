@@ -208,7 +208,8 @@ def test_closed_form_time_zero_is_initial(rng):
     g = random_er_graph(rng, 7)
     spec = ff.eigh(ff.normalized_laplacian(g))
     h0 = rng.standard_normal((7, 2))
-    np.testing.assert_allclose(ff.perturbed_closed_form(spec, h0, 1.0, 0.0), h0, atol=1e-12)
+    sys = ff.build_framelet_system(spec, 2)
+    np.testing.assert_allclose(ff.perturbed_closed_form(sys, h0, 1.0, 0.0), h0, atol=1e-12)
 
 
 def test_closed_form_two_node_rate():
@@ -216,7 +217,7 @@ def test_closed_form_two_node_rate():
     spec = ff.eigh(ff.normalized_laplacian(g))
     h0 = np.array([1.0, -1.0])
     t = 0.7
-    out = ff.perturbed_closed_form(spec, h0, 1.0, t)
+    out = ff.perturbed_closed_form(ff.build_framelet_system(spec, 2), h0, 1.0, t)
     np.testing.assert_allclose(out, np.exp(-1.9612314 * t) * h0, atol=1e-6)
 
 
@@ -224,7 +225,7 @@ def test_closed_form_negative_time_rejected(rng):
     g = random_er_graph(rng, 5)
     spec = ff.eigh(ff.normalized_laplacian(g))
     with pytest.raises(OutOfRangeError):
-        ff.perturbed_closed_form(spec, np.ones(5), 1.0, -0.1)
+        ff.perturbed_closed_form(ff.build_framelet_system(spec, 2), np.ones(5), 1.0, -0.1)
 
 
 def test_closed_form_matches_euler_heat_flow(rng):
@@ -236,7 +237,7 @@ def test_closed_form_matches_euler_heat_flow(rng):
     state = h0.copy()
     for _ in range(int(round(t_end / tau))):
         state = state - tau * (lap @ state)
-    exact = ff.perturbed_closed_form(spec, h0, 0.0, t_end)
+    exact = ff.perturbed_closed_form(ff.build_framelet_system(spec, 2), h0, 0.0, t_end)
     assert np.linalg.norm(state - exact) <= 1e-4 * np.linalg.norm(exact)
 
 
@@ -246,7 +247,8 @@ def test_closed_form_dirichlet_monotone_decay(rng):
     spec = ff.eigh(lap)
     h0 = rng.standard_normal((9, 3))
     times = np.logspace(-2, 1.5, 25)
-    values = [ff.dirichlet_energy(lap, ff.perturbed_closed_form(spec, h0, 1.0, t)) for t in times]
+    sys = ff.build_framelet_system(spec, 2)
+    values = [ff.dirichlet_energy(lap, ff.perturbed_closed_form(sys, h0, 1.0, t)) for t in times]
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
     assert values[-1] <= 1e-6 * max(1.0, values[0])
 
@@ -635,7 +637,7 @@ def test_closed_form_flow_is_the_closed_form_at_k_tau(rng, renormalize):
     stop = ff.StopRule(max_steps=2000)
     trace = ff.run_flow(ff.Scheme("perturbed_closed_form", renormalize=renormalize),
                         sys, x0, cfg, stop)
-    states = [ff.perturbed_closed_form(spec, x0, 0.5, k * 0.01) for k in range(trace.steps_run + 1)]
+    states = [ff.perturbed_closed_form(sys, x0, 0.5, k * 0.01) for k in range(trace.steps_run + 1)]
     norms = np.array([np.linalg.norm(x) for x in states])
     e_ref = np.array([ff.normalized_dirichlet(lap, x) for x in states])
     scale = norms.copy() if renormalize else np.ones_like(norms)

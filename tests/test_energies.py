@@ -5,6 +5,7 @@ import frameflow as ff
 from frameflow.errors import (
     BandMismatchError,
     ConfigError,
+    DimensionMismatchError,
     NotSymmetricError,
     VariantNotTightError,
 )
@@ -151,6 +152,35 @@ def test_weight_config_band_coverage_checked(rng):
     cfg = ff.WeightConfig.shared(1, np.eye(2), np.eye(2))  # J=1 bands on a J=2 system
     with pytest.raises(BandMismatchError):
         ff.total_framelet_energy(sys, np.ones((6, 2)), cfg)
+
+
+def test_weight_config_bands_must_agree():
+    eye = np.eye(2)
+    with pytest.raises(BandMismatchError, match="omega and w"):
+        ff.WeightConfig(omega={(0, 1): eye, (1, 1): eye}, w={(0, 1): eye})
+    with pytest.raises(BandMismatchError, match="w_tilde"):
+        ff.WeightConfig.shared(1, eye, eye, w_tilde={(0, 1): eye})
+
+
+def test_source_needs_w_tilde(rng):
+    sys = build(random_er_graph(rng, 6), 1)
+    cfg = ff.WeightConfig.shared(1, np.eye(2), np.eye(2), beta=1.0)
+    with pytest.raises(ConfigError, match="w_tilde"):
+        ff.source_energy_gradient(sys, np.ones((6, 2)), cfg)
+
+
+def test_initial_state_must_match_the_signal(rng):
+    sys = build(random_er_graph(rng, 6), 1)
+    cfg = ff.WeightConfig.shared(1, np.eye(2), np.eye(2))
+    with pytest.raises(DimensionMismatchError, match="initial state shape"):
+        ff.total_framelet_energy(sys, np.ones((6, 2)), cfg, initial=np.ones((6, 3)))
+
+
+def test_particle_decomposition_graph_must_fit_the_system(rng):
+    sys = build(random_er_graph(rng, 6), 1)
+    cfg = ff.WeightConfig.shared(1, np.eye(2), np.eye(2))
+    with pytest.raises(DimensionMismatchError, match="graph has 5 nodes"):
+        ff.particle_decomposition(sys, random_er_graph(rng, 5), np.ones((6, 2)), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +348,11 @@ def test_perturbed_zero_epsilon_is_dirichlet(rng):
     assert ff.perturbed_energy(sys, h, 0.0) == pytest.approx(
         ff.dirichlet_energy(lap, h), abs=1e-10
     )
+
+
+def test_band_shifts_raise_the_low_pass_and_lower_every_high_pass(rng):
+    sys = build(random_er_graph(rng, 6), 2)
+    assert ff.energies.band_shifts(sys, 0.3) == {(0, 2): 0.3, (1, 1): -0.3, (1, 2): -0.3}
 
 
 def test_perturbed_two_node_hand_value():

@@ -233,3 +233,14 @@ def test_edge_list_round_trip():
 
 def test_connectivity_helper_sane():
     assert is_connected(ff.generate_graph(ff.GraphSpec(kind="cycle", n=5)))
+
+
+@pytest.mark.parametrize(
+    "n,edges,self_loops",
+    [(0, [], False), (2, [(0, 0), (0, 1)], True), (2, [(0, 0), (0, 1)], False),
+     (2, [(0, 2)], False)],
+    ids=["no-nodes", "missing-loop", "loop-without-flag", "edge-out-of-range"],
+)
+def test_graph_invariants(n, edges, self_loops):
+    with pytest.raises(InvalidSpecError):
+        ff.Graph(n=n, edges=frozenset(edges), self_loops=self_loops)

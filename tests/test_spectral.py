@@ -154,6 +154,12 @@ def test_fourier_round_trip(rng):
     assert np.linalg.norm(back - h) <= 1e-10 * np.linalg.norm(h)
 
 
+def test_inverse_fourier_dimension_check():
+    spec = ff.eigh(two_node_laplacian())
+    with pytest.raises(DimensionMismatchError):
+        ff.inverse_graph_fourier(spec, np.zeros((5, 1)))
+
+
 def test_fourier_dimension_check():
     spec = ff.eigh(two_node_laplacian())
     with pytest.raises(DimensionMismatchError):
