@@ -21,9 +21,9 @@ one-step matrices M_i: mode z = Q_i^T hhat_i is mu^k z after k steps, so a
 block of steps is one product of powers (the closed form is powers of
 exp(-rate_i tau), not an evaluation at k tau).  Relu/tanh descent, the
 banded ee activation and a per-vertex theta_b step on Hhat, with one
-U^T / U round trip per step; a descent step also computes the energy
-gradient the next step reads.  Either way a block of BLOCK steps is
-recorded at once.  The final state is mapped back once.
+U^T / U round trip per step and no other n x n (or bands*n x n) matrix: a
+step reads the state alone.  Either way a block of BLOCK steps is recorded
+at once.  The final state is mapped back once.
 
 Each scheme is written once, in ``_scheme_operator``: its step, the c x c
 matrix M_i by which one step of its linear part acts on frequency i, and
@@ -185,23 +185,48 @@ class FlowTrace:
 
 
 def _activate(name: str, z: np.ndarray) -> np.ndarray:
-    """A nonlinear activation: relu or tanh (callers apply the identity inline)."""
-    return np.maximum(z, 0.0) if name == "relu" else np.tanh(z)
+    """A nonlinear activation, relu or tanh, in place (callers apply the identity inline)."""
+    return np.maximum(z, 0.0, out=z) if name == "relu" else np.tanh(z, out=z)
 
 
-def _descend(h: np.ndarray, grad: np.ndarray, tau: float, activation: str, u: np.ndarray):
-    """H + tau * act(-grad) on spectral coordinates; a nonlinear act is
-    applied per vertex, between U^T and U."""
+def _descent(form: Multiplier, tau: float, activation: str, u: np.ndarray) -> Callable:
+    """The step H + tau * act(-grad) on spectral coordinates; a nonlinear act
+    acts per vertex, between U^T and U.  As relu(tau x) = tau relu(x) for
+    tau >= 0, relu and the identity take -s grad with s = tau, and tanh takes
+    s = 1 and scales by tau after U.  -s grad = (-s G_i) h_i + s S, with s
+    folded into the gradient's per-frequency numbers, one (n, c) column, or
+    into its c x c matrices."""
+    scale = 1.0 if activation == "tanh" else tau
+    source = None if form.source is None else scale * form.source
+    if form.matrices is None:
+        column = np.repeat(-scale * form.diagonal[:, None], form.channels, axis=1)
+        product = lambda h: column * h
+    else:
+        matrices = -scale * form.matrices
+        product = lambda h: (h[:, None, :] @ matrices)[:, 0]
+
+    def down(h):
+        x = product(h)
+        return x if source is None else np.add(x, source, out=x)
+
     if activation == "identity":
-        return h + tau * (-grad)
-    return h + tau * (u @ _activate(activation, -(u.T @ grad)))
+        return lambda h: h + down(h)
+
+    def step(h):
+        y = u @ _activate(activation, u.T @ down(h))
+        if activation == "tanh":
+            y *= tau
+        y += h
+        return y
+
+    return step
 
 
 class SchemeOperator(NamedTuple):
-    """A scheme on spectral coordinates: its step (Hhat, energy gradient at Hhat)
-    -> Hhat (only descent reads the gradient); its linear part's one-step
-    matrices M_i per frequency, (n, c, c), (n, 1, 1) when each is a number,
-    or None for a per-vertex theta; and its governing energy's gradient map."""
+    """A scheme on spectral coordinates: its step Hhat -> Hhat; its linear
+    part's one-step matrices M_i per frequency, (n, c, c), (n, 1, 1) when each
+    is a number, or None for a per-vertex theta; and its governing energy's
+    gradient map."""
 
     step: Callable
     one_step: Optional[np.ndarray]
@@ -216,7 +241,7 @@ def require_closed_form_bank(sys: FrameletSystem) -> None:
 
 
 def _linear_operator(step: Multiplier, energy: Multiplier) -> SchemeOperator:
-    return SchemeOperator(lambda h, _: step.apply(h), step.per_frequency, energy)
+    return SchemeOperator(step.apply, step.per_frequency, energy)
 
 
 def _scheme_operator(
@@ -225,7 +250,8 @@ def _scheme_operator(
     """Build ``scheme``'s operator from the system's per-frequency values lam
     of Lhat and a_hat = 1 - lam of Ahat.  ``h0`` is the spectral initial
     state; it only matters when a source term is configured (beta != 0 with
-    mixing matrices), which only the descent schemes have."""
+    mixing matrices), which only the descent schemes have.  A step reads the
+    state alone, and no n x n matrix but U."""
     kind, activation, tau, u = scheme.kind, scheme.activation, cfg.tau, sys.spectrum.u
     if kind == "perturbed_closed_form":  # the exact flow of the perturbed energy, over tau
         require_closed_form_bank(sys)
@@ -238,11 +264,8 @@ def _scheme_operator(
     if kind in ("gradf_ufg", "activated"):
         form = framelet_energy_form(sys, cfg, h0 if cfg.has_source else None)
         g = form.per_frequency
-        return SchemeOperator(
-            lambda h, grad: _descend(h, grad, tau, activation, u),
-            np.eye(g.shape[-1]) - tau * g,
-            form,
-        )
+        step = _descent(form, tau, activation, u)
+        return SchemeOperator(step, np.eye(g.shape[-1]) - tau * g, form)
     bands, resp, a_hat = cfg.bands_for(sys), sys.responses, 1.0 - sys.spectrum.eigenvalues
     if kind == "spatial_framelet":
         step = Multiplier([(tau * resp[b] ** 2 * a_hat, cfg.w[b]) for b in bands])
@@ -259,20 +282,29 @@ def _scheme_operator(
     energy = framelet_energy_form(sys, energy_enhanced_omega(sys, plain))
     if activation == "identity":
         return _linear_operator(linear, energy)
-    banded = [Multiplier([(analysis[b], cfg.w[b])]) for b in bands]
-    synthesis = np.stack([resp[b] for b in bands], axis=1)  # n, bands
-    if all(m.matrices is None for m in banded):  # identity multiples: one factor per band
-        factors = np.stack([m.diagonal for m in banded], axis=1)[:, :, None]  # n, bands, 1
-        analyse = lambda h: factors * h[:, None, :]
-    else:
-        analyse = lambda h: np.stack([m.apply(h) for m in banded], axis=1)
+    # Every band's activation in one U^T / U round trip on (n, bands * c)
+    # columns, band b's in columns b*c to b*c + c - 1: H T with T = [I ... I]
+    # (c x bands*c) copies H into every band, and synthesis weights band b
+    # by r_b and sums the bands with T^T.
+    banded = [Multiplier([(analysis[b], cfg.w[b])]).per_frequency for b in bands]
+    c = len(cfg.w[bands[0]])
+    synthesis = np.repeat(np.stack([resp[b] for b in bands], axis=1), c, axis=1)
+    copies = np.tile(np.eye(c), len(bands))
+    if all(m.shape[-1] == 1 for m in banded):  # identity multiples: one factor per band
+        factors = np.repeat(np.concatenate([m[:, 0] for m in banded], axis=1), c, axis=1)
 
-    def banded_step(h, _):  # every band's activation in one U^T / U round trip
-        pre = analyse(h).reshape(len(h), -1)
-        post = (u @ _activate(activation, u.T @ pre)).reshape(len(h), len(bands), -1)
-        if post.shape[2] == 1:  # einsum sums a lone channel in another order than the sum
-            return (synthesis[:, :, None] * post).sum(axis=1)
-        return np.einsum("nb,nbc->nc", synthesis, post)
+        def analyse(h):
+            x = h @ copies
+            x *= factors
+            return x
+    else:  # every band in one product with the stacked (n, bands, c, c) mixers
+        mixers = np.stack([m if m.shape[-1] == c else m * np.eye(c) for m in banded], axis=1)
+        analyse = lambda h: (h[:, None, None, :] @ mixers).reshape(len(h), -1)
+
+    def banded_step(h):
+        y = u @ _activate(activation, u.T @ analyse(h))
+        y *= synthesis
+        return y @ copies.T  # sums the bands
 
     return SchemeOperator(banded_step, linear.per_frequency, energy)
 
@@ -301,7 +333,8 @@ def _vertex_step(kind, activation, sys, signal, initial, cfg: WeightConfig):
     h, was_vector = to_spectral(sys, signal)
     h0 = _spectral_initial(sys, initial, h) if cfg.has_source else None
     op = _scheme_operator(Scheme(kind, activation), sys, cfg, h0)
-    return to_vertex(sys, op.step(h, op.energy.apply(h)), was_vector)
+    op.energy.check_channels(h.shape[1])  # a folded step would broadcast a mismatch
+    return to_vertex(sys, op.step(h), was_vector)
 
 
 def step_spatial_framelet(sys: FrameletSystem, signal, cfg: WeightConfig):
@@ -433,37 +466,37 @@ def _mode_blocks(scheme: Scheme, op: SchemeOperator, modes, lam, h0, norm0, max_
 
 def _stepped_blocks(scheme: Scheme, op: SchemeOperator, lam, state, max_steps):
     """Blocks of rows (norms, E, energies) of a stepped flow up to the first
-    failing step, where it raises, and the state at step k.  A step keeps what
-    the next reads, the state and (descent) its energy gradient, in one-block
-    buffers; three stacked products give a block's rows with per-row vdot bits."""
-    size, descent = min(BLOCK, max_steps), scheme.kind in ("gradf_ufg", "activated")
-    states, norms, nc = np.empty((size, *state.shape)), np.empty(size), state.size
-    grads = np.empty_like(states) if descent else None
+    failing step, where it raises, and the state at step k.  A step reads the
+    state alone and keeps it in a one-block buffer; three stacked products
+    give a block's rows with per-row vdot bits, the block's energy gradients
+    and lam * h taking turns in one scratch buffer of the same size."""
+    size, nc, lam, source = min(BLOCK, max_steps), state.size, lam[:, None], op.energy.source
+    (states, scratch), norms = np.empty((2, size, *state.shape)), np.empty(size)
 
     def rows(m: int):
-        h = states[:m]
-        g = grads[:m] if descent else op.energy.apply(h)  # the step ignored the gradient
-        g = g if op.energy.source is None else g - op.energy.source
+        h, x = states[:m], scratch[:m]
+        dot = lambda y: (h.reshape(m, 1, nc) @ y.reshape(m, nc, 1)).ravel()
+        g = op.energy.apply_into(h, x)
+        if source is not None:
+            g -= source
         with np.errstate(over="ignore", invalid="ignore"):  # as silent as vdot
-            mass, dirichlet, energy = ((h.reshape(m, 1, nc) @ x.reshape(m, nc, 1)).ravel()
-                                       for x in (h, lam[:, None] * h, g))
+            energy = dot(g)
+            mass, dirichlet = dot(h), dot(np.multiply(lam, h, out=x))
         return norms[:m].tolist(), (0.5 * dirichlet / mass).tolist(), (0.5 * energy).tolist()
 
     def blocks():
-        h, grad = state, op.energy.apply(state) if descent else None
+        h, step, renormalize = state, op.step, scheme.renormalize
         for start in range(1, max_steps + 1, size):
             for j, k in enumerate(range(start, min(start + size, max_steps + 1))):
-                h = op.step(h, grad)
+                h = step(h)
                 norms[j] = norm = math.sqrt(np.vdot(h, h))  # the bits of np.linalg.norm
                 try:
-                    _check_norm(norm, k, scheme.renormalize)
+                    _check_norm(norm, k, renormalize)
                 except (ZeroStateError, NumericOverflowError):  # the plateau rule reads rows first
                     if j:
                         yield rows(j)
                     raise
-                h = np.divide(h, norm if scheme.renormalize else 1.0, out=states[j])
-                if descent:
-                    grads[j] = grad = op.energy.apply(h)
+                h = np.divide(h, norm if renormalize else 1.0, out=states[j])
             yield rows(j + 1)
 
     return blocks(), lambda k, norm: states[(k - 1) % size]

@@ -183,8 +183,10 @@ class Multiplier:
     diagonal terms sum, per frequency, into one c x c matrix sum_k a_k M_k,
     or one number when every M_k is s_k I, so an application costs one
     O(n c^2), or O(n c), product whatever the number of bands.  ``source`` S
-    is an optional constant (n, c) term.  With symmetric mixers the map is
-    the gradient of the energy :meth:`quadratic` evaluates.
+    is an optional constant (n, c) term.  A (k, n, c) stack of states takes
+    one product too, with the bits of its slices, and :meth:`apply_into`
+    writes it into a caller's buffer.  With symmetric mixers the map is the
+    gradient of the energy :meth:`quadratic` evaluates.
     """
 
     def __init__(self, terms, source: Optional[np.ndarray] = None):
@@ -223,26 +225,40 @@ class Multiplier:
             return None
         return self.diagonal[:, None, None] if self.matrices is None else self.matrices
 
-    def apply(self, h: np.ndarray) -> np.ndarray:
-        """sum_k A_k h M_k - S for spectral coordinates h, (n, c) or a stack (k, n, c)."""
-        if h.ndim == 3 and (self.matrices is not None or self.filter_mixers):
-            return np.stack([self.apply(x) for x in h])
-        n, c = h.shape[-2:]
+    def check_channels(self, c: int) -> None:
+        """Raise unless a signal with c channels fits the mixers."""
         if self.channels not in (None, c):
             raise DimensionMismatchError(
                 f"weights are {self.channels}x{self.channels}, signal has {c} channels"
             )
-        if self.matrices is not None:
-            out = np.einsum("nc,ncd->nd", h, self.matrices)
+
+    def apply(self, h: np.ndarray) -> np.ndarray:
+        """sum_k A_k h M_k - S for spectral coordinates h, (n, c) or a stack (k, n, c)."""
+        return self.apply_into(h, None)
+
+    def apply_into(self, h: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
+        """:meth:`apply`, written into ``out`` (which must not overlap h) or,
+        if None, into a fresh array."""
+        if h.ndim == 3 and self.filter_mixers:
+            return np.stack([self.apply(x) for x in h], out=out)
+        n, c = h.shape[-2:]
+        self.check_channels(c)
+        if self.matrices is not None:  # per frequency, a row times a c x c matrix
+            rows = None if out is None else out[..., None, :]
+            out = np.matmul(h[..., None, :], self.matrices, out=rows)[..., 0, :]
+        elif self.diagonal is not None:
+            out = np.multiply(self.diagonal[:, None], h, out=out)
+        elif out is None:
+            out = np.zeros_like(h)
         else:
-            out = np.zeros_like(h) if self.diagonal is None else self.diagonal[:, None] * h
+            out.fill(0.0)
         if self.filter_mixers:
             mixed = np.stack([h if m is None else h @ m for m in self.filter_mixers], axis=1)
             vertex = self.basis.T @ (self.filter_responses[:, :, None] * mixed).reshape(n, -1)
             vertex = (self.filter_thetas[:, :, None] * vertex.reshape(n, -1, c)).reshape(n, -1)
             spectral = (self.basis @ vertex).reshape(n, -1, c)
             out += np.einsum("nf,nfc->nc", self.filter_responses, spectral)
-        return out if self.source is None else out - self.source
+        return out if self.source is None else np.subtract(out, self.source, out=out)
 
     def quadratic(self, h: np.ndarray) -> float:
         """0.5 <h, G h> - <h, S>, where G h - S = apply(h)."""

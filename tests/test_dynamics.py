@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -737,6 +738,18 @@ def test_channel_mismatch_raises_before_the_flow_runs(rng, kind, activation):
         ff.run_flow(scheme, sys, rng.standard_normal((8, 2)), cfg, ff.StopRule(50))
 
 
+@pytest.mark.parametrize("kind,activation", [("activated", "relu"), ("activated", "tanh"),
+                                             ("ee_ufg", "relu")])
+def test_a_public_step_rejects_a_channel_mismatch(rng, kind, activation):
+    g, ahat, lap, sys, h = setting(rng, n=8, scales=1, c=2)
+    cfg = ff.WeightConfig.shared(1, np.eye(3), np.eye(3), epsilon=0.2, tau=0.05)
+    with pytest.raises(ff.DimensionMismatchError, match="signal has 2 channels"):
+        if kind == "activated":
+            ff.step_activated(sys, h, None, cfg, activation)
+        else:
+            ff.step_ee_ufg(sys, h, cfg, activation)
+
+
 @pytest.mark.parametrize("kind,activation", [("activated", "relu"), ("ee_ufg", "relu")])
 def test_stepped_flows_decompose_no_one_step_eigenvectors(rng, monkeypatch, kind, activation):
     g, ahat, lap, sys, h = setting(rng, n=8, scales=2)
@@ -757,10 +770,10 @@ def identity_basis(rng, scales, n=9):
     return sys, np.diag(1.0 - lam), np.diag(lam)
 
 
-def stepped_config(rng, kind, weights, bands, c):
+def stepped_config(rng, kind, weights, bands, c, with_source=False):
     tau, lambda_w = (1.0, 20.0) if kind == "ee_ufg" else (0.05, 0.5)
     source = {"w_tilde": {b: rng.standard_normal((c, c)) for b in bands}, "beta": 0.5}
-    extra = dict(source if kind == "gradf_ufg" else {}, epsilon=0.1, tau=tau)
+    extra = dict(source if kind == "gradf_ufg" or with_source else {}, epsilon=0.1, tau=tau)
     if weights == "scalar":
         return ff.WeightConfig.scalar(len(bands) - 1, lambda_w, c, **extra)
     return ff.WeightConfig(
@@ -771,16 +784,21 @@ def stepped_config(rng, kind, weights, bands, c):
 
 @pytest.mark.parametrize("weights", ["scalar", "full"])
 @pytest.mark.parametrize(
-    "kind,activation,renormalize",
-    [("activated", "relu", True), ("activated", "tanh", False),
-     ("gradf_ufg", "identity", True), ("ee_ufg", "relu", True)],
+    "kind,activation,renormalize,with_source",
+    [pytest.param("activated", "relu", True, False, id="activated-relu-True"),
+     pytest.param("activated", "tanh", False, False, id="activated-tanh-False"),
+     pytest.param("activated", "relu", True, True, id="activated-relu-True-source"),
+     pytest.param("activated", "tanh", False, True, id="activated-tanh-False-source"),
+     pytest.param("gradf_ufg", "identity", True, True, id="gradf_ufg-identity-True"),
+     pytest.param("ee_ufg", "relu", True, False, id="ee_ufg-relu-True")],
 )
 def test_stepped_trace_replays_the_public_steps_bit_for_bit(rng, kind, activation, renormalize,
-                                                            weights):
-    """gradf_ufg runs with a source term, so it steps rather than taking powers."""
+                                                            with_source, weights):
+    """gradf_ufg always runs with a source term, so it steps rather than taking
+    powers; with a source, activated descent folds it into its -tau grad."""
     sys, ahat, lap = identity_basis(rng, 2)
     x0 = rng.standard_normal((sys.n, 3))
-    cfg = stepped_config(rng, kind, weights, sys.bands, 3)
+    cfg = stepped_config(rng, kind, weights, sys.bands, 3, with_source)
     steps, lam = 200, np.diag(lap)
     trace = ff.run_flow(ff.Scheme(kind, activation, renormalize), sys, x0, cfg,
                         ff.StopRule(steps, plateau_tol=0.0))
@@ -843,6 +861,81 @@ def test_banded_ee_step_with_scalar_weights_applies_no_band_multiplier(rng, monk
     assert trace.steps_run == steps
     # two for row 0, then one per block: the gradients of steps that do not read them
     assert len(calls) <= steps // dynamics.BLOCK + 3
+
+
+@pytest.mark.parametrize("weights", ["scalar", "full"])
+@pytest.mark.parametrize("kind", ["activated", "ee_ufg"])
+def test_a_step_applies_no_energy_and_a_block_applies_it_once(rng, monkeypatch, kind, weights):
+    """Descent folds -tau grad into its own per-frequency column or matrices, so
+    only the rows apply the energy: once for row 0, then once per block."""
+    g, ahat, lap, sys, h = setting(rng, n=8, scales=2)
+    cfg = stepped_config(rng, kind, weights, sys.bands, 3)
+    calls, apply_into = [], framelets.Multiplier.apply_into
+    monkeypatch.setattr(framelets.Multiplier, "apply_into",
+                        lambda self, x, out: calls.append(self) or apply_into(self, x, out))
+    steps = 200
+    trace = ff.run_flow(ff.Scheme(kind, "relu", True), sys, h, cfg,
+                        ff.StopRule(steps, plateau_tol=0.0))
+    assert trace.steps_run == steps
+    assert len(calls) <= steps // dynamics.BLOCK + 3
+
+
+@pytest.mark.parametrize("weights", ["scalar", "full"])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_an_activated_step_with_a_source_is_tau_act_of_minus_the_gradient(rng, activation,
+                                                                         weights):
+    g, ahat, lap, sys, x = setting(rng, n=9, scales=2)
+    x0 = rng.standard_normal(x.shape)
+    cfg = stepped_config(rng, "activated", weights, sys.bands, 3, with_source=True)
+    act = np.tanh if activation == "tanh" else lambda z: np.maximum(z, 0.0)
+    expected = x + cfg.tau * act(-ff.total_framelet_energy_gradient(sys, x, cfg, x0))
+    out = ff.step_activated(sys, x, x0, cfg, activation)
+    assert np.max(np.abs(out - expected)) <= EXACT_TOL * max(1.0, np.linalg.norm(x))
+
+
+@pytest.mark.parametrize("weights", ["scalar", "full", "mixed"])
+@pytest.mark.parametrize("n,c", [(9, 1), (9, 2), (9, 3), (9, 8), (64, 8)])
+def test_banded_ee_analyses_every_band_with_the_bits_of_its_own_multiplier(rng, weights, n, c):
+    """The banded step analyses all bands in one product (stacked mixers, or
+    copies of H times one factor per band); each band's columns carry the bits
+    of its own Multiplier around the same round trip and synthesis."""
+    g, ahat, lap, sys, h = setting(rng, n=n, scales=2, c=c)
+    w = {b: random_symmetric(rng, c, 20.0) for b in sys.bands}
+    if weights == "scalar":
+        w = {b: float(i + 1) * np.eye(c) for i, b in enumerate(sys.bands)}
+    elif weights == "mixed":
+        w[sys.low_pass] = 3.0 * np.eye(c)
+    cfg = ff.WeightConfig(omega={b: np.eye(c) for b in sys.bands}, w=w, epsilon=0.1)
+    u, resp, shift = sys.spectrum.u, sys.responses, energies.band_shifts(sys, 0.1)
+    a_hat = 1.0 - sys.spectrum.eigenvalues
+    analyses = [framelets.Multiplier([(resp[b] * (a_hat - shift[b]), w[b])]).apply(h)
+                for b in sys.bands]
+    post = u @ np.maximum(u.T @ np.concatenate(analyses, axis=1), 0.0)
+    post *= np.repeat(np.stack([resp[b] for b in sys.bands], axis=1), c, axis=1)
+    step = dynamics._scheme_operator(ff.Scheme("ee_ufg", "relu"), sys, cfg, None).step(h)
+    np.testing.assert_array_equal(step, post @ np.tile(np.eye(c), len(sys.bands)).T)
+    per_band = sum(resp[b][:, None] * (u @ np.maximum(u.T @ x, 0.0))
+                   for b, x in zip(sys.bands, analyses))
+    assert np.max(np.abs(step - per_band)) <= EXACT_TOL * max(1.0, np.max(np.abs(per_band)))
+
+
+@pytest.mark.parametrize("kind", ["activated", "ee_ufg"])
+def test_a_stepped_run_allocates_less_than_one_matrix_of_the_size_of_u(rng, kind):
+    """A step reads U and no other n x n matrix: a 64-step relu run at n = 400,
+    c = 1 peaks below one n x n float64 array (its block buffers take 0.4 MB)."""
+    n = 400
+    sys = build(random_er_graph(rng, n, p=0.02), 2)
+    cfg = stepped_config(rng, kind, "scalar", sys.bands, 1)
+    x0 = rng.standard_normal((n, 1))
+    tracemalloc.start()
+    try:
+        trace = ff.run_flow(ff.Scheme(kind, "relu", True), sys, x0, cfg,
+                            ff.StopRule(64, plateau_tol=0.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.steps_run == 64
+    assert peak < n * n * 8
 
 
 def _rows(trace):

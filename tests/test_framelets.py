@@ -213,6 +213,24 @@ def test_a_stack_applies_as_its_slices_bit_for_bit(rng, kind):
     np.testing.assert_array_equal(m.apply(stack), np.stack([m.apply(h) for h in stack]))
 
 
+@pytest.mark.parametrize("kind", ["numbers", "matrices", "filter"])
+@pytest.mark.parametrize("n,c", [(9, 1), (9, 2), (9, 3), (9, 8), (64, 8)])
+def test_a_stack_applies_into_a_buffer_as_its_slices_bit_for_bit(rng, kind, n, c):
+    """A stepped flow's rows apply the energy to a block of states in one
+    product, into a scratch buffer reused across blocks."""
+    u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    mixer = np.eye(c) if kind == "numbers" else random_symmetric(rng, c, 1.0)
+    terms = [(rng.standard_normal(n), 2.0 * mixer), (rng.standard_normal(n), None)]
+    if kind == "filter":
+        terms.append((framelets.BandFilter(u, rng.standard_normal(n), rng.random(n)), mixer))
+    m = framelets.Multiplier(terms, rng.standard_normal((n, c)))
+    stack, buffer = rng.standard_normal((5, n, c)), np.full((7, n, c), np.nan)
+    out = m.apply_into(stack, buffer[:5])
+    assert np.shares_memory(out, buffer)
+    np.testing.assert_array_equal(out, np.stack([m.apply(h) for h in stack]))
+    np.testing.assert_array_equal(buffer[5:], np.nan)
+
+
 def test_mixers_of_two_sizes_rejected():
     with pytest.raises(DimensionMismatchError, match="mixers of sizes 2, 3"):
         framelets.Multiplier([(np.ones(4), np.eye(2)), (np.ones(4), np.eye(3))])
