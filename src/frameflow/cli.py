@@ -276,7 +276,7 @@ def _build_graph(cfg: dict, seed: Optional[int]) -> graphs.Graph:
 
 
 def read_signal_matrix(path, n: int) -> np.ndarray:
-    """Load an n x c matrix of decimal floats, comma separated, no header."""
+    """Load an n x c matrix of finite decimal floats, comma separated, no header."""
     rows = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -288,6 +288,8 @@ def read_signal_matrix(path, n: int) -> np.ndarray:
                     rows.append([float(tok) for tok in line.split(",")])
                 except ValueError as exc:
                     raise FileParseError(f"{path}:{lineno}: non-numeric entry") from exc
+                if not all(map(math.isfinite, rows[-1])):  # nan, inf, or 1e999
+                    raise FileParseError(f"{path}:{lineno}: non-finite entry")
     except OSError as exc:
         raise FileParseError(f"cannot read signal file {path}: {exc}") from exc
     if not rows:
@@ -656,6 +658,8 @@ def classify_trace_csv(cfg: dict, trace_path, seed: Optional[int] = None) -> dic
         raise FileParseError(f"{trace_path}: malformed row") from exc
     if not e_norm:
         raise FileParseError(f"{trace_path} has no data rows")
+    if not all(map(math.isfinite, e_norm)):  # no run writes one: its norm guard stops it
+        raise FileParseError(f"{trace_path}: non-finite dirichlet_normalized value")
     plateaued = stop.plateau_step(e_norm) is not None
     dominance, _ = analysis.limit_dominance(plateaued, e_norm[-1], spectrum, tol)
     return {

@@ -16,10 +16,12 @@ Every operator above except a per-vertex theta_b is diagonal in the
 Laplacian eigenbasis, so a linear step is one framelets.Multiplier on
 spectral coordinates Hhat = U H, and flows and steps take the
 FrameletSystem alone: Lhat and Ahat = I - Lhat are its eigenvalues lam and
-1 - lam.  ``run_flow`` advances a linear scheme in the eigenbasis Q_i of its
-one-step matrices M_i: mode z = Q_i^T hhat_i is mu^k z after k steps, so a
-block of steps is one product of powers (the closed form is powers of
-exp(-rate_i tau), not an evaluation at k tau).  Relu/tanh descent, the
+1 - lam.  ``run_flow`` advances a linear scheme by modes, each mu^k z after
+k steps, so a block of steps is one product of powers (the closed form is
+powers of exp(-rate_i tau), not an evaluation at k tau).  When each M_i is
+a number mu_i, as with identity-multiple weights, frequency i is one mode
+and its c channels move together; otherwise the modes are the eigenvectors
+Q_i of the one-step matrices M_i, z = Q_i^T hhat_i.  Relu/tanh descent, the
 banded ee activation and a per-vertex theta_b step on Hhat, with one
 U^T / U round trip per step and no other n x n (or bands*n x n) matrix: a
 step reads the state alone.  Either way a block of BLOCK steps is recorded
@@ -421,19 +423,30 @@ def _check_norm(norm: float, k: int, renormalize: bool) -> None:
 
 def _mode_blocks(scheme: Scheme, op: SchemeOperator, modes, lam, h0, norm0, max_steps):
     """Blocks of rows (norms, E, energies) up to the first failing step, where
-    it raises, and the state at step k.  Each linear scheme's energy matrices
-    a_i I + b M_i are diagonal in Q_i too, so rows are powers (mu / r)^2k."""
-    (mu, q), (n, c) = modes, h0.shape
-    q = np.broadcast_to(np.eye(c), (n, c, c)) if q is None else q  # 1 x 1 factors: per channel
-    z = np.einsum("nji,nj->ni", q, h0) / norm0
-    g = np.stack([np.sum(q[..., j] * op.energy.apply(q[..., j]), axis=1) for j in range(c)], 1)
-    mu, live = np.broadcast_to(mu, z.shape), (z * z > 0.0) & (mu != 0.0)  # zero mu: gone at step 1
+    it raises, and the state at step k.  A mode of squared coefficient z^2,
+    energy z^2 g and multiplier mu gives rows of powers (mu / r)^2k.  With a
+    number mu_i per frequency, the c channels of frequency i move together:
+    one mode per frequency, of z^2 = |x_i|^2 and z^2 g = <x_i, G_i x_i> for
+    x = hhat / ||H(0)||.  With c x c matrices M_i, the modes are the columns
+    q of Q_i, z = q^T x_i, and each linear scheme's energy matrices
+    a_i I + b M_i are diagonal in Q_i too, so g = q^T G_i q."""
+    (mu, q), x = modes, h0 / norm0
+    if q is None:  # modes (n, 1)
+        z2 = np.einsum("ij,ij->i", x, x)[:, None]
+        z2g = np.einsum("ij,ij->i", x, op.energy.apply(x))[:, None]
+        back = lambda f: x * f
+    else:  # modes (n, c)
+        z = np.einsum("nji,nj->ni", q, h0) / norm0
+        g = np.stack([np.sum(q[..., j] * op.energy.apply(q[..., j]), axis=1)
+                      for j in range(z.shape[1])], 1)
+        z2, z2g = z * z, z * z * g
+        back = lambda f: np.einsum("nij,nj->ni", q, z * f)
+    live = (z2 > 0.0) & (mu != 0.0)  # zero mu: gone at step 1
     if not live.any():
         raise ZeroStateError("state vanished at step 1")
     r = float(np.max(np.abs(mu[live])))
     log_q = 2.0 * np.log(np.abs(mu[live]) / r)
-    values = np.stack(np.broadcast_arrays(1.0, lam[:, None] / 2, g / 2), axis=2)  # n, c, 3
-    weights = (z * z)[live, None] * values[live]
+    weights = np.stack([z2, z2 * (lam[:, None] / 2), z2g / 2], axis=2)[live]  # live modes x 3
     powers = np.exp(np.outer(np.arange(1, BLOCK + 1), log_q))  # (mu / r)^2j, j = 1..BLOCK
 
     def blocks():
@@ -458,7 +471,7 @@ def _mode_blocks(scheme: Scheme, op: SchemeOperator, modes, lam, h0, norm0, max_
             last = mass[-1]
 
     def state(k: int, norm: float) -> np.ndarray:
-        h = np.einsum("nij,nj->ni", q, z * (np.where(live, mu, 0.0) / r) ** k)
+        h = back((np.where(live, mu, 0.0) / r) ** k)
         return h * ((1.0 if scheme.renormalize else norm) / np.linalg.norm(h))
 
     return blocks(), state

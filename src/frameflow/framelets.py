@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -204,14 +204,18 @@ class Multiplier:
                 mixed.append((np.asarray(factor, dtype=float), mixer))
             else:
                 self.diagonal = factor if self.diagonal is None else self.diagonal + factor
-        if mixed:  # n x c x c
-            factors, mixers = _stack([f for f, _ in mixed]), np.stack([m for _, m in mixed])
-            self.matrices = np.einsum("nk,kcd->ncd", factors, mixers)
-            if self.diagonal is not None:
-                self.matrices += self.diagonal[:, None, None] * np.eye(self.channels)
-                self.diagonal = None
-            if all(np.array_equal(m, m[0, 0] * np.eye(len(m))) for _, m in mixed):  # all s_k I
-                self.diagonal, self.matrices = self.matrices[:, 0, 0].copy(), None  # its bits kept
+        if mixed:
+            mixers = np.stack([m for _, m in mixed])
+            scales = mixers[:, 0, 0]
+            if np.array_equal(mixers, scales[:, None, None] * np.eye(self.channels)):  # all s_k I
+                # one number per frequency: the (n, c, c) path's sum (for c > 1), in term order
+                scaled = reduce(np.add, [f * s for (f, _), s in zip(mixed, scales.tolist())], 0.0)
+                self.diagonal = scaled if self.diagonal is None else scaled + self.diagonal
+            else:  # n x c x c
+                self.matrices = np.einsum("nk,kcd->ncd", _stack([f for f, _ in mixed]), mixers)
+                if self.diagonal is not None:
+                    self.matrices += self.diagonal[:, None, None] * np.eye(self.channels)
+                    self.diagonal = None
         # n x F responses and per-vertex thetas of the filters, with their mixers
         self.filter_mixers = [m for _, m in filters]
         self.filter_responses = _stack([f.response for f, _ in filters])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -964,6 +965,10 @@ TRACE_HEADER = "step,norm,dirichlet_normalized,total_energy,rayleigh\n"
         (_config_file(json.dumps(c6_config(theta={"bands": {"x": [1.0]}})), "run"), 2, "error:"),
         (_config_file(json.dumps(c6_config()), "sweep", "--parameter", "epsilon", "--grid", "0.5"),
          2, "error:"),
+        (_run_with_signal_file("1,2\n" * 5 + "nan,2\n"), 5, "error:"),
+        (_run_with_signal_file("1,2\n" * 2 + "1e999,2\n" + "1,2\n" * 3), 5, "error:"),
+        (_classify_trace(TRACE_HEADER + "0,1.0,0.25,0.5,0.5\n1,1.0,nan,0.5,nan\n"), 5, "error:"),
+        (_classify_trace(TRACE_HEADER + "0,1.0,inf,0.5,inf\n"), 5, "error:"),
     ],
     ids=["init-non-numeric", "init-empty", "init-ragged", "init-two-rows", "init-blank-line",
          "classify-missing", "classify-header", "classify-short-row", "classify-no-rows",
@@ -971,7 +976,8 @@ TRACE_HEADER = "step,norm,dirichlet_normalized,total_energy,rayleigh\n"
          "init-all-zero", "graph-path-no-nodes", "graph-bipartite-no-nodes", "graph-er-no-nodes",
          "graph-sbm-empty-block", "graph-file-no-path", "edges-missing", "edges-bad-header",
          "edges-comments-only", "edges-index-past-header", "theta-bad-band-key",
-         "sweep-epsilon-unshifted"],
+         "sweep-epsilon-unshifted", "init-nan", "init-overflow", "classify-nan",
+         "classify-inf"],
 )
 def test_failure_paths_exit_with_their_code_and_one_line(tmp_path, capsys, argv, code, line):
     args = argv(tmp_path)  # classify writes nothing, so it takes no --out
@@ -983,3 +989,66 @@ def test_failure_paths_exit_with_their_code_and_one_line(tmp_path, capsys, argv,
         assert err == ""
     else:
         assert any(ln.startswith(line) for ln in err.splitlines()), err
+
+
+def test_main_parses_every_call_afresh(tmp_path, monkeypatch, capsys):
+    """A flag of one call never leaks into the next, and a bad argv exits 2
+    on every call, whatever the calls before it."""
+    seen = []
+    for name in ("sweep_config", "run_config", "classify_trace_csv"):
+        original = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, _f=original, _n=name, **k:
+                            seen.append((_n, a, k)) or _f(*a, **k))
+    config = str(write_config(tmp_path, c6_config(steps=200)))
+    sweep = ["sweep", "--config", config, "--parameter", "lambda_w", "--grid", "0.5,2"]
+    calls = [
+        [*sweep, "--out", str(tmp_path / "a"), "--jobs", "2", "--seed", "3"],
+        [*sweep, "--out", str(tmp_path / "b")],
+        ["run", "--config", config, "--out", str(tmp_path / "c")],
+        ["classify", "--config", config, "--trace", str(tmp_path / "c" / "trace.csv")],
+    ]
+    for argv in calls:
+        assert cli.main(argv) == 0
+        for bad in (["sweep", "--config", config], ["walk"], [*argv, "--bogus"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(bad)
+            assert exc.value.code == 2
+    capsys.readouterr()
+    assert [n for n, _, _ in seen] == ["sweep_config", "sweep_config", "run_config",
+                                       "classify_trace_csv"]
+    (_, first, _), (_, second, _), (_, _, run), (_, _, classify) = seen
+    assert first[4:] == (2, 3)  # sweep_config(cfg, parameter, grid, out, jobs, seed)
+    assert second[4:] == (1, None) and run == {"seed": None} and classify == {"seed": None}
+
+
+FULL_W = {"0,2": [[1.0, 0.3, 0.0], [0.3, 0.8, -0.2], [0.0, -0.2, 1.1]],
+          "1,1": [[2.0, -0.5, 0.1], [-0.5, 1.5, 0.4], [0.1, 0.4, -1.0]],
+          "1,2": [[-3.0, 0.2, 0.0], [0.2, 1.0, 0.6], [0.0, 0.6, 2.5]]}
+FULL_OMEGA = {"0,2": [[1.0, 0.1, 0.0], [0.1, 1.2, 0.0], [0.0, 0.0, 0.9]],
+              "1,1": [[1.0, 0.0, 0.2], [0.0, 1.0, 0.0], [0.2, 0.0, 1.3]],
+              "1,2": [[0.8, 0.0, 0.0], [0.0, 1.0, 0.1], [0.0, 0.1, 1.0]]}
+
+
+@pytest.mark.parametrize(
+    "kind,extra,rows,digest",
+    [("spatial_framelet", {"tau": 0.5}, 30,
+      "04ed9e14142c82597166496ebb89ea043ddfcf8c47462148af0ed136a3b9bb63"),
+     ("gradf_ufg", {"tau": 0.05}, 301,
+      "db390d081210fd96d86ca884a3b3f1a4341f6e1dca0e5ff06c719373836c200e"),
+     ("ee_ufg", {"epsilon": 0.2, "tau": 0.5}, 301,
+      "71e20895efa97990a75f11feef86b4c96a6b4a7aa169b7bda2600222969e9415")],
+)
+def test_matrix_weight_power_path_traces_keep_their_bits(tmp_path, kind, extra, rows, digest):
+    """c x c one-step matrices keep their per-channel eigenmodes, bit for bit:
+    SHA-256 of trace.csv as written before the power path took one mode per
+    frequency for number factors (numpy 2.4 with OpenBLAS; byte identity is
+    promised per numpy/BLAS build, so another build may need new digests)."""
+    cfg = {"graph": {"kind": "erdos_renyi", "n": 14, "p": 0.4, "seed": 7},
+           "framelet": {"scales": 2}, "scheme": {"kind": kind},
+           "weights": {"mode": "full", "omega": FULL_OMEGA, "w": FULL_W},
+           "init": {"mode": "random_normal", "seed": 3, "channels": 3},
+           "run": {"steps": 300}, **extra}
+    assert cli.main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path)]) == 0
+    data = (tmp_path / "trace.csv").read_bytes()
+    assert data.count(b"\n") == rows + 1
+    assert hashlib.sha256(data).hexdigest() == digest

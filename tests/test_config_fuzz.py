@@ -1,8 +1,11 @@
-"""Single-fault fuzz of the CLI config: one key, or one whole block, of a
-valid config is replaced by a value from a fixed vocabulary.  Whatever the
-fault, ``run`` and ``sweep`` must return an exit code (no traceback) and
-must write nothing when that code is not 0."""
+"""Single-fault fuzz of the CLI inputs: one key, or one whole block, of a
+valid config is replaced by a value from a fixed vocabulary, or one entry of
+a valid init signal file or trace CSV by a non-finite or empty field.
+Whatever the fault, ``run``, ``sweep`` and ``classify`` must return an exit
+code (no traceback; RuntimeWarnings are errors here) and must write nothing
+when that code is not 0."""
 
+import functools
 import json
 import tempfile
 from pathlib import Path
@@ -103,3 +106,49 @@ def test_single_fault_configs_exit_with_a_code_and_write_nothing_on_failure(base
     cfg, parameter, grid = base
     with tempfile.TemporaryDirectory() as tmp:
         _main_codes(_with_fault(cfg, *path, value), parameter, grid, tmp)
+
+
+FILE_FAULTS = ["nan", "inf", "-inf", "1e999", ""]  # Python's float() reads all but ""
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(base=st.sampled_from(BASES), row=st.integers(0, 5), column=st.integers(0, 1),
+       fault=st.sampled_from(FILE_FAULTS))
+def test_single_fault_signal_files_exit_five_and_write_nothing(base, row, column, fault):
+    cfg, parameter, grid = base
+    channels = cfg["init"]["channels"]
+    entries = [[repr(0.25 * (i + 1) - 0.5 * j) for j in range(channels)] for i in range(6)]
+    entries[row][column % channels] = fault
+    with tempfile.TemporaryDirectory() as tmp:
+        signal = Path(tmp) / "h.csv"
+        signal.write_text("".join(",".join(r) + "\n" for r in entries), encoding="utf-8")
+        faulty = dict(cfg, init={"mode": "file", "path": str(signal)})
+        assert _main_codes(faulty, parameter, grid, tmp) == [5, 5]
+
+
+@functools.cache
+def _trace_text() -> str:
+    """The trace CSV a ``run`` of the first base writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _main_codes(BASES[0][0], *BASES[0][1:], tmp)[0] == 0
+        return (Path(tmp) / "run" / "trace.csv").read_text(encoding="utf-8")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(row=st.integers(1, RUN["steps"] + 1), column=st.integers(0, 4),
+       fault=st.sampled_from(FILE_FAULTS))
+def test_single_fault_trace_files_exit_with_a_code_and_write_nothing(row, column, fault):
+    """classify reads only the dirichlet_normalized column (2): a fault there
+    exits 5, one elsewhere is never read; either way the folder is left as
+    classify found it.  The base run does not plateau, so it has 41 rows."""
+    lines = _trace_text().splitlines()
+    fields = lines[row].split(",")
+    fields[column] = fault
+    lines[row] = ",".join(fields)
+    with tempfile.TemporaryDirectory() as tmp:
+        config, trace = Path(tmp) / "config.json", Path(tmp) / "trace.csv"
+        config.write_text(json.dumps(BASES[0][0]), encoding="utf-8")
+        trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = cli.main(["classify", "--config", str(config), "--trace", str(trace)])
+        assert code == (5 if column == 2 else 0)
+        assert sorted(p.name for p in Path(tmp).iterdir()) == ["config.json", "trace.csv"]

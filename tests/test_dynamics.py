@@ -3,9 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import frameflow as ff
-from frameflow import dynamics, energies, framelets
+from frameflow import analysis, dynamics, energies, framelets
 from frameflow.errors import (
     IllegalRenormalizeError,
     NumericOverflowError,
@@ -700,6 +701,92 @@ def test_plateau_just_before_an_overflow_in_the_same_block_returns_a_trace():
     np.testing.assert_allclose(trace.final_state, x0 * 1e120, rtol=1e-12)
     with pytest.raises(NumericOverflowError, match="at step 13;"):
         ff.run_flow(scheme, sys, x0, cfg, ff.StopRule(50, plateau_window=13))
+
+
+REPEATED_EIGENVALUES = {  # cycle 9: every eigenvalue but 0 is double; K_{7,12}: 1 has multiplicity 17
+    "cycle9": ff.GraphSpec(kind="cycle", n=9),
+    "k7_12": ff.GraphSpec(kind="complete_bipartite", m=7, n=12),
+}
+SCALAR_LINEAR = {  # kind -> (scales, WeightConfig.scalar keywords besides lambda_w)
+    "spatial_framelet": (1, {"tau": 1.0}),
+    "gradf_ufg": (2, {"tau": 0.05}),
+    "activated": (2, {"tau": 0.05}),
+    "ee_ufg": (2, {"epsilon": 0.2, "tau": 1.0}),
+    "spectral_framelet": (1, {"tau": 1.0}),
+    "perturbed_closed_form": (2, {"epsilon": 0.5, "tau": 0.05}),
+}
+
+
+def _stepped_reference(op, lam, h0, max_steps, scheme):
+    """Rows (norm, E, energy) of ``op.step`` iterated on hhat, the last state,
+    and the step at which the norm leaves (0, inf) or, unrenormalized, passes
+    the guard.  The closed form records ||H(k tau)|| even when renormalized."""
+    renormalize, norm0 = scheme.renormalize, float(np.linalg.norm(h0))
+    e_norm = lambda h: 0.5 * float(np.vdot(h, lam[:, None] * h)) / float(np.vdot(h, h))  # noqa: E731
+    rows, h = [(norm0, e_norm(h0), op.energy.quadratic(h0))], (h0 / norm0 if renormalize else h0)
+    absolute, scale = renormalize and scheme.kind == "perturbed_closed_form", norm0
+    for k in range(1, max_steps + 1):
+        h = op.step(h)
+        norm = float(np.linalg.norm(h))
+        if norm == 0.0 or not np.isfinite(norm) or (not renormalize and norm > dynamics.OVERFLOW_GUARD):
+            return np.array(rows), h, k
+        h = h / norm if renormalize else h
+        scale *= norm
+        rows.append((scale if absolute else norm, e_norm(h), op.energy.quadratic(h)))
+    return np.array(rows), h, None
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(sorted(SCALAR_LINEAR)), graph=st.sampled_from(sorted(REPEATED_EIGENVALUES)),
+       c=st.sampled_from([1, 3, 8]), renormalize=st.booleans(),
+       lambda_w=st.sampled_from([-30.0, -2.0, 0.5, 1.0, 3.0, 30.0, 1e4]),
+       plateau_tol=st.sampled_from([1e-9, 0.0]), seed=st.integers(0, 2**16))
+def test_per_frequency_modes_match_stepping_the_same_operator(kind, graph, c, renormalize,
+                                                              lambda_w, plateau_tol, seed):
+    """With scalar weights a linear run takes one power-path mode per
+    frequency; its rows, plateau step, verdict and failing step are those of
+    stepping the scheme's own operator, on spectra with repeated eigenvalues.
+    A zero plateau tolerance runs to the step cap or the overflow guard."""
+    rng = np.random.default_rng(seed)
+    scales, extra = SCALAR_LINEAR[kind]
+    sys = build(ff.generate_graph(REPEATED_EIGENVALUES[graph]), scales)
+    theta_high = 2.0
+    if kind == "spectral_framelet":  # one shared W: the drawn number sets theta instead
+        lambda_w, theta_high = 1.0, abs(lambda_w)
+    theta = {b: np.full(sys.n, 0.5 if b[0] == 0 else theta_high) for b in sys.bands}
+    cfg = ff.WeightConfig.scalar(scales, lambda_w, c, theta=theta, **extra)
+    scheme, stop = ff.Scheme(kind, renormalize=renormalize), ff.StopRule(300, plateau_tol)
+    x0 = rng.standard_normal((sys.n, c))
+    op = dynamics._scheme_operator(scheme, sys, cfg, None)
+    assert op.one_step.shape[1:] == (1, 1)  # one number per frequency
+    lam, u, h0 = sys.spectrum.eigenvalues, sys.spectrum.u, sys.spectrum.u @ x0
+    rows, state, failed = _stepped_reference(op, lam, h0, stop.max_steps, scheme)
+    plateau = stop.plateau_step(rows[:, 1])
+    if failed is not None and plateau is None:  # the run raises at the same step
+        error = ZeroStateError if np.linalg.norm(state) == 0.0 else NumericOverflowError
+        with pytest.raises(error, match=rf"at step {failed}(;|$)"):
+            ff.run_flow(scheme, sys, x0, cfg, stop)
+        if failed == 1:
+            return
+        stop = replace(stop, max_steps=failed - 1)
+    trace = ff.run_flow(scheme, sys, x0, cfg, stop)
+    last = stop.max_steps if plateau is None else plateau
+    assert trace.steps_to_plateau == plateau and trace.steps_run == last
+    rows, state, _ = _stepped_reference(op, lam, h0, last, scheme)
+    norms, e_norms, energies = rows.T
+    np.testing.assert_allclose(trace.norms, norms, rtol=1e-12)
+    np.testing.assert_allclose(trace.dirichlet_normalized, e_norms, rtol=1e-12, atol=1e-12)
+    # an energy is at most max |G_i| times the squared norm of the state it reads
+    mass = np.ones_like(norms) if renormalize else norms ** 2
+    mass[0] = norms[0] ** 2
+    scale = np.max(np.abs(op.energy.per_frequency)) * mass
+    assert np.all(np.abs(trace.total_energy - energies) <= 1e-12 * (np.abs(energies) + scale))
+    final = u.T @ state
+    np.testing.assert_allclose(trace.final_state, final, rtol=0,
+                               atol=1e-12 * np.max(np.abs(final)))
+    verdicts = [analysis.limit_dominance(plateau is not None, e, sys.spectrum, 1e-6, x)[0]
+                for e, x in ((rows[-1, 1], final), (trace.limit_value, trace.final_state))]
+    assert verdicts[0] == verdicts[1]
 
 
 @pytest.mark.parametrize("scales,variant", [(1, "tight"), (2, "tight"), (2, "paper_literal")])
