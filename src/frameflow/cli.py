@@ -23,6 +23,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -256,23 +257,11 @@ def _scheme(cfg: dict) -> dynamics.Scheme:
 
 
 def _build_graph(cfg: dict, seed: Optional[int]) -> graphs.Graph:
+    """The graph of a checked graph block, whose keys are GraphSpec's fields."""
     if seed is not None and seed < 0:
         raise ConfigError(f"seed override must be >= 0, got {seed}")
-    gcfg = cfg["graph"]
-    sizes = gcfg.get("sizes")
-    spec = graphs.GraphSpec(
-        kind=gcfg["kind"],
-        n=gcfg.get("n"),
-        m=gcfg.get("m"),
-        sizes=tuple(sizes) if sizes is not None else None,
-        p=gcfg.get("p"),
-        p_in=gcfg.get("p_in"),
-        p_out=gcfg.get("p_out"),
-        seed=int(seed if seed is not None else gcfg.get("seed", 0)),
-        self_loops=bool(gcfg.get("self_loops", False)),
-        path=gcfg.get("path"),
-    )
-    return graphs.generate_graph(spec)
+    block = cfg["graph"] if seed is None else {**cfg["graph"], "seed": seed}
+    return graphs.generate_graph(graphs.GraphSpec(**block))
 
 
 def read_signal_matrix(path, n: int) -> np.ndarray:
@@ -395,10 +384,10 @@ def _build_weights(cfg: dict, kind: str, channels: int, n: int) -> energies.Weig
 
 @dataclass
 class Geometry:
-    """The part of an experiment fixed by the graph, framelet, init and seed
-    blocks, which a sweep never varies."""
+    """The part of an experiment a sweep never varies, fixed by the graph,
+    framelet, init and seed blocks.  Its one n x n matrix is the eigenbasis U."""
 
-    ahat: np.ndarray
+    graph: graphs.Graph
     spectrum: spectral.Spectrum
     system: framelets.FrameletSystem
     initial: np.ndarray
@@ -423,11 +412,10 @@ def build_geometry(cfg: dict, seed: Optional[int] = None) -> Geometry:
     signal = read_signal_matrix(icfg["path"], n) if icfg["mode"] == "file" else None
     if kind == "spectral_framelet" and cfg.get("theta") is not None:
         _build_weights(cfg, kind, 1, n).theta_for(_probe_bank(*_framelet(cfg)).bands, n)
-    ahat = graphs.normalized_adjacency(graph)
-    spectrum = spectral.eigh(np.eye(graph.n) - ahat)
+    spectrum = spectral.eigh(graphs.normalized_laplacian(graph))
     system = framelets.build_framelet_system(spectrum, *_framelet(cfg))
     initial = _build_init(cfg, spectrum, seed) if signal is None else signal
-    return Geometry(ahat, spectrum, system, initial)
+    return Geometry(graph, spectrum, system, initial)
 
 
 def _run_rules(cfg: dict):
@@ -507,12 +495,15 @@ PAPER_CHECK = {
 }
 
 
+TRACE_HEADER = "step,norm,dirichlet_normalized,total_energy,rayleigh"
+
+
 def write_trace_csv(path, trace: dynamics.FlowTrace) -> None:
     e = trace.dirichlet_normalized
     columns = (trace.steps, trace.norms, e, trace.total_energy, trace.rayleigh)
     rows = (f"{k},{a!r},{b!r},{c!r},{d!r}" for k, a, b, c, d in zip(*(x.tolist() for x in columns)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(["step,norm,dirichlet_normalized,total_energy,rayleigh", *rows]) + "\n")
+        fh.write("\n".join([TRACE_HEADER, *rows]) + "\n")
 
 
 def run_config(cfg: dict, out_dir, seed: Optional[int] = None) -> dict:
@@ -613,7 +604,7 @@ def energy_report(cfg: dict, seed: Optional[int] = None) -> dict:
     validate_config(cfg)
     exp = assemble(cfg, build_geometry(cfg, seed))
     x = exp.initial
-    report = {"dirichlet": energies.dirichlet_energy(np.eye(exp.spectrum.n) - exp.ahat, x)}
+    report = {"dirichlet": energies.dirichlet_energy(graphs.normalized_laplacian(exp.graph), x)}
     if exp.system.is_tight:
         per_band, total = energies.framelet_dirichlet_energies(exp.system, x)
         report["band_dirichlet"] = {f"{b[0]},{b[1]}": v for b, v in per_band.items()}
@@ -622,9 +613,9 @@ def energy_report(cfg: dict, seed: Optional[int] = None) -> dict:
         exp.system, x, exp.weights, initial=x if exp.weights.has_source else None
     )
     if cfg["weights"]["mode"] == "shared":  # every band holds the one (omega, w) pair
-        band = exp.system.low_pass
+        band, ahat = exp.system.low_pass, graphs.normalized_adjacency(exp.graph)
         report["generalized"] = energies.generalized_energy(
-            exp.ahat, x, exp.weights.omega[band], exp.weights.w[band]
+            ahat, x, exp.weights.omega[band], exp.weights.w[band]
         )
     if exp.weights.epsilon != 0.0 and exp.system.is_tight:
         report["perturbed"] = energies.perturbed_energy(exp.system, x, exp.weights.epsilon)
@@ -650,16 +641,20 @@ def classify_trace_csv(cfg: dict, trace_path, seed: Optional[int] = None) -> dic
             lines = [ln.strip() for ln in fh if ln.strip()]
     except OSError as exc:
         raise FileParseError(f"cannot read trace {trace_path}: {exc}") from exc
-    if not lines or not lines[0].startswith("step,"):
+    if not lines or lines[0] != TRACE_HEADER:
         raise FileParseError(f"{trace_path} does not look like a trace CSV")
     try:
-        e_norm = [float(ln.split(",")[2]) for ln in lines[1:]]
-    except (IndexError, ValueError) as exc:
-        raise FileParseError(f"{trace_path}: malformed row") from exc
-    if not e_norm:
+        table = [[float(field) for field in ln.split(",")] for ln in lines[1:]]
+    except ValueError as exc:
+        raise FileParseError(f"{trace_path}: non-numeric field") from exc
+    if not table:
         raise FileParseError(f"{trace_path} has no data rows")
-    if not all(map(math.isfinite, e_norm)):  # no run writes one: its norm guard stops it
-        raise FileParseError(f"{trace_path}: non-finite dirichlet_normalized value")
+    width = TRACE_HEADER.count(",") + 1
+    for k, row in enumerate(table):  # no run writes a non-finite value: its norm guard stops it
+        if len(row) != width or not all(map(math.isfinite, row)) or row[0] != k:
+            raise FileParseError(f"{trace_path}: row {k + 1} is not step {k} "
+                                 f"and {width} finite numbers")
+    e_norm = [row[2] for row in table]
     plateaued = stop.plateau_step(e_norm) is not None
     dominance, _ = analysis.limit_dominance(plateaued, e_norm[-1], spectrum, tol)
     return {
@@ -726,7 +721,11 @@ def main(argv=None) -> int:
         elif args.command == "classify":
             verdict = classify_trace_csv(cfg, args.trace, seed=args.seed)
             print(json.dumps(verdict, indent=2, sort_keys=True))
-    except (FrameflowError, MemoryError) as exc:
+        sys.stdout.flush()  # a closed pipe shows here, not in the interpreter's exit
+    except (FrameflowError, MemoryError, BrokenPipeError) as exc:
+        if isinstance(exc, BrokenPipeError):  # the reader closed stdout early, as `| head -1` does
+            with open(os.devnull, "w") as devnull:  # what is left to flush at exit goes nowhere
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         for klass, code in EXIT_CODES.items():
             if isinstance(exc, klass):

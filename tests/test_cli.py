@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from typing import Optional
 
@@ -12,7 +13,7 @@ import pytest
 
 import frameflow as ff
 from frameflow import cli
-from frameflow.errors import ConfigError
+from frameflow.errors import ConfigError, FrameflowError
 
 
 def c6_config(lambda_w=10.0, scales=1, steps=20000, **extra):
@@ -647,7 +648,8 @@ def test_energy_report_generalized_energy_reads_the_shared_pair(tmp_path):
     report = cli.energy_report(cfg)
     exp = cli.assemble(cfg, cli.build_geometry(cfg))
     expected = ff.generalized_energy(
-        exp.ahat, exp.initial, np.array(cfg["weights"]["omega"]), np.array(cfg["weights"]["w"])
+        ff.normalized_adjacency(exp.graph), exp.initial, np.array(cfg["weights"]["omega"]),
+        np.array(cfg["weights"]["w"]),
     )
     assert report["generalized"] == expected
 
@@ -969,6 +971,15 @@ TRACE_HEADER = "step,norm,dirichlet_normalized,total_energy,rayleigh\n"
         (_run_with_signal_file("1,2\n" * 2 + "1e999,2\n" + "1,2\n" * 3), 5, "error:"),
         (_classify_trace(TRACE_HEADER + "0,1.0,0.25,0.5,0.5\n1,1.0,nan,0.5,nan\n"), 5, "error:"),
         (_classify_trace(TRACE_HEADER + "0,1.0,inf,0.5,inf\n"), 5, "error:"),
+        (_classify_trace(TRACE_HEADER + "0,1.0,0.25,0.5,0.5\n" * 2), 5, "error:"),
+        (_classify_trace(TRACE_HEADER + "0,1.0,0.25,0.5,0.5\n2,1.0,0.25,0.5,0.5\n"), 5,
+         "error:"),
+        (_classify_trace(TRACE_HEADER + "0,nan,0.25,0.5,0.5\n"), 5, "error:"),
+        (_classify_trace(TRACE_HEADER + "0,1.0,0.25,0.5,\n"), 5, "error:"),
+        (_classify_trace(TRACE_HEADER + "0,1.0,0.25,0.5,0.5,0.5\n"), 5, "error:"),
+        (_classify_trace("step,norm,e\n0,1.0,0.25\n"), 5, "error:"),
+        (_config_file(json.dumps(c6_config(weights={"mode": "shared", "omega": [], "w": [[1.0]]})),
+                      "run"), 2, "error:"),
     ],
     ids=["init-non-numeric", "init-empty", "init-ragged", "init-two-rows", "init-blank-line",
          "classify-missing", "classify-header", "classify-short-row", "classify-no-rows",
@@ -977,7 +988,9 @@ TRACE_HEADER = "step,norm,dirichlet_normalized,total_energy,rayleigh\n"
          "graph-sbm-empty-block", "graph-file-no-path", "edges-missing", "edges-bad-header",
          "edges-comments-only", "edges-index-past-header", "theta-bad-band-key",
          "sweep-epsilon-unshifted", "init-nan", "init-overflow", "classify-nan",
-         "classify-inf"],
+         "classify-inf", "classify-repeated-row", "classify-skipped-step", "classify-nan-norm",
+         "classify-empty-rayleigh", "classify-long-row", "classify-other-header",
+         "weights-empty-matrix"],
 )
 def test_failure_paths_exit_with_their_code_and_one_line(tmp_path, capsys, argv, code, line):
     args = argv(tmp_path)  # classify writes nothing, so it takes no --out
@@ -1052,3 +1065,75 @@ def test_matrix_weight_power_path_traces_keep_their_bits(tmp_path, kind, extra, 
     data = (tmp_path / "trace.csv").read_bytes()
     assert data.count(b"\n") == rows + 1
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_geometry_keeps_no_dense_operator_but_the_eigenbasis():
+    """After build_geometry returns, the one n x n matrix it holds is U: the
+    dense Lhat it eigendecomposed is gone, and no field holds Ahat."""
+    n = 400
+    cfg = {"graph": {"kind": "erdos_renyi", "n": n, "p": 0.02, "seed": 3},
+           "framelet": {"scales": 2}, "weights": {"mode": "scalar", "lambda_w": 2.0},
+           "init": {"mode": "random_normal", "seed": 5, "channels": 4}}
+    cli.validate_config(cfg)
+    cli.build_geometry(cfg)  # warms the probe-bank cache and every lazy import
+    tracemalloc.start()
+    try:
+        geometry = cli.build_geometry(cfg)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 1.5 * n * n * 8
+    assert not [name for name, value in vars(geometry).items()
+                if isinstance(value, np.ndarray) and value.shape == (n, n)]
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_exits_one_without_a_traceback(tmp_path, unbuffered):
+    """A reader that closes stdout before the verdict is printed, as `head -1`
+    may: one error line and exit 1, with stdout buffered or not."""
+    config = write_config(tmp_path, c6_config(lambda_w=0.5, steps=300))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "frameflow.cli", "run", "--config", str(config),
+            "--out", str(tmp_path / "out")]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.startswith("error:") and len(err.splitlines()) == 1, err
+
+
+def test_sweep_config_rejects_an_unknown_parameter(tmp_path):
+    with pytest.raises(ConfigError, match="sweep parameter must be one of"):
+        cli.sweep_config(c6_config(), "tau", [0.5], tmp_path)
+    assert cli.EXIT_CODES[ConfigError] == 2
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def _subclasses(klass):
+    for sub in klass.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_library_error_has_its_own_exit_code():
+    """main's fallback `return 1` is for a closed stdout alone: every error
+    the library raises maps to a code of its own class."""
+    errors = set(_subclasses(FrameflowError))
+    assert errors and errors <= set(cli.EXIT_CODES)
+    assert 1 not in cli.EXIT_CODES.values()
+
+
+def test_ee_ufg_takes_a_unit_step_whatever_tau(tmp_path):
+    """ee_ufg's step has no step size, so tau leaves its runs unchanged."""
+    traces = []
+    for tau in (1.0, 0.3):
+        cfg = c6_config(lambda_w=2.0, scales=2, steps=300, epsilon=0.2, tau=tau,
+                        scheme={"kind": "ee_ufg", "activation": "relu"})
+        cli.run_config(cfg, tmp_path / str(tau))
+        traces.append((tmp_path / str(tau) / "trace.csv").read_bytes())
+    assert traces[0] == traces[1]
+    assert traces[0].count(b"\n") > 2

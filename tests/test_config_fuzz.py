@@ -138,9 +138,9 @@ def _trace_text() -> str:
 @given(row=st.integers(1, RUN["steps"] + 1), column=st.integers(0, 4),
        fault=st.sampled_from(FILE_FAULTS))
 def test_single_fault_trace_files_exit_with_a_code_and_write_nothing(row, column, fault):
-    """classify reads only the dirichlet_normalized column (2): a fault there
-    exits 5, one elsewhere is never read; either way the folder is left as
-    classify found it.  The base run does not plateau, so it has 41 rows."""
+    """classify checks every field of every row: a fault in any column exits 5
+    and leaves the folder as classify found it.  The base run does not
+    plateau, so it has 41 rows."""
     lines = _trace_text().splitlines()
     fields = lines[row].split(",")
     fields[column] = fault
@@ -150,5 +150,5 @@ def test_single_fault_trace_files_exit_with_a_code_and_write_nothing(row, column
         config.write_text(json.dumps(BASES[0][0]), encoding="utf-8")
         trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
         code = cli.main(["classify", "--config", str(config), "--trace", str(trace)])
-        assert code == (5 if column == 2 else 0)
+        assert code == 5
         assert sorted(p.name for p in Path(tmp).iterdir()) == ["config.json", "trace.csv"]

@@ -673,6 +673,18 @@ def test_zero_step_size_vanishes_at_step_one(rng):
                     rng.standard_normal((sys.n, 2)), replace(cfg, tau=0.0), ff.StopRule(10))
 
 
+def test_a_stepped_state_that_vanishes_names_its_step(rng):
+    """relu ee_ufg from a state whose every band analysis is <= 0: the banded
+    activation zeroes it, so step 1 leaves nothing to renormalize."""
+    sys, _, _ = identity_basis(rng, 2)
+    lam = sys.spectrum.eigenvalues
+    cfg = ff.WeightConfig.scalar(2, 2.0, 1)  # epsilon 0: band b analyses by r_b (1 - lam) w_b
+    assert all(np.all(sys.responses[b] >= 0.0) for b in sys.bands)
+    h0 = -(1.0 - lam)[:, None]  # analysis -r_b (1 - lam)^2 w_b <= 0 in every band
+    with pytest.raises(ZeroStateError, match="state vanished at step 1$"):
+        ff.run_flow(ff.Scheme("ee_ufg", "relu", True), sys, h0, cfg, ff.StopRule(10))
+
+
 def test_unrenormalized_flow_overflows_at_the_reference_step(rng):
     _, ahat, lap, _, sys, h0 = c6_pieces()
     cfg = ff.WeightConfig.scalar(1, 1e8, 2, tau=1e6)

@@ -140,6 +140,30 @@ def test_generalized_rejects_asymmetric_weights():
         ff.generalized_energy(ahat, np.ones((2, 2)), bad, np.eye(2))
 
 
+def test_generalized_rejects_a_non_square_weight():
+    _, ahat, _ = two_node()
+    with pytest.raises(DimensionMismatchError, match="omega must be square"):
+        ff.generalized_energy(ahat, np.ones((2, 2)), np.ones((2, 3)), np.eye(2))
+
+
+def test_generalized_rejects_weights_that_do_not_fit_the_channels():
+    _, ahat, _ = two_node()
+    with pytest.raises(DimensionMismatchError, match="signal has 3 channels"):
+        ff.generalized_energy(ahat, np.ones((2, 3)), np.eye(2), np.eye(2))
+
+
+@pytest.mark.parametrize("signal", [np.ones(3), np.ones((3, 2))], ids=["1-D", "2-D"])
+def test_dirichlet_rejects_a_signal_with_the_wrong_row_count(signal):
+    _, _, lap = two_node()
+    with pytest.raises(DimensionMismatchError, match="3"):
+        ff.dirichlet_energy(lap, signal)
+
+
+def test_dirichlet_rejects_a_non_square_operator():
+    with pytest.raises(DimensionMismatchError, match="laplacian shape"):
+        ff.dirichlet_energy(np.ones((3, 4)), np.ones(3))
+
+
 def test_weight_config_rejects_asymmetry():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(NotSymmetricError):

@@ -231,6 +231,20 @@ def test_a_stack_applies_into_a_buffer_as_its_slices_bit_for_bit(rng, kind, n, c
     np.testing.assert_array_equal(buffer[5:], np.nan)
 
 
+def test_filters_alone_apply_into_a_zero_filled_buffer(rng):
+    """With no diagonal term the filters add onto a zeroed buffer, never onto
+    what the caller's buffer held."""
+    n, c = 9, 2
+    u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    m = framelets.Multiplier([(framelets.BandFilter(u, rng.standard_normal(n), rng.random(n)),
+                               random_symmetric(rng, c, 1.0))])
+    assert m.diagonal is None and m.matrices is None
+    h, buffer = rng.standard_normal((n, c)), np.full((n, c), np.nan)
+    out = m.apply_into(h, buffer)
+    assert np.shares_memory(out, buffer)
+    np.testing.assert_array_equal(out, m.apply(h))
+
+
 def test_mixers_of_two_sizes_rejected():
     with pytest.raises(DimensionMismatchError, match="mixers of sizes 2, 3"):
         framelets.Multiplier([(np.ones(4), np.eye(2)), (np.ones(4), np.eye(3))])
