@@ -80,19 +80,15 @@ def dominant_frequency(spectrum: Spectrum, gains: np.ndarray) -> DominancePredic
     """Classify the argmax of |gain| over the distinct eigenvalues.
 
     ``gains`` holds one per-step gain per eigenvalue (``FlowTrace.gains``);
-    eigenvalues within 1e-9 form one frequency, whose gain is their largest.
-    LFD when frequency 0 wins, HFD when rho_L wins, MIXED for an interior
-    winner or any tie within a relative 1e-9 (including the 0-vs-rho_L tie).
-    A tie reports its lowest tied frequency as lambda_star.
+    a frequency (``Spectrum.frequency_starts``) gains the most of its
+    eigenvalues' gains.  LFD when frequency 0 wins, HFD when rho_L wins,
+    MIXED for an interior winner or any tie within a relative 1e-9
+    (including the 0-vs-rho_L tie).  A tie reports its lowest tied
+    frequency as lambda_star.
     """
-    distinct, values = [], []
-    for lam, gain in zip(np.maximum(spectrum.eigenvalues, 0.0), np.abs(gains)):
-        if not distinct or lam - distinct[-1] > TOP_TIE_TOL:
-            distinct.append(float(lam))
-            values.append(float(gain))
-        else:
-            values[-1] = max(values[-1], float(gain))
-    values = np.asarray(values)
+    starts = spectrum.frequency_starts
+    distinct = np.maximum(spectrum.eigenvalues[starts], 0.0).tolist()
+    values = np.maximum.reduceat(np.abs(gains), starts)
     gmax, best = float(np.max(values)), int(np.argmax(values))
     tied = np.flatnonzero(gmax - values <= TOP_TIE_TOL * gmax)
     others = np.delete(values, best)
@@ -155,7 +151,7 @@ def classify_dominance(
         raise TraceNotNormalizedError("dominance is defined on renormalized traces only")
     plateaued = trace.plateaued and trace.steps_run > 0
     dominance, residual = limit_dominance(
-        plateaued, trace.limit_value, spectrum, tol, trace.final_state
+        plateaued, trace.limit_value, spectrum.rho_l, tol, spectrum, trace.final_state
     )
     return DominanceVerdict(
         dominance=dominance,
@@ -172,25 +168,26 @@ def classify_dominance(
 def limit_dominance(
     plateaued: bool,
     limit: float,
-    spectrum: Spectrum,
+    rho_l: float,
     tol: float,
+    spectrum: Optional[Spectrum] = None,
     state: Optional[np.ndarray] = None,
 ) -> Tuple[str, Optional[float]]:
     """The verdict rule, as (dominance, residual).
 
     UNDECIDED without a plateau; LFD when the final E(H/||H||) is within tol
     of 0; HFD when it is within tol of rho_L/2 *and* the final ``state`` lies
-    within sqrt(tol) of the top eigenspace; MIXED otherwise.  residual is the
-    relative distance of ``state`` to the kernel (LFD) or the top eigenspace
-    (HFD).  With ``state`` unknown the eigenspace test is skipped and the
-    residual is None.
+    within sqrt(tol) of the top eigenspace of ``spectrum``; MIXED otherwise.
+    residual is the relative distance of ``state`` to the kernel (LFD) or the
+    top eigenspace (HFD).  With ``state`` unknown the eigenspace test is
+    skipped and the residual is None; only rho_L is read.
     """
     if not plateaued:
         return UNDECIDED, None
     if abs(limit) <= tol:
         residual = None if state is None else _relative_residual(spectrum, state, kernel_projection)
         return LFD, residual
-    if abs(limit - spectrum.rho_l / 2.0) <= tol:
+    if abs(limit - rho_l / 2.0) <= tol:
         if state is None:
             return HFD, None
         residual = _relative_residual(spectrum, state, hfd_projection)

@@ -8,7 +8,7 @@ sweep     repeat the run over a grid of one parameter (lambda_w|theta|epsilon)
 energy    evaluate every applicable energy for the configured signal
 classify  re-classify an existing trace CSV (energy-value rules only; the
           eigenspace-residual check needs the final state, which a CSV does
-          not carry); builds the graph and its spectrum, no framelet bank
+          not carry); builds the graph and Lhat's eigenvalues, no eigenbasis
 
 The config format is strict JSON: unknown keys are rejected anywhere in the
 tree, so a typo fails loudly instead of silently changing the experiment.
@@ -539,25 +539,24 @@ SWEEP_PARAMETERS = ("lambda_w", "theta", "epsilon")
 
 
 def _apply_sweep_value(cfg: dict, parameter: str, value: float) -> dict:
+    """The point config: ``cfg`` with the swept value, sharing every block but
+    the one it changes (which no run mutates)."""
     if not _is_number(value):  # the rest of cfg is validated
         raise ConfigError(f"sweep value must be a finite number, got {value!r}")
-    out = json.loads(json.dumps(cfg))
     if parameter == "lambda_w":
-        if out["weights"]["mode"] != "scalar":
+        if cfg["weights"]["mode"] != "scalar":
             raise ConfigError("lambda_w sweeps need weights.mode == 'scalar'")
-        out["weights"]["lambda_w"] = value
-    elif parameter == "theta":
-        if out.get("scheme", {}).get("kind") != "spectral_framelet":
+        return {**cfg, "weights": {**cfg["weights"], "lambda_w": value}}
+    if parameter == "theta":
+        if cfg.get("scheme", {}).get("kind") != "spectral_framelet":
             raise ConfigError("theta sweeps need scheme.kind == 'spectral_framelet'")
         _theta_bands(value, 1)  # rejects a negative theta
-        out["theta"] = value
-    elif parameter == "epsilon":
-        if out.get("scheme", {}).get("kind") not in ("ee_ufg", "perturbed_closed_form"):
+        return {**cfg, "theta": value}
+    if parameter == "epsilon":
+        if cfg.get("scheme", {}).get("kind") not in ("ee_ufg", "perturbed_closed_form"):
             raise ConfigError("epsilon sweeps need an epsilon-shifted scheme")
-        out["epsilon"] = value
-    else:
-        raise ConfigError(f"sweep parameter must be one of {SWEEP_PARAMETERS}, got {parameter!r}")
-    return out
+        return {**cfg, "epsilon": value}
+    raise ConfigError(f"sweep parameter must be one of {SWEEP_PARAMETERS}, got {parameter!r}")
 
 
 def sweep_config(
@@ -631,10 +630,10 @@ def classify_trace_csv(cfg: dict, trace_path, seed: Optional[int] = None) -> dic
 
     The final state is not stored in a CSV, so the eigenspace-residual half
     of the high-frequency test cannot be re-checked here.  Of the geometry
-    only the spectrum (for rho_L) is built.
+    only the eigenvalues (for rho_L) are computed, with no eigenbasis.
     """
     validate_config(cfg)
-    spectrum = spectral.eigh(graphs.normalized_laplacian(_build_graph(cfg, seed)))
+    rho_l = float(spectral.eigvalsh(graphs.normalized_laplacian(_build_graph(cfg, seed)))[-1])
     stop, tol = _run_rules(cfg)
     try:
         with open(trace_path, "r", encoding="utf-8") as fh:
@@ -656,12 +655,12 @@ def classify_trace_csv(cfg: dict, trace_path, seed: Optional[int] = None) -> dic
                                  f"and {width} finite numbers")
     e_norm = [row[2] for row in table]
     plateaued = stop.plateau_step(e_norm) is not None
-    dominance, _ = analysis.limit_dominance(plateaued, e_norm[-1], spectrum, tol)
+    dominance, _ = analysis.limit_dominance(plateaued, e_norm[-1], rho_l, tol)
     return {
         "dominance": dominance,
         "limit_value": e_norm[-1],
         "target_low": 0.0,
-        "target_high": spectrum.rho_l / 2.0,
+        "target_high": rho_l / 2.0,
         "residual_checked": False,
         "rows": len(e_norm),
         "plateaued": plateaued,

@@ -58,6 +58,7 @@ from .energies import (  # the vertex-domain energies stay importable here for t
     dirichlet_energy,  # noqa: F401
     filter_factors,
     framelet_energy_form,
+    framelet_terms,
     perturbed_energy,  # noqa: F401
     perturbed_energy_form,
     spectral_energy,  # noqa: F401
@@ -269,17 +270,17 @@ def _scheme_operator(
         step = _descent(form, tau, activation, u)
         return SchemeOperator(step, np.eye(g.shape[-1]) - tau * g, form)
     bands, resp, a_hat = cfg.bands_for(sys), sys.responses, 1.0 - sys.spectrum.eigenvalues
-    if kind == "spatial_framelet":
-        step = Multiplier([(tau * resp[b] ** 2 * a_hat, cfg.w[b]) for b in bands])
-        eye = {b: np.eye(cfg.w[b].shape[0]) for b in bands}
-        energy = framelet_energy_form(sys, replace(cfg, omega=eye, beta=0.0))
-        return _linear_operator(step, energy)
+    if kind == "spatial_framelet":  # its energy: Omega_b = I, no source
+        eye, w, c = cfg.mixers("eye", "w")
+        step = Multiplier([(tau * resp[b] ** 2 * a_hat, w[b]) for b in bands], channels=c)
+        return _linear_operator(step, Multiplier(framelet_terms(sys, bands, eye, w), channels=c))
     # ee: band b analyses through r_b (Ahat - s_b), synthesis weights by r_b.
     # The energy is exact for the linearized form only; with a banded
     # activation it is recorded as a diagnostic, not a Lyapunov value.
     shift = band_shifts(sys, cfg.epsilon)
     analysis = {b: resp[b] * (a_hat - shift[b]) for b in bands}
-    linear = Multiplier([(resp[b] * analysis[b], cfg.w[b]) for b in bands])
+    w, channels = cfg.mixers("w")
+    linear = Multiplier([(resp[b] * analysis[b], w[b]) for b in bands], channels=channels)
     plain = replace(cfg, beta=0.0) if cfg.has_source else cfg
     energy = framelet_energy_form(sys, energy_enhanced_omega(sys, plain))
     if activation == "identity":
@@ -288,7 +289,7 @@ def _scheme_operator(
     # columns, band b's in columns b*c to b*c + c - 1: H T with T = [I ... I]
     # (c x bands*c) copies H into every band, and synthesis weights band b
     # by r_b and sums the bands with T^T.
-    banded = [Multiplier([(analysis[b], cfg.w[b])]).per_frequency for b in bands]
+    banded = [Multiplier([(analysis[b], w[b])], channels=channels).per_frequency for b in bands]
     c = len(cfg.w[bands[0]])
     synthesis = np.repeat(np.stack([resp[b] for b in bands], axis=1), c, axis=1)
     copies = np.tile(np.eye(c), len(bands))

@@ -22,6 +22,7 @@ Sign conventions worth stating once:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -69,6 +70,17 @@ def _require_symmetric(name: str, m: np.ndarray) -> np.ndarray:
     if asym > WEIGHT_SYMMETRY_TOL:
         raise NotSymmetricError(f"{name} asymmetry {asym:.3e} exceeds {WEIGHT_SYMMETRY_TOL}")
     return m
+
+
+def _identity_multiples(family: Dict[Band, np.ndarray]) -> Optional[Tuple[int, dict]]:
+    """(c, band -> s) when every matrix of ``family`` is s I_c, else None."""
+    if len({m.shape for m in family.values()}) != 1:
+        return None
+    stack = np.stack(list(family.values()))
+    c = stack.shape[1]
+    if not c or not np.array_equal(stack, stack[:, :1, :1] * np.eye(c)):
+        return None
+    return c, dict(zip(family, stack[:, 0, 0].tolist()))
 
 
 def _as_columns(signal, n: int):
@@ -146,6 +158,32 @@ class WeightConfig:
         eye = np.eye(channels)
         w = {b: (eye if b[0] == 0 else lambda_w * eye) for b in bands}
         return WeightConfig(omega={b: eye for b in bands}, w=w, **kwargs)
+
+    @cached_property
+    def _omega_multiples(self) -> Optional[Tuple[int, dict]]:
+        return _identity_multiples(self.omega)
+
+    @cached_property
+    def _w_multiples(self) -> Optional[Tuple[int, dict]]:
+        return _identity_multiples(self.w)
+
+    @cached_property
+    def _eye_multiples(self) -> Optional[Tuple[int, dict]]:
+        sizes = {len(m) for m in self.w.values()}
+        return (sizes.pop(), dict.fromkeys(self.w, 1.0)) if len(sizes) == 1 else None
+
+    def mixers(self, *names: str) -> tuple:
+        """The named families, of "omega", "w" and "eye" (Omega_b = I), as
+        framelets.Multiplier mixers, one band -> mixer dict each, then c.  When
+        every matrix of those families is s I_c, as the scalar family's are,
+        each mixer is its number s, found once per config in one stacked check
+        per family; otherwise each is its matrix and c is None, so the
+        Multiplier reads and checks the matrices' sizes."""
+        found = [getattr(self, f"_{name}_multiples") for name in names]
+        if all(f is not None and f[0] == found[0][0] for f in found):
+            return (*(f[1] for f in found), found[0][0])
+        eye = {b: np.eye(len(m)) for b, m in self.w.items()} if "eye" in names else None
+        return (*(eye if name == "eye" else getattr(self, name) for name in names), None)
 
     @property
     def has_source(self) -> bool:
@@ -282,11 +320,19 @@ def framelet_energy_form(
     """Gradient of the total framelet energy on spectral coordinates, with
     a_hat = 1 - lam: sum_b diag(r_b^2) . Omega_b - diag(r_b^2 a_hat) . W_b,
     minus the source built from the spectral initial state ``h0`` if configured."""
+    bands = cfg.bands_for(sys)
+    omega, w, c = cfg.mixers("omega", "w")
+    source = source_spectral(sys, h0, cfg) if cfg.has_source else None
+    return Multiplier(framelet_terms(sys, bands, omega, w), source, c)
+
+
+def framelet_terms(sys: FrameletSystem, bands: tuple, omega: dict, w: dict) -> list:
+    """:func:`framelet_energy_form`'s terms, with mixers from WeightConfig.mixers."""
     a_hat, terms = 1.0 - sys.spectrum.eigenvalues, []
-    for band in cfg.bands_for(sys):
+    for band in bands:
         r2 = sys.responses[band] ** 2
-        terms += [(r2, cfg.omega[band]), (-r2 * a_hat, cfg.w[band])]
-    return Multiplier(terms, source_spectral(sys, h0, cfg) if cfg.has_source else None)
+        terms += [(r2, omega[band]), (-r2 * a_hat, w[band])]
+    return terms
 
 
 def total_framelet_energy(sys: FrameletSystem, signal, cfg: WeightConfig, initial=None) -> float:

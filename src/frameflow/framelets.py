@@ -179,21 +179,22 @@ class Multiplier:
 
     Each term is (factor, mixer).  A 1-D factor is a diagonal A_k, a function
     of the frequency; a :class:`BandFilter` factor is a per-vertex filter.
-    The mixer is a c x c channel matrix, or None for the identity.  The
-    diagonal terms sum, per frequency, into one c x c matrix sum_k a_k M_k,
-    or one number when every M_k is s_k I, so an application costs one
-    O(n c^2), or O(n c), product whatever the number of bands.  ``source`` S
-    is an optional constant (n, c) term.  A (k, n, c) stack of states takes
-    one product too, with the bits of its slices, and :meth:`apply_into`
-    writes it into a caller's buffer.  With symmetric mixers the map is the
-    gradient of the energy :meth:`quadratic` evaluates.
+    The mixer is a c x c channel matrix, a float s for s I (``channels``
+    gives c), or None for the identity.  The diagonal terms sum, per
+    frequency, into one c x c matrix sum_k a_k M_k, or one number when every
+    M_k is s_k I, so an application costs one O(n c^2), or O(n c), product
+    whatever the number of bands.  ``source`` S is an optional constant
+    (n, c) term.  A (k, n, c) stack of states takes one product too, with
+    the bits of its slices, and :meth:`apply_into` writes it into a caller's
+    buffer.  With symmetric mixers the map is the gradient of the energy
+    :meth:`quadratic` evaluates.
     """
 
-    def __init__(self, terms, source: Optional[np.ndarray] = None):
-        self.diagonal, self.matrices, self.channels, self.source = None, None, None, source
+    def __init__(self, terms, source: Optional[np.ndarray] = None, channels: Optional[int] = None):
+        self.diagonal, self.matrices, self.channels, self.source = None, None, channels, source
         mixed, filters = [], []
         for factor, mixer in terms:
-            if mixer is not None:
+            if mixer is not None and not isinstance(mixer, float):
                 mixer = np.asarray(mixer, dtype=float)
                 if self.channels not in (None, len(mixer)):
                     raise DimensionMismatchError(f"mixers of sizes {self.channels}, {len(mixer)}")
@@ -204,20 +205,24 @@ class Multiplier:
                 mixed.append((np.asarray(factor, dtype=float), mixer))
             else:
                 self.diagonal = factor if self.diagonal is None else self.diagonal + factor
-        if mixed:
-            mixers = np.stack([m for _, m in mixed])
-            scales = mixers[:, 0, 0]
-            if np.array_equal(mixers, scales[:, None, None] * np.eye(self.channels)):  # all s_k I
-                # one number per frequency: the (n, c, c) path's sum (for c > 1), in term order
-                scaled = reduce(np.add, [f * s for (f, _), s in zip(mixed, scales.tolist())], 0.0)
-                self.diagonal = scaled if self.diagonal is None else scaled + self.diagonal
-            else:  # n x c x c
-                self.matrices = np.einsum("nk,kcd->ncd", _stack([f for f, _ in mixed]), mixers)
-                if self.diagonal is not None:
-                    self.matrices += self.diagonal[:, None, None] * np.eye(self.channels)
-                    self.diagonal = None
+        scales = [m for _, m in mixed if isinstance(m, float)]
+        if len(scales) < len(mixed):
+            eye = np.eye(self.channels)
+            mixers = np.stack([m * eye if isinstance(m, float) else m for _, m in mixed])
+            if np.array_equal(mixers, mixers[:, :1, :1] * eye):  # all s_k I
+                scales = mixers[:, 0, 0].tolist()
+        if mixed and len(scales) == len(mixed):
+            # one number per frequency: the (n, c, c) path's sum (for c > 1), in term order
+            scaled = reduce(np.add, [f * s for (f, _), s in zip(mixed, scales)], 0.0)
+            self.diagonal = scaled if self.diagonal is None else scaled + self.diagonal
+        elif mixed:  # n x c x c
+            self.matrices = np.einsum("nk,kcd->ncd", _stack([f for f, _ in mixed]), mixers)
+            if self.diagonal is not None:
+                self.matrices += self.diagonal[:, None, None] * eye
+                self.diagonal = None
         # n x F responses and per-vertex thetas of the filters, with their mixers
-        self.filter_mixers = [m for _, m in filters]
+        self.filter_mixers = [m * np.eye(self.channels) if isinstance(m, float) else m
+                              for _, m in filters]
         self.filter_responses = _stack([f.response for f, _ in filters])
         self.filter_thetas = _stack([f.theta for f, _ in filters])
         self.basis = filters[0][0].u if filters else None

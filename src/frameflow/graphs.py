@@ -13,6 +13,7 @@ reproduces the same graph on any platform.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Optional, Sequence
 
@@ -35,6 +36,18 @@ __all__ = [
 ]
 
 GENERATION_RETRIES = 100
+INDEX_MAX = int(np.iinfo(np.int64).max)  # node indices and counts are int64 arrays
+
+
+def _index_array(values, count: Optional[int] = None) -> np.ndarray:
+    """Node indices as an int64 array, from an array-like or, given their
+    count, an iterator; an index past int64 is an invalid spec."""
+    try:
+        if count is None:
+            return np.array(values, dtype=np.int64)
+        return np.fromiter(values, dtype=np.int64, count=count)
+    except OverflowError as exc:
+        raise InvalidSpecError(f"node index outside the int64 range: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -59,17 +72,20 @@ class Graph:
     def __post_init__(self):
         if self.n < 1:
             raise InvalidSpecError(f"graph needs at least one node, got n={self.n}")
-        loops = {(i, i) for i in range(self.n)}
-        present_loops = {e for e in self.edges if e[0] == e[1]}
-        if self.self_loops and present_loops != loops:
+        if self.n > INDEX_MAX:
+            raise InvalidSpecError(f"node count n={self.n} exceeds the int64 index range")
+        e = self._edge_array
+        loop = e[:, 0] == e[:, 1]
+        if self.self_loops and not np.array_equal(np.sort(e[loop, 0]), np.arange(self.n)):
             raise InvalidSpecError("self_loops=True requires a loop on every node")
-        if not self.self_loops and present_loops:
+        if not self.self_loops and loop.any():
             raise InvalidSpecError(
                 "loop pairs are controlled by the self_loops flag, not the edge set"
             )
-        for i, j in self.edges:
-            if not (0 <= i <= j < self.n):
-                raise InvalidSpecError(f"edge ({i},{j}) out of range for n={self.n}")
+        bad = (e[:, 0] < 0) | (e[:, 0] > e[:, 1]) | (e[:, 1] >= self.n)
+        if bad.any():  # the first in the edge set's order
+            i, j = e[np.argmax(bad)].tolist()
+            raise InvalidSpecError(f"edge ({i},{j}) out of range for n={self.n}")
         deg = self.degrees()
         if np.any(deg == 0):
             bad = int(np.argmin(deg))
@@ -79,29 +95,35 @@ class Graph:
     def from_edges(n: int, pairs: Iterable[Sequence[int]], self_loops: bool = False) -> "Graph":
         """Canonicalize ``pairs`` (dedupe, orient as (min, max)) into a Graph.
 
-        Loop pairs (i, i) must not appear in ``pairs``; node-wide self-loops
-        are requested through the flag instead.
+        ``pairs`` may also be an (m, 2) integer array.  Loop pairs (i, i)
+        must not appear in it; node-wide self-loops are requested through
+        the flag instead.
         """
-        canon = set()
-        for i, j in pairs:
-            i, j = int(i), int(j)
-            if i == j:
-                raise InvalidSpecError(
-                    f"explicit loop pair ({i},{i}); use self_loops=True instead"
-                )
-            canon.add((min(i, j), max(i, j)))
+        e = _index_array(pairs if isinstance(pairs, np.ndarray) else list(pairs))
+        e = e.reshape(-1, 2) if e.size == 0 else e
+        if e.ndim != 2 or e.shape[1] != 2:
+            raise ValueError(f"expected (i, j) pairs, got an array of shape {e.shape}")
+        loop = e[:, 0] == e[:, 1]
+        if loop.any():
+            i = int(e[np.argmax(loop), 0])
+            raise InvalidSpecError(f"explicit loop pair ({i},{i}); use self_loops=True instead")
+        lo, hi = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
+        canon = set(zip(lo.tolist(), hi.tolist()))
         if self_loops:
             canon.update((i, i) for i in range(n))
         return Graph(n=n, edges=frozenset(canon), self_loops=self_loops)
 
+    @cached_property
     def _edge_array(self) -> np.ndarray:
-        """Edges as an (m, 2) int array of (min, max) pairs, loops included."""
-        flat = chain.from_iterable(self.edges)
-        return np.fromiter(flat, dtype=np.int64, count=2 * len(self.edges)).reshape(-1, 2)
+        """Edges as a read-only (m, 2) int array of (min, max) pairs, loops
+        included, in the edge set's order."""
+        e = _index_array(chain.from_iterable(self.edges), 2 * len(self.edges)).reshape(-1, 2)
+        e.setflags(write=False)
+        return e
 
     def adjacency(self) -> np.ndarray:
         """Dense 0/1 adjacency matrix A (float64, exactly symmetric)."""
-        e = self._edge_array()
+        e = self._edge_array
         a = np.zeros((self.n, self.n))
         a[e[:, 0], e[:, 1]] = 1.0
         a[e[:, 1], e[:, 0]] = 1.0
@@ -109,7 +131,7 @@ class Graph:
 
     def degrees(self) -> np.ndarray:
         """Per-node degrees d_i = sum_j a_ij (a self-loop counts once)."""
-        e = self._edge_array()
+        e = self._edge_array
         ends = np.concatenate([e[:, 0], e[e[:, 0] != e[:, 1], 1]])
         return np.bincount(ends, minlength=self.n).astype(np.int64)
 
@@ -160,12 +182,13 @@ def _check_prob(name: str, value) -> float:
     return float(value)
 
 
-def _draw_edges(rng: np.random.Generator, n: int, prob_of_pairs) -> list:
+def _draw_edges(rng: np.random.Generator, n: int, prob_of_pairs) -> np.ndarray:
     """One uniform draw per pair (i, j), i < j, in lexicographic order; the
-    pairs whose draw falls below ``prob_of_pairs(rows, cols)`` are edges."""
+    pairs whose draw falls below ``prob_of_pairs(rows, cols)`` are the rows
+    of the (m, 2) edge array."""
     rows, cols = np.triu_indices(n, k=1)
     keep = rng.random(rows.shape[0]) < prob_of_pairs(rows, cols)
-    return list(zip(rows[keep].tolist(), cols[keep].tolist()))
+    return np.stack([rows[keep], cols[keep]], axis=1)
 
 
 def _retry_random(build, self_loops: bool) -> Graph:

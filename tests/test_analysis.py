@@ -39,7 +39,7 @@ def test_normalized_dirichlet_two_node_alternating():
 def test_limit_dominance_rejects_a_zero_state():
     _, _, _, spec = c_n(4)
     with pytest.raises(ZeroStateError):
-        ff.analysis.limit_dominance(True, 0.0, spec, 1e-6, np.zeros((4, 2)))
+        ff.analysis.limit_dominance(True, 0.0, spec.rho_l, 1e-6, spec, np.zeros((4, 2)))
 
 
 def test_normalized_dirichlet_zero_state_rejected():
@@ -370,3 +370,82 @@ def test_lfd_limit_lands_in_kernel():
     proj = ff.kernel_projection(spec, final)
     cosine = float(np.sum(final * proj)) / (np.linalg.norm(final) * np.linalg.norm(proj))
     assert cosine >= 1.0 - 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Frequency groups: once per spectrum, the same prediction as a per-eigenvalue loop
+# ---------------------------------------------------------------------------
+
+
+def _per_eigenvalue_prediction(spectrum, gains):
+    """dominant_frequency as one loop over the eigenvalues: an eigenvalue more
+    than 1e-9 above its frequency's first one starts the next frequency."""
+    distinct, values = [], []
+    for lam, gain in zip(np.maximum(spectrum.eigenvalues, 0.0), np.abs(gains)):
+        if not distinct or lam - distinct[-1] > 1e-9:
+            distinct.append(float(lam))
+            values.append(float(gain))
+        else:
+            values[-1] = max(values[-1], float(gain))
+    values = np.asarray(values)
+    gmax, best = float(np.max(values)), int(np.argmax(values))
+    tied = np.flatnonzero(gmax - values <= 1e-9 * gmax)
+    others = np.delete(values, best)
+    margin = 1.0 - float(np.max(others)) / gmax if others.size and gmax > 0.0 else 1.0
+    lambda_star = distinct[int(tied[0])]
+    dominance = ff.MIXED
+    if tied.size == 1 and lambda_star <= 1e-9:
+        dominance = ff.LFD
+    elif tied.size == 1 and abs(lambda_star - spectrum.rho_l) <= 1e-9:
+        dominance = ff.HFD
+    return ff.DominancePrediction(lambda_star, dominance, margin,
+                                  dict(zip(distinct, values.tolist())))
+
+
+CHAIN_SPACINGS = [0.0, 0.3e-9, 0.6e-9, 1.0e-9, 1.2e-9]
+GAIN_VALUES = [0.0, 0.25, 1.0, 1.0 - 5e-10, 1.0 + 5e-10, -1.0, 3.0]
+
+
+@st.composite
+def spectra_with_gains(draw):
+    """Ascending eigenvalues made of chains of near-ties (a chain of spacing
+    0.6e-9 groups differently when anchored than when chained), an optional
+    solver-jitter zero and top, and gains with exact and near ties."""
+    lams = []
+    for _ in range(draw(st.integers(1, 6))):
+        base = draw(st.sampled_from([0.0, 2.0]) | st.floats(0.0, 2.0))
+        spacing = draw(st.sampled_from(CHAIN_SPACINGS))
+        lams += [base + k * spacing for k in range(draw(st.integers(1, 5)))]
+    if draw(st.booleans()):
+        lams.append(-1e-12)
+    lams = np.sort(np.asarray(lams))
+    gains = draw(st.lists(st.sampled_from(GAIN_VALUES) | st.floats(-4.0, 4.0),
+                          min_size=len(lams), max_size=len(lams)))
+    spectrum = ff.Spectrum(lams, np.eye(len(lams)), float(lams[-1]), 1)
+    return spectrum, np.asarray(gains)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=spectra_with_gains())
+def test_dominant_frequency_matches_the_per_eigenvalue_loop(case):
+    spectrum, gains = case
+    pred = ff.dominant_frequency(spectrum, gains)
+    expected = _per_eigenvalue_prediction(spectrum, gains)
+    assert (pred.lambda_star, pred.dominance, pred.margin) == (
+        expected.lambda_star, expected.dominance, expected.margin)
+    assert list(pred.gains.items()) == list(expected.gains.items())
+    chained = 1 + int(np.sum(np.diff(np.maximum(spectrum.eigenvalues, 0.0)) > 1e-9))
+    event(pred.dominance)
+    event("anchored groups differ from chained" if chained != len(pred.gains) else "same groups")
+
+
+def test_frequency_groups_are_anchored_not_chained():
+    # 0.6e-9 apart: the third eigenvalue is 1.2e-9 above the first, so it
+    # starts a frequency although it is within 1e-9 of the second
+    lams = np.array([0.0, 0.5, 0.5 + 0.6e-9, 0.5 + 1.2e-9, 0.5 + 1.8e-9, 2.0])
+    spectrum = ff.Spectrum(lams, np.eye(6), 2.0, 1)
+    assert spectrum.frequency_starts.tolist() == [0, 1, 3, 5]
+    assert spectrum.frequency_starts is spectrum.frequency_starts  # found once
+    pred = ff.dominant_frequency(spectrum, np.array([0.1, 0.2, 0.9, 0.3, 0.4, 0.1]))
+    assert list(pred.gains.values()) == [0.1, 0.9, 0.4, 0.1]
+    assert pred.lambda_star == 0.5 and pred.dominance == ff.MIXED

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -257,17 +258,58 @@ def test_sweep_builds_geometry_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_sweep_rows_match_single_runs(tmp_path):
-    cfg = c6_config()
-    grid = [0.5, 1.0, 2.0, 10.0]
-    rows = cli.sweep_config(cfg, "lambda_w", grid, tmp_path / "sweep")
+def _with_value(cfg: dict, parameter: str, value: float) -> dict:
+    """A copy of ``cfg`` with one swept value, for a single run."""
+    cfg = json.loads(json.dumps(cfg))
+    if parameter == "lambda_w":
+        cfg["weights"]["lambda_w"] = value
+    else:
+        cfg[parameter] = value
+    return cfg
+
+
+# the benchmark's lambda_w sweep: a 48-node SBM whose HFD threshold lies near 12
+SBM_SWEEP = {
+    "graph": {"kind": "sbm", "sizes": [24, 24], "p_in": 0.4, "p_out": 0.06, "seed": 31},
+    "framelet": {"scales": 2, "variant": "tight"},
+    "scheme": {"kind": "spatial_framelet"},
+    "weights": {"mode": "scalar", "lambda_w": 1.0},
+    "init": {"mode": "random_normal", "seed": 32, "channels": 4},
+    "run": {"steps": 2000, "tol": 1e-6, "plateau_window": 10, "renormalize": True},
+    "tau": 1.0,
+}
+
+
+@pytest.mark.parametrize(
+    "cfg,parameter,grid",
+    [
+        (c6_config(), "lambda_w", [0.5, 1.0, 2.0, 10.0]),
+        (c6_config(scheme={"kind": "gradf_ufg"}, tau=0.05), "lambda_w", [0.5, -60.0, 150.0]),
+        (c6_config(scheme={"kind": "activated"}, tau=0.2), "lambda_w", [0.5, -60.0, 150.0]),
+        (c6_config(scheme={"kind": "ee_ufg"}, epsilon=0.2), "epsilon", [0.05, 0.2, 1.0]),
+        (c6_config(lambda_w=1.0, scheme={"kind": "spectral_framelet"}, theta=1.0), "theta",
+         [0.5, 1.0, 3.0]),
+        (c6_config(scales=2, scheme={"kind": "perturbed_closed_form"}, tau=0.05, epsilon=0.5),
+         "epsilon", [0.1, 1.0]),
+        (SBM_SWEEP, "lambda_w", [0.5, 2.0, 8.0, 64.0]),
+    ],
+    ids=["spatial", "gradf", "activated", "ee", "spectral", "closed-form", "sbm48"],
+)
+def test_sweep_rows_match_single_runs(tmp_path, cfg, parameter, grid):
+    """Every point of a sweep over one shared geometry is the run of its own
+    config, and the sweep leaves the config it was given as it was."""
+    before = json.dumps(cfg)
+    rows = cli.sweep_config(cfg, parameter, grid, tmp_path / "sweep")
+    assert json.dumps(cfg) == before
     for value, row in zip(grid, rows):
-        summary = cli.run_config(c6_config(lambda_w=value), tmp_path / repr(value))
+        summary = cli.run_config(_with_value(cfg, parameter, value), tmp_path / repr(value))
         verdict, final = summary["verdict"], summary["final"]
         assert (row["predicted"], row["measured"]) == (verdict["predicted"], verdict["dominance"])
         assert row["limit_value"] == verdict["limit_value"]
         steps = -1 if final["steps_to_plateau"] is None else final["steps_to_plateau"]
         assert row["steps_to_plateau"] == steps
+    if cfg is SBM_SWEEP:
+        assert [row["measured"] for row in rows] == ["LFD", "LFD", "LFD", "HFD"]
 
 
 @pytest.mark.parametrize(
@@ -277,14 +319,19 @@ def test_sweep_rows_match_single_runs(tmp_path):
 def test_classify_trace_matches_run_without_framelet_bank(
     tmp_path, monkeypatch, lambda_w, steps, expected
 ):
+    """classify reads rho_L off the eigenvalues alone: no framelet bank and no
+    eigenbasis, and the verdict and targets of the run."""
     cfg = c6_config(lambda_w=lambda_w, steps=steps)
     summary = cli.run_config(cfg, tmp_path)
     assert summary["verdict"]["dominance"] == expected
     monkeypatch.setattr(ff.framelets, "build_framelet_system", _refuse)
+    monkeypatch.setattr(ff.spectral, "eigh", _refuse)
     verdict = cli.classify_trace_csv(cfg, tmp_path / "trace.csv")
     assert verdict["dominance"] == expected
     assert verdict["plateaued"] == summary["final"]["plateaued"]
     assert verdict["limit_value"] == summary["verdict"]["limit_value"]
+    target = summary["rho_l"] / 2.0
+    assert abs(verdict["target_high"] - target) <= 1e-12 * target
 
 
 @pytest.mark.parametrize("scheme", ["gradf_ufg", "activated"])
@@ -1137,3 +1184,86 @@ def test_ee_ufg_takes_a_unit_step_whatever_tau(tmp_path):
         traces.append((tmp_path / str(tau) / "trace.csv").read_bytes())
     assert traces[0] == traces[1]
     assert traces[0].count(b"\n") > 2
+
+
+GEN_GRAPHS = {
+    "cycle": {"kind": "cycle", "n": 9},
+    "path": {"kind": "path", "n": 7, "self_loops": True},
+    "complete_bipartite": {"kind": "complete_bipartite", "m": 3, "n": 5},
+    "erdos_renyi": {"kind": "erdos_renyi", "n": 40, "p": 0.15},
+    "sbm": {"kind": "sbm", "sizes": [12, 9, 7], "p_in": 0.5, "p_out": 0.05, "self_loops": True},
+    "file": {"kind": "file"},
+}
+GEN_SHA256 = {  # of graph.edges; the seed moves only the random kinds
+    ("cycle", 3): "7625fec5f03c74464a9591c4928b5a09fb9d5013e56386c2e63468f022fdc229",
+    ("cycle", 2024): "7625fec5f03c74464a9591c4928b5a09fb9d5013e56386c2e63468f022fdc229",
+    ("path", 3): "73fa7f2d37d5cd8f0745894343271e9aab87ba3385e8d2aeaa7f96f3d3316d67",
+    ("path", 2024): "73fa7f2d37d5cd8f0745894343271e9aab87ba3385e8d2aeaa7f96f3d3316d67",
+    ("complete_bipartite", 3): "d3041870cd8234ff27762d6b01bbcaa4ce24d6129a75b54dbae7872ee18d20d0",
+    ("complete_bipartite", 2024):
+        "d3041870cd8234ff27762d6b01bbcaa4ce24d6129a75b54dbae7872ee18d20d0",
+    ("erdos_renyi", 3): "9465c7ac4d20c7d60e0aa87b8fcbfbcbbc1b5154ac78bd2d7bf0b421aaefeb74",
+    ("erdos_renyi", 2024): "808a345140ac3b6b402904e21faaa3ee4f3f7adc0f96e64f91b12a9b17810f1a",
+    ("sbm", 3): "8d9bb70d6979f5288131d44a340a216632214c7e6b707df493f49ef5cc9d6681",
+    ("sbm", 2024): "e0b2c1d998bbec7b35fdf91f873ec44cc4adae3601852f69f2d50d958f77cb95",
+    ("file", 3): "f3a426f15e5efe393d1179c7895ab0c59d1375591c0120027743df337364ee44",
+    ("file", 2024): "f3a426f15e5efe393d1179c7895ab0c59d1375591c0120027743df337364ee44",
+}
+
+
+@pytest.mark.parametrize("kind,seed", sorted(GEN_SHA256))
+def test_gen_output_is_pinned(tmp_path, kind, seed):
+    """gen writes the same edge list, byte for byte, for every graph kind."""
+    graph = dict(GEN_GRAPHS[kind], seed=seed)
+    if kind == "file":  # duplicates, reversed pairs and a comment collapse; the flag adds no line
+        edges = tmp_path / "g.edges"
+        lines = ["# a hand-written list", "n=8", "3 1", "1 3", "0 7", "7 6", "2 5", "5 4", "4 2",
+                 "6 0", "1 0"]
+        edges.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        graph.update(path=str(edges), self_loops=seed == 3)
+    cfg = {"graph": graph, "framelet": {"scales": 1},
+           "weights": {"mode": "scalar", "lambda_w": 1.0}, "init": {"mode": "random_normal"}}
+    out = tmp_path / "out"
+    assert cli.main(["gen", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "graph.edges").read_bytes()).hexdigest() == GEN_SHA256[kind, seed]
+
+
+def test_sweeps_keep_no_memory_between_calls(tmp_path):
+    """Whatever a sweep caches lives and dies with its graph and spectrum:
+    after a warm-up, 100 sweeps on fresh seeds hold no more traced memory
+    than 10 do, within 64 kB."""
+    grid = [0.5, 2.0, 8.0, 64.0]
+
+    def sweeps(first: int, count: int) -> int:
+        for k in range(first, first + count):
+            cfg = json.loads(json.dumps(SBM_SWEEP))
+            cfg["graph"]["seed"], cfg["init"]["seed"] = 2 * k, 2 * k + 1
+            cli.sweep_config(cfg, "lambda_w", grid, tmp_path)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    sweeps(0, 10)
+    tracemalloc.start()
+    try:
+        after_ten = sweeps(10, 10)
+        after_hundred = sweeps(20, 90)
+    finally:
+        tracemalloc.stop()
+    assert after_hundred - after_ten <= 64 * 1024
+
+
+@pytest.mark.parametrize("text", ["0 1\n1 100000000000000000000000000000\n",
+                                  "n=100000000000000000000000000000\n0 1\n",
+                                  "0 1\n1 9223372036854775807\n"],
+                         ids=["index-past-int64", "count-past-int64", "count-one-past-int64"])
+def test_edge_list_past_the_index_range_exits_three(tmp_path, capsys, text):
+    """Node indices are int64 arrays: an edge list past that range is an
+    invalid spec, with one error line and no traceback."""
+    edges = tmp_path / "g.edges"
+    edges.write_text(text, encoding="utf-8")
+    cfg = {"graph": {"kind": "file", "path": str(edges)},
+           "weights": {"mode": "scalar", "lambda_w": 1.0}, "init": {"mode": "random_normal"}}
+    out = tmp_path / "out"
+    assert cli.main(["gen", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

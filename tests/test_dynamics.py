@@ -796,7 +796,8 @@ def test_per_frequency_modes_match_stepping_the_same_operator(kind, graph, c, re
     final = u.T @ state
     np.testing.assert_allclose(trace.final_state, final, rtol=0,
                                atol=1e-12 * np.max(np.abs(final)))
-    verdicts = [analysis.limit_dominance(plateau is not None, e, sys.spectrum, 1e-6, x)[0]
+    verdicts = [analysis.limit_dominance(plateau is not None, e, sys.spectrum.rho_l, 1e-6,
+                                         sys.spectrum, x)[0]
                 for e, x in ((rows[-1, 1], final), (trace.limit_value, trace.final_state))]
     assert verdicts[0] == verdicts[1]
 

@@ -244,3 +244,43 @@ def test_connectivity_helper_sane():
 def test_graph_invariants(n, edges, self_loops):
     with pytest.raises(InvalidSpecError):
         ff.Graph(n=n, edges=frozenset(edges), self_loops=self_loops)
+
+
+@pytest.mark.parametrize(
+    "build,error,message",
+    [
+        (lambda: ff.Graph.from_edges(3, [(0, 1), (2, 2), (1, 1)]), InvalidSpecError,
+         "explicit loop pair (2,2); use self_loops=True instead"),
+        (lambda: ff.Graph.from_edges(3, [(0, 1), (1, 5)]), InvalidSpecError,
+         "edge (1,5) out of range for n=3"),
+        (lambda: ff.Graph.from_edges(3, [(1, -1), (1, 2)]), InvalidSpecError,
+         "edge (-1,1) out of range for n=3"),
+        (lambda: ff.Graph(n=2, edges=frozenset({(1, 0)})), InvalidSpecError,
+         "edge (1,0) out of range for n=2"),
+        (lambda: ff.Graph(n=2, edges=frozenset({(0, 0), (0, 1)}), self_loops=True),
+         InvalidSpecError, "self_loops=True requires a loop on every node"),
+        (lambda: ff.Graph(n=2, edges=frozenset({(1, 1), (0, 1)})), InvalidSpecError,
+         "loop pairs are controlled by the self_loops flag, not the edge set"),
+        (lambda: ff.Graph.from_edges(5, [(0, 1), (2, 1)]), DegenerateGraphError,
+         "node 3 has degree 0"),
+        (lambda: ff.Graph.from_edges(0, []), InvalidSpecError,
+         "graph needs at least one node, got n=0"),
+    ],
+    ids=["loop-pair", "out-of-range", "negative", "unordered-pair", "missing-loop",
+         "loop-without-flag", "degree-0", "no-nodes"],
+)
+def test_graph_error_messages(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_from_edges_takes_any_iterable_of_pairs_or_an_array():
+    pairs = [(1, 0), (1, 2), (2, 1), (3, 2), (0, 3)]
+    expected = frozenset({(0, 1), (1, 2), (2, 3), (0, 3)})
+    for given in (pairs, iter(pairs), np.array(pairs), [list(p) for p in pairs]):
+        g = ff.Graph.from_edges(4, given, self_loops=True)
+        assert g.edges == expected | {(i, i) for i in range(4)}
+        np.testing.assert_array_equal(g.degrees(), [3, 3, 3, 3])
+    with pytest.raises(ValueError):
+        ff.Graph.from_edges(4, [(0, 1, 2)])

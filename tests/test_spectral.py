@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import frameflow as ff
 from frameflow import cli
 from frameflow.errors import DimensionMismatchError, NoConvergenceError, NotSymmetricError
-from frameflow.spectral import _fix_signs
+from frameflow.spectral import _fix_signs, _transpose_in_place
 
 from conftest import random_er_graph
 
@@ -37,21 +38,77 @@ def test_cycle_four_spectrum():
     assert spec.top_multiplicity == 1
 
 
-def test_asymmetric_input_rejected():
+SOLVERS = [ff.eigh, ff.spectral.eigvalsh]
+
+
+@pytest.mark.parametrize("solve", SOLVERS)
+def test_asymmetric_input_rejected(solve):
     m = np.array([[0.0, 1.0], [1.0 + 1e-9, 0.0]])
-    with pytest.raises(NotSymmetricError):
-        ff.eigh(m)
+    with pytest.raises(NotSymmetricError, match="asymmetry 1.000e-09 exceeds 1e-12"):
+        solve(m)
 
 
-def test_nonsquare_rejected():
+@pytest.mark.parametrize("solve", SOLVERS)
+def test_nonsquare_rejected(solve):
     with pytest.raises(DimensionMismatchError):
-        ff.eigh(np.zeros((2, 3)))
+        solve(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("solve", SOLVERS)
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_matrix_raises_no_convergence(bad):
+def test_non_finite_matrix_raises_no_convergence(solve, bad):
     with pytest.raises(NoConvergenceError):
-        ff.eigh(np.array([[0.0, bad], [bad, 1.0]]))
+        solve(np.array([[0.0, bad], [bad, 1.0]]))
+
+
+def test_eigvalsh_failure_raises_no_convergence(monkeypatch):
+    def failing(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    with pytest.raises(NoConvergenceError, match="did not converge"):
+        ff.spectral.eigvalsh(np.eye(2))
+
+
+def test_eigvalsh_matches_eigh(rng):
+    lap = ff.normalized_laplacian(random_er_graph(rng, 80, 0.1))
+    values = ff.spectral.eigvalsh(lap)
+    np.testing.assert_allclose(values, ff.eigh(lap).eigenvalues, rtol=0, atol=1e-12)
+
+
+def test_transpose_in_place_has_the_bits_of_a_copy(rng):
+    for n in (5, 256, 600):  # one block, exactly one, and blocks with a remainder
+        a = rng.standard_normal((n, n))
+        expected = a.T.copy()
+        assert _transpose_in_place(a).tobytes() == expected.tobytes()
+
+
+def test_eigenbasis_is_lapacks_transposed_and_sign_fixed(rng):
+    lap = ff.normalized_laplacian(random_er_graph(rng, 600, 0.02))
+    eigenvalues, v = np.linalg.eigh(lap)
+    spec = ff.eigh(lap)
+    assert spec.eigenvalues.tobytes() == eigenvalues.tobytes()
+    assert spec.u.tobytes() == _fix_signs(np.ascontiguousarray(v.T)).tobytes()
+
+
+def test_eigh_peak_memory_at_n1000():
+    """Above its input, eigh peaks at about 1.25 n^2 doubles: one temporary
+    for the symmetry check, then LAPACK's eigenvectors, transposed in place,
+    and boolean masks for the sign fix.  A copy of U beside LAPACK's output
+    and two temporaries for the check made 3.13 n^2."""
+    g = ff.generate_graph(ff.GraphSpec(kind="erdos_renyi", n=1000, p=0.01, seed=3))
+    lap = ff.normalized_laplacian(g)
+    ff.eigh(np.eye(4))  # every lazy import and allocation cache before tracing
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        spec = ff.eigh(lap)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert spec.n == 1000
+    assert peak < 1.5 * 1000 * 1000 * 8
 
 
 def test_lapack_failure_exits_seven(tmp_path, monkeypatch, capsys):
