@@ -219,7 +219,8 @@ def validate_config(cfg: dict) -> None:
     for block, key, least in (("init", "channels", 1), ("init", "seed", 0), ("graph", "seed", 0)):
         if cfg[block].get(key, least) < least:
             raise ConfigError(f"{block}.{key} must be >= {least}, got {cfg[block][key]}")
-    _run_rules(cfg)  # StopRule rejects run.steps or run.plateau_window below 1
+    if _run_rules(cfg)[1] <= 0.0:  # StopRule rejects run.steps or run.plateau_window below 1
+        raise ConfigError(f"run.tol must be > 0, got {cfg['run']['tol']!r}")
     if theta is not None:
         _theta_bands(theta, scales)  # rejects a negative coefficient or a bad band key
     scheme = _scheme(cfg)  # dynamics.Scheme rejects an unknown or misplaced kind or activation

@@ -101,9 +101,6 @@ def _transpose_in_place(a: np.ndarray) -> np.ndarray:
     """The square C-ordered ``a``, transposed in place by blocks: no second
     n x n array, and the bits of a copy."""
     n, size = a.shape[0], TRANSPOSE_BLOCK
-    if n <= size:
-        a[...] = a.T.copy()
-        return a
     for i in range(0, n, size):
         a[i:i + size, i:i + size] = a[i:i + size, i:i + size].T.copy()
         for j in range(i + size, n, size):

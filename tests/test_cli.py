@@ -1027,6 +1027,10 @@ TRACE_HEADER = "step,norm,dirichlet_normalized,total_energy,rayleigh\n"
         (_classify_trace("step,norm,e\n0,1.0,0.25\n"), 5, "error:"),
         (_config_file(json.dumps(c6_config(weights={"mode": "shared", "omega": [], "w": [[1.0]]})),
                       "run"), 2, "error:"),
+        *((_config_file(json.dumps(c6_config(
+            lambda_w=0.5, graph={"kind": "cycle", "n": 6, "self_loops": True},
+            run={"steps": 20000, "tol": tol})), "run"), 2, "error: run.tol must be > 0")
+          for tol in (-1e-6, 0.0)),
     ],
     ids=["init-non-numeric", "init-empty", "init-ragged", "init-two-rows", "init-blank-line",
          "classify-missing", "classify-header", "classify-short-row", "classify-no-rows",
@@ -1037,7 +1041,7 @@ TRACE_HEADER = "step,norm,dirichlet_normalized,total_energy,rayleigh\n"
          "sweep-epsilon-unshifted", "init-nan", "init-overflow", "classify-nan",
          "classify-inf", "classify-repeated-row", "classify-skipped-step", "classify-nan-norm",
          "classify-empty-rayleigh", "classify-long-row", "classify-other-header",
-         "weights-empty-matrix"],
+         "weights-empty-matrix", "run-tol-negative", "run-tol-zero"],
 )
 def test_failure_paths_exit_with_their_code_and_one_line(tmp_path, capsys, argv, code, line):
     args = argv(tmp_path)  # classify writes nothing, so it takes no --out
@@ -1112,6 +1116,34 @@ def test_matrix_weight_power_path_traces_keep_their_bits(tmp_path, kind, extra, 
     data = (tmp_path / "trace.csv").read_bytes()
     assert data.count(b"\n") == rows + 1
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "scheme,extra",
+    [({"kind": "spatial_framelet"}, {"tau": 0.5}),
+     ({"kind": "gradf_ufg"}, {"tau": 0.05}),
+     ({"kind": "activated", "activation": "relu"}, {"tau": 0.05}),
+     ({"kind": "ee_ufg", "activation": "relu"}, {"epsilon": 0.2, "tau": 0.5})],
+    ids=["spatial_framelet", "gradf_ufg", "activated-relu", "ee_ufg-relu"],
+)
+def test_full_weights_spelling_out_the_scalar_family_write_its_trace(tmp_path, scheme, extra):
+    """`full` weights Omega_b = I, W_low = I, W_high = lambda_w I, given as
+    matrices, write the bytes of the `scalar` config's trace.csv."""
+    lambda_w, eye = 1.5, np.eye(3)
+    full = {"mode": "full", "omega": {b: eye.tolist() for b in ("0,2", "1,1", "1,2")},
+            "w": {"0,2": eye.tolist(), "1,1": (lambda_w * eye).tolist(),
+                  "1,2": (lambda_w * eye).tolist()}}
+    traces = []
+    for weights in ({"mode": "scalar", "lambda_w": lambda_w}, full):
+        cfg = {"graph": {"kind": "erdos_renyi", "n": 14, "p": 0.4, "seed": 7},
+               "framelet": {"scales": 2}, "scheme": scheme, "weights": weights,
+               "init": {"mode": "random_normal", "seed": 3, "channels": 3},
+               "run": {"steps": 300}, **extra}
+        out = tmp_path / weights["mode"]
+        config = write_config(tmp_path, cfg, f"{weights['mode']}.json")
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
+        traces.append((out / "trace.csv").read_bytes())
+    assert traces[0] == traces[1] and traces[0].count(b"\n") > 2
 
 
 def test_geometry_keeps_no_dense_operator_but_the_eigenbasis():

@@ -770,7 +770,8 @@ def test_per_frequency_modes_match_stepping_the_same_operator(kind, graph, c, re
     scheme, stop = ff.Scheme(kind, renormalize=renormalize), ff.StopRule(300, plateau_tol)
     x0 = rng.standard_normal((sys.n, c))
     op = dynamics._scheme_operator(scheme, sys, cfg, None)
-    assert op.one_step.shape[1:] == (1, 1)  # one number per frequency
+    # one number per frequency, for the step and the governing energy alike
+    assert op.one_step.shape[1:] == op.energy.per_frequency.shape[1:] == (1, 1)
     lam, u, h0 = sys.spectrum.eigenvalues, sys.spectrum.u, sys.spectrum.u @ x0
     rows, state, failed = _stepped_reference(op, lam, h0, stop.max_steps, scheme)
     plateau = stop.plateau_step(rows[:, 1])
