@@ -174,11 +174,21 @@ def _reject_constant(token: str):
     raise ConfigError(f"non-finite number {token} in config")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object whose keys are all distinct: strict JSON takes no repeated key."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"repeated key {key!r} in config")
+        obj[key] = value
+    return obj
+
+
 def load_config(path) -> dict:
     """Parse a config file; ``validate_config`` checks it (each command calls it once)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh, parse_constant=_reject_constant)
+            cfg = json.load(fh, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -293,11 +303,22 @@ def read_signal_matrix(path, n: int) -> np.ndarray:
     return mat
 
 
+def _write_text(path, text: str) -> None:
+    """Write ``text`` with LF line ends, making the parent directory; an
+    unwritable path (a file where a directory should be, or the reverse) is
+    a ConfigError naming it."""
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def write_signal_matrix(path, mat: np.ndarray) -> None:
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in mat:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    _write_text(path, "".join(",".join(_fmt(v) for v in row) + "\n" for row in mat))
 
 
 def _build_init(cfg: dict, spectrum: spectral.Spectrum, seed: Optional[int]) -> np.ndarray:
@@ -503,17 +524,14 @@ def write_trace_csv(path, trace: dynamics.FlowTrace) -> None:
     e = trace.dirichlet_normalized
     columns = (trace.steps, trace.norms, e, trace.total_energy, trace.rayleigh)
     rows = (f"{k},{a!r},{b!r},{c!r},{d!r}" for k, a, b, c, d in zip(*(x.tolist() for x in columns)))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join([TRACE_HEADER, *rows]) + "\n")
+    _write_text(path, "\n".join([TRACE_HEADER, *rows]) + "\n")
 
 
 def run_config(cfg: dict, out_dir, seed: Optional[int] = None) -> dict:
     """Run one experiment; write the trace CSV + summary JSON; return the summary."""
     validate_config(cfg)
     [(exp, trace, _, verdict)] = run_flows([cfg], seed)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path, summary_path = (out_dir / name for name in _output_names(cfg))
+    csv_path, summary_path = (Path(out_dir) / name for name in _output_names(cfg))
     write_trace_csv(csv_path, trace)
     summary = {
         "verdict": asdict(verdict),
@@ -531,8 +549,7 @@ def run_config(cfg: dict, out_dir, seed: Optional[int] = None) -> dict:
         "config": cfg,
         "seed_override": seed,
     }
-    with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_text(summary_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary
 
 
@@ -585,17 +602,13 @@ def sweep_config(
         }
         for value, (_, trace, prediction, verdict) in zip(grid, run_flows(points, seed, jobs))
     ]
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "sweep.csv"
     lines = ["value,predicted_class,measured_class,limit_value,steps_to_plateau"]
     for row in rows:
         lines.append(
             f"{_fmt(row['value'])},{row['predicted']},{row['measured']},"
             f"{_fmt(row['limit_value'])},{row['steps_to_plateau']}"
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(Path(out_dir) / "sweep.csv", "\n".join(lines) + "\n")
     return rows
 
 
@@ -692,10 +705,8 @@ def main(argv=None) -> int:
         if args.command == "gen":
             validate_config(cfg)
             graph = _build_graph(cfg, args.seed)
-            out_dir.mkdir(parents=True, exist_ok=True)
             path = out_dir / "graph.edges"
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(graphs.format_edge_list(graph))
+            _write_text(path, graphs.format_edge_list(graph))
             print(path)
         elif args.command == "run":
             summary = run_config(cfg, out_dir, seed=args.seed)
@@ -713,11 +724,9 @@ def main(argv=None) -> int:
                 )
         elif args.command == "energy":
             report = energy_report(cfg, seed=args.seed)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            path = out_dir / "energies.json"
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-            print(json.dumps(report, indent=2, sort_keys=True))
+            text = json.dumps(report, indent=2, sort_keys=True)
+            _write_text(out_dir / "energies.json", text + "\n")
+            print(text)
         elif args.command == "classify":
             verdict = classify_trace_csv(cfg, args.trace, seed=args.seed)
             print(json.dumps(verdict, indent=2, sort_keys=True))

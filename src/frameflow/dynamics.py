@@ -22,10 +22,10 @@ powers of exp(-rate_i tau), not an evaluation at k tau).  When each M_i is
 a number mu_i, as with identity-multiple weights, frequency i is one mode
 and its c channels move together; otherwise the modes are the eigenvectors
 Q_i of the one-step matrices M_i, z = Q_i^T hhat_i.  Relu/tanh descent, the
-banded ee activation and a per-vertex theta_b step on Hhat, with one
-U^T / U round trip per step and no other n x n (or bands*n x n) matrix: a
-step reads the state alone.  Either way a block of BLOCK steps is recorded
-at once.  The final state is mapped back once.
+banded ee activation and a per-vertex theta_b step on Hhat, with one U^T / U
+round trip per step (the last two in the one framelets.band_pass) and no
+other n x n matrix: a step reads the state alone.  Either way a block of
+BLOCK steps is recorded at once.  The final state is mapped back once.
 
 Each scheme is written once, in ``_scheme_operator``: its step, the c x c
 matrix M_i by which one step of its linear part acts on frequency i, and
@@ -76,7 +76,7 @@ from .errors import (
     OutOfRangeError,
     ZeroStateError,
 )
-from .framelets import FrameletSystem, Multiplier
+from .framelets import FrameletSystem, Multiplier, band_pass
 
 __all__ = [
     "SCHEME_KINDS",
@@ -285,30 +285,9 @@ def _scheme_operator(
     energy = framelet_energy_form(sys, energy_enhanced_omega(sys, plain))
     if activation == "identity":
         return _linear_operator(linear, energy)
-    # Every band's activation in one U^T / U round trip on (n, bands * c)
-    # columns, band b's in columns b*c to b*c + c - 1: H T with T = [I ... I]
-    # (c x bands*c) copies H into every band, and synthesis weights band b
-    # by r_b and sums the bands with T^T.
-    banded = [Multiplier([(analysis[b], cfg.w[b])]).per_frequency for b in bands]
-    synthesis = np.repeat(np.stack([resp[b] for b in bands], axis=1), c, axis=1)
-    copies = np.tile(np.eye(c), len(bands))
-    if all(m.shape[-1] == 1 for m in banded):  # identity multiples: one factor per band
-        factors = np.repeat(np.concatenate([m[:, 0] for m in banded], axis=1), c, axis=1)
-
-        def analyse(h):
-            x = h @ copies
-            x *= factors
-            return x
-    else:  # every band in one product with the stacked (n, bands, c, c) mixers
-        mixers = np.stack([m if m.shape[-1] == c else m * np.eye(c) for m in banded], axis=1)
-        analyse = lambda h: (h[:, None, None, :] @ mixers).reshape(len(h), -1)
-
-    def banded_step(h):
-        y = u @ _activate(activation, u.T @ analyse(h))
-        y *= synthesis
-        return y @ copies.T  # sums the bands
-
-    return SchemeOperator(banded_step, linear.per_frequency, energy)
+    step = band_pass(u, [(analysis[b], cfg.w[b], resp[b]) for b in bands],
+                     lambda x: _activate(activation, x), c)
+    return SchemeOperator(step, linear.per_frequency, energy)
 
 
 def _modes(one_step: np.ndarray, vectors: bool = True):

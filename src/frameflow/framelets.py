@@ -16,10 +16,11 @@ per-band responses r_b(lam).  Every band transform W_b = U^T diag(r_b) U,
 and every operator built from them, Ahat and Lhat, is diagonal in that
 basis, so flows and energies act on spectral coordinates Hhat = U H through
 a :class:`Multiplier`, Hhat -> sum_k diag(a_k) Hhat M_k with c x c channel
-mixers M_k.  A per-vertex filter theta between a band's analysis and
-synthesis is not diagonal there; a :class:`BandFilter` term applies it
-through U^T and U without forming a matrix.  The dense n x n transforms are
-built only on first use of :attr:`FrameletSystem.transforms`
+mixers M_k.  What acts per vertex between a band's analysis and synthesis
+(a per-vertex filter theta, a :class:`BandFilter` term, or the banded ee
+activation) is not diagonal there; :func:`band_pass` applies it to every
+band in one U^T / U round trip without forming a matrix.  The dense n x n
+transforms are built only on first use of :attr:`FrameletSystem.transforms`
 (decompose/reconstruct and explicit matrix checks).
 """
 
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -162,7 +163,7 @@ class BandFilter(NamedTuple):
     """diag(r) U diag(theta) U^T diag(r) on spectral coordinates: a per-vertex
     filter theta between the analysis and synthesis of the band with response
     r.  It is not diagonal in the eigenbasis, so a :class:`Multiplier` applies
-    all its filters in one U^T / U round trip, O(n^2 c), never forming the
+    all its filters in one :func:`band_pass`, O(n^2 c), never forming the
     n x n matrix."""
 
     u: np.ndarray
@@ -170,25 +171,52 @@ class BandFilter(NamedTuple):
     theta: np.ndarray
 
 
-def _stack(columns) -> Optional[np.ndarray]:
-    return np.stack(columns, axis=1) if columns else None
+def band_pass(u: np.ndarray, terms, vertex: Callable, c: int) -> Callable:
+    """Hhat -> sum_b diag(s_b) U f(U^T diag(a_b) Hhat M_b) on spectral
+    coordinates, (n, c) or a (k, n, c) stack with the bits of its slices, for
+    terms (a_b, M_b, s_b) and f an in-place map of vertex columns: every band
+    in one U^T / U round trip on (n, bands * c) columns, band b's from b*c on.
+    When each band's own Multiplier folds a_b M_b into numbers, H T with
+    T = [I ... I] (c x bands*c) copies H into every band, times one factor
+    column; otherwise one product takes the stacked c x c matrices.  The
+    synthesis weights band b by s_b, and T^T sums the bands."""
+    banded = [Multiplier([(a, m)]).per_frequency for a, m, _ in terms]
+    weights = np.repeat(np.stack([s for _, _, s in terms], axis=1), c, axis=1)
+    copies = np.tile(np.eye(c), len(banded))
+    if all(m.shape[-1] == 1 for m in banded):  # identity multiples: one factor per band
+        factors = np.repeat(np.concatenate([m[:, 0] for m in banded], axis=1), c, axis=1)
+
+        def analyse(h):
+            x = h @ copies
+            x *= factors
+            return x
+    else:  # every band in one product with the stacked (n, bands, c, c) mixers
+        mixers = np.stack([m if m.shape[-1] == c else m * np.eye(c) for m in banded], axis=1)
+        analyse = lambda h: (h[..., None, None, :] @ mixers).reshape(*h.shape[:-1], -1)
+
+    def apply(h):
+        y = u @ vertex(u.T @ analyse(h))
+        y *= weights
+        return y @ copies.T  # sums the bands
+
+    return apply
 
 
 class Multiplier:
     """The map Hhat -> sum_k A_k Hhat M_k - S on spectral coordinates Hhat = U H.
 
     Each term is (factor, mixer).  A 1-D factor is a diagonal A_k, a function
-    of the frequency; a :class:`BandFilter` factor is a per-vertex filter.
-    The mixer is a c x c channel matrix, or None for the identity.  The
-    diagonal terms sum, per frequency, into one c x c matrix sum_k a_k M_k,
-    or one number when every M_k is s_k I, so an application costs one
-    O(n c^2), or O(n c), product whatever the number of bands.  That s I
-    check is made here, once per Multiplier, and nowhere else: callers pass
-    their weights as matrices.  ``source`` S is an optional constant (n, c)
-    term.  A (k, n, c) stack of states takes one product too, with the bits
-    of its slices, and :meth:`apply_into` writes it into a caller's buffer.
-    With symmetric mixers the map is the gradient of the energy
-    :meth:`quadratic` evaluates.
+    of the frequency; the :class:`BandFilter` factors, per-vertex filters,
+    take one :func:`band_pass`.  The mixer is a c x c channel matrix, or None
+    for the identity.  The diagonal terms sum, per frequency, into one c x c
+    matrix sum_k a_k M_k, or one number when every M_k is s_k I, so an
+    application costs one O(n c^2), or O(n c), product whatever the number
+    of bands.  That s I check is made here, once per Multiplier, and nowhere
+    else: callers pass their weights as matrices.  ``source`` S is an
+    optional constant (n, c) term.  A (k, n, c) stack of states takes one
+    product too, with the bits of its slices, and :meth:`apply_into` writes
+    it into a caller's buffer.  With symmetric mixers the map is the gradient
+    of the energy :meth:`quadratic` evaluates.
     """
 
     def __init__(self, terms, source: Optional[np.ndarray] = None):
@@ -214,20 +242,23 @@ class Multiplier:
                 scaled = reduce(np.add, [f * s for (f, _), s in zip(mixed, scales)], 0.0)
                 self.diagonal = scaled if self.diagonal is None else scaled + self.diagonal
             else:  # n x c x c
-                self.matrices = np.einsum("nk,kcd->ncd", _stack([f for f, _ in mixed]), mixers)
+                self.matrices = np.einsum("nk,kcd->ncd", np.stack([f for f, _ in mixed], 1), mixers)
                 if self.diagonal is not None:
                     self.matrices += self.diagonal[:, None, None] * eye
                     self.diagonal = None
-        # n x F responses and per-vertex thetas of the filters, with their mixers
-        self.filter_mixers = [m for _, m in filters]
-        self.filter_responses = _stack([f.response for f, _ in filters])
-        self.filter_thetas = _stack([f.theta for f, _ in filters])
-        self.basis = filters[0][0].u if filters else None
+        self.filters = None  # the filters' band pass: terms (r_f, M_f, r_f), f = theta_f
+        if filters and self.channels is None:
+            raise DimensionMismatchError("a BandFilter term needs a mixer to fix the channel count")
+        if filters:
+            thetas = np.repeat(np.stack([f.theta for f, _ in filters], 1), self.channels, axis=1)
+            terms = [(f.response, m, f.response) for f, m in filters]
+            self.filters = band_pass(filters[0][0].u, terms,
+                                     lambda x: np.multiply(x, thetas, out=x), self.channels)
 
     @property
     def per_frequency(self) -> Optional[np.ndarray]:
         """sum_k a_k M_k per frequency: (n, c, c), (n, 1, 1) if a number, None with a filter."""
-        if self.filter_mixers:
+        if self.filters is not None:
             return None
         return self.diagonal[:, None, None] if self.matrices is None else self.matrices
 
@@ -245,10 +276,7 @@ class Multiplier:
     def apply_into(self, h: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
         """:meth:`apply`, written into ``out`` (which must not overlap h) or,
         if None, into a fresh array."""
-        if h.ndim == 3 and self.filter_mixers:
-            return np.stack([self.apply(x) for x in h], out=out)
-        n, c = h.shape[-2:]
-        self.check_channels(c)
+        self.check_channels(h.shape[-1])
         if self.matrices is not None:  # per frequency, a row times a c x c matrix
             rows = None if out is None else out[..., None, :]
             out = np.matmul(h[..., None, :], self.matrices, out=rows)[..., 0, :]
@@ -258,12 +286,8 @@ class Multiplier:
             out = np.zeros_like(h)
         else:
             out.fill(0.0)
-        if self.filter_mixers:
-            mixed = np.stack([h if m is None else h @ m for m in self.filter_mixers], axis=1)
-            vertex = self.basis.T @ (self.filter_responses[:, :, None] * mixed).reshape(n, -1)
-            vertex = (self.filter_thetas[:, :, None] * vertex.reshape(n, -1, c)).reshape(n, -1)
-            spectral = (self.basis @ vertex).reshape(n, -1, c)
-            out += np.einsum("nf,nfc->nc", self.filter_responses, spectral)
+        if self.filters is not None:
+            out += self.filters(h)
         return out if self.source is None else np.subtract(out, self.source, out=out)
 
     def quadratic(self, h: np.ndarray) -> float:

@@ -975,6 +975,19 @@ def _config_file(text: Optional[str], *rest: str):
     return argv
 
 
+def _unwritable(taken: Optional[str], *rest: str):
+    """``rest`` on a good config, with --out an existing file (``taken`` None)
+    or a directory holding a directory named ``taken``."""
+    def argv(tmp_path):
+        out = tmp_path / "out"
+        if taken is None:
+            out.write_text("a file, not a directory\n", encoding="utf-8")
+        else:
+            (out / taken).mkdir(parents=True)
+        return _config_file(json.dumps(c6_config(steps=200)), *rest)(tmp_path)
+    return argv
+
+
 def _run_on_graph(**graph):
     """run on a config whose graph block is ``graph``."""
     return _config_file(json.dumps(c6_config(graph=graph)), "run")
@@ -1031,6 +1044,15 @@ TRACE_HEADER = "step,norm,dirichlet_normalized,total_energy,rayleigh\n"
             lambda_w=0.5, graph={"kind": "cycle", "n": 6, "self_loops": True},
             run={"steps": 20000, "tol": tol})), "run"), 2, "error: run.tol must be > 0")
           for tol in (-1e-6, 0.0)),
+        (_config_file(json.dumps(c6_config()).replace(
+            '"lambda_w": 10.0', '"lambda_w": 0.5, "lambda_w": 20.0'), "run"),
+         2, "error: repeated key 'lambda_w'"),
+        (_config_file(json.dumps(c6_config())[:-1] + ', "run": {"steps": 5}}', "run"),
+         2, "error: repeated key 'run'"),
+        *((_unwritable(None, *command), 2, "error: cannot write")
+          for command in (["gen"], ["run"], ["energy"],
+                          ["sweep", "--parameter", "lambda_w", "--grid", "0.5"])),
+        (_unwritable("trace.csv", "run"), 2, "error: cannot write"),
     ],
     ids=["init-non-numeric", "init-empty", "init-ragged", "init-two-rows", "init-blank-line",
          "classify-missing", "classify-header", "classify-short-row", "classify-no-rows",
@@ -1041,7 +1063,10 @@ TRACE_HEADER = "step,norm,dirichlet_normalized,total_energy,rayleigh\n"
          "sweep-epsilon-unshifted", "init-nan", "init-overflow", "classify-nan",
          "classify-inf", "classify-repeated-row", "classify-skipped-step", "classify-nan-norm",
          "classify-empty-rayleigh", "classify-long-row", "classify-other-header",
-         "weights-empty-matrix", "run-tol-negative", "run-tol-zero"],
+         "weights-empty-matrix", "run-tol-negative", "run-tol-zero",
+         "config-duplicate-key-nested", "config-duplicate-key-top-level",
+         "gen-out-is-a-file", "run-out-is-a-file", "energy-out-is-a-file", "sweep-out-is-a-file",
+         "run-csv-is-a-directory"],
 )
 def test_failure_paths_exit_with_their_code_and_one_line(tmp_path, capsys, argv, code, line):
     args = argv(tmp_path)  # classify writes nothing, so it takes no --out

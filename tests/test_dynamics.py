@@ -891,15 +891,22 @@ def stepped_config(rng, kind, weights, bands, c, with_source=False):
      pytest.param("activated", "relu", True, True, id="activated-relu-True-source"),
      pytest.param("activated", "tanh", False, True, id="activated-tanh-False-source"),
      pytest.param("gradf_ufg", "identity", True, True, id="gradf_ufg-identity-True"),
-     pytest.param("ee_ufg", "relu", True, False, id="ee_ufg-relu-True")],
+     pytest.param("ee_ufg", "relu", True, False, id="ee_ufg-relu-True"),
+     pytest.param("spectral_framelet", "identity", True, False,
+                  id="spectral_framelet-per-vertex-theta-True")],
 )
 def test_stepped_trace_replays_the_public_steps_bit_for_bit(rng, kind, activation, renormalize,
                                                             with_source, weights):
     """gradf_ufg always runs with a source term, so it steps rather than taking
-    powers; with a source, activated descent folds it into its -tau grad."""
+    powers; with a source, activated descent folds it into its -tau grad.  A
+    per-vertex theta_b is the one linear scheme that steps: its rows come from
+    one band pass per block of states."""
     sys, ahat, lap = identity_basis(rng, 2)
     x0 = rng.standard_normal((sys.n, 3))
     cfg = stepped_config(rng, kind, weights, sys.bands, 3, with_source)
+    if kind == "spectral_framelet":  # one shared W, a per-vertex theta_b
+        theta = {b: rng.uniform(0.5, 1.5, sys.n) for b in sys.bands}
+        cfg = replace(cfg, w=dict.fromkeys(sys.bands, cfg.w[sys.low_pass]), theta=theta)
     steps, lam = 200, np.diag(lap)
     trace = ff.run_flow(ff.Scheme(kind, activation, renormalize), sys, x0, cfg,
                         ff.StopRule(steps, plateau_tol=0.0))
@@ -910,6 +917,8 @@ def test_stepped_trace_replays_the_public_steps_bit_for_bit(rng, kind, activatio
             return ff.step_activated(sys, x, x0, cfg, activation)
         if kind == "gradf_ufg":
             return ff.step_gradf_ufg(sys, x, x0, cfg)
+        if kind == "spectral_framelet":
+            return ff.step_spectral_framelet(sys, x, cfg)
         return ff.step_ee_ufg(sys, x, cfg, activation)
 
     energy_cfg = ff.energy_enhanced_omega(sys, cfg) if kind == "ee_ufg" else cfg
@@ -917,6 +926,8 @@ def test_stepped_trace_replays_the_public_steps_bit_for_bit(rng, kind, activatio
 
     def row(x, norm):
         e_norm = 0.5 * float(np.vdot(x, lam[:, None] * x)) / float(np.vdot(x, x))
+        if kind == "spectral_framelet":
+            return norm, e_norm, ff.spectral_energy(sys, x, cfg)
         return norm, e_norm, ff.total_framelet_energy(sys, x, energy_cfg, initial)
 
     rows = [row(x0, float(np.linalg.norm(x0)))]

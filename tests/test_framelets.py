@@ -245,6 +245,14 @@ def test_filters_alone_apply_into_a_zero_filled_buffer(rng):
     np.testing.assert_array_equal(out, m.apply(h))
 
 
+def test_filters_with_no_mixer_have_no_channel_count(rng):
+    n = 9
+    u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    with pytest.raises(DimensionMismatchError, match="needs a mixer"):
+        framelets.Multiplier([(framelets.BandFilter(u, rng.standard_normal(n), rng.random(n)),
+                               None), (rng.standard_normal(n), None)])
+
+
 def test_mixers_of_two_sizes_rejected():
     with pytest.raises(DimensionMismatchError, match="mixers of sizes 2, 3"):
         framelets.Multiplier([(np.ones(4), np.eye(2)), (np.ones(4), np.eye(3))])
