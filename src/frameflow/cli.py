@@ -4,7 +4,7 @@ Subcommands
 -----------
 gen       emit a graph edge list from the config's graph block
 run       run one flow, write the trace CSV and a summary JSON
-sweep     repeat the run over a grid of one parameter (lambda_w|theta|epsilon)
+sweep     repeat the run over a grid of one key of SWEEP_KEYS (lambda_w|theta|epsilon|tau)
 energy    evaluate every applicable energy for the configured signal
 classify  re-classify an existing trace CSV (energy-value rules only; the
           eigenspace-residual check needs the final state, which a CSV does
@@ -78,6 +78,15 @@ DEFAULT_TAU = {
     "gradf_ufg": 1e-2,
     "activated": 1e-2,
     "perturbed_closed_form": 1e-2,
+}
+
+# swept key -> (its block, None at the top level; the schemes that read it).
+# ee_ufg takes a unit step whatever tau is.
+SWEEP_KEYS = {
+    "lambda_w": ("weights", tuple(DEFAULT_TAU)),
+    "theta": (None, ("spectral_framelet",)),
+    "epsilon": (None, ("ee_ufg", "perturbed_closed_form")),
+    "tau": (None, tuple(kind for kind in DEFAULT_TAU if kind != "ee_ufg")),
 }
 
 
@@ -316,11 +325,6 @@ def _write_text(path, text: str) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def write_signal_matrix(path, mat: np.ndarray) -> None:
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    _write_text(path, "".join(",".join(_fmt(v) for v in row) + "\n" for row in mat))
-
-
 def _build_init(cfg: dict, spectrum: spectral.Spectrum, seed: Optional[int]) -> np.ndarray:
     """A random_normal or eigenvector init block's state; build_geometry reads a file's."""
     icfg = cfg["init"]
@@ -553,28 +557,23 @@ def run_config(cfg: dict, out_dir, seed: Optional[int] = None) -> dict:
     return summary
 
 
-SWEEP_PARAMETERS = ("lambda_w", "theta", "epsilon")
-
-
 def _apply_sweep_value(cfg: dict, parameter: str, value: float) -> dict:
-    """The point config: ``cfg`` with the swept value, sharing every block but
-    the one it changes (which no run mutates)."""
-    if not _is_number(value):  # the rest of cfg is validated
+    """The point config: ``cfg`` (validated) with the one swept leaf replaced,
+    sharing every block but the one it changes (which no run mutates)."""
+    if parameter not in SWEEP_KEYS:
+        raise ConfigError(f"sweep parameter must be one of {tuple(SWEEP_KEYS)}, got {parameter!r}")
+    block, schemes = SWEEP_KEYS[parameter]
+    kind = _scheme(cfg).kind
+    if kind not in schemes:
+        raise ConfigError(f"{parameter} sweeps need scheme.kind in {schemes}, got {kind!r}")
+    if block is not None and parameter not in cfg[block]:  # lambda_w off scalar weights
+        raise ConfigError(f"{parameter} sweeps need {block}.{parameter} in the config")
+    if not _is_number(value):
         raise ConfigError(f"sweep value must be a finite number, got {value!r}")
-    if parameter == "lambda_w":
-        if cfg["weights"]["mode"] != "scalar":
-            raise ConfigError("lambda_w sweeps need weights.mode == 'scalar'")
-        return {**cfg, "weights": {**cfg["weights"], "lambda_w": value}}
-    if parameter == "theta":
-        if cfg.get("scheme", {}).get("kind") != "spectral_framelet":
-            raise ConfigError("theta sweeps need scheme.kind == 'spectral_framelet'")
-        _theta_bands(value, 1)  # rejects a negative theta
-        return {**cfg, "theta": value}
-    if parameter == "epsilon":
-        if cfg.get("scheme", {}).get("kind") not in ("ee_ufg", "perturbed_closed_form"):
-            raise ConfigError("epsilon sweeps need an epsilon-shifted scheme")
-        return {**cfg, "epsilon": value}
-    raise ConfigError(f"sweep parameter must be one of {SWEEP_PARAMETERS}, got {parameter!r}")
+    leaf = {parameter: value}
+    point = {**cfg, **leaf} if block is None else {**cfg, block: {**cfg[block], **leaf}}
+    _build_weights(point, kind, 1, 1)  # rejects a negative theta or tau, as a run does
+    return point
 
 
 def sweep_config(
@@ -693,7 +692,7 @@ def main(argv=None) -> int:
         if name != "classify":
             command.add_argument("--out", default=".", help="output directory")
         command.add_argument("--seed", type=int, default=None, help="override graph/init seeds")
-    commands["sweep"].add_argument("--parameter", required=True, choices=SWEEP_PARAMETERS)
+    commands["sweep"].add_argument("--parameter", required=True, choices=SWEEP_KEYS)
     commands["sweep"].add_argument("--grid", required=True, help="comma-separated values")
     commands["sweep"].add_argument("--jobs", type=int, default=1, help="worker threads")
     commands["classify"].add_argument("--trace", required=True, help="existing trace CSV")

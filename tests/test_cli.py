@@ -37,6 +37,12 @@ def write_config(tmp_path, cfg, name="config.json"):
     return path
 
 
+def write_signal_matrix(path, mat) -> None:
+    """Write the comma-separated rows ``cli.read_signal_matrix`` reads."""
+    rows = np.atleast_2d(np.asarray(mat, dtype=float)).tolist()
+    path.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows), encoding="utf-8")
+
+
 def test_run_high_frequency_regime(tmp_path):
     summary = cli.run_config(c6_config(lambda_w=10.0), tmp_path)
     assert summary["verdict"]["dominance"] == "HFD"
@@ -137,9 +143,19 @@ def test_sweep_empty_grid_rejected(tmp_path):
         cli.sweep_config(c6_config(), "lambda_w", [], tmp_path)
 
 
-def test_sweep_inapplicable_parameter_rejected(tmp_path):
-    with pytest.raises(ConfigError):
-        cli.sweep_config(c6_config(), "theta", [1.0], tmp_path)
+def test_sweep_inapplicable_parameter_rejected(tmp_path, monkeypatch):
+    """A sweep of a key its scheme does not read exits 2 before the eigensolver."""
+    monkeypatch.setattr(ff.spectral, "eigh", _refuse)
+    for parameter, cfg in (("theta", c6_config()),
+                           ("tau", c6_config(scheme={"kind": "ee_ufg"}, epsilon=0.2)),
+                           ("epsilon", c6_config(scheme={"kind": "gradf_ufg"}, tau=0.05))):
+        out = tmp_path / parameter
+        with pytest.raises(ConfigError, match=f"{parameter} sweeps need scheme.kind in"):
+            cli.sweep_config(cfg, parameter, [1.0], out)
+        argv = ["sweep", "--config", str(write_config(tmp_path, cfg)), "--out", str(out),
+                "--parameter", parameter, "--grid", "1.0"]
+        assert cli.main(argv) == 2
+        assert not out.exists()
 
 
 def test_sweep_spectral_theta_grid(tmp_path):
@@ -175,7 +191,7 @@ def test_graph_from_file_config(tmp_path):
 def test_init_from_signal_file(tmp_path):
     mat = np.arange(12, dtype=float).reshape(6, 2) + 1.0
     sig = tmp_path / "h.csv"
-    cli.write_signal_matrix(sig, mat)
+    write_signal_matrix(sig, mat)
     cfg = c6_config(lambda_w=0.5, steps=4000)
     cfg["init"] = {"mode": "file", "path": str(sig)}
     summary = cli.run_config(cfg, tmp_path)
@@ -279,6 +295,13 @@ SBM_SWEEP = {
     "tau": 1.0,
 }
 
+# gradf_ufg on K_{7,12} at lambda_w = 150: its HFD at tau = 0.2 is Euler overshoot
+K7_12_GRADF = c6_config(
+    lambda_w=150.0, scales=2, scheme={"kind": "gradf_ufg"},
+    graph={"kind": "complete_bipartite", "m": 7, "n": 12, "self_loops": False},
+    init={"mode": "random_normal", "seed": 5, "channels": 4},
+)
+
 
 @pytest.mark.parametrize(
     "cfg,parameter,grid",
@@ -292,8 +315,9 @@ SBM_SWEEP = {
         (c6_config(scales=2, scheme={"kind": "perturbed_closed_form"}, tau=0.05, epsilon=0.5),
          "epsilon", [0.1, 1.0]),
         (SBM_SWEEP, "lambda_w", [0.5, 2.0, 8.0, 64.0]),
+        (K7_12_GRADF, "tau", [0.2, 0.05, 0.01]),
     ],
-    ids=["spatial", "gradf", "activated", "ee", "spectral", "closed-form", "sbm48"],
+    ids=["spatial", "gradf", "activated", "ee", "spectral", "closed-form", "sbm48", "tau-k7-12"],
 )
 def test_sweep_rows_match_single_runs(tmp_path, cfg, parameter, grid):
     """Every point of a sweep over one shared geometry is the run of its own
@@ -310,6 +334,9 @@ def test_sweep_rows_match_single_runs(tmp_path, cfg, parameter, grid):
         assert row["steps_to_plateau"] == steps
     if cfg is SBM_SWEEP:
         assert [row["measured"] for row in rows] == ["LFD", "LFD", "LFD", "HFD"]
+    if cfg is K7_12_GRADF:  # the overshoot goes as tau shrinks
+        assert [(row["measured"], row["steps_to_plateau"]) for row in rows] == [
+            ("HFD", 32), ("LFD", 203), ("LFD", 916)]
 
 
 @pytest.mark.parametrize(
@@ -907,7 +934,8 @@ def test_library_calls_still_validate_their_config(tmp_path, monkeypatch, call, 
     "parameter,value,error",
     [("lambda_w", float("nan"), ConfigError), ("lambda_w", "2", ConfigError),
      ("lambda_w", True, ConfigError), ("theta", -1.0, ff.OutOfRangeError),
-     ("theta", float("inf"), ConfigError), ("epsilon", float("-inf"), ConfigError)],
+     ("theta", float("inf"), ConfigError), ("epsilon", float("-inf"), ConfigError),
+     ("tau", -0.1, ff.OutOfRangeError), ("tau", float("nan"), ConfigError)],
 )
 def test_a_bad_swept_value_is_rejected_before_any_work(tmp_path, monkeypatch, parameter, value,
                                                        error):
@@ -926,7 +954,7 @@ def test_a_bad_swept_value_is_rejected_before_any_work(tmp_path, monkeypatch, pa
 )
 def test_each_command_reads_the_init_file_once(tmp_path, monkeypatch, command):
     sig = tmp_path / "h.csv"
-    cli.write_signal_matrix(sig, np.arange(12, dtype=float).reshape(6, 2) + 1.0)
+    write_signal_matrix(sig, np.arange(12, dtype=float).reshape(6, 2) + 1.0)
     cfg = c6_config(lambda_w=0.5, steps=300)
     cfg["init"] = {"mode": "file", "path": str(sig)}
     path = write_config(tmp_path, cfg)
@@ -1212,9 +1240,16 @@ def test_closed_stdout_exits_one_without_a_traceback(tmp_path, unbuffered):
 
 def test_sweep_config_rejects_an_unknown_parameter(tmp_path):
     with pytest.raises(ConfigError, match="sweep parameter must be one of"):
-        cli.sweep_config(c6_config(), "tau", [0.5], tmp_path)
+        cli.sweep_config(c6_config(), "init.seed", [0.5], tmp_path)
     assert cli.EXIT_CODES[ConfigError] == 2
     assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_readme_lists_the_sweep_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    [line] = [ln for ln in readme.splitlines() if ln.startswith("* sweep parameters:")]
+    listed = line.split(":", 1)[1].split(".")[0]
+    assert re.findall(r"`(\w+)`", listed) == list(cli.SWEEP_KEYS)
 
 
 def _subclasses(klass):
