@@ -86,20 +86,20 @@ def dominant_frequency(spectrum: Spectrum, gains: np.ndarray) -> DominancePredic
     (including the 0-vs-rho_L tie).  A tie reports its lowest tied
     frequency as lambda_star.
     """
-    starts = spectrum.frequency_starts
-    distinct = np.maximum(spectrum.eigenvalues[starts], 0.0).tolist()
-    values = np.maximum.reduceat(np.abs(gains), starts)
-    gmax, best = float(np.max(values)), int(np.argmax(values))
-    tied = np.flatnonzero(gmax - values <= TOP_TIE_TOL * gmax)
-    others = np.delete(values, best)
-    margin = 1.0 - float(np.max(others)) / gmax if others.size and gmax > 0.0 else 1.0
-    lambda_star = distinct[int(tied[0])]
+    values = np.maximum.reduceat(np.abs(gains), spectrum.frequency_starts).tolist()
+    gmax = max(values)
+    best = values.index(gmax)
+    others = values[:best] + values[best + 1:]
+    margin = 1.0 - max(others) / gmax if others and gmax > 0.0 else 1.0
+    tied = [i for i, v in enumerate(values) if gmax - v <= TOP_TIE_TOL * gmax]
+    lambda_star = spectrum.frequencies[tied[0]]
     dominance = MIXED
-    if tied.size == 1 and lambda_star <= TOP_TIE_TOL:
+    if len(tied) == 1 and lambda_star <= TOP_TIE_TOL:
         dominance = LFD
-    elif tied.size == 1 and abs(lambda_star - spectrum.rho_l) <= TOP_TIE_TOL:
+    elif len(tied) == 1 and abs(lambda_star - spectrum.rho_l) <= TOP_TIE_TOL:
         dominance = HFD
-    return DominancePrediction(lambda_star, dominance, margin, dict(zip(distinct, values.tolist())))
+    gains = dict(zip(spectrum.frequencies, values))
+    return DominancePrediction(lambda_star, dominance, margin, gains)
 
 
 def _projection(spectrum: Spectrum, signal, mask: np.ndarray):
@@ -108,17 +108,23 @@ def _projection(spectrum: Spectrum, signal, mask: np.ndarray):
     return _restore(rows.T @ (rows @ x), was_vector)
 
 
+def _top(spectrum: Spectrum) -> np.ndarray:
+    return spectrum.eigenvalues >= spectrum.rho_l - TOP_TIE_TOL
+
+
+def _kernel(spectrum: Spectrum) -> np.ndarray:
+    return np.abs(spectrum.eigenvalues) <= TOP_TIE_TOL
+
+
 def hfd_projection(spectrum: Spectrum, signal):
     """Project each channel onto the eigenspace of all eigenvalues within
     1e-9 of rho_L (spectral projector, so top-frequency ties are handled)."""
-    mask = spectrum.eigenvalues >= spectrum.rho_l - TOP_TIE_TOL
-    return _projection(spectrum, signal, mask)
+    return _projection(spectrum, signal, _top(spectrum))
 
 
 def kernel_projection(spectrum: Spectrum, signal):
     """Project each channel onto the eigenspace of eigenvalues within 1e-9 of 0."""
-    mask = np.abs(spectrum.eigenvalues) <= TOP_TIE_TOL
-    return _projection(spectrum, signal, mask)
+    return _projection(spectrum, signal, _kernel(spectrum))
 
 
 @dataclass(frozen=True)
@@ -149,13 +155,13 @@ def classify_dominance(
     """Read a verdict off a renormalized trace by :func:`limit_dominance`."""
     if not trace.renormalized:
         raise TraceNotNormalizedError("dominance is defined on renormalized traces only")
-    plateaued = trace.plateaued and trace.steps_run > 0
-    dominance, residual = limit_dominance(
-        plateaued, trace.limit_value, spectrum.rho_l, tol, spectrum, trace.final_state
+    plateaued, limit = trace.plateaued and trace.steps_run > 0, trace.limit_value
+    dominance, residual = _limit_dominance(
+        plateaued, limit, spectrum.rho_l, tol, spectrum, trace.final_coefficients
     )
     return DominanceVerdict(
         dominance=dominance,
-        limit_value=trace.limit_value,
+        limit_value=limit,
         target_low=0.0,
         target_high=spectrum.rho_l / 2.0,
         residual=residual,
@@ -176,28 +182,37 @@ def limit_dominance(
     """The verdict rule, as (dominance, residual).
 
     UNDECIDED without a plateau; LFD when the final E(H/||H||) is within tol
-    of 0; HFD when it is within tol of rho_L/2 *and* the final ``state`` lies
-    within sqrt(tol) of the top eigenspace of ``spectrum``; MIXED otherwise.
-    residual is the relative distance of ``state`` to the kernel (LFD) or the
-    top eigenspace (HFD).  With ``state`` unknown the eigenspace test is
-    skipped and the residual is None; only rho_L is read.
+    of 0; HFD when it is within tol of rho_L/2 *and* the final ``state`` H
+    (on the vertices) lies within sqrt(tol) of the top eigenspace of
+    ``spectrum``; MIXED otherwise.  residual is the relative distance of H to
+    the kernel (LFD) or the top eigenspace (HFD).  With ``state`` unknown the
+    eigenspace test is skipped and the residual is None; only rho_L is read.
     """
+    coefficients = None if state is None else spectrum.u @ np.asarray(state, dtype=float)
+    return _limit_dominance(plateaued, limit, rho_l, tol, spectrum, coefficients)
+
+
+def _limit_dominance(plateaued, limit, rho_l, tol, spectrum, coefficients):
+    """:func:`limit_dominance` of the state H given by its spectral
+    coordinates U H (None if unknown)."""
     if not plateaued:
         return UNDECIDED, None
     if abs(limit) <= tol:
-        residual = None if state is None else _relative_residual(spectrum, state, kernel_projection)
-        return LFD, residual
+        return LFD, _relative_residual(spectrum, coefficients, _kernel)
     if abs(limit - rho_l / 2.0) <= tol:
-        if state is None:
-            return HFD, None
-        residual = _relative_residual(spectrum, state, hfd_projection)
-        if residual <= np.sqrt(tol):
+        residual = _relative_residual(spectrum, coefficients, _top)
+        if residual is None or residual <= np.sqrt(tol):
             return HFD, residual
     return MIXED, None
 
 
-def _relative_residual(spectrum: Spectrum, state: np.ndarray, projector) -> float:
-    norm = float(np.linalg.norm(state))
+def _relative_residual(spectrum: Spectrum, coefficients, eigenspace) -> Optional[float]:
+    """||H - P H|| / ||H|| for P the projector onto the ``eigenspace`` mask's
+    eigenvectors, from H's spectral coordinates U H (None if unknown): the
+    norm of those outside it, U being orthonormal."""
+    if coefficients is None:
+        return None
+    norm = float(np.linalg.norm(coefficients))
     if norm == 0.0:
         raise ZeroStateError("final state has zero norm")
-    return float(np.linalg.norm(state - projector(spectrum, state))) / norm
+    return float(np.linalg.norm(coefficients[~eigenspace(spectrum)])) / norm

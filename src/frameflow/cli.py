@@ -205,8 +205,9 @@ def load_config(path) -> dict:
     return cfg
 
 
-def validate_config(cfg: dict) -> None:
-    """Check every key's name, value type, range and choice before any work."""
+def validate_config(cfg: dict) -> energies.WeightConfig:
+    """Check every key's name, value type, range and choice before any work;
+    return the one-channel weights built to check them."""
     _check_keys("config", cfg)
     _check_keys("graph", _require("config", cfg, "graph"))
     _require("graph", cfg["graph"], "kind")
@@ -243,10 +244,11 @@ def validate_config(cfg: dict) -> None:
     if theta is not None:
         _theta_bands(theta, scales)  # rejects a negative coefficient or a bad band key
     scheme = _scheme(cfg)  # dynamics.Scheme rejects an unknown or misplaced kind or activation
-    _build_weights(cfg, scheme.kind, 1, 1)  # WeightConfig rejects tau < 0, asymmetric weights
+    weights = _build_weights(cfg, scheme.kind, 1, 1)  # WeightConfig rejects tau < 0, asymmetry
     csv, summary = _output_names(cfg)
     if csv == summary:
         raise ConfigError(f"output.csv and output.summary are both {csv!r}")
+    return weights
 
 
 def _framelet(cfg: dict) -> tuple:
@@ -468,42 +470,47 @@ def assemble(cfg: dict, geometry: Geometry) -> Experiment:
     return Experiment(**vars(geometry), scheme=scheme, weights=weights, stop=stop, tol=tol)
 
 
-def _check_flow_config(cfg: dict) -> None:
+def _check_flow_config(cfg: dict, weights: energies.WeightConfig) -> None:
     """Reject before any geometry is built what a flow would reject later: the
     closed form off a tight two-scale bank, spectral filtering without a theta
-    per band or with unequal band weights, and an unrenormalized run."""
+    per band or with unequal band weights, and an unrenormalized run.
+    ``weights`` are the config's one-channel weights, built as its check."""
     scheme, bank = _scheme(cfg), _probe_bank(*_framelet(cfg))
     if scheme.kind == "perturbed_closed_form":
         dynamics.require_closed_form_bank(bank)
     if scheme.kind == "spectral_framelet":
-        weights = _build_weights(cfg, scheme.kind, 1, 1)
         weights.theta_for(bank.bands)
         weights.shared_w(bank)
     if not scheme.renormalize:
         raise TraceNotNormalizedError("dominance is defined on renormalized runs only")
 
 
-def run_flows(cfgs: List[dict], seed: Optional[int] = None, jobs: int = 1) -> list:
-    """Check every validated config's flow, build the geometry they share once,
-    then run assemble -> run -> predict -> classify for each, on ``jobs`` threads.
-    Returns (experiment, trace, prediction, verdict) per config, in order."""
-    for cfg in cfgs:
-        _check_flow_config(cfg)
+def run_flows(cfgs: List[dict], weights: list, seed: Optional[int] = None, jobs: int = 1) -> list:
+    """Check every validated config's flow by :func:`_check_flow_config` on its
+    one-channel ``weights`` (from :func:`validate_config` or the sweep value's
+    check); build the geometry they share once; then assemble every config,
+    run every flow (on ``jobs`` threads), predict every limit and classify
+    every trace, a stage at a time, which keeps each stage's code and data
+    warm.  Returns (experiment, trace, prediction, verdict) per config, in order."""
+    for cfg, one_channel in zip(cfgs, weights, strict=True):
+        _check_flow_config(cfg, one_channel)
     geometry = build_geometry(cfgs[0], seed)
-
-    def flow(cfg: dict):
-        exp = assemble(cfg, geometry)
-        trace = dynamics.run_flow(exp.scheme, exp.system, exp.initial, exp.weights, exp.stop)
-        prediction = (
-            None if trace.gains is None else analysis.dominant_frequency(exp.spectrum, trace.gains)
-        )
-        verdict = analysis.classify_dominance(trace, exp.spectrum, exp.tol, prediction)
-        return exp, trace, prediction, verdict
-
+    experiments = [assemble(cfg, geometry) for cfg in cfgs]
+    run = lambda exp: dynamics.run_flow(exp.scheme, exp.system, exp.initial, exp.weights, exp.stop)
     if jobs <= 1:
-        return [flow(cfg) for cfg in cfgs]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(flow, cfgs))
+        traces = [run(exp) for exp in experiments]
+    else:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            traces = list(pool.map(run, experiments))
+    predictions = [
+        None if trace.gains is None else analysis.dominant_frequency(exp.spectrum, trace.gains)
+        for exp, trace in zip(experiments, traces)
+    ]
+    verdicts = [
+        analysis.classify_dominance(trace, exp.spectrum, exp.tol, prediction)
+        for exp, trace, prediction in zip(experiments, traces, predictions)
+    ]
+    return list(zip(experiments, traces, predictions, verdicts))
 
 
 PAPER_CHECK = {
@@ -533,8 +540,7 @@ def write_trace_csv(path, trace: dynamics.FlowTrace) -> None:
 
 def run_config(cfg: dict, out_dir, seed: Optional[int] = None) -> dict:
     """Run one experiment; write the trace CSV + summary JSON; return the summary."""
-    validate_config(cfg)
-    [(exp, trace, _, verdict)] = run_flows([cfg], seed)
+    [(exp, trace, _, verdict)] = run_flows([cfg], [validate_config(cfg)], seed)
     csv_path, summary_path = (Path(out_dir) / name for name in _output_names(cfg))
     write_trace_csv(csv_path, trace)
     summary = {
@@ -557,9 +563,10 @@ def run_config(cfg: dict, out_dir, seed: Optional[int] = None) -> dict:
     return summary
 
 
-def _apply_sweep_value(cfg: dict, parameter: str, value: float) -> dict:
+def _apply_sweep_value(cfg: dict, parameter: str, value: float) -> tuple:
     """The point config: ``cfg`` (validated) with the one swept leaf replaced,
-    sharing every block but the one it changes (which no run mutates)."""
+    sharing every block but the one it changes (which no run mutates); and
+    its one-channel weights, built to check the value."""
     if parameter not in SWEEP_KEYS:
         raise ConfigError(f"sweep parameter must be one of {tuple(SWEEP_KEYS)}, got {parameter!r}")
     block, schemes = SWEEP_KEYS[parameter]
@@ -572,8 +579,7 @@ def _apply_sweep_value(cfg: dict, parameter: str, value: float) -> dict:
         raise ConfigError(f"sweep value must be a finite number, got {value!r}")
     leaf = {parameter: value}
     point = {**cfg, **leaf} if block is None else {**cfg, block: {**cfg[block], **leaf}}
-    _build_weights(point, kind, 1, 1)  # rejects a negative theta or tau, as a run does
-    return point
+    return point, _build_weights(point, kind, 1, 1)  # rejects a negative theta or tau
 
 
 def sweep_config(
@@ -589,7 +595,8 @@ def sweep_config(
     if not grid:
         raise ConfigError("sweep grid must not be empty")
     validate_config(cfg)
-    points = [_apply_sweep_value(cfg, parameter, value) for value in grid]
+    points, weights = zip(*(_apply_sweep_value(cfg, parameter, value) for value in grid))
+    flows = run_flows(points, weights, seed, jobs)
     rows = [
         {
             "value": value,
@@ -599,7 +606,7 @@ def sweep_config(
             "limit_value": verdict.limit_value,
             "steps_to_plateau": -1 if trace.steps_to_plateau is None else trace.steps_to_plateau,
         }
-        for value, (_, trace, prediction, verdict) in zip(grid, run_flows(points, seed, jobs))
+        for value, (_, trace, prediction, verdict) in zip(grid, flows)
     ]
     lines = ["value,predicted_class,measured_class,limit_value,steps_to_plateau"]
     for row in rows:

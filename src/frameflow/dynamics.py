@@ -25,7 +25,8 @@ Q_i of the one-step matrices M_i, z = Q_i^T hhat_i.  Relu/tanh descent, the
 banded ee activation and a per-vertex theta_b step on Hhat, with one U^T / U
 round trip per step (the last two in the one framelets.band_pass) and no
 other n x n matrix: a step reads the state alone.  Either way a block of
-BLOCK steps is recorded at once.  The final state is mapped back once.
+BLOCK steps is recorded at once.  The final state stays in spectral
+coordinates; a FlowTrace maps it back when it is first read.
 
 Each scheme is written once, in ``_scheme_operator``: its step, the c x c
 matrix M_i by which one step of its linear part acts on frequency i, and
@@ -47,6 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import pairwise
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -76,7 +78,7 @@ from .errors import (
     OutOfRangeError,
     ZeroStateError,
 )
-from .framelets import FrameletSystem, Multiplier, band_pass
+from .framelets import FrameletSystem, Multiplier, band_pass, identity
 
 __all__ = [
     "SCHEME_KINDS",
@@ -106,6 +108,7 @@ SCHEME_KINDS = (
 ACTIVATIONS = ("identity", "relu", "tanh")
 OVERFLOW_GUARD = 1e150
 BLOCK = 64  # steps a flow records per block (a linear flow: per product)
+BLOCK_POWERS = np.arange(2.0, 2 * BLOCK + 1, 2)[:, None]  # 2j for j = 1..BLOCK, a column
 
 
 @dataclass(frozen=True)
@@ -149,10 +152,10 @@ class StopRule:
         """The step at which the plateau rule fires on E(H/||H||) per record
         (row 0 first), or None.  Reads ``e_norms`` no further than that step,
         so a flow can feed it as it steps."""
-        flat_run = 0
+        tol, window, flat_run = self.plateau_tol, self.plateau_window, 0
         for k, (prev, cur) in enumerate(pairwise(e_norms), start=1):
-            flat_run = flat_run + 1 if abs(cur - prev) < self.plateau_tol else 0
-            if flat_run >= self.plateau_window:
+            flat_run = flat_run + 1 if abs(cur - prev) < tol else 0
+            if flat_run >= window:
                 return k
         return None
 
@@ -163,7 +166,9 @@ class FlowTrace:
 
     Row 0 describes the initial state; row t the state after step t.  The
     ``norms`` column records the Frobenius norm *before* renormalization, so
-    on renormalized runs it is the per-step growth factor.
+    on renormalized runs it is the per-step growth factor.  The final state
+    is kept in spectral coordinates U H, with the eigenbasis U (rows) they
+    refer to; its vertex form is mapped back on first use.
     """
 
     scheme: Scheme
@@ -172,11 +177,17 @@ class FlowTrace:
     dirichlet_normalized: np.ndarray
     total_energy: np.ndarray
     rayleigh: np.ndarray
-    final_state: np.ndarray
+    final_coefficients: np.ndarray
+    basis: np.ndarray
     renormalized: bool
     plateaued: bool
     steps_to_plateau: Optional[int]
     gains: Optional[np.ndarray] = None  # per eigenvalue; see scheme_gains
+
+    @cached_property
+    def final_state(self) -> np.ndarray:
+        """The final state H = U^T (U H) on the vertices."""
+        return self.basis.T @ self.final_coefficients
 
     @property
     def steps_run(self) -> int:
@@ -269,12 +280,13 @@ def _scheme_operator(
         g = form.per_frequency
         step = _descent(form, tau, activation, u)
         return SchemeOperator(step, np.eye(g.shape[-1]) - tau * g, form)
-    bands, resp, a_hat = cfg.bands_for(sys), sys.responses, 1.0 - sys.spectrum.eigenvalues
-    c = len(cfg.w[bands[0]])
+    bands, resp, a_hat = cfg.bands_for(sys), sys.responses, sys.a_hat
     if kind == "spatial_framelet":  # its energy: Omega_b = I, no source
-        eye = dict.fromkeys(bands, np.eye(c))
-        step = Multiplier([(tau * resp[b] ** 2 * a_hat, cfg.w[b]) for b in bands])
-        return _linear_operator(step, Multiplier(framelet_terms(sys, bands, eye, cfg.w)))
+        eye = dict.fromkeys(bands, identity(len(cfg.w[bands[0]])))
+        energy = Multiplier(framelet_terms(sys, eye, cfg.w))
+        # the step's mixers W_b are every second of the energy's: its s I decision holds
+        terms = zip(tau * sys.squares * a_hat, (cfg.w[b] for b in bands))
+        return _linear_operator(Multiplier(terms, mixing=energy.mixing[1::2]), energy)
     # ee: band b analyses through r_b (Ahat - s_b), synthesis weights by r_b.
     # The energy is exact for the linearized form only; with a banded
     # activation it is recorded as a diagnostic, not a Lyapunov value.
@@ -286,7 +298,7 @@ def _scheme_operator(
     if activation == "identity":
         return _linear_operator(linear, energy)
     step = band_pass(u, [(analysis[b], cfg.w[b], resp[b]) for b in bands],
-                     lambda x: _activate(activation, x), c)
+                     lambda x: _activate(activation, x), len(cfg.w[bands[0]]))
     return SchemeOperator(step, linear.per_frequency, energy)
 
 
@@ -420,61 +432,68 @@ def _mode_blocks(scheme: Scheme, op: SchemeOperator, modes, lam, h0, norm0, max_
                       for j in range(z.shape[1])], 1)
         z2, z2g = z * z, z * z * g
         back = lambda f: np.einsum("nij,nj->ni", q, z * f)
-    live = (z2 > 0.0) & (mu != 0.0)  # zero mu: gone at step 1
-    if not live.any():
-        raise ZeroStateError("state vanished at step 1")
-    r = float(np.max(np.abs(mu[live])))
-    log_q = 2.0 * np.log(np.abs(mu[live]) / r)
-    weights = np.stack([z2, z2 * (lam[:, None] / 2), z2g / 2], axis=2)[live]  # live modes x 3
-    powers = np.exp(np.outer(np.arange(1, BLOCK + 1), log_q))  # (mu / r)^2j, j = 1..BLOCK
+    size = np.abs(mu)
+    weights = np.concatenate([w[..., None] for w in (z2, z2 * (lam[:, None] / 2), z2g / 2)], axis=2)
+    live = (z2 > 0.0) & (mu != 0.0)
+    if not live.all():  # drop each mode of no mass or, for zero mu, gone at step 1
+        if not live.any():
+            raise ZeroStateError("state vanished at step 1")
+        size, weights = size[live], weights[live]
+    size, weights = size.ravel(), weights.reshape(-1, 3)  # live modes, live modes x 3
+    r = float(size.max())
+    log_q = np.log(size / r)  # (mu / r)^2j = exp(2j log_q)
+    powers = np.exp(BLOCK_POWERS * log_q)  # (mu / r)^2j, j = 1..BLOCK
+    renormalize, closed = scheme.renormalize, scheme.kind == "perturbed_closed_form"
+    limit = np.finfo(float).max if renormalize else OVERFLOW_GUARD
 
-    def blocks():
+    def blocks():  # failing rows are cut; run_flow silences their overflow
         last = 1.0  # squared mass of the unit initial state
         for start in range(1, max_steps + 1, BLOCK):
-            k = np.arange(start, min(start + BLOCK, max_steps + 1))
-            shifted = np.exp((start - 1) * log_q)[:, None] * weights
-            mass, dirichlet, energy = (powers[: len(k)] @ shifted).T
-            with np.errstate(over="ignore", invalid="ignore"):  # failing rows are cut
-                if scheme.kind == "perturbed_closed_form" or not scheme.renormalize:
-                    growth = np.exp(2.0 * (k * np.log(r) + np.log(norm0)))  # norm0^2 r^2k
-                else:  # the squared growth factor of the renormalized state
-                    growth = r * r / np.concatenate([[last], mass[:-1]])
-                norm = np.sqrt(growth * mass)
-                energy = energy / mass if scheme.renormalize else energy * growth
-            bad = (norm == 0.0) | ~np.isfinite(norm)
-            bad |= (not scheme.renormalize) & (norm > OVERFLOW_GUARD)
-            cut = int(np.argmax(bad)) if bad.any() else len(k)
-            yield norm[:cut].tolist(), (dirichlet / mass)[:cut].tolist(), energy[:cut].tolist()
-            if cut < len(k):
-                _check_norm(float(norm[cut]), int(k[cut]), scheme.renormalize)
+            count = min(BLOCK, max_steps + 1 - start)
+            shifted = weights if start == 1 else np.exp(2 * (start - 1) * log_q)[:, None] * weights
+            mass, dirichlet, energy = (powers[:count] @ shifted).T
+            if closed or not renormalize:
+                k = np.arange(start, start + count)
+                growth = np.exp(2.0 * (k * np.log(r) + np.log(norm0)))  # norm0^2 r^2k
+            else:  # the squared growth factor of the renormalized state
+                growth = r * r / np.concatenate([[last], mass[:-1]])
+            norm = np.sqrt(growth * mass)
+            energy = energy / mass if renormalize else energy * growth
+            cut = count  # unless a norm is 0, not finite, or (unrenormalized) over the guard
+            if not (norm.min() > 0.0 and norm.max() <= limit):
+                cut = int(np.argmin((norm > 0.0) & (norm <= limit)))
+            yield norm[:cut], (dirichlet / mass)[:cut], energy[:cut]
+            if cut < count:
+                _check_norm(float(norm[cut]), start + cut, renormalize)
             last = mass[-1]
 
     def state(k: int, norm: float) -> np.ndarray:
         h = back((np.where(live, mu, 0.0) / r) ** k)
-        return h * ((1.0 if scheme.renormalize else norm) / np.linalg.norm(h))
+        # math.sqrt(np.vdot(h, h)) has the bits of np.linalg.norm(h)
+        return h * ((1.0 if renormalize else norm) / math.sqrt(np.vdot(h, h)))
 
     return blocks(), state
 
 
-def _stepped_blocks(scheme: Scheme, op: SchemeOperator, lam, state, max_steps):
+def _stepped_blocks(scheme: Scheme, op: SchemeOperator, dirichlet, state, max_steps):
     """Blocks of rows (norms, E, energies) of a stepped flow up to the first
     failing step, where it raises, and the state at step k.  A step reads the
     state alone and keeps it in a one-block buffer; three stacked products
     give a block's rows with per-row vdot bits, the block's energy gradients
-    and lam * h taking turns in one scratch buffer of the same size."""
-    size, nc, lam, source = min(BLOCK, max_steps), state.size, lam[:, None], op.energy.source
+    and ``dirichlet``'s lam * h taking turns in one scratch buffer of the
+    same size."""
+    size, nc, source = min(BLOCK, max_steps), state.size, op.energy.source
     (states, scratch), norms = np.empty((2, size, *state.shape)), np.empty(size)
 
-    def rows(m: int):
+    def rows(m: int):  # as silent as vdot: run_flow ignores overflow
         h, x = states[:m], scratch[:m]
         dot = lambda y: (h.reshape(m, 1, nc) @ y.reshape(m, nc, 1)).ravel()
         g = op.energy.apply_into(h, x)
         if source is not None:
             g -= source
-        with np.errstate(over="ignore", invalid="ignore"):  # as silent as vdot
-            energy = dot(g)
-            mass, dirichlet = dot(h), dot(np.multiply(lam, h, out=x))
-        return norms[:m].tolist(), (0.5 * dirichlet / mass).tolist(), (0.5 * energy).tolist()
+        energy = dot(g)
+        mass = dot(h)
+        return norms[:m].copy(), 0.5 * dot(dirichlet.apply_into(h, x)) / mass, 0.5 * energy
 
     def blocks():
         h, step, renormalize = state, op.step, scheme.renormalize
@@ -491,7 +510,7 @@ def _stepped_blocks(scheme: Scheme, op: SchemeOperator, lam, state, max_steps):
                 h = np.divide(h, norm if renormalize else 1.0, out=states[j])
             yield rows(j + 1)
 
-    return blocks(), lambda k, norm: states[(k - 1) % size]
+    return blocks(), lambda k, norm: states[(k - 1) % size].copy()
 
 
 def run_flow(
@@ -509,32 +528,33 @@ def run_flow(
     x0, _ = _as_columns(initial, sys.n)
     h0, lam = sys.spectrum.u @ x0, sys.spectrum.eigenvalues
     op = _scheme_operator(scheme, sys, cfg, h0)
-    dirichlet = Multiplier([(lam, None)])
-
     norm0 = float(np.linalg.norm(x0))
     if norm0 == 0.0:
         raise ZeroStateError("initial state has zero norm")
-    e0 = dirichlet.quadratic(h0) / float(np.vdot(h0, h0))
+    e0 = sys.dirichlet.quadratic(h0) / float(np.vdot(h0, h0))
     # row 0 first: the energy's Multiplier checks the channel count
-    columns = ([norm0], [e0], [op.energy.quadratic(h0)])  # norms, E, energies
+    first = (norm0, e0, op.energy.quadratic(h0))  # norms, E, energies
     power = op.one_step is not None and scheme.activation == "identity" and op.energy.source is None
     modes = None if op.one_step is None else _modes(op.one_step, vectors=power)
     if power:
         blocks, state_at = _mode_blocks(scheme, op, modes, lam, h0, norm0, stop.max_steps)
     else:
         state = h0 / norm0 if scheme.renormalize else h0
-        blocks, state_at = _stepped_blocks(scheme, op, lam, state, stop.max_steps)
+        blocks, state_at = _stepped_blocks(scheme, op, sys.dirichlet, state, stop.max_steps)
+    chunks = []  # the blocks' (norms, E, energies)
 
     def fed():  # runs only as far as the plateau rule reads
         yield e0
         for block in blocks:
-            for column, values in zip(columns, block):
-                column.extend(values)
-            yield from block[1]
+            chunks.append(block)
+            yield from block[1].tolist()
 
-    steps_to_plateau = stop.plateau_step(fed())
+    with np.errstate(over="ignore", invalid="ignore"):  # a block cuts its failing rows
+        steps_to_plateau = stop.plateau_step(fed())
     last = stop.max_steps if steps_to_plateau is None else steps_to_plateau
-    norms, e_arr, energies = (np.asarray(column[: last + 1]) for column in columns)
+    norms, e_arr, energies = (
+        np.concatenate([[value], *column])[: last + 1] for value, column in zip(first, zip(*chunks))
+    )
     return FlowTrace(
         scheme=scheme,
         steps=np.arange(last + 1, dtype=np.int64),
@@ -542,9 +562,10 @@ def run_flow(
         dirichlet_normalized=e_arr,
         total_energy=energies,
         rayleigh=2.0 * e_arr,
-        final_state=sys.spectrum.u.T @ state_at(last, norms[-1]),
+        final_coefficients=state_at(last, norms[-1]),
+        basis=sys.spectrum.u,
         renormalized=scheme.renormalize,
         plateaued=steps_to_plateau is not None,
         steps_to_plateau=steps_to_plateau,
-        gains=None if modes is None else np.max(np.abs(modes[0]), axis=1),
+        gains=None if modes is None else np.abs(modes[0]).max(axis=1),
     )

@@ -33,7 +33,9 @@ from .errors import (
     NotSymmetricError,
     OutOfRangeError,
 )
-from .framelets import Band, BandFilter, FrameletSystem, Multiplier, band_index_set, haar_response
+from .framelets import (
+    Band, BandFilter, FrameletSystem, Multiplier, band_index_set, haar_response, identity,
+)
 from .graphs import Graph
 from . import spectral
 
@@ -61,13 +63,18 @@ __all__ = [
 WEIGHT_SYMMETRY_TOL = 1e-12
 
 
-def _require_symmetric(name: str, m: np.ndarray) -> np.ndarray:
+def _require_symmetric(name: str, m: np.ndarray, band=None) -> np.ndarray:
+    """m as a float array, once it is square and symmetric within 1e-12; an
+    error names it ``name`` followed by ``band``, if given."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"{name} must be square, got shape {m.shape}")
-    asym = float(abs(m - m.T).max()) if len(m) > 1 else 0.0  # 1 x 1 is symmetric
+        raise DimensionMismatchError(f"{name}{band or ''} must be square, got shape {m.shape}")
+    exact = len(m) == 1 or (m == m.T).all()  # 1 x 1 is symmetric
+    asym = 0.0 if exact else float(abs(m - m.T).max())
     if asym > WEIGHT_SYMMETRY_TOL:
-        raise NotSymmetricError(f"{name} asymmetry {asym:.3e} exceeds {WEIGHT_SYMMETRY_TOL}")
+        raise NotSymmetricError(
+            f"{name}{band or ''} asymmetry {asym:.3e} exceeds {WEIGHT_SYMMETRY_TOL}"
+        )
     return m
 
 
@@ -108,17 +115,19 @@ class WeightConfig:
     def __post_init__(self):
         if self.tau < 0.0:
             raise OutOfRangeError(f"step size tau must be nonnegative, got {self.tau}")
-        if set(self.omega) != set(self.w):
+        if self.omega.keys() != self.w.keys():
             raise BandMismatchError("omega and w must cover the same bands")
-        omega = {b: _require_symmetric(f"omega{b}", m).copy() for b, m in self.omega.items()}
-        w = {b: _require_symmetric(f"w{b}", m).copy() for b, m in self.w.items()}
-        for m in list(omega.values()) + list(w.values()):
-            m.setflags(write=False)
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "w", w)
+        checked = {}  # id -> read-only copy: a matrix given for several bands is checked once
+        for name in ("omega", "w"):
+            mats = getattr(self, name)
+            for b, m in mats.items():
+                if id(m) not in checked:
+                    checked[id(m)] = _require_symmetric(name, m, b).copy()
+                    checked[id(m)].setflags(write=False)
+            object.__setattr__(self, name, {b: checked[id(m)] for b, m in mats.items()})
         if self.w_tilde is not None:
             wt = {b: np.array(m, dtype=float) for b, m in self.w_tilde.items()}
-            if set(wt) != set(omega):
+            if set(wt) != set(self.omega):
                 raise BandMismatchError("w_tilde must cover the same bands as omega/w")
             for m in wt.values():
                 m.setflags(write=False)
@@ -133,19 +142,15 @@ class WeightConfig:
     def shared(scales: int, omega: np.ndarray, w: np.ndarray, **kwargs) -> "WeightConfig":
         """Replicate one (omega, w) pair over every band of a J-scale system."""
         bands = band_index_set(scales)
-        return WeightConfig(
-            omega={b: np.array(omega, dtype=float) for b in bands},
-            w={b: np.array(w, dtype=float) for b in bands},
-            **kwargs,
-        )
+        return WeightConfig(omega=dict.fromkeys(bands, omega), w=dict.fromkeys(bands, w), **kwargs)
 
     @staticmethod
     def scalar(scales: int, lambda_w: float, channels: int, **kwargs) -> "WeightConfig":
         """Scalar family: W low-pass = I_c, W high-pass = lambda_w * I_c, Omega = I_c."""
-        bands = band_index_set(scales)
-        eye = np.eye(channels)
-        w = {b: (eye if b[0] == 0 else lambda_w * eye) for b in bands}
-        return WeightConfig(omega={b: eye for b in bands}, w=w, **kwargs)
+        bands, eye = band_index_set(scales), identity(channels)
+        high = lambda_w * eye
+        w = {b: high if b[0] else eye for b in bands}
+        return WeightConfig(omega=dict.fromkeys(bands, eye), w=w, **kwargs)
 
     @property
     def has_source(self) -> bool:
@@ -230,7 +235,7 @@ def framelet_dirichlet_energies(sys: FrameletSystem, signal) -> Tuple[Dict[Band,
     h, _ = to_spectral(sys, signal)
     lam = sys.spectrum.eigenvalues
     per_band = {
-        b: Multiplier([(sys.responses[b] ** 2 * lam, None)]).quadratic(h) for b in sys.bands
+        b: Multiplier([(r2 * lam, None)]).quadratic(h) for b, r2 in zip(sys.bands, sys.squares)
     }
     return per_band, float(sum(per_band.values()))
 
@@ -283,17 +288,17 @@ def framelet_energy_form(
     a_hat = 1 - lam: sum_b diag(r_b^2) . Omega_b - diag(r_b^2 a_hat) . W_b,
     minus the source built from the spectral initial state ``h0`` if configured."""
     source = source_spectral(sys, h0, cfg) if cfg.has_source else None
-    return Multiplier(framelet_terms(sys, cfg.bands_for(sys), cfg.omega, cfg.w), source)
+    cfg.bands_for(sys)  # raises unless the weights cover the system's bands
+    return Multiplier(framelet_terms(sys, cfg.omega, cfg.w), source)
 
 
-def framelet_terms(sys: FrameletSystem, bands: tuple, omega: dict, w: dict) -> list:
-    """:func:`framelet_energy_form`'s terms, band -> c x c matrix dicts ``omega``
-    and ``w`` as mixers; the Multiplier finds whether they are multiples of I."""
-    a_hat, terms = 1.0 - sys.spectrum.eigenvalues, []
-    for band in bands:
-        r2 = sys.responses[band] ** 2
-        terms += [(r2, omega[band]), (-r2 * a_hat, w[band])]
-    return terms
+def framelet_terms(sys: FrameletSystem, omega: dict, w: dict) -> list:
+    """:func:`framelet_energy_form`'s terms over the system's bands, (r_b^2,
+    Omega_b) then (-r_b^2 a_hat, W_b) per band, band -> c x c matrix dicts
+    ``omega`` and ``w`` as mixers; the Multiplier finds whether they are
+    multiples of I."""
+    return [term for b, r2, a in zip(sys.bands, sys.squares, sys.ahat_terms)
+            for term in ((r2, omega[b]), (a, w[b]))]
 
 
 def total_framelet_energy(sys: FrameletSystem, signal, cfg: WeightConfig, initial=None) -> float:
@@ -343,7 +348,7 @@ def perturbed_energy_form(sys: FrameletSystem, epsilon: float) -> Multiplier:
     s_b from :func:`band_shifts`."""
     sys.require_tight("the perturbed energy")
     shift, lam = band_shifts(sys, epsilon), sys.spectrum.eigenvalues
-    return Multiplier([(sys.responses[b] ** 2 * (lam + shift[b]), None) for b in sys.bands])
+    return Multiplier([(r2 * (lam + shift[b]), None) for b, r2 in zip(sys.bands, sys.squares)])
 
 
 def perturbed_energy(sys: FrameletSystem, signal, epsilon: float) -> float:
@@ -441,7 +446,7 @@ def spectral_energy_form(sys: FrameletSystem, w: np.ndarray, factors) -> Multipl
     """Gradient of the spectral-filter energy: sum_b diag(r_b^2) - F_b . W,
     with F_b from :func:`filter_factors` and W from WeightConfig.shared_w."""
     return Multiplier(
-        [(sys.responses[b] ** 2, None) for b in sys.bands] + [(factors[b], -w) for b in sys.bands]
+        [(r2, None) for r2 in sys.squares] + [(factors[b], -w) for b in sys.bands]
     )
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -62,11 +62,23 @@ LAMBDA_SLACK = 1e-9
 TIGHTNESS_TOL = 1e-10
 
 
+@cache
 def band_index_set(scales: int) -> tuple:
     """Band keys for a J-scale system: low-pass (0, J) then (1, 1)..(1, J)."""
     if scales not in (1, 2):
         raise OutOfRangeError(f"scales must be 1 or 2, got {scales}")
     return ((0, scales),) + tuple((1, j) for j in range(1, scales + 1))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@cache
+def identity(c: int) -> np.ndarray:
+    """The c x c identity matrix, read-only and built once per size."""
+    return _read_only(np.eye(c))
 
 
 def _check_lambda(lam):
@@ -128,6 +140,26 @@ class FrameletSystem:
     @property
     def is_tight(self) -> bool:
         return self.tightness_residual <= TIGHTNESS_TOL
+
+    @cached_property
+    def squares(self) -> np.ndarray:
+        """r_b^2 at each eigenvalue, one row per band in band order."""
+        return _read_only(np.stack([self.responses[band] ** 2 for band in self.bands]))
+
+    @cached_property
+    def a_hat(self) -> np.ndarray:
+        """1 - lam: the eigenvalues of Ahat, one per eigenvalue lam of Lhat."""
+        return _read_only(1.0 - self.spectrum.eigenvalues)
+
+    @cached_property
+    def ahat_terms(self) -> np.ndarray:
+        """-r_b^2 a_hat, one row per band: W_b^T (-Ahat) W_b on spectral coordinates."""
+        return _read_only(-(self.squares * self.a_hat))
+
+    @cached_property
+    def dirichlet(self) -> "Multiplier":
+        """diag(lam): the Dirichlet energy's gradient map on spectral coordinates."""
+        return Multiplier([(self.spectrum.eigenvalues, None)])
 
     @cached_property
     def transforms(self) -> Dict[Band, np.ndarray]:
@@ -202,6 +234,13 @@ def band_pass(u: np.ndarray, terms, vertex: Callable, c: int) -> Callable:
     return apply
 
 
+def _identity_scales(mixers: np.ndarray) -> np.ndarray:
+    """The numbers s_k as a (k, 1) column if every one of the stacked c x c
+    ``mixers`` is s_k I; else the stack itself.  The one place that decides it."""
+    scales = mixers[:, :1, :1]
+    return scales[:, 0] if (mixers == scales * identity(mixers.shape[-1])).all() else mixers
+
+
 class Multiplier:
     """The map Hhat -> sum_k A_k Hhat M_k - S on spectral coordinates Hhat = U H.
 
@@ -211,41 +250,44 @@ class Multiplier:
     for the identity.  The diagonal terms sum, per frequency, into one c x c
     matrix sum_k a_k M_k, or one number when every M_k is s_k I, so an
     application costs one O(n c^2), or O(n c), product whatever the number
-    of bands.  That s I check is made here, once per Multiplier, and nowhere
-    else: callers pass their weights as matrices.  ``source`` S is an
-    optional constant (n, c) term.  A (k, n, c) stack of states takes one
-    product too, with the bits of its slices, and :meth:`apply_into` writes
-    it into a caller's buffer.  With symmetric mixers the map is the gradient
+    of bands.  That s I check is made here, once per stack of mixers, and
+    nowhere else: callers pass their weights as matrices, and a caller whose
+    mixers are some of another Multiplier's passes the matching rows of its
+    ``mixing`` to share that decision.  ``source`` S is an optional constant
+    (n, c) term.  A (k, n, c) stack of states takes one product too, with the
+    bits of its slices, and :meth:`apply_into` writes it into a caller's
+    buffer.  With symmetric mixers the map is the gradient
     of the energy :meth:`quadratic` evaluates.
     """
 
-    def __init__(self, terms, source: Optional[np.ndarray] = None):
+    def __init__(self, terms, source: Optional[np.ndarray] = None, mixing=None):
         self.diagonal, self.matrices, self.channels, self.source = None, None, None, source
-        mixed, filters = [], []
+        self.columns = {}  # c -> the diagonal repeated over c channels, built on first use
+        factors, mixers, filters = [], [], []
         for factor, mixer in terms:
             if mixer is not None:
-                mixer = np.asarray(mixer, dtype=float)
                 if self.channels not in (None, len(mixer)):
                     raise DimensionMismatchError(f"mixers of sizes {self.channels}, {len(mixer)}")
                 self.channels = len(mixer)
             if isinstance(factor, BandFilter):
                 filters.append((factor, mixer))
             elif mixer is not None:
-                mixed.append((np.asarray(factor, dtype=float), mixer))
+                factors.append(factor)
+                mixers.append(mixer)
             else:
                 self.diagonal = factor if self.diagonal is None else self.diagonal + factor
-        if mixed:
-            eye, mixers = np.eye(self.channels), np.stack([m for _, m in mixed])
-            if np.array_equal(mixers, mixers[:, :1, :1] * eye):  # all s_k I
-                # one number per frequency: the (n, c, c) path's sum (for c > 1), in term order
-                scales = mixers[:, 0, 0].tolist()
-                scaled = reduce(np.add, [f * s for (f, _), s in zip(mixed, scales)], 0.0)
-                self.diagonal = scaled if self.diagonal is None else scaled + self.diagonal
-            else:  # n x c x c
-                self.matrices = np.einsum("nk,kcd->ncd", np.stack([f for f, _ in mixed], 1), mixers)
-                if self.diagonal is not None:
-                    self.matrices += self.diagonal[:, None, None] * eye
-                    self.diagonal = None
+        self.mixing = mixing  # M_k: a column of numbers s_k if every one is s_k I, else stacked
+        if mixers and mixing is None:
+            self.mixing = _identity_scales(np.array(mixers, dtype=float))
+        if mixers and self.mixing.ndim == 2:  # one number per frequency: the (n, c, c)
+            # path's sum (for c > 1), in term order from 0
+            scaled = np.add.reduce(np.asarray(factors, float) * self.mixing, axis=0, initial=0.0)
+            self.diagonal = scaled if self.diagonal is None else scaled + self.diagonal
+        elif mixers:  # n x c x c
+            self.matrices = np.einsum("nk,kcd->ncd", np.stack(factors, 1), self.mixing)
+            if self.diagonal is not None:
+                self.matrices += self.diagonal[:, None, None] * identity(self.channels)
+                self.diagonal = None
         self.filters = None  # the filters' band pass: terms (r_f, M_f, r_f), f = theta_f
         if filters and self.channels is None:
             raise DimensionMismatchError("a BandFilter term needs a mixer to fix the channel count")
@@ -280,8 +322,11 @@ class Multiplier:
         if self.matrices is not None:  # per frequency, a row times a c x c matrix
             rows = None if out is None else out[..., None, :]
             out = np.matmul(h[..., None, :], self.matrices, out=rows)[..., 0, :]
-        elif self.diagonal is not None:
-            out = np.multiply(self.diagonal[:, None], h, out=out)
+        elif self.diagonal is not None:  # a full-width column: on a stack faster than (n, 1)
+            c = h.shape[-1]
+            if c not in self.columns:
+                self.columns[c] = np.repeat(self.diagonal[:, None], c, axis=1)
+            out = np.multiply(self.columns[c], h, out=out)
         elif out is None:
             out = np.zeros_like(h)
         else:
@@ -304,9 +349,7 @@ def build_framelet_system(s: Spectrum, scales: int, variant: str = "tight") -> F
     """
     bands = band_index_set(scales)
     lams = np.maximum(_check_lambda(s.eigenvalues), 0.0)
-    responses = haar_response(lams, scales, variant)
-    for band in bands:
-        responses[band].setflags(write=False)
+    responses = {band: _read_only(r) for band, r in haar_response(lams, scales, variant).items()}
     square_sum = sum(responses[band] ** 2 for band in bands)
     residual = float(np.max(np.abs(square_sum - 1.0)))
     return FrameletSystem(

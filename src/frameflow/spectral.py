@@ -10,7 +10,8 @@ conventions fixtures and flows rely on:
   1e-12 is positive,
 * ``top_multiplicity`` counts the eigenvalues within 1e-9 of the largest,
 * a frequency is a group of eigenvalues, clipped at 0, within 1e-9 of the
-  group's first (its anchor); ``frequency_starts`` indexes the anchors.
+  group's first (its anchor); ``frequency_starts`` indexes the anchors and
+  ``frequencies`` lists them.
 
 Inside an eigenspace of multiplicity > 1 the basis is whatever LAPACK
 returns; quantities built from whole eigenspaces (spectral functions,
@@ -70,6 +71,11 @@ class Spectrum:
                 starts.append(i)
                 anchor = lam
         return np.asarray(starts, dtype=np.intp)
+
+    @cached_property
+    def frequencies(self) -> list:
+        """Each distinct frequency: its first eigenvalue, clipped at 0."""
+        return np.maximum(self.eigenvalues[self.frequency_starts], 0.0).tolist()
 
 
 def _fix_signs(u_rows: np.ndarray) -> np.ndarray:

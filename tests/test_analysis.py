@@ -42,6 +42,44 @@ def test_limit_dominance_rejects_a_zero_state():
         ff.analysis.limit_dominance(True, 0.0, spec.rho_l, 1e-6, spec, np.zeros((4, 2)))
 
 
+@pytest.mark.parametrize("shape", [(8,), (8, 2)])
+def test_limit_dominance_reads_a_vertex_state(rng, shape):
+    """limit_dominance takes the final state on the vertices: its HFD residual
+    is the relative distance to hfd_projection, positional or by keyword, and
+    classify_dominance reads the same residual off a trace's spectral state."""
+    _, _, _, spec = c_n(8)
+    top = spec.u[-1] if len(shape) == 1 else np.repeat(spec.u[-1][:, None], shape[1], axis=1)
+    for scale, expected in ((1e-4, ff.HFD), (1e-1, ff.MIXED)):
+        x = top + scale * rng.standard_normal(shape)
+        residual = np.linalg.norm(x - ff.analysis.hfd_projection(spec, x)) / np.linalg.norm(x)
+        assert 0.0 < residual
+        for verdict in (ff.analysis.limit_dominance(True, 1.0, spec.rho_l, 1e-6, spec, x),
+                        ff.analysis.limit_dominance(True, 1.0, spec.rho_l, 1e-6, spectrum=spec, state=x)):
+            assert verdict[0] == expected
+            if expected == ff.HFD:
+                assert verdict[1] == pytest.approx(residual, rel=1e-10)
+    x = (top + 1e-4 * rng.standard_normal(shape)).reshape(8, -1)
+    trace = ff.FlowTrace(
+        scheme=ff.Scheme("spatial_framelet", renormalize=True),
+        steps=np.array([0, 1]),
+        norms=np.array([1.0, 1.0]),
+        dirichlet_normalized=np.array([1.0, 1.0]),
+        total_energy=np.array([0.3, 0.3]),
+        rayleigh=np.array([2.0, 2.0]),
+        final_coefficients=spec.u @ x,
+        basis=spec.u,
+        renormalized=True,
+        plateaued=True,
+        steps_to_plateau=1,
+    )
+    np.testing.assert_allclose(trace.final_state, x, atol=1e-14)
+    verdict = ff.classify_dominance(trace, spec, 1e-6)
+    assert verdict.dominance == ff.HFD
+    assert verdict.residual == pytest.approx(
+        ff.analysis.limit_dominance(True, 1.0, spec.rho_l, 1e-6, spec, x)[1], rel=1e-10
+    )
+
+
 def test_normalized_dirichlet_zero_state_rejected():
     _, _, lap, _ = c_n(4)
     with pytest.raises(ZeroStateError):
@@ -343,7 +381,8 @@ def test_zero_step_trace_undecided():
         dirichlet_normalized=np.array([0.3]),
         total_energy=np.array([0.3]),
         rayleigh=np.array([0.6]),
-        final_state=np.ones((4, 1)),
+        final_coefficients=np.ones((4, 1)),
+        basis=spec.u,
         renormalized=True,
         plateaued=False,
         steps_to_plateau=None,

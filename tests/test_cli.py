@@ -340,6 +340,27 @@ def test_sweep_rows_match_single_runs(tmp_path, cfg, parameter, grid):
 
 
 @pytest.mark.parametrize(
+    "cfg,parameter,grid,builds",
+    [(SBM_SWEEP, "lambda_w", [0.5, 2.0, 8.0, 64.0], 1 + 2 * 4),
+     (c6_config(lambda_w=1.0, scheme={"kind": "spectral_framelet"}, theta=1.0), "theta",
+      [0.5, 1.0, 3.0], 1 + 2 * 3 + 1)],
+    ids=["lambda_w", "spectral-theta"],
+)
+def test_a_sweep_builds_two_weight_configs_per_point(tmp_path, monkeypatch, cfg, parameter, grid,
+                                                     builds):
+    """validate_config builds the config's one-channel weights; then each point
+    builds its own twice: at one channel, which checks its value and its flow
+    before any work, and at the run's channel count.  Spectral filtering
+    builds once more per geometry, to check theta's length against the graph."""
+    calls = _count_calls(monkeypatch, ff.energies.WeightConfig, "__post_init__")
+    cli.sweep_config(cfg, parameter, grid, tmp_path / "sweep")
+    assert len(calls) == builds
+    calls.clear()
+    cli.run_config(cfg, tmp_path / "run")
+    assert len(calls) == builds - 2 * len(grid) + 1  # validate_config's weights check the flow
+
+
+@pytest.mark.parametrize(
     "lambda_w,steps,expected",
     [(0.5, 20000, "LFD"), (10.0, 20000, "HFD"), (1.0, 20000, "MIXED"), (10.0, 5, "UNDECIDED")],
 )
@@ -414,6 +435,8 @@ def test_unrenormalized_run_fails_before_eigensolve(tmp_path, monkeypatch):
          "--grid", "0.5,2.0"]
     ) == 15
     assert not out.exists()
+    with pytest.raises(ff.errors.TraceNotNormalizedError):  # run_flows checks every flow itself
+        cli.run_flows([c6_config(), cfg], [cli.validate_config(c) for c in (c6_config(), cfg)])
 
 
 @pytest.mark.parametrize(
@@ -624,7 +647,8 @@ def test_trace_writer_matches_per_value_formatting(tmp_path):
         dirichlet_normalized=values[::-1].copy(),
         total_energy=rng.standard_normal(values.size) * values,
         rayleigh=np.concatenate([values[3:], values[:3]]),
-        final_state=np.zeros((2, 1)),
+        final_coefficients=np.zeros((2, 1)),
+        basis=np.eye(2),
         renormalized=False,
         plateaued=False,
         steps_to_plateau=None,
@@ -633,7 +657,8 @@ def test_trace_writer_matches_per_value_formatting(tmp_path):
     assert (tmp_path / "trace.csv").read_bytes() == _per_value_trace_csv(trace).encode("utf-8")
     summary = cli.run_config(c6_config(lambda_w=2.0, steps=300), tmp_path / "run")
     assert summary["final"]["steps_run"] > 64
-    [(_, flow, _, _)] = cli.run_flows([c6_config(lambda_w=2.0, steps=300)])
+    cfg = c6_config(lambda_w=2.0, steps=300)
+    [(_, flow, _, _)] = cli.run_flows([cfg], [cli.validate_config(cfg)])
     assert (tmp_path / "run" / "trace.csv").read_text(encoding="utf-8") == _per_value_trace_csv(flow)
 
 
@@ -1168,6 +1193,31 @@ def test_matrix_weight_power_path_traces_keep_their_bits(tmp_path, kind, extra, 
     assert cli.main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path)]) == 0
     data = (tmp_path / "trace.csv").read_bytes()
     assert data.count(b"\n") == rows + 1
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "scheme,extra,lambda_w,digest",
+    [({"kind": "activated", "activation": "relu"}, {"tau": 0.05}, 0.5,
+      "d96a87d55bc543df3c691b25dc2945b12f058ce8356d36ad7fcd2936dc16601b"),
+     ({"kind": "ee_ufg", "activation": "relu"}, {"epsilon": 0.2}, 2.0,
+      "3b18081b26658b112c89773f25f8de7d118d30354cf5da14a2c6973f935fbe64")],
+    ids=["activated-relu", "ee_ufg-relu"],
+)
+def test_stepped_relu_traces_keep_their_bits(tmp_path, scheme, extra, lambda_w, digest):
+    """A stepped run records 64-step blocks with stacked products; taking their
+    per-frequency factors as full-width (n, c) columns instead of (n, 1) ones
+    keeps every row's bits: SHA-256 of trace.csv as written with (n, 1)
+    columns (numpy 2.4 with OpenBLAS; byte identity is promised per numpy/BLAS
+    build, so another build may need new digests)."""
+    cfg = {"graph": {"kind": "erdos_renyi", "n": 14, "p": 0.4, "seed": 7},
+           "framelet": {"scales": 2}, "scheme": scheme,
+           "weights": {"mode": "scalar", "lambda_w": lambda_w},
+           "init": {"mode": "random_normal", "seed": 3, "channels": 3},
+           "run": {"steps": 300}, **extra}
+    assert cli.main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path)]) == 0
+    data = (tmp_path / "trace.csv").read_bytes()
+    assert data.count(b"\n") == 302
     assert hashlib.sha256(data).hexdigest() == digest
 
 

@@ -385,6 +385,28 @@ def test_one_step_matrices_pool_to_the_kronecker_spectrum(rng, scales, variant):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("mode", ["scalar", "general"])
+def test_a_spatial_operator_decides_identity_multiples_once(rng, monkeypatch, mode):
+    """spatial_framelet's step mixers W_b are among its energy's, so the
+    energy's Multiplier decides once whether they are multiples of I; the
+    step that shares that decision has the bits of a step built on its own."""
+    _, _, _, sys, _ = setting(rng, n=8, scales=2, c=3)
+    if mode == "scalar":
+        cfg = ff.WeightConfig.scalar(2, 4.0, 3, tau=0.5)
+    else:
+        w = {b: random_symmetric(rng, 3) for b in sys.bands}
+        cfg = ff.WeightConfig(omega={b: np.eye(3) for b in sys.bands}, w=w, tau=0.5)
+    stacks, decide = [], framelets._identity_scales
+    monkeypatch.setattr(framelets, "_identity_scales", lambda m: stacks.append(len(m)) or decide(m))
+    op = dynamics._scheme_operator(ff.Scheme("spatial_framelet"), sys, cfg, None)
+    assert stacks == [2 * len(sys.bands)]  # (Omega_b = I, W_b) per band
+    alone = framelets.Multiplier(
+        [(cfg.tau * sys.responses[b] ** 2 * (1.0 - sys.spectrum.eigenvalues), cfg.w[b])
+         for b in sys.bands]
+    )
+    np.testing.assert_array_equal(op.one_step, alone.per_frequency)
+
+
 def c6_pieces(scales=1, channels=2, seed=3):
     g = ff.generate_graph(ff.GraphSpec(kind="cycle", n=6))
     ahat, lap = ff.normalized_adjacency(g), ff.normalized_laplacian(g)
@@ -979,12 +1001,18 @@ def test_banded_ee_step_with_scalar_weights_applies_no_band_multiplier(rng, monk
 @pytest.mark.parametrize("kind", ["activated", "ee_ufg"])
 def test_a_step_applies_no_energy_and_a_block_applies_it_once(rng, monkeypatch, kind, weights):
     """Descent folds -tau grad into its own per-frequency column or matrices, so
-    only the rows apply the energy: once for row 0, then once per block."""
+    only the rows apply the energy: once for row 0, then once per block (the
+    rows' lam * h, by the system's Dirichlet map, is not counted)."""
     g, ahat, lap, sys, h = setting(rng, n=8, scales=2)
     cfg = stepped_config(rng, kind, weights, sys.bands, 3)
     calls, apply_into = [], framelets.Multiplier.apply_into
-    monkeypatch.setattr(framelets.Multiplier, "apply_into",
-                        lambda self, x, out: calls.append(self) or apply_into(self, x, out))
+
+    def counted(self, x, out):
+        if self is not sys.dirichlet:
+            calls.append(self)
+        return apply_into(self, x, out)
+
+    monkeypatch.setattr(framelets.Multiplier, "apply_into", counted)
     steps = 200
     trace = ff.run_flow(ff.Scheme(kind, "relu", True), sys, h, cfg,
                         ff.StopRule(steps, plateau_tol=0.0))

@@ -30,3 +30,19 @@ def test_traced_benchmark_round_is_correct(workload):
                           cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
     assert json.loads(done.stdout.splitlines()[-1])["correct"] is True, done.stderr[-2000:]
+
+
+@pytest.mark.parametrize("workload", ["sweep_lambda", "flow_linear", "flow_nonlinear"])
+def test_untraced_benchmark_round_is_correct(workload):
+    """One untraced round passes the checks the benchmark itself makes: every
+    output is correct, repeated invocations agree byte for byte, and the
+    set-up probes run; only flow_nonlinear's tanh run, one invocation in
+    three, fails, as designed."""
+    done = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+                           "--seed", "5", "--seconds", "0.2", "--trace", "0"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] is True, done.stderr[-2000:]
+    designed = result["attempted"] // 3 if workload == "flow_nonlinear" else 0
+    assert result["attempted"] > 0 and result["failed"] == designed, result
