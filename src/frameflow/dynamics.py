@@ -24,8 +24,11 @@ and its c channels move together; otherwise the modes are the eigenvectors
 Q_i of the one-step matrices M_i, z = Q_i^T hhat_i.  Relu/tanh descent, the
 banded ee activation and a per-vertex theta_b step on Hhat, with one U^T / U
 round trip per step (the last two in the one framelets.band_pass) and no
-other n x n matrix: a step reads the state alone.  Either way a block of
-BLOCK steps is recorded at once.  The final state stays in spectral
+other n x n matrix: a step reads the state alone.  A step is built once per
+run, a fixed run of in-place ufuncs and np.dot calls on scratch buffers, and
+step(h, out) writes the next state into ``out``, a slot of the block buffer
+where it is renormalized in place.  Either way a block of BLOCK steps is
+recorded at once.  The final state stays in spectral
 coordinates; a FlowTrace maps it back when it is first read.
 
 Each scheme is written once, in ``_scheme_operator``: its step, the c x c
@@ -48,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import pairwise
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -198,49 +201,73 @@ class FlowTrace:
         return float(self.dirichlet_normalized[-1])
 
 
-def _activate(name: str, z: np.ndarray) -> np.ndarray:
-    """A nonlinear activation, relu or tanh, in place (callers apply the identity inline)."""
-    return np.maximum(z, 0.0, out=z) if name == "relu" else np.tanh(z, out=z)
+def _activation(name: str) -> Callable:
+    """A nonlinear activation, relu or tanh, as an in-place map of an array
+    (callers apply the identity inline)."""
+    if name == "relu":
+        return lambda z: np.maximum(z, 0.0, out=z)
+    return lambda z: np.tanh(z, out=z)
 
 
 def _descent(form: Multiplier, tau: float, activation: str, u: np.ndarray) -> Callable:
-    """The step H + tau * act(-grad) on spectral coordinates; a nonlinear act
-    acts per vertex, between U^T and U.  As relu(tau x) = tau relu(x) for
-    tau >= 0, relu and the identity take -s grad with s = tau, and tanh takes
-    s = 1 and scales by tau after U.  -s grad = (-s G_i) h_i + s S, with s
-    folded into the gradient's per-frequency numbers, one (n, c) column, or
-    into its c x c matrices."""
+    """The step H + tau * act(-grad) on spectral coordinates, (h, out=None)
+    -> out; a nonlinear act acts per vertex, between U^T and U.  As
+    relu(tau x) = tau relu(x) for tau >= 0, relu and the identity take
+    -s grad with s = tau, and tanh takes s = 1 and scales by tau after U.
+    -s grad = (-s G_i) h_i + s S, with s folded into the gradient's
+    per-frequency numbers, one (n, c) column, or into its c x c matrices.
+    Which of these the step does is chosen here, once: a step is a fixed
+    run of in-place ufuncs and ``np.dot`` calls on two (n, c) scratch
+    buffers, x (-s grad) and t (its vertex form)."""
     scale = 1.0 if activation == "tanh" else tau
-    source = None if form.source is None else scale * form.source
+    x, t = np.empty((2, len(u), form.channels))
     if form.matrices is None:
         column = np.repeat(-scale * form.diagonal[:, None], form.channels, axis=1)
-        product = lambda h: column * h
+        product = lambda h: np.multiply(column, h, out=x)
     else:
-        matrices = -scale * form.matrices
-        product = lambda h: (h[:, None, :] @ matrices)[:, 0]
+        matrices, rows = -scale * form.matrices, x[:, None, :]
+        product = lambda h: np.matmul(h[:, None, :], matrices, out=rows)
+    down = product
+    if form.source is not None:
+        source = scale * form.source
 
-    def down(h):
-        x = product(h)
-        return x if source is None else np.add(x, source, out=x)
+        def down(h):
+            product(h)
+            np.add(x, source, out=x)
 
     if activation == "identity":
-        return lambda h: h + down(h)
+        def step(h, out=None):
+            down(h)
+            return np.add(h, x, out=out)
 
-    def step(h):
-        y = u @ _activate(activation, u.T @ down(h))
-        if activation == "tanh":
-            y *= tau
-        y += h
-        return y
+        return step
+    ut, activate = u.T, _activation(activation)
+    synthesise = partial(np.dot, u, t)  # U t, into out
+    if activation == "tanh":
+        unscaled = synthesise
+
+        def synthesise(out):  # tau U t
+            out = unscaled(out=out)
+            out *= tau
+            return out
+
+    def step(h, out=None):
+        down(h)
+        np.dot(ut, x, out=t)
+        activate(t)
+        out = synthesise(out=out)
+        out += h
+        return out
 
     return step
 
 
 class SchemeOperator(NamedTuple):
-    """A scheme on spectral coordinates: its step Hhat -> Hhat; its linear
-    part's one-step matrices M_i per frequency, (n, c, c), (n, 1, 1) when each
-    is a number, or None for a per-vertex theta; and its governing energy's
-    gradient map."""
+    """A scheme on spectral coordinates: its step (Hhat, out=None) -> the
+    next Hhat, written into ``out`` (which must not overlap Hhat) or a fresh
+    array; its linear part's one-step matrices M_i per frequency, (n, c, c),
+    (n, 1, 1) when each is a number, or None for a per-vertex theta; and its
+    governing energy's gradient map."""
 
     step: Callable
     one_step: Optional[np.ndarray]
@@ -255,7 +282,7 @@ def require_closed_form_bank(sys: FrameletSystem) -> None:
 
 
 def _linear_operator(step: Multiplier, energy: Multiplier) -> SchemeOperator:
-    return SchemeOperator(step.apply, step.per_frequency, energy)
+    return SchemeOperator(step.apply_into, step.per_frequency, energy)
 
 
 def _scheme_operator(
@@ -290,15 +317,18 @@ def _scheme_operator(
     # ee: band b analyses through r_b (Ahat - s_b), synthesis weights by r_b.
     # The energy is exact for the linearized form only; with a banded
     # activation it is recorded as a diagnostic, not a Lyapunov value.
+    # The step's mixers W_b are every second of the energy's (Omega_b = I +
+    # s_b W_b, W_b), and the band pass's are the step's: one s I decision.
     shift = band_shifts(sys, cfg.epsilon)
     analysis = {b: resp[b] * (a_hat - shift[b]) for b in bands}
-    linear = Multiplier([(resp[b] * analysis[b], cfg.w[b]) for b in bands])
     plain = replace(cfg, beta=0.0) if cfg.has_source else cfg
     energy = framelet_energy_form(sys, energy_enhanced_omega(sys, plain))
+    linear = Multiplier([(resp[b] * analysis[b], cfg.w[b]) for b in bands],
+                        mixing=energy.mixing[1::2])
     if activation == "identity":
         return _linear_operator(linear, energy)
     step = band_pass(u, [(analysis[b], cfg.w[b], resp[b]) for b in bands],
-                     lambda x: _activate(activation, x), len(cfg.w[bands[0]]))
+                     _activation(activation), len(cfg.w[bands[0]]), linear.mixing)
     return SchemeOperator(step, linear.per_frequency, energy)
 
 
@@ -327,7 +357,7 @@ def _vertex_step(kind, activation, sys, signal, initial, cfg: WeightConfig):
     h0 = _spectral_initial(sys, initial, h) if cfg.has_source else None
     op = _scheme_operator(Scheme(kind, activation), sys, cfg, h0)
     op.energy.check_channels(h.shape[1])  # a folded step would broadcast a mismatch
-    return to_vertex(sys, op.step(h), was_vector)
+    return to_vertex(sys, op.step(h, None), was_vector)
 
 
 def step_spatial_framelet(sys: FrameletSystem, signal, cfg: WeightConfig):
@@ -404,6 +434,11 @@ def perturbed_closed_form(sys: FrameletSystem, initial, epsilon: float, t: float
     return to_vertex(sys, factors[:, None] * h, was_vector)
 
 
+def _norm_limit(renormalize: bool) -> float:
+    """The largest norm a state may reach: any finite one when renormalized, else the guard."""
+    return np.finfo(float).max if renormalize else OVERFLOW_GUARD
+
+
 def _check_norm(norm: float, k: int, renormalize: bool) -> None:
     """Raise if the norm after step k is zero, non-finite or over the guard."""
     if norm == 0.0:
@@ -444,7 +479,7 @@ def _mode_blocks(scheme: Scheme, op: SchemeOperator, modes, lam, h0, norm0, max_
     log_q = np.log(size / r)  # (mu / r)^2j = exp(2j log_q)
     powers = np.exp(BLOCK_POWERS * log_q)  # (mu / r)^2j, j = 1..BLOCK
     renormalize, closed = scheme.renormalize, scheme.kind == "perturbed_closed_form"
-    limit = np.finfo(float).max if renormalize else OVERFLOW_GUARD
+    limit = _norm_limit(renormalize)
 
     def blocks():  # failing rows are cut; run_flow silences their overflow
         last = 1.0  # squared mass of the unit initial state
@@ -478,12 +513,14 @@ def _mode_blocks(scheme: Scheme, op: SchemeOperator, modes, lam, h0, norm0, max_
 def _stepped_blocks(scheme: Scheme, op: SchemeOperator, dirichlet, state, max_steps):
     """Blocks of rows (norms, E, energies) of a stepped flow up to the first
     failing step, where it raises, and the state at step k.  A step reads the
-    state alone and keeps it in a one-block buffer; three stacked products
-    give a block's rows with per-row vdot bits, the block's energy gradients
-    and ``dirichlet``'s lam * h taking turns in one scratch buffer of the
-    same size."""
+    state alone and writes the next one into a one-block buffer, where it is
+    renormalized in place; three stacked products give a block's rows with
+    per-row vdot bits, the block's energy gradients and ``dirichlet``'s
+    lam * h taking turns in one scratch buffer of the same size."""
     size, nc, source = min(BLOCK, max_steps), state.size, op.energy.source
     (states, scratch), norms = np.empty((2, size, *state.shape)), np.empty(size)
+    renormalize = scheme.renormalize
+    limit = _norm_limit(renormalize)
 
     def rows(m: int):  # as silent as vdot: run_flow ignores overflow
         h, x = states[:m], scratch[:m]
@@ -496,18 +533,20 @@ def _stepped_blocks(scheme: Scheme, op: SchemeOperator, dirichlet, state, max_st
         return norms[:m].copy(), 0.5 * dot(dirichlet.apply_into(h, x)) / mass, 0.5 * energy
 
     def blocks():
-        h, step, renormalize = state, op.step, scheme.renormalize
+        h, step, slots = state, op.step, list(states)
         for start in range(1, max_steps + 1, size):
             for j, k in enumerate(range(start, min(start + size, max_steps + 1))):
-                h = step(h)
+                h = step(h, slots[j])
                 norms[j] = norm = math.sqrt(np.vdot(h, h))  # the bits of np.linalg.norm
-                try:
-                    _check_norm(norm, k, renormalize)
-                except (ZeroStateError, NumericOverflowError):  # the plateau rule reads rows first
-                    if j:
-                        yield rows(j)
-                    raise
-                h = np.divide(h, norm if renormalize else 1.0, out=states[j])
+                if not 0.0 < norm <= limit:  # zero, not finite or over the guard
+                    try:
+                        _check_norm(norm, k, renormalize)
+                    except (ZeroStateError, NumericOverflowError):  # the plateau rule reads rows first
+                        if j:
+                            yield rows(j)
+                        raise
+                if renormalize:
+                    h /= norm
             yield rows(j + 1)
 
     return blocks(), lambda k, norm: states[(k - 1) % size].copy()

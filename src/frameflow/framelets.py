@@ -203,33 +203,50 @@ class BandFilter(NamedTuple):
     theta: np.ndarray
 
 
-def band_pass(u: np.ndarray, terms, vertex: Callable, c: int) -> Callable:
+def band_pass(u: np.ndarray, terms, vertex: Callable, c: int, mixing=None) -> Callable:
     """Hhat -> sum_b diag(s_b) U f(U^T diag(a_b) Hhat M_b) on spectral
-    coordinates, (n, c) or a (k, n, c) stack with the bits of its slices, for
-    terms (a_b, M_b, s_b) and f an in-place map of vertex columns: every band
-    in one U^T / U round trip on (n, bands * c) columns, band b's from b*c on.
-    When each band's own Multiplier folds a_b M_b into numbers, H T with
-    T = [I ... I] (c x bands*c) copies H into every band, times one factor
-    column; otherwise one product takes the stacked c x c matrices.  The
-    synthesis weights band b by s_b, and T^T sums the bands."""
-    banded = [Multiplier([(a, m)]).per_frequency for a, m, _ in terms]
+    coordinates, for terms (a_b, M_b, s_b) and f an in-place map of vertex
+    columns: every band in one U^T / U round trip on (n, bands * c) columns,
+    band b's from b*c on.  Whether every M_b is a multiple of I is decided
+    once for the stack, or read off ``mixing``, the matching rows of another
+    Multiplier's.  If so, H T with T = [I ... I] (c x bands*c) copies H into
+    every band, times one factor column; otherwise one product takes the
+    stacked c x c matrices.  The synthesis weights band b by s_b, and T^T
+    sums the bands; both copies stay BLAS products.
+
+    The map takes (h, out=None) and writes into ``out`` (or a fresh array).
+    One (n, c) state runs in-place ufuncs and ``np.dot`` into scratch buffers
+    built here, once; a (k, n, c) stack takes stacked products, with the bits
+    of its slices."""
+    if mixing is None:
+        mixing = _identity_scales(np.array([m for _, m, _ in terms], dtype=float))
+    banded = [Multiplier([(a, m)], mixing=mixing[i:i + 1]).per_frequency
+              for i, (a, m, _) in enumerate(terms)]
+    width = len(terms) * c
     weights = np.repeat(np.stack([s for _, _, s in terms], axis=1), c, axis=1)
-    copies = np.tile(np.eye(c), len(banded))
-    if all(m.shape[-1] == 1 for m in banded):  # identity multiples: one factor per band
+    copies = np.tile(np.eye(c), len(terms))
+    ut, sums = u.T, copies.T
+    one = (*np.empty((2, len(u), width)), np.dot)  # one state's band columns x and U^T x
+    if mixing.ndim == 2:  # identity multiples: one factor per band
         factors = np.repeat(np.concatenate([m[:, 0] for m in banded], axis=1), c, axis=1)
 
-        def analyse(h):
-            x = h @ copies
+        def analyse(h, x, product):
+            product(h, copies, out=x)
             x *= factors
-            return x
     else:  # every band in one product with the stacked (n, bands, c, c) mixers
-        mixers = np.stack([m if m.shape[-1] == c else m * np.eye(c) for m in banded], axis=1)
-        analyse = lambda h: (h[..., None, None, :] @ mixers).reshape(*h.shape[:-1], -1)
+        mixers, rows = np.stack(banded, axis=1), (len(terms), 1, c)
 
-    def apply(h):
-        y = u @ vertex(u.T @ analyse(h))
-        y *= weights
-        return y @ copies.T  # sums the bands
+        def analyse(h, x, product):
+            np.matmul(h[..., None, None, :], mixers, out=x.reshape(*h.shape[:-1], *rows))
+
+    def apply(h, out=None):
+        x, t, product = one if h.ndim == 2 else (*np.empty((2, *h.shape[:-1], width)), np.matmul)
+        analyse(h, x, product)
+        product(ut, x, out=t)
+        vertex(t)
+        product(u, t, out=x)
+        x *= weights
+        return product(x, sums, out=out)
 
     return apply
 
@@ -293,7 +310,8 @@ class Multiplier:
             raise DimensionMismatchError("a BandFilter term needs a mixer to fix the channel count")
         if filters:
             thetas = np.repeat(np.stack([f.theta for f, _ in filters], 1), self.channels, axis=1)
-            terms = [(f.response, m, f.response) for f, m in filters]
+            eye = identity(self.channels)
+            terms = [(f.response, eye if m is None else m, f.response) for f, m in filters]
             self.filters = band_pass(filters[0][0].u, terms,
                                      lambda x: np.multiply(x, thetas, out=x), self.channels)
 
@@ -315,7 +333,7 @@ class Multiplier:
         """sum_k A_k h M_k - S for spectral coordinates h, (n, c) or a stack (k, n, c)."""
         return self.apply_into(h, None)
 
-    def apply_into(self, h: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
+    def apply_into(self, h: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """:meth:`apply`, written into ``out`` (which must not overlap h) or,
         if None, into a fresh array."""
         self.check_channels(h.shape[-1])

@@ -1197,23 +1197,30 @@ def test_matrix_weight_power_path_traces_keep_their_bits(tmp_path, kind, extra, 
 
 
 @pytest.mark.parametrize(
-    "scheme,extra,lambda_w,digest",
-    [({"kind": "activated", "activation": "relu"}, {"tau": 0.05}, 0.5,
+    "scheme,extra,lambda_w,channels,digest",
+    [({"kind": "activated", "activation": "relu"}, {"tau": 0.05}, 0.5, 3,
       "d96a87d55bc543df3c691b25dc2945b12f058ce8356d36ad7fcd2936dc16601b"),
-     ({"kind": "ee_ufg", "activation": "relu"}, {"epsilon": 0.2}, 2.0,
-      "3b18081b26658b112c89773f25f8de7d118d30354cf5da14a2c6973f935fbe64")],
-    ids=["activated-relu", "ee_ufg-relu"],
+     ({"kind": "ee_ufg", "activation": "relu"}, {"epsilon": 0.2}, 2.0, 3,
+      "3b18081b26658b112c89773f25f8de7d118d30354cf5da14a2c6973f935fbe64"),
+     ({"kind": "activated", "activation": "relu"}, {"tau": 0.05}, 0.5, 1,
+      "23e55fdb538d912595877215d2f36e49249a3c91a69c76a4a39b77996a89077f"),
+     ({"kind": "ee_ufg", "activation": "relu"}, {"epsilon": 0.2}, 2.0, 1,
+      "0a84e2008466f80e13e6a024fd9cf1131936510e0230ac373cadf2058e4d90ec")],
+    ids=["activated-relu", "ee_ufg-relu", "activated-relu-c1", "ee_ufg-relu-c1"],
 )
-def test_stepped_relu_traces_keep_their_bits(tmp_path, scheme, extra, lambda_w, digest):
+def test_stepped_relu_traces_keep_their_bits(tmp_path, scheme, extra, lambda_w, channels, digest):
     """A stepped run records 64-step blocks with stacked products; taking their
     per-frequency factors as full-width (n, c) columns instead of (n, 1) ones
     keeps every row's bits: SHA-256 of trace.csv as written with (n, 1)
-    columns (numpy 2.4 with OpenBLAS; byte identity is promised per numpy/BLAS
-    build, so another build may need new digests)."""
+    columns.  The c = 1 digests were written before the steps became in-place
+    kernels of np.dot calls, where BLAS may pick another product form for a
+    single column (see test_np_dot_has_the_bits_of_matmul_on_the_step_shapes).
+    numpy 2.4 with OpenBLAS; byte identity is promised per numpy/BLAS build,
+    so another build may need new digests."""
     cfg = {"graph": {"kind": "erdos_renyi", "n": 14, "p": 0.4, "seed": 7},
            "framelet": {"scales": 2}, "scheme": scheme,
            "weights": {"mode": "scalar", "lambda_w": lambda_w},
-           "init": {"mode": "random_normal", "seed": 3, "channels": 3},
+           "init": {"mode": "random_normal", "seed": 3, "channels": channels},
            "run": {"steps": 300}, **extra}
     assert cli.main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path)]) == 0
     data = (tmp_path / "trace.csv").read_bytes()

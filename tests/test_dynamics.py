@@ -407,6 +407,18 @@ def test_a_spatial_operator_decides_identity_multiples_once(rng, monkeypatch, mo
     np.testing.assert_array_equal(op.one_step, alone.per_frequency)
 
 
+def test_a_banded_ee_operator_decides_identity_multiples_once(rng, monkeypatch):
+    """The banded ee step's mixers W_b are every second of its energy's
+    (Omega_b = I + s_b W_b, W_b), and its band pass takes the step's rows:
+    the energy's Multiplier decides once for the whole operator."""
+    _, _, _, sys, _ = setting(rng, n=8, scales=2, c=3)
+    cfg = ff.WeightConfig.scalar(2, 20.0, 3, epsilon=0.1, tau=1.0)
+    stacks, decide = [], framelets._identity_scales
+    monkeypatch.setattr(framelets, "_identity_scales", lambda m: stacks.append(len(m)) or decide(m))
+    dynamics._scheme_operator(ff.Scheme("ee_ufg", "relu"), sys, cfg, None)
+    assert stacks == [2 * len(sys.bands)]  # (Omega_b, W_b) per band
+
+
 def c6_pieces(scales=1, channels=2, seed=3):
     g = ff.generate_graph(ff.GraphSpec(kind="cycle", n=6))
     ahat, lap = ff.normalized_adjacency(g), ff.normalized_laplacian(g)
@@ -922,16 +934,23 @@ def test_stepped_trace_replays_the_public_steps_bit_for_bit(rng, kind, activatio
     """gradf_ufg always runs with a source term, so it steps rather than taking
     powers; with a source, activated descent folds it into its -tau grad.  A
     per-vertex theta_b is the one linear scheme that steps: its rows come from
-    one band pass per block of states."""
+    one band pass per block of states.  At c = 1, 3 and 8 on a random graph,
+    the operator's step(h, out) writes into out, returns it, leaves h as it
+    was and has the bits of a fresh step(h, None)."""
+    scheme = ff.Scheme(kind, activation, renormalize)
+
+    def config(sys, c):
+        cfg = stepped_config(rng, kind, weights, sys.bands, c, with_source)
+        if kind == "spectral_framelet":  # one shared W, a per-vertex theta_b
+            theta = {b: rng.uniform(0.5, 1.5, sys.n) for b in sys.bands}
+            cfg = replace(cfg, w=dict.fromkeys(sys.bands, cfg.w[sys.low_pass]), theta=theta)
+        return cfg
+
     sys, ahat, lap = identity_basis(rng, 2)
     x0 = rng.standard_normal((sys.n, 3))
-    cfg = stepped_config(rng, kind, weights, sys.bands, 3, with_source)
-    if kind == "spectral_framelet":  # one shared W, a per-vertex theta_b
-        theta = {b: rng.uniform(0.5, 1.5, sys.n) for b in sys.bands}
-        cfg = replace(cfg, w=dict.fromkeys(sys.bands, cfg.w[sys.low_pass]), theta=theta)
+    cfg = config(sys, 3)
     steps, lam = 200, np.diag(lap)
-    trace = ff.run_flow(ff.Scheme(kind, activation, renormalize), sys, x0, cfg,
-                        ff.StopRule(steps, plateau_tol=0.0))
+    trace = ff.run_flow(scheme, sys, x0, cfg, ff.StopRule(steps, plateau_tol=0.0))
     assert trace.steps_run == steps
 
     def step(x):
@@ -964,6 +983,15 @@ def test_stepped_trace_replays_the_public_steps_bit_for_bit(rng, kind, activatio
     np.testing.assert_array_equal(trace.dirichlet_normalized, e_norms)
     np.testing.assert_array_equal(trace.total_energy, energies)
     np.testing.assert_array_equal(trace.final_state, x)
+    for c in (1, 3, 8):  # the step contract on a random graph
+        _, _, _, graph_sys, h = setting(rng, n=14, scales=2, c=c)
+        cfg = config(graph_sys, c)
+        h0 = rng.standard_normal(h.shape) if cfg.has_source else None
+        op = dynamics._scheme_operator(scheme, graph_sys, cfg, h0)
+        before, out = h.copy(), np.full_like(h, np.nan)
+        assert op.step(h, out) is out
+        np.testing.assert_array_equal(h, before)
+        np.testing.assert_array_equal(out, op.step(h, None))
 
 
 @pytest.mark.parametrize("activation,renormalize", [("relu", True), ("tanh", False)])

@@ -245,6 +245,26 @@ def test_filters_alone_apply_into_a_zero_filled_buffer(rng):
     np.testing.assert_array_equal(out, m.apply(h))
 
 
+@pytest.mark.parametrize("c", [1, 2, 3, 8, 24])
+def test_np_dot_has_the_bits_of_matmul_on_the_step_shapes(rng, c):
+    """A 2-D step writes its products with np.dot(a, b, out=...), the same
+    BLAS call as a @ b with less dispatch.  Its
+    bits must be those of @ on every product a step makes: U^T x and U t on
+    (n, w) band columns, w = c (descent) or bands * c (the band pass), the
+    band copies H [I ... I] and the band sum x [I ... I]^T.  If a BLAS build
+    breaks this, the stepped digests in test_cli break with it."""
+    for n in (8, 9, 14, 64, 120, 400):
+        u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        for bands in (1, 2, 3):
+            w = bands * c
+            copies = np.tile(np.eye(c), bands)
+            x, h = rng.standard_normal((n, w)), rng.standard_normal((n, c))
+            for a, b in ((u.T, x), (u, x), (h, copies), (x, copies.T)):
+                out = np.full((a.shape[0], b.shape[1]), np.nan)
+                assert np.dot(a, b, out=out) is out
+                assert out.tobytes() == (a @ b).tobytes()  # bits, signed zeros too
+
+
 def test_filters_with_no_mixer_have_no_channel_count(rng):
     n = 9
     u = np.linalg.qr(rng.standard_normal((n, n)))[0]
