@@ -29,7 +29,7 @@ print("6-cycle, frequencies", np.round(spectrum.eigenvalues, 3), "\n")
 print("scalar-weight convolution family (low-pass weight 1, high-pass weight v):")
 print(f"{'v':>8} | {'predicted':>9} {'margin':>7} | {'measured':>9} {'limit':>12} {'steps':>6}")
 for v in (-40.0, -10.0, -0.5, 0.5, 1.0, 2.0, 10.0):
-    cfg = ff.WeightConfig.scalar(1, v, 2, tau=1.0)
+    cfg = ff.WeightConfig.scalar(1, v, tau=1.0)
     trace = ff.run_flow(
         ff.Scheme("spatial_framelet", renormalize=True), sys, h0, cfg, stop
     )

@@ -28,11 +28,13 @@ for b in sys.bands:
 cfg = ff.WeightConfig(omega=omega, w=w, tau=1e-2)
 h0 = rng.standard_normal((9, c))
 
-# curvature bound from the explicit quadratic form (small n*c, so affordable)
+# curvature bound from the explicit quadratic form (small n*c, so affordable);
+# a number weight s would be s I
 blocks = []
 for b in sys.bands:
     t = sys.transforms[b]
-    blocks.append(np.kron(cfg.omega[b], t.T @ t) - np.kron(cfg.w[b], t.T @ ahat @ t))
+    omega_b, w_b = (m * np.eye(c) if np.ndim(m) == 0 else m for m in (cfg.omega[b], cfg.w[b]))
+    blocks.append(np.kron(omega_b, t.T @ t) - np.kron(w_b, t.T @ ahat @ t))
 curvature = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * sum(blocks)))))
 print(f"curvature constant of the energy's quadratic form: {curvature:.3f}\n")
 

@@ -207,7 +207,7 @@ def load_config(path) -> dict:
 
 def validate_config(cfg: dict) -> energies.WeightConfig:
     """Check every key's name, value type, range and choice before any work;
-    return the one-channel weights built to check them."""
+    return the weights built to check them, which the run uses."""
     _check_keys("config", cfg)
     _check_keys("graph", _require("config", cfg, "graph"))
     _require("graph", cfg["graph"], "kind")
@@ -244,7 +244,7 @@ def validate_config(cfg: dict) -> energies.WeightConfig:
     if theta is not None:
         _theta_bands(theta, scales)  # rejects a negative coefficient or a bad band key
     scheme = _scheme(cfg)  # dynamics.Scheme rejects an unknown or misplaced kind or activation
-    weights = _build_weights(cfg, scheme.kind, 1, 1)  # WeightConfig rejects tau < 0, asymmetry
+    weights = _build_weights(cfg, scheme.kind)  # WeightConfig rejects tau < 0, asymmetry
     csv, summary = _output_names(cfg)
     if csv == summary:
         raise ConfigError(f"output.csv and output.summary are both {csv!r}")
@@ -369,16 +369,6 @@ def _theta_bands(theta, scales: int) -> dict:
     return out
 
 
-def _theta_map(cfg: dict, scales: int, n: int) -> Optional[Dict[tuple, np.ndarray]]:
-    theta = cfg.get("theta")
-    if theta is None:
-        return None
-    return {
-        b: np.asarray(v, dtype=float) if isinstance(v, list) else np.full(n, float(v))
-        for b, v in _theta_bands(theta, scales).items()
-    }
-
-
 def _band_matrix_map(name: str, obj: dict, scales: int) -> Dict[tuple, np.ndarray]:
     out = {_parse_band_key(k): np.asarray(v, dtype=float) for k, v in obj.items()}
     expected = set(framelets.band_index_set(scales))
@@ -387,18 +377,16 @@ def _band_matrix_map(name: str, obj: dict, scales: int) -> Dict[tuple, np.ndarra
     return out
 
 
-def _build_weights(cfg: dict, kind: str, channels: int, n: int) -> energies.WeightConfig:
-    wcfg, scales = cfg["weights"], _framelet(cfg)[0]
+def _build_weights(cfg: dict, kind: str) -> energies.WeightConfig:
+    wcfg, scales, theta = cfg["weights"], _framelet(cfg)[0], cfg.get("theta")
     common = {
         "epsilon": float(cfg.get("epsilon", 0.0)),
         "beta": float(cfg.get("beta", 0.0)),
-        "theta": _theta_map(cfg, scales, n),
+        "theta": None if theta is None else _theta_bands(theta, scales),
         "tau": float(cfg.get("tau", DEFAULT_TAU[kind])),
     }
     if wcfg["mode"] == "scalar":
-        return energies.WeightConfig.scalar(
-            scales, float(wcfg["lambda_w"]), channels, **common
-        )
+        return energies.WeightConfig.scalar(scales, wcfg["lambda_w"], **common)
     if wcfg["mode"] == "shared":
         return energies.WeightConfig.shared(scales, wcfg["omega"], wcfg["w"], **common)
     w_tilde = wcfg.get("w_tilde")
@@ -431,15 +419,18 @@ class Experiment(Geometry):
     tol: float
 
 
-def build_geometry(cfg: dict, seed: Optional[int] = None) -> Geometry:
+def build_geometry(cfg: dict, weights: energies.WeightConfig,
+                   seed: Optional[int] = None) -> Geometry:
+    """The geometry of a validated config; ``weights`` are the config's, built
+    by its check, whose per-vertex theta must fit the graph."""
     graph = _build_graph(cfg, seed)
     # before the eigendecomposition: what has to fit the node count n
     icfg, kind, n = cfg["init"], _scheme(cfg).kind, graph.n
     if icfg["mode"] == "eigenvector" and not 0 <= icfg["index"] < n:
         raise ConfigError(f"init.index {icfg['index']} outside [0, {n})")
     signal = read_signal_matrix(icfg["path"], n) if icfg["mode"] == "file" else None
-    if kind == "spectral_framelet" and cfg.get("theta") is not None:
-        _build_weights(cfg, kind, 1, n).theta_for(_probe_bank(*_framelet(cfg)).bands, n)
+    if kind == "spectral_framelet" and weights.theta is not None:
+        weights.theta_for(_probe_bank(*_framelet(cfg)).bands, n)
     spectrum = spectral.eigh(graphs.normalized_laplacian(graph))
     system = framelets.build_framelet_system(spectrum, *_framelet(cfg))
     initial = _build_init(cfg, spectrum, seed) if signal is None else signal
@@ -456,10 +447,9 @@ def _run_rules(cfg: dict):
     return stop, float(rcfg.get("tol", analysis.DEFAULT_TOL))
 
 
-def assemble(cfg: dict, geometry: Geometry) -> Experiment:
-    """Add the scheme, weights and stop rule to a geometry."""
+def assemble(cfg: dict, geometry: Geometry, weights: energies.WeightConfig) -> Experiment:
+    """Add the scheme, the config's weights and its stop rule to a geometry."""
     scheme = _scheme(cfg)
-    weights = _build_weights(cfg, scheme.kind, geometry.initial.shape[1], geometry.spectrum.n)
     stop, tol = _run_rules(cfg)
     if scheme.kind in ("ee_ufg", "perturbed_closed_form") and weights.epsilon <= 0.0:
         print(
@@ -474,7 +464,7 @@ def _check_flow_config(cfg: dict, weights: energies.WeightConfig) -> None:
     """Reject before any geometry is built what a flow would reject later: the
     closed form off a tight two-scale bank, spectral filtering without a theta
     per band or with unequal band weights, and an unrenormalized run.
-    ``weights`` are the config's one-channel weights, built as its check."""
+    ``weights`` are the config's, built as its check."""
     scheme, bank = _scheme(cfg), _probe_bank(*_framelet(cfg))
     if scheme.kind == "perturbed_closed_form":
         dynamics.require_closed_form_bank(bank)
@@ -487,15 +477,15 @@ def _check_flow_config(cfg: dict, weights: energies.WeightConfig) -> None:
 
 def run_flows(cfgs: List[dict], weights: list, seed: Optional[int] = None, jobs: int = 1) -> list:
     """Check every validated config's flow by :func:`_check_flow_config` on its
-    one-channel ``weights`` (from :func:`validate_config` or the sweep value's
-    check); build the geometry they share once; then assemble every config,
+    ``weights`` (from :func:`validate_config` or the sweep value's check);
+    build the geometry they share once; then assemble every config,
     run every flow (on ``jobs`` threads), predict every limit and classify
     every trace, a stage at a time, which keeps each stage's code and data
     warm.  Returns (experiment, trace, prediction, verdict) per config, in order."""
-    for cfg, one_channel in zip(cfgs, weights, strict=True):
-        _check_flow_config(cfg, one_channel)
-    geometry = build_geometry(cfgs[0], seed)
-    experiments = [assemble(cfg, geometry) for cfg in cfgs]
+    for cfg, point in zip(cfgs, weights, strict=True):
+        _check_flow_config(cfg, point)
+    geometry = build_geometry(cfgs[0], weights[0], seed)
+    experiments = [assemble(cfg, geometry, point) for cfg, point in zip(cfgs, weights)]
     run = lambda exp: dynamics.run_flow(exp.scheme, exp.system, exp.initial, exp.weights, exp.stop)
     if jobs <= 1:
         traces = [run(exp) for exp in experiments]
@@ -566,7 +556,7 @@ def run_config(cfg: dict, out_dir, seed: Optional[int] = None) -> dict:
 def _apply_sweep_value(cfg: dict, parameter: str, value: float) -> tuple:
     """The point config: ``cfg`` (validated) with the one swept leaf replaced,
     sharing every block but the one it changes (which no run mutates); and
-    its one-channel weights, built to check the value."""
+    its weights, built to check the value, which its run uses."""
     if parameter not in SWEEP_KEYS:
         raise ConfigError(f"sweep parameter must be one of {tuple(SWEEP_KEYS)}, got {parameter!r}")
     block, schemes = SWEEP_KEYS[parameter]
@@ -579,7 +569,7 @@ def _apply_sweep_value(cfg: dict, parameter: str, value: float) -> tuple:
         raise ConfigError(f"sweep value must be a finite number, got {value!r}")
     leaf = {parameter: value}
     point = {**cfg, **leaf} if block is None else {**cfg, block: {**cfg[block], **leaf}}
-    return point, _build_weights(point, kind, 1, 1)  # rejects a negative theta or tau
+    return point, _build_weights(point, kind)  # rejects a negative theta or tau
 
 
 def sweep_config(
@@ -620,8 +610,8 @@ def sweep_config(
 
 def energy_report(cfg: dict, seed: Optional[int] = None) -> dict:
     """Evaluate every energy the config makes applicable for its signal."""
-    validate_config(cfg)
-    exp = assemble(cfg, build_geometry(cfg, seed))
+    weights = validate_config(cfg)
+    exp = assemble(cfg, build_geometry(cfg, weights, seed), weights)
     x = exp.initial
     report = {"dirichlet": energies.dirichlet_energy(graphs.normalized_laplacian(exp.graph), x)}
     if exp.system.is_tight:

@@ -19,13 +19,14 @@ FrameletSystem alone: Lhat and Ahat = I - Lhat are its eigenvalues lam and
 1 - lam.  ``run_flow`` advances a linear scheme by modes, each mu^k z after
 k steps, so a block of steps is one product of powers (the closed form is
 powers of exp(-rate_i tau), not an evaluation at k tau).  When each M_i is
-a number mu_i, as with identity-multiple weights, frequency i is one mode
+a number mu_i, as with scalar weights (numbers), frequency i is one mode
 and its c channels move together; otherwise the modes are the eigenvectors
 Q_i of the one-step matrices M_i, z = Q_i^T hhat_i.  Relu/tanh descent, the
 banded ee activation and a per-vertex theta_b step on Hhat, with one U^T / U
 round trip per step (the last two in the one framelets.band_pass) and no
 other n x n matrix: a step reads the state alone.  A step is built once per
-run, a fixed run of in-place ufuncs and np.dot calls on scratch buffers, and
+run, a fixed run of in-place ufuncs and np.dot calls on scratch buffers
+sized by the state's channel count (number weights carry none), and
 step(h, out) writes the next state into ``out``, a slot of the block buffer
 where it is renormalized in place.  Either way a block of BLOCK steps is
 recorded at once.  The final state stays in spectral
@@ -81,7 +82,7 @@ from .errors import (
     OutOfRangeError,
     ZeroStateError,
 )
-from .framelets import FrameletSystem, Multiplier, band_pass, identity
+from .framelets import FrameletSystem, Multiplier, band_pass, one_like
 
 __all__ = [
     "SCHEME_KINDS",
@@ -209,7 +210,7 @@ def _activation(name: str) -> Callable:
     return lambda z: np.tanh(z, out=z)
 
 
-def _descent(form: Multiplier, tau: float, activation: str, u: np.ndarray) -> Callable:
+def _descent(form: Multiplier, tau: float, activation: str, u: np.ndarray, c: int) -> Callable:
     """The step H + tau * act(-grad) on spectral coordinates, (h, out=None)
     -> out; a nonlinear act acts per vertex, between U^T and U.  As
     relu(tau x) = tau relu(x) for tau >= 0, relu and the identity take
@@ -218,11 +219,11 @@ def _descent(form: Multiplier, tau: float, activation: str, u: np.ndarray) -> Ca
     per-frequency numbers, one (n, c) column, or into its c x c matrices.
     Which of these the step does is chosen here, once: a step is a fixed
     run of in-place ufuncs and ``np.dot`` calls on two (n, c) scratch
-    buffers, x (-s grad) and t (its vertex form)."""
+    buffers for a state of c channels, x (-s grad) and t (its vertex form)."""
     scale = 1.0 if activation == "tanh" else tau
-    x, t = np.empty((2, len(u), form.channels))
+    x, t = np.empty((2, len(u), c))
     if form.matrices is None:
-        column = np.repeat(-scale * form.diagonal[:, None], form.channels, axis=1)
+        column = np.repeat(-scale * form.diagonal[:, None], c, axis=1)
         product = lambda h: np.multiply(column, h, out=x)
     else:
         matrices, rows = -scale * form.matrices, x[:, None, :]
@@ -286,13 +287,14 @@ def _linear_operator(step: Multiplier, energy: Multiplier) -> SchemeOperator:
 
 
 def _scheme_operator(
-    scheme: Scheme, sys: FrameletSystem, cfg: WeightConfig, h0: Optional[np.ndarray]
+    scheme: Scheme, sys: FrameletSystem, cfg: WeightConfig, c: int,
+    h0: Optional[np.ndarray] = None,
 ) -> SchemeOperator:
-    """Build ``scheme``'s operator from the system's per-frequency values lam
-    of Lhat and a_hat = 1 - lam of Ahat.  ``h0`` is the spectral initial
-    state; it only matters when a source term is configured (beta != 0 with
-    mixing matrices), which only the descent schemes have.  A step reads the
-    state alone, and no n x n matrix but U."""
+    """Build ``scheme``'s operator, for states of c channels, from the
+    system's per-frequency values lam of Lhat and a_hat = 1 - lam of Ahat.
+    ``h0`` is the spectral initial state; it only matters when a source term
+    is configured (beta != 0 with mixing matrices), which only the descent
+    schemes have.  A step reads the state alone, and no n x n matrix but U."""
     kind, activation, tau, u = scheme.kind, scheme.activation, cfg.tau, sys.spectrum.u
     if kind == "perturbed_closed_form":  # the exact flow of the perturbed energy, over tau
         require_closed_form_bank(sys)
@@ -305,30 +307,26 @@ def _scheme_operator(
     if kind in ("gradf_ufg", "activated"):
         form = framelet_energy_form(sys, cfg, h0 if cfg.has_source else None)
         g = form.per_frequency
-        step = _descent(form, tau, activation, u)
+        step = _descent(form, tau, activation, u, c)
         return SchemeOperator(step, np.eye(g.shape[-1]) - tau * g, form)
     bands, resp, a_hat = cfg.bands_for(sys), sys.responses, sys.a_hat
     if kind == "spatial_framelet":  # its energy: Omega_b = I, no source
-        eye = dict.fromkeys(bands, identity(len(cfg.w[bands[0]])))
-        energy = Multiplier(framelet_terms(sys, eye, cfg.w))
-        # the step's mixers W_b are every second of the energy's: its s I decision holds
+        ones = {b: one_like(cfg.w[b]) for b in bands}
+        energy = Multiplier(framelet_terms(sys, ones, cfg.w))
         terms = zip(tau * sys.squares * a_hat, (cfg.w[b] for b in bands))
-        return _linear_operator(Multiplier(terms, mixing=energy.mixing[1::2]), energy)
+        return _linear_operator(Multiplier(terms), energy)
     # ee: band b analyses through r_b (Ahat - s_b), synthesis weights by r_b.
     # The energy is exact for the linearized form only; with a banded
     # activation it is recorded as a diagnostic, not a Lyapunov value.
-    # The step's mixers W_b are every second of the energy's (Omega_b = I +
-    # s_b W_b, W_b), and the band pass's are the step's: one s I decision.
     shift = band_shifts(sys, cfg.epsilon)
     analysis = {b: resp[b] * (a_hat - shift[b]) for b in bands}
     plain = replace(cfg, beta=0.0) if cfg.has_source else cfg
     energy = framelet_energy_form(sys, energy_enhanced_omega(sys, plain))
-    linear = Multiplier([(resp[b] * analysis[b], cfg.w[b]) for b in bands],
-                        mixing=energy.mixing[1::2])
+    linear = Multiplier([(resp[b] * analysis[b], cfg.w[b]) for b in bands])
     if activation == "identity":
         return _linear_operator(linear, energy)
     step = band_pass(u, [(analysis[b], cfg.w[b], resp[b]) for b in bands],
-                     _activation(activation), len(cfg.w[bands[0]]), linear.mixing)
+                     _activation(activation), c)
     return SchemeOperator(step, linear.per_frequency, energy)
 
 
@@ -347,7 +345,7 @@ def scheme_gains(scheme: Scheme, sys: FrameletSystem, cfg: WeightConfig) -> Opti
     on ``sys``, the numbers :func:`run_flow` records as ``FlowTrace.gains``;
     None for a per-vertex theta."""
     linear = replace(cfg, beta=0.0)  # a source term is constant
-    m = _scheme_operator(scheme, sys, linear, None).one_step
+    m = _scheme_operator(scheme, sys, linear, 1).one_step  # the gains read no step
     return None if m is None else np.max(np.abs(_modes(m, vectors=False)[0]), axis=1)
 
 
@@ -355,7 +353,7 @@ def _vertex_step(kind, activation, sys, signal, initial, cfg: WeightConfig):
     """One step of ``kind`` on a vertex-domain signal: U^T step(U H)."""
     h, was_vector = to_spectral(sys, signal)
     h0 = _spectral_initial(sys, initial, h) if cfg.has_source else None
-    op = _scheme_operator(Scheme(kind, activation), sys, cfg, h0)
+    op = _scheme_operator(Scheme(kind, activation), sys, cfg, h.shape[1], h0)
     op.energy.check_channels(h.shape[1])  # a folded step would broadcast a mismatch
     return to_vertex(sys, op.step(h, None), was_vector)
 
@@ -386,7 +384,7 @@ def energy_enhanced_omega(sys: FrameletSystem, cfg: WeightConfig) -> WeightConfi
     no source) reproduces :func:`step_ee_ufg` exactly.
     """
     shift = band_shifts(sys, cfg.epsilon)
-    omega = {b: np.eye(len(cfg.w[b])) + shift[b] * cfg.w[b] for b in cfg.bands_for(sys)}
+    omega = {b: one_like(cfg.w[b]) + shift[b] * cfg.w[b] for b in cfg.bands_for(sys)}
     return replace(cfg, omega=omega)
 
 
@@ -566,7 +564,7 @@ def run_flow(
     """
     x0, _ = _as_columns(initial, sys.n)
     h0, lam = sys.spectrum.u @ x0, sys.spectrum.eigenvalues
-    op = _scheme_operator(scheme, sys, cfg, h0)
+    op = _scheme_operator(scheme, sys, cfg, x0.shape[1], h0)
     norm0 = float(np.linalg.norm(x0))
     if norm0 == 0.0:
         raise ZeroStateError("initial state has zero norm")

@@ -3,8 +3,11 @@
 All energies are quadratic (or, for the source term, linear) forms in the
 signal.  Each one is built once as the framelets.Multiplier of its gradient
 on spectral coordinates Hhat = U H (a source is its constant term), so value
-and gradient cost O(n c^2) per call.  The vertex-domain functions here wrap
-those forms in U and U^T; dense and Kronecker forms are reserved for test
+and gradient cost O(n c^2) per call, O(n c) with number weights.  A weight
+is a number (the scalar family: s I on any channel count) or a c x c
+matrix, as the config gives it; no code tests a matrix for being a
+multiple of I.  The vertex-domain functions here wrap those forms in U and
+U^T; dense and Kronecker forms are reserved for test
 oracles.  Every functional has an analytic gradient in the same module, and
 the pairing is contract-tested against central finite differences.
 
@@ -35,6 +38,7 @@ from .errors import (
 )
 from .framelets import (
     Band, BandFilter, FrameletSystem, Multiplier, band_index_set, haar_response, identity,
+    _read_only,
 )
 from .graphs import Graph
 from . import spectral
@@ -98,10 +102,11 @@ def _restore(grad: np.ndarray, was_vector: bool):
 class WeightConfig:
     """Per-band weights plus the scalar knobs of the flow family.
 
-    omega / w map each band to a symmetric c x c matrix (symmetry is
-    validated, never silently repaired).  w_tilde holds the source mixing
-    matrices; it is not required to be symmetric.  theta maps bands to
-    length-n spectral filter coefficients.
+    omega / w map each band to a number s (s I on any channel count) or to a
+    symmetric c x c matrix (symmetry is validated, never silently repaired);
+    they are all numbers or all matrices.  w_tilde holds the source mixing
+    matrices; it is not required to be symmetric.  theta maps bands to a
+    constant spectral filter coefficient, or to one per vertex (length n).
     """
 
     omega: Dict[Band, np.ndarray]
@@ -117,25 +122,24 @@ class WeightConfig:
             raise OutOfRangeError(f"step size tau must be nonnegative, got {self.tau}")
         if self.omega.keys() != self.w.keys():
             raise BandMismatchError("omega and w must cover the same bands")
-        checked = {}  # id -> read-only copy: a matrix given for several bands is checked once
+        checked = {}  # id -> float or read-only copy: a weight of several bands is checked once
         for name in ("omega", "w"):
             mats = getattr(self, name)
             for b, m in mats.items():
                 if id(m) not in checked:
-                    checked[id(m)] = _require_symmetric(name, m, b).copy()
-                    checked[id(m)].setflags(write=False)
+                    checked[id(m)] = float(m) if np.ndim(m) == 0 else _read_only(
+                        _require_symmetric(name, m, b).copy())
             object.__setattr__(self, name, {b: checked[id(m)] for b, m in mats.items()})
+        if len({np.ndim(m) for m in checked.values()}) > 1:
+            raise ConfigError("omega and w must be all numbers or all c x c matrices")
         if self.w_tilde is not None:
-            wt = {b: np.array(m, dtype=float) for b, m in self.w_tilde.items()}
+            wt = {b: _read_only(np.array(m, dtype=float)) for b, m in self.w_tilde.items()}
             if set(wt) != set(self.omega):
                 raise BandMismatchError("w_tilde must cover the same bands as omega/w")
-            for m in wt.values():
-                m.setflags(write=False)
             object.__setattr__(self, "w_tilde", wt)
         if self.theta is not None:
-            th = {b: np.array(v, dtype=float).ravel() for b, v in self.theta.items()}
-            for v in th.values():
-                v.setflags(write=False)
+            th = {b: float(v) if np.ndim(v) == 0 else _read_only(np.array(v, dtype=float).ravel())
+                  for b, v in self.theta.items()}
             object.__setattr__(self, "theta", th)
 
     @staticmethod
@@ -145,12 +149,12 @@ class WeightConfig:
         return WeightConfig(omega=dict.fromkeys(bands, omega), w=dict.fromkeys(bands, w), **kwargs)
 
     @staticmethod
-    def scalar(scales: int, lambda_w: float, channels: int, **kwargs) -> "WeightConfig":
-        """Scalar family: W low-pass = I_c, W high-pass = lambda_w * I_c, Omega = I_c."""
-        bands, eye = band_index_set(scales), identity(channels)
-        high = lambda_w * eye
-        w = {b: high if b[0] else eye for b in bands}
-        return WeightConfig(omega=dict.fromkeys(bands, eye), w=w, **kwargs)
+    def scalar(scales: int, lambda_w: float, **kwargs) -> "WeightConfig":
+        """Scalar family, numbers on any channel count: W low-pass = 1,
+        W high-pass = lambda_w, Omega = 1."""
+        bands = band_index_set(scales)
+        w = {b: float(lambda_w) if b[0] else 1.0 for b in bands}
+        return WeightConfig(omega=dict.fromkeys(bands, 1.0), w=w, **kwargs)
 
     @property
     def has_source(self) -> bool:
@@ -164,11 +168,12 @@ class WeightConfig:
         return sys.bands
 
     def theta_for(self, bands: tuple, n: Optional[int] = None) -> Dict[Band, np.ndarray]:
-        """theta, checked to cover ``bands`` and, given n, to hold n values per band."""
+        """theta, checked to cover ``bands`` and, given n, to hold n values in
+        each per-vertex band."""
         if self.theta is None or set(self.theta) != set(bands):
             raise BandMismatchError("theta must cover exactly the system's bands")
         for b, v in self.theta.items():
-            if n is not None and v.shape[0] != n:
+            if n is not None and np.ndim(v) and v.shape[0] != n:
                 raise DimensionMismatchError(f"theta{b} has length {v.shape[0]}, expected {n}")
         return self.theta
 
@@ -294,9 +299,8 @@ def framelet_energy_form(
 
 def framelet_terms(sys: FrameletSystem, omega: dict, w: dict) -> list:
     """:func:`framelet_energy_form`'s terms over the system's bands, (r_b^2,
-    Omega_b) then (-r_b^2 a_hat, W_b) per band, band -> c x c matrix dicts
-    ``omega`` and ``w`` as mixers; the Multiplier finds whether they are
-    multiples of I."""
+    Omega_b) then (-r_b^2 a_hat, W_b) per band, with the band -> number or
+    c x c matrix dicts ``omega`` and ``w`` as mixers."""
     return [term for b, r2, a in zip(sys.bands, sys.squares, sys.ahat_terms)
             for term in ((r2, omega[b]), (a, w[b]))]
 
@@ -419,8 +423,8 @@ def particle_decomposition(
     out = {}
     for band in cfg.bands_for(sys):
         coeff = sys.spectrum.u.T @ (sys.responses[band][:, None] * h)
-        omega = cfg.omega[band]
-        w = cfg.w[band]
+        omega, w = (m * identity(h.shape[1]) if np.ndim(m) == 0 else m
+                    for m in (cfg.omega[band], cfg.w[band]))
         external = 0.5 * float(np.sum(coeff * (coeff @ (omega - w))))
         plus, minus = weight_split(w)
         scaled = coeff / np.sqrt(deg)[:, None]
@@ -437,8 +441,8 @@ def filter_factors(sys: FrameletSystem, cfg: WeightConfig) -> Dict[Band, object]
     out = {}
     for band, theta in cfg.theta_for(sys.bands, sys.n).items():
         r = sys.responses[band]
-        constant = np.all(theta == theta[0])
-        out[band] = theta[0] * r**2 if constant else BandFilter(sys.spectrum.u, r, theta)
+        constant = np.ndim(theta) == 0 or np.all(theta == theta[0])
+        out[band] = np.ravel(theta)[0] * r**2 if constant else BandFilter(sys.spectrum.u, r, theta)
     return out
 
 

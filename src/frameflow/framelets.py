@@ -15,10 +15,11 @@ A system is a spectral object: the eigenbasis U, the eigenvalues and the
 per-band responses r_b(lam).  Every band transform W_b = U^T diag(r_b) U,
 and every operator built from them, Ahat and Lhat, is diagonal in that
 basis, so flows and energies act on spectral coordinates Hhat = U H through
-a :class:`Multiplier`, Hhat -> sum_k diag(a_k) Hhat M_k with c x c channel
-mixers M_k.  What acts per vertex between a band's analysis and synthesis
-(a per-vertex filter theta, a :class:`BandFilter` term, or the banded ee
-activation) is not diagonal there; :func:`band_pass` applies it to every
+a :class:`Multiplier`, Hhat -> sum_k diag(a_k) Hhat M_k with channel
+mixers M_k: numbers s (s I on any channel count), as the scalar weights
+are, or c x c matrices.  What acts per vertex between a band's analysis
+and synthesis (a per-vertex filter theta, a :class:`BandFilter` term, or
+the banded ee activation) is not diagonal there; :func:`band_pass` applies it to every
 band in one U^T / U round trip without forming a matrix.  The dense n x n
 transforms are built only on first use of :attr:`FrameletSystem.transforms`
 (decompose/reconstruct and explicit matrix checks).
@@ -203,31 +204,28 @@ class BandFilter(NamedTuple):
     theta: np.ndarray
 
 
-def band_pass(u: np.ndarray, terms, vertex: Callable, c: int, mixing=None) -> Callable:
+def band_pass(u: np.ndarray, terms, vertex: Callable, c: int) -> Callable:
     """Hhat -> sum_b diag(s_b) U f(U^T diag(a_b) Hhat M_b) on spectral
     coordinates, for terms (a_b, M_b, s_b) and f an in-place map of vertex
     columns: every band in one U^T / U round trip on (n, bands * c) columns,
-    band b's from b*c on.  Whether every M_b is a multiple of I is decided
-    once for the stack, or read off ``mixing``, the matching rows of another
-    Multiplier's.  If so, H T with T = [I ... I] (c x bands*c) copies H into
-    every band, times one factor column; otherwise one product takes the
-    stacked c x c matrices.  The synthesis weights band b by s_b, and T^T
-    sums the bands; both copies stay BLAS products.
+    band b's from b*c on.  If every M_b is a number, H T with T = [I ... I]
+    (c x bands*c) copies H into every band, times one factor column;
+    otherwise one product takes the stacked c x c matrices.  The synthesis
+    weights band b by s_b, and T^T sums the bands; both copies stay BLAS
+    products.
 
     The map takes (h, out=None) and writes into ``out`` (or a fresh array).
     One (n, c) state runs in-place ufuncs and ``np.dot`` into scratch buffers
     built here, once; a (k, n, c) stack takes stacked products, with the bits
     of its slices."""
-    if mixing is None:
-        mixing = _identity_scales(np.array([m for _, m, _ in terms], dtype=float))
-    banded = [Multiplier([(a, m)], mixing=mixing[i:i + 1]).per_frequency
-              for i, (a, m, _) in enumerate(terms)]
+    numbers = all(np.ndim(m) == 0 for _, m, _ in terms)
+    banded = [Multiplier([(a, m)]).per_frequency for a, m, _ in terms]
     width = len(terms) * c
     weights = np.repeat(np.stack([s for _, _, s in terms], axis=1), c, axis=1)
     copies = np.tile(np.eye(c), len(terms))
     ut, sums = u.T, copies.T
     one = (*np.empty((2, len(u), width)), np.dot)  # one state's band columns x and U^T x
-    if mixing.ndim == 2:  # identity multiples: one factor per band
+    if numbers:  # one factor per band
         factors = np.repeat(np.concatenate([m[:, 0] for m in banded], axis=1), c, axis=1)
 
         def analyse(h, x, product):
@@ -251,11 +249,9 @@ def band_pass(u: np.ndarray, terms, vertex: Callable, c: int, mixing=None) -> Ca
     return apply
 
 
-def _identity_scales(mixers: np.ndarray) -> np.ndarray:
-    """The numbers s_k as a (k, 1) column if every one of the stacked c x c
-    ``mixers`` is s_k I; else the stack itself.  The one place that decides it."""
-    scales = mixers[:, :1, :1]
-    return scales[:, 0] if (mixers == scales * identity(mixers.shape[-1])).all() else mixers
+def one_like(mixer) -> object:
+    """The unit of a mixer's kind: 1.0 for a number, I for a c x c matrix."""
+    return 1.0 if np.ndim(mixer) == 0 else identity(len(mixer))
 
 
 class Multiplier:
@@ -263,62 +259,58 @@ class Multiplier:
 
     Each term is (factor, mixer).  A 1-D factor is a diagonal A_k, a function
     of the frequency; the :class:`BandFilter` factors, per-vertex filters,
-    take one :func:`band_pass`.  The mixer is a c x c channel matrix, or None
-    for the identity.  The diagonal terms sum, per frequency, into one c x c
-    matrix sum_k a_k M_k, or one number when every M_k is s_k I, so an
-    application costs one O(n c^2), or O(n c), product whatever the number
-    of bands.  That s I check is made here, once per stack of mixers, and
-    nowhere else: callers pass their weights as matrices, and a caller whose
-    mixers are some of another Multiplier's passes the matching rows of its
-    ``mixing`` to share that decision.  ``source`` S is an optional constant
-    (n, c) term.  A (k, n, c) stack of states takes one product too, with the
-    bits of its slices, and :meth:`apply_into` writes it into a caller's
-    buffer.  With symmetric mixers the map is the gradient
-    of the energy :meth:`quadratic` evaluates.
+    take one :func:`band_pass` per channel count, built on first use.  The
+    mixer is a number s_k (s_k I on any channel count), a c x c channel
+    matrix, or None for 1.  The diagonal terms sum, per frequency, into one
+    number sum_k a_k s_k when no mixer is a matrix, else into one c x c
+    matrix sum_k a_k M_k, so an application costs one O(n c), or O(n c^2),
+    product whatever the number of bands.  ``source`` S is an optional
+    constant (n, c) term.  A (k, n, c) stack of states takes one product too,
+    with the bits of its slices, and :meth:`apply_into` writes it into a
+    caller's buffer.  With symmetric mixers the map is the gradient of the
+    energy :meth:`quadratic` evaluates.
     """
 
-    def __init__(self, terms, source: Optional[np.ndarray] = None, mixing=None):
+    def __init__(self, terms, source: Optional[np.ndarray] = None):
         self.diagonal, self.matrices, self.channels, self.source = None, None, None, source
         self.columns = {}  # c -> the diagonal repeated over c channels, built on first use
-        factors, mixers, filters = [], [], []
+        self.passes = {}  # c -> the filters' band pass on c channels, built on first use
+        self.filters, scaled, factors, mixers = [], None, [], []
         for factor, mixer in terms:
-            if mixer is not None:
+            if np.ndim(mixer) == 2:
                 if self.channels not in (None, len(mixer)):
                     raise DimensionMismatchError(f"mixers of sizes {self.channels}, {len(mixer)}")
                 self.channels = len(mixer)
             if isinstance(factor, BandFilter):
-                filters.append((factor, mixer))
-            elif mixer is not None:
+                self.filters.append((factor, 1.0 if mixer is None else mixer))
+            elif mixer is None:
+                self.diagonal = factor if self.diagonal is None else self.diagonal + factor
+            elif np.ndim(mixer) == 0:  # summed from 0.0, in term order
+                scaled = (0.0 if scaled is None else scaled) + factor * mixer
+            else:
                 factors.append(factor)
                 mixers.append(mixer)
-            else:
-                self.diagonal = factor if self.diagonal is None else self.diagonal + factor
-        self.mixing = mixing  # M_k: a column of numbers s_k if every one is s_k I, else stacked
-        if mixers and mixing is None:
-            self.mixing = _identity_scales(np.array(mixers, dtype=float))
-        if mixers and self.mixing.ndim == 2:  # one number per frequency: the (n, c, c)
-            # path's sum (for c > 1), in term order from 0
-            scaled = np.add.reduce(np.asarray(factors, float) * self.mixing, axis=0, initial=0.0)
+        if scaled is not None:
             self.diagonal = scaled if self.diagonal is None else scaled + self.diagonal
-        elif mixers:  # n x c x c
-            self.matrices = np.einsum("nk,kcd->ncd", np.stack(factors, 1), self.mixing)
+        if mixers:  # n x c x c
+            self.matrices = np.einsum("nk,kcd->ncd", np.stack(factors, 1), np.array(mixers, float))
             if self.diagonal is not None:
                 self.matrices += self.diagonal[:, None, None] * identity(self.channels)
                 self.diagonal = None
-        self.filters = None  # the filters' band pass: terms (r_f, M_f, r_f), f = theta_f
-        if filters and self.channels is None:
-            raise DimensionMismatchError("a BandFilter term needs a mixer to fix the channel count")
-        if filters:
-            thetas = np.repeat(np.stack([f.theta for f, _ in filters], 1), self.channels, axis=1)
-            eye = identity(self.channels)
-            terms = [(f.response, eye if m is None else m, f.response) for f, m in filters]
-            self.filters = band_pass(filters[0][0].u, terms,
-                                     lambda x: np.multiply(x, thetas, out=x), self.channels)
+
+    def filter_pass(self, c: int) -> Callable:
+        """The filters' band pass on c channels: terms (r_f, M_f, r_f), f = theta_f."""
+        if c not in self.passes:
+            thetas = np.repeat(np.stack([f.theta for f, _ in self.filters], 1), c, axis=1)
+            terms = [(f.response, m, f.response) for f, m in self.filters]
+            self.passes[c] = band_pass(self.filters[0][0].u, terms,
+                                       lambda x: np.multiply(x, thetas, out=x), c)
+        return self.passes[c]
 
     @property
     def per_frequency(self) -> Optional[np.ndarray]:
         """sum_k a_k M_k per frequency: (n, c, c), (n, 1, 1) if a number, None with a filter."""
-        if self.filters is not None:
+        if self.filters:
             return None
         return self.diagonal[:, None, None] if self.matrices is None else self.matrices
 
@@ -336,21 +328,19 @@ class Multiplier:
     def apply_into(self, h: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """:meth:`apply`, written into ``out`` (which must not overlap h) or,
         if None, into a fresh array."""
-        self.check_channels(h.shape[-1])
+        c, filters = h.shape[-1], self.filters
+        self.check_channels(c)
         if self.matrices is not None:  # per frequency, a row times a c x c matrix
             rows = None if out is None else out[..., None, :]
             out = np.matmul(h[..., None, :], self.matrices, out=rows)[..., 0, :]
         elif self.diagonal is not None:  # a full-width column: on a stack faster than (n, 1)
-            c = h.shape[-1]
             if c not in self.columns:
                 self.columns[c] = np.repeat(self.diagonal[:, None], c, axis=1)
             out = np.multiply(self.columns[c], h, out=out)
-        elif out is None:
-            out = np.zeros_like(h)
-        else:
-            out.fill(0.0)
-        if self.filters is not None:
-            out += self.filters(h)
+        else:  # the filters alone: their band pass writes straight into out
+            out, filters = self.filter_pass(c)(h, out), None
+        if filters:  # added to the diagonal or matrix terms
+            out += self.filter_pass(c)(h)
         return out if self.source is None else np.subtract(out, self.source, out=out)
 
     def quadratic(self, h: np.ndarray) -> float:

@@ -50,36 +50,47 @@ def unvec(v: np.ndarray, shape) -> np.ndarray:
     return np.asarray(v).reshape(shape, order="F")
 
 
-def assemble_quadratic_operator(sys: ff.FrameletSystem, ahat: np.ndarray, cfg) -> np.ndarray:
-    """Kronecker matrix S with total_framelet_energy(H) = <vec H, S vec H>."""
-    n = sys.n
+def as_matrix(weight, size: int) -> np.ndarray:
+    """A weight as a matrix: a number s (a scalar weight, or a constant theta)
+    becomes s I_size; a matrix or a per-vertex theta's diagonal stays as given."""
+    if np.ndim(weight) == 0:
+        return weight * np.eye(size)
+    return np.diag(weight) if np.ndim(weight) == 1 else np.asarray(weight)
+
+
+def assemble_quadratic_operator(sys: ff.FrameletSystem, ahat: np.ndarray, cfg, c=None):
+    """Kronecker matrix S with total_framelet_energy(H) = <vec H, S vec H>;
+    number weights are s I_c."""
     s = None
     for band in sys.bands:
         t = sys.transforms[band]
         gram = t.T @ t
         conv = t.T @ ahat @ t
-        term = np.kron(cfg.omega[band], gram) - np.kron(cfg.w[band], conv)
+        omega, w = as_matrix(cfg.omega[band], c), as_matrix(cfg.w[band], c)
+        term = np.kron(omega, gram) - np.kron(w, conv)
         s = term if s is None else s + term
     return 0.5 * s
 
 
-def spatial_step_operator(sys: ff.FrameletSystem, ahat: np.ndarray, cfg) -> np.ndarray:
-    """Kronecker matrix of one spatial convolution step (tau included)."""
+def spatial_step_operator(sys: ff.FrameletSystem, ahat: np.ndarray, cfg, c=None) -> np.ndarray:
+    """Kronecker matrix of one spatial convolution step (tau included);
+    number weights are s I_c."""
     s = None
     for band in sys.bands:
         t = sys.transforms[band]
-        term = np.kron(cfg.w[band].T, t.T @ ahat @ t)
+        term = np.kron(as_matrix(cfg.w[band], c).T, t.T @ ahat @ t)
         s = term if s is None else s + term
     return cfg.tau * s
 
 
-def spectral_step_operator(sys: ff.FrameletSystem, cfg) -> np.ndarray:
-    """Kronecker matrix of one spectral filtering step (tau included)."""
-    w = cfg.w[sys.bands[0]]
+def spectral_step_operator(sys: ff.FrameletSystem, cfg, c=None) -> np.ndarray:
+    """Kronecker matrix of one spectral filtering step (tau included); a
+    number weight is s I_c, a constant theta_b is theta_b I_n."""
+    w = as_matrix(cfg.w[sys.bands[0]], c)
     s = None
     for band in sys.bands:
         t = sys.transforms[band]
-        term = np.kron(w.T, t.T @ np.diag(cfg.theta[band]) @ t)
+        term = np.kron(w.T, t.T @ as_matrix(cfg.theta[band], sys.n) @ t)
         s = term if s is None else s + term
     return cfg.tau * s
 

@@ -60,7 +60,7 @@ def c6_setting(scales: int, channels: int = 2, seed: int = 5, self_loops: bool =
 
 def run_scalar(lambda_w: float, scales: int, max_steps: int = 50_000, self_loops: bool = False):
     ahat, lap, spec, sys, h0 = c6_setting(scales, self_loops=self_loops)
-    cfg = ff.WeightConfig.scalar(scales, lambda_w, h0.shape[1], tau=1.0)
+    cfg = ff.WeightConfig.scalar(scales, lambda_w, tau=1.0)
     trace = ff.run_flow(
         ff.Scheme("spatial_framelet", renormalize=True),
         sys, h0, cfg, ff.StopRule(max_steps=max_steps),

@@ -98,7 +98,7 @@ def scalar_gains(spec, ahat, kind, lambda_w=1.0, scales=1, variant="tight", thet
     thetas = None if theta is None else {
         b: np.full(spec.n, 1.0 if b[0] == 0 else theta) for b in sys.bands
     }
-    cfg = ff.WeightConfig.scalar(scales, lambda_w, 1, theta=thetas, **knobs)
+    cfg = ff.WeightConfig.scalar(scales, lambda_w, theta=thetas, **knobs)
     return ff.scheme_gains(ff.Scheme(kind), sys, cfg)
 
 
@@ -336,7 +336,7 @@ def run_scalar_flow(lambda_w, scales=1, steps=50000, self_loops=False, channels=
     g, ahat, lap, spec = c_n(6, self_loops=self_loops)
     sys = ff.build_framelet_system(spec, scales)
     h0 = np.random.default_rng(11).standard_normal((6, channels))
-    cfg = ff.WeightConfig.scalar(scales, lambda_w, channels, tau=1.0)
+    cfg = ff.WeightConfig.scalar(scales, lambda_w, tau=1.0)
     trace = ff.run_flow(
         ff.Scheme("spatial_framelet", renormalize=True), sys, h0, cfg,
         ff.StopRule(max_steps=steps),
@@ -363,7 +363,7 @@ def test_classification_low_frequency_run():
 def test_classification_requires_renormalized_trace():
     g, ahat, lap, spec = c_n(6)
     sys = ff.build_framelet_system(spec, 1)
-    cfg = ff.WeightConfig.scalar(1, 0.5, 1)
+    cfg = ff.WeightConfig.scalar(1, 0.5)
     trace = ff.run_flow(
         ff.Scheme("spatial_framelet", renormalize=False), sys,
         np.ones((6, 1)), cfg, ff.StopRule(max_steps=5),

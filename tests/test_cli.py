@@ -340,24 +340,23 @@ def test_sweep_rows_match_single_runs(tmp_path, cfg, parameter, grid):
 
 
 @pytest.mark.parametrize(
-    "cfg,parameter,grid,builds",
-    [(SBM_SWEEP, "lambda_w", [0.5, 2.0, 8.0, 64.0], 1 + 2 * 4),
+    "cfg,parameter,grid",
+    [(SBM_SWEEP, "lambda_w", [0.5, 2.0, 8.0, 64.0]),
      (c6_config(lambda_w=1.0, scheme={"kind": "spectral_framelet"}, theta=1.0), "theta",
-      [0.5, 1.0, 3.0], 1 + 2 * 3 + 1)],
+      [0.5, 1.0, 3.0])],
     ids=["lambda_w", "spectral-theta"],
 )
-def test_a_sweep_builds_two_weight_configs_per_point(tmp_path, monkeypatch, cfg, parameter, grid,
-                                                     builds):
-    """validate_config builds the config's one-channel weights; then each point
-    builds its own twice: at one channel, which checks its value and its flow
-    before any work, and at the run's channel count.  Spectral filtering
-    builds once more per geometry, to check theta's length against the graph."""
+def test_a_sweep_builds_one_weight_config_per_point(tmp_path, monkeypatch, cfg, parameter, grid):
+    """validate_config builds the config's weights; then each point builds its
+    own once, which checks its value and its flow before any work and is what
+    its run uses.  Spectral filtering checks theta's length against the graph
+    on those same weights.  A run builds its weights once."""
     calls = _count_calls(monkeypatch, ff.energies.WeightConfig, "__post_init__")
     cli.sweep_config(cfg, parameter, grid, tmp_path / "sweep")
-    assert len(calls) == builds
+    assert len(calls) == len(grid) + 1
     calls.clear()
     cli.run_config(cfg, tmp_path / "run")
-    assert len(calls) == builds - 2 * len(grid) + 1  # validate_config's weights check the flow
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
@@ -708,7 +707,8 @@ def test_weight_matrices_and_constant_band_thetas_are_predicted(tmp_path, weight
 )
 def test_tie_reports_its_lowest_frequency(tmp_path, cfg):
     summary = cli.run_config(cfg, tmp_path)
-    lowest = max(0.0, float(cli.build_geometry(cfg).spectrum.eigenvalues[0]))
+    geometry = cli.build_geometry(cfg, cli.validate_config(cfg))
+    lowest = max(0.0, float(geometry.spectrum.eigenvalues[0]))
     assert summary["verdict"]["predicted"] == "MIXED"
     assert summary["verdict"]["dominant_lambda"] == lowest
 
@@ -744,8 +744,8 @@ def test_energy_report_generalized_energy_reads_the_shared_pair(tmp_path):
     cfg = c6_config()
     cfg["weights"] = {"mode": "shared", "omega": [[2.0, 0.5], [0.5, 1.0]],
                       "w": [[1.0, -0.25], [-0.25, 3.0]]}
-    report = cli.energy_report(cfg)
-    exp = cli.assemble(cfg, cli.build_geometry(cfg))
+    report, weights = cli.energy_report(cfg), cli.validate_config(cfg)
+    exp = cli.assemble(cfg, cli.build_geometry(cfg, weights), weights)
     expected = ff.generalized_energy(
         ff.normalized_adjacency(exp.graph), exp.initial, np.array(cfg["weights"]["omega"]),
         np.array(cfg["weights"]["w"]),
@@ -1236,9 +1236,10 @@ def test_stepped_relu_traces_keep_their_bits(tmp_path, scheme, extra, lambda_w, 
      ({"kind": "ee_ufg", "activation": "relu"}, {"epsilon": 0.2, "tau": 0.5})],
     ids=["spatial_framelet", "gradf_ufg", "activated-relu", "ee_ufg-relu"],
 )
-def test_full_weights_spelling_out_the_scalar_family_write_its_trace(tmp_path, scheme, extra):
+def test_full_weights_spelling_out_the_scalar_family_match_its_run(tmp_path, scheme, extra):
     """`full` weights Omega_b = I, W_low = I, W_high = lambda_w I, given as
-    matrices, write the bytes of the `scalar` config's trace.csv."""
+    matrices, take the c x c path: their run has the `scalar` config's
+    verdict and plateau step, and its trace agrees within 1e-12 relative."""
     lambda_w, eye = 1.5, np.eye(3)
     full = {"mode": "full", "omega": {b: eye.tolist() for b in ("0,2", "1,1", "1,2")},
             "w": {"0,2": eye.tolist(), "1,1": (lambda_w * eye).tolist(),
@@ -1252,8 +1253,12 @@ def test_full_weights_spelling_out_the_scalar_family_write_its_trace(tmp_path, s
         out = tmp_path / weights["mode"]
         config = write_config(tmp_path, cfg, f"{weights['mode']}.json")
         assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
-        traces.append((out / "trace.csv").read_bytes())
-    assert traces[0] == traces[1] and traces[0].count(b"\n") > 2
+        summary = json.loads((out / "summary.json").read_text())
+        traces.append((np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1),
+                       summary["verdict"]["dominance"], summary["final"]["steps_to_plateau"]))
+    (scalar, *verdict), (full, *full_verdict) = traces
+    assert verdict == full_verdict and len(scalar) > 2
+    np.testing.assert_allclose(full, scalar, rtol=1e-12, atol=0)
 
 
 def test_geometry_keeps_no_dense_operator_but_the_eigenbasis():
@@ -1263,11 +1268,11 @@ def test_geometry_keeps_no_dense_operator_but_the_eigenbasis():
     cfg = {"graph": {"kind": "erdos_renyi", "n": n, "p": 0.02, "seed": 3},
            "framelet": {"scales": 2}, "weights": {"mode": "scalar", "lambda_w": 2.0},
            "init": {"mode": "random_normal", "seed": 5, "channels": 4}}
-    cli.validate_config(cfg)
-    cli.build_geometry(cfg)  # warms the probe-bank cache and every lazy import
+    weights = cli.validate_config(cfg)
+    cli.build_geometry(cfg, weights)  # warms the probe-bank cache and every lazy import
     tracemalloc.start()
     try:
-        geometry = cli.build_geometry(cfg)
+        geometry = cli.build_geometry(cfg, weights)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()

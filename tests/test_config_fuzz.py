@@ -152,3 +152,81 @@ def test_single_fault_trace_files_exit_with_a_code_and_write_nothing(row, column
         code = cli.main(["classify", "--config", str(config), "--trace", str(trace)])
         assert code == 5
         assert sorted(p.name for p in Path(tmp).iterdir()) == ["config.json", "trace.csv"]
+
+
+CODES = {0, *cli.EXIT_CODES.values()}  # success, or an error mapped to its exit code
+
+
+@st.composite
+def _weight_matrix(draw, size, fault=None):
+    """A size x size matrix, s I or symmetric; an "asymmetric" or "ragged"
+    fault breaks it."""
+    s = draw(st.sampled_from([1.0, -2.0, 0.0, 0.5, 3.0]))
+    m = [[s * (i == j) for j in range(size)] for i in range(size)]
+    if size > 1 and (fault == "asymmetric" or draw(st.booleans())):
+        m[0][1], m[1][0] = 0.25, -0.25 if fault == "asymmetric" else 0.25
+    if fault == "ragged":
+        m[-1] = m[-1] + [1.0]
+    return m
+
+
+WEIGHT_FAULTS = [None, None, None, "asymmetric", "ragged", "size", "bands", "mode", "key"]
+
+
+@st.composite
+def _weights_block(draw, scales, channels):
+    """A whole weights block of any mode, with matrices of the channel count
+    or of another size, and at most one fault: a broken or odd-sized matrix,
+    band keys the bank does not have, an unknown mode, or a key of another
+    mode."""
+    bands = ["0,1", "1,1"] if scales == 1 else ["0,2", "1,1", "1,2"]
+    fault = draw(st.sampled_from(WEIGHT_FAULTS))
+    mode = "x" if fault == "mode" else draw(st.sampled_from(["scalar", "shared", "full"]))
+    size = draw(st.sampled_from([channels, 1, 2, 3]))
+    matrices = [draw(_weight_matrix(size)) for _ in range(3 * len(bands))]
+    if fault in ("asymmetric", "ragged", "size"):
+        bad = 2 if fault == "asymmetric" else draw(st.sampled_from([1, 2, 3]))
+        matrices[draw(st.integers(0, len(matrices) - 1))] = draw(
+            _weight_matrix(bad if fault != "size" else size % 3 + 1, fault))
+    block = {"mode": mode}
+    if mode == "scalar":
+        block["lambda_w"] = draw(st.sampled_from([2.0, -30.0, -1.0, 0.0, 0.5, 64]))
+    elif mode == "shared":
+        block.update(omega=matrices[0], w=matrices[1])
+    else:
+        keys = bands[:-1] if fault == "bands" else bands
+        block.update({name: dict(zip(keys, matrices[i::3]))
+                      for i, name in enumerate(("omega", "w", "w_tilde"))})
+        if draw(st.booleans()):
+            del block["w_tilde"]
+    if fault == "key":
+        block["lambda_w" if mode != "scalar" else "omega"] = [[1.0]]
+    return block
+
+
+@st.composite
+def _weights_config(draw):
+    scheme = draw(st.sampled_from([{"kind": "spatial_framelet"}, {"kind": "gradf_ufg"},
+                                   {"kind": "ee_ufg", "activation": "relu"},
+                                   {"kind": "spectral_framelet"},
+                                   {"kind": "activated", "activation": "relu"},
+                                   {"kind": "perturbed_closed_form"}]))
+    scales = 2 if scheme["kind"] == "perturbed_closed_form" else draw(st.sampled_from([1, 2]))
+    channels = draw(st.integers(1, 3))
+    cfg = _base(scheme, draw(_weights_block(scales, channels)), scales=scales, channels=channels,
+                tau=0.05, epsilon=0.2, beta=draw(st.sampled_from([0.0, 0.5])))
+    if scheme["kind"] == "spectral_framelet":
+        cfg["theta"] = draw(st.sampled_from([2.0, {"low": 1.0, "high": 0.5}]))
+    return cfg
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(cfg=_weights_config())
+def test_whole_weights_blocks_exit_with_a_mapped_code_and_write_nothing_on_failure(cfg):
+    """Whole weights blocks: every mode, matrices of 1 to 3 rows against 1 to
+    3 channels, multiples of I, symmetric and asymmetric matrices, missing or
+    extra bands and keys.  ``run`` and a ``lambda_w`` sweep exit 0 or with a
+    mapped code, and write nothing when they fail."""
+    with tempfile.TemporaryDirectory() as tmp:
+        codes = _main_codes(cfg, "lambda_w", "0.5,2", tmp)
+    assert set(codes) <= CODES

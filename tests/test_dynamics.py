@@ -47,7 +47,7 @@ def setting(rng, n=8, scales=2, c=3, self_loops=False):
 def test_spatial_step_shared_identity_is_one_hop(rng, scales):
     g, ahat, _, _, h = setting(rng, n=10, scales=scales)
     sys = build(g, scales)
-    cfg = ff.WeightConfig.scalar(scales, 1.0, 3, tau=1.0)
+    cfg = ff.WeightConfig.scalar(scales, 1.0, tau=1.0)
     out = ff.step_spatial_framelet(sys, h, cfg)
     assert np.linalg.norm(out - ahat @ h) <= 1e-10 * max(1.0, np.linalg.norm(h))
 
@@ -63,14 +63,14 @@ def test_spatial_step_shared_weight_matrix(rng):
 def test_spatial_step_two_node_annihilates_alternating():
     g = ff.Graph.from_edges(2, [(0, 1)], self_loops=True)
     sys = build(g, 1)
-    cfg = ff.WeightConfig.scalar(1, 1.0, 1, tau=1.0)
+    cfg = ff.WeightConfig.scalar(1, 1.0, tau=1.0)
     out = ff.step_spatial_framelet(sys, np.array([1.0, -1.0]), cfg)
     np.testing.assert_allclose(out, [0.0, 0.0], atol=1e-12)
 
 
 def test_spatial_step_zero_signal(rng):
     _, ahat, _, sys, _ = setting(rng)
-    cfg = ff.WeightConfig.scalar(2, 5.0, 2)
+    cfg = ff.WeightConfig.scalar(2, 5.0)
     np.testing.assert_allclose(ff.step_spatial_framelet(sys, np.zeros((8, 2)), cfg), 0.0)
 
 
@@ -109,7 +109,7 @@ def test_energy_enhanced_step_matches_gradient_path(rng):
 
 def test_energy_enhanced_step_zero_epsilon_reduces_to_spatial(rng):
     g, ahat, _, sys, h = setting(rng, n=7, scales=1)
-    cfg = ff.WeightConfig.scalar(1, 1.0, 3, epsilon=0.0, tau=1.0)
+    cfg = ff.WeightConfig.scalar(1, 1.0, epsilon=0.0, tau=1.0)
     out = ff.step_ee_ufg(sys, h, cfg)
     assert np.linalg.norm(out - ahat @ h) <= 1e-10 * max(1.0, np.linalg.norm(h))
 
@@ -341,6 +341,38 @@ def test_spectral_core_matches_kronecker_oracles(rng, scales, variant):
 
 
 @pytest.mark.parametrize("scales,variant", [(1, "tight"), (2, "tight"), (2, "paper_literal")])
+def test_number_weights_match_the_kronecker_oracles_of_their_multiples_of_i(rng, scales, variant):
+    """Scalar weights are numbers, a constant theta_b too; the oracles read a
+    number s as s I, and every step and energy agrees with them."""
+    from conftest import spatial_step_operator, spectral_step_operator
+
+    n, c = 7, 3
+    g = random_er_graph(rng, n)
+    ahat = ff.normalized_adjacency(g)
+    sys = build(g, scales, variant)
+    h = rng.standard_normal((n, c))
+    tol = 1e-10 * max(1.0, np.linalg.norm(h))
+    cfg = ff.WeightConfig.scalar(scales, -1.7, epsilon=0.4, tau=0.7)
+    quad = assemble_quadratic_operator(sys, ahat, cfg, c)
+    assert abs(ff.total_framelet_energy(sys, h, cfg) - float(vec(h) @ quad @ vec(h))) <= tol
+    grad = ff.total_framelet_energy_gradient(sys, h, cfg)
+    assert np.linalg.norm(vec(grad) - 2.0 * quad @ vec(h)) <= tol
+    out = ff.step_spatial_framelet(sys, h, cfg)
+    assert np.linalg.norm(vec(out) - spatial_step_operator(sys, ahat, cfg, c) @ vec(h)) <= tol
+    out = ff.step_gradf_ufg(sys, h, None, cfg)
+    assert np.linalg.norm(vec(out) - (vec(h) - cfg.tau * 2.0 * quad @ vec(h))) <= tol
+    shifted = {b: ahat + (-0.4 if b == sys.low_pass else 0.4) * np.eye(n) for b in sys.bands}
+    ee_op = sum(cfg.w[b] * np.kron(np.eye(c), sys.transforms[b].T @ shifted[b] @ sys.transforms[b])
+                for b in sys.bands)
+    assert np.linalg.norm(vec(ff.step_ee_ufg(sys, h, cfg)) - ee_op @ vec(h)) <= tol
+    for theta in ({b: 1.0 if b[0] == 0 else 2.5 for b in sys.bands},
+                  {b: rng.uniform(0.0, 2.0, size=n) for b in sys.bands}):
+        sp_cfg = ff.WeightConfig.scalar(scales, 1.0, theta=theta, tau=0.9)
+        out = ff.step_spectral_framelet(sys, h, sp_cfg)
+        assert np.linalg.norm(vec(out) - spectral_step_operator(sys, sp_cfg, c) @ vec(h)) <= tol
+
+
+@pytest.mark.parametrize("scales,variant", [(1, "tight"), (2, "tight"), (2, "paper_literal")])
 def test_one_step_matrices_pool_to_the_kronecker_spectrum(rng, scales, variant):
     """With full, non-scalar W_b the n c x n c Kronecker operator of one step
     has the eigenvalues of the per-frequency matrices M_i, pooled over i,
@@ -367,7 +399,7 @@ def test_one_step_matrices_pool_to_the_kronecker_spectrum(rng, scales, variant):
         "spectral_framelet": (sp_cfg, spectral_step_operator(sys, sp_cfg)),
     }
     for kind, (kcfg, oracle) in kronecker.items():
-        m = dynamics._scheme_operator(ff.Scheme(kind), sys, kcfg, None).one_step
+        m = dynamics._scheme_operator(ff.Scheme(kind), sys, kcfg, c).one_step
         assert m.shape == (n, c, c)
         pooled = np.linalg.eigvalsh(m)
         np.testing.assert_allclose(
@@ -385,40 +417,6 @@ def test_one_step_matrices_pool_to_the_kronecker_spectrum(rng, scales, variant):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("mode", ["scalar", "general"])
-def test_a_spatial_operator_decides_identity_multiples_once(rng, monkeypatch, mode):
-    """spatial_framelet's step mixers W_b are among its energy's, so the
-    energy's Multiplier decides once whether they are multiples of I; the
-    step that shares that decision has the bits of a step built on its own."""
-    _, _, _, sys, _ = setting(rng, n=8, scales=2, c=3)
-    if mode == "scalar":
-        cfg = ff.WeightConfig.scalar(2, 4.0, 3, tau=0.5)
-    else:
-        w = {b: random_symmetric(rng, 3) for b in sys.bands}
-        cfg = ff.WeightConfig(omega={b: np.eye(3) for b in sys.bands}, w=w, tau=0.5)
-    stacks, decide = [], framelets._identity_scales
-    monkeypatch.setattr(framelets, "_identity_scales", lambda m: stacks.append(len(m)) or decide(m))
-    op = dynamics._scheme_operator(ff.Scheme("spatial_framelet"), sys, cfg, None)
-    assert stacks == [2 * len(sys.bands)]  # (Omega_b = I, W_b) per band
-    alone = framelets.Multiplier(
-        [(cfg.tau * sys.responses[b] ** 2 * (1.0 - sys.spectrum.eigenvalues), cfg.w[b])
-         for b in sys.bands]
-    )
-    np.testing.assert_array_equal(op.one_step, alone.per_frequency)
-
-
-def test_a_banded_ee_operator_decides_identity_multiples_once(rng, monkeypatch):
-    """The banded ee step's mixers W_b are every second of its energy's
-    (Omega_b = I + s_b W_b, W_b), and its band pass takes the step's rows:
-    the energy's Multiplier decides once for the whole operator."""
-    _, _, _, sys, _ = setting(rng, n=8, scales=2, c=3)
-    cfg = ff.WeightConfig.scalar(2, 20.0, 3, epsilon=0.1, tau=1.0)
-    stacks, decide = [], framelets._identity_scales
-    monkeypatch.setattr(framelets, "_identity_scales", lambda m: stacks.append(len(m)) or decide(m))
-    dynamics._scheme_operator(ff.Scheme("ee_ufg", "relu"), sys, cfg, None)
-    assert stacks == [2 * len(sys.bands)]  # (Omega_b, W_b) per band
-
-
 def c6_pieces(scales=1, channels=2, seed=3):
     g = ff.generate_graph(ff.GraphSpec(kind="cycle", n=6))
     ahat, lap = ff.normalized_adjacency(g), ff.normalized_laplacian(g)
@@ -430,7 +428,7 @@ def c6_pieces(scales=1, channels=2, seed=3):
 
 def test_run_flow_single_step_has_two_rows():
     _, ahat, lap, _, sys, h0 = c6_pieces()
-    cfg = ff.WeightConfig.scalar(1, 1.0, 2)
+    cfg = ff.WeightConfig.scalar(1, 1.0)
     trace = ff.run_flow(
         ff.Scheme("spatial_framelet", renormalize=True), sys, h0, cfg,
         ff.StopRule(max_steps=1),
@@ -445,7 +443,7 @@ def test_run_flow_gcn_reduction_smooths():
     ahat, lap = ff.normalized_adjacency(g), ff.normalized_laplacian(g)
     spec = ff.eigh(lap)
     sys = ff.build_framelet_system(spec, 1)
-    cfg = ff.WeightConfig.scalar(1, 1.0, 2)
+    cfg = ff.WeightConfig.scalar(1, 1.0)
     trace = ff.run_flow(
         ff.Scheme("spatial_framelet", renormalize=True), sys, h0, cfg,
         ff.StopRule(max_steps=20000),
@@ -457,7 +455,7 @@ def test_run_flow_gcn_reduction_smooths():
 
 def test_run_flow_trace_rows_stay_in_range():
     _, ahat, lap, spec, sys, h0 = c6_pieces()
-    cfg = ff.WeightConfig.scalar(1, 3.0, 2)
+    cfg = ff.WeightConfig.scalar(1, 3.0)
     trace = ff.run_flow(
         ff.Scheme("spatial_framelet", renormalize=True), sys, h0, cfg,
         ff.StopRule(max_steps=300),
@@ -469,7 +467,7 @@ def test_run_flow_trace_rows_stay_in_range():
 
 def test_run_flow_overflow_guard():
     _, ahat, lap, _, sys, h0 = c6_pieces()
-    cfg = ff.WeightConfig.scalar(1, 1e8, 2, tau=1e6)
+    cfg = ff.WeightConfig.scalar(1, 1e8, tau=1e6)
     with pytest.raises(NumericOverflowError):
         ff.run_flow(
             ff.Scheme("spatial_framelet", renormalize=False), sys, h0, cfg,
@@ -485,7 +483,7 @@ def test_tanh_renormalize_rejected():
 def test_linear_schemes_positively_homogeneous(rng):
     g, ahat, _, sys, h = setting(rng, n=7, scales=1)
     theta = {b: rng.uniform(0.0, 2.0, size=7) for b in sys.bands}
-    cfg = ff.WeightConfig.scalar(1, 4.0, 3, epsilon=0.2, tau=0.8, theta=theta)
+    cfg = ff.WeightConfig.scalar(1, 4.0, epsilon=0.2, tau=0.8, theta=theta)
     spectral_cfg = ff.WeightConfig.shared(1, np.eye(3), random_symmetric(rng, 3), theta=theta)
     alpha = 3.7
     for step in (
@@ -594,12 +592,14 @@ def linear_case(rng, scheme, weights, scales, variant, graph=None, c=2):
     sys = build(g, scales, variant)
     bands = sys.bands
     if scheme == "spectral_framelet":  # one shared W across bands
-        w = {"scalar": np.eye(c), "shared": random_symmetric(rng, c), "full": random_symmetric(rng, c)}[weights]
+        w = {"scalar": 1.0, "shared": random_symmetric(rng, c),
+             "full": random_symmetric(rng, c)}[weights]
         theta = {b: np.full(g.n, 1.0 if b[0] == 0 else 2.5) for b in bands}
         omega = {b: random_symmetric(rng, c) if weights == "full" else np.eye(c) for b in bands}
+        omega = dict.fromkeys(bands, 1.0) if weights == "scalar" else omega
         cfg = ff.WeightConfig(omega=omega, w={b: w for b in bands}, theta=theta, tau=0.9)
     elif weights == "scalar":  # lambda_w = 64 gives negative multipliers at the top
-        cfg = ff.WeightConfig.scalar(scales, 64.0, c, epsilon=0.3, tau=0.05)
+        cfg = ff.WeightConfig.scalar(scales, 64.0, epsilon=0.3, tau=0.05)
     elif weights == "shared":
         cfg = ff.WeightConfig.shared(
             scales, np.eye(c) + random_symmetric(rng, c, 0.3), random_symmetric(rng, c),
@@ -615,7 +615,7 @@ def linear_case(rng, scheme, weights, scales, variant, graph=None, c=2):
         if weights != "scalar":
             cfg = replace(cfg, tau=1.0)
         step = lambda x: ff.step_spatial_framelet(sys, x, cfg)  # noqa: E731
-        eye = {b: np.eye(c) for b in bands}
+        eye = dict.fromkeys(bands, 1.0 if weights == "scalar" else np.eye(c))
         grad = lambda x: energies.total_framelet_energy_gradient(sys, x, replace(cfg, omega=eye))  # noqa: E731
     elif scheme in ("gradf_ufg", "activated"):
         step = lambda x: ff.step_activated(sys, x, None, cfg, "identity")  # noqa: E731
@@ -712,7 +712,7 @@ def test_a_stepped_state_that_vanishes_names_its_step(rng):
     activation zeroes it, so step 1 leaves nothing to renormalize."""
     sys, _, _ = identity_basis(rng, 2)
     lam = sys.spectrum.eigenvalues
-    cfg = ff.WeightConfig.scalar(2, 2.0, 1)  # epsilon 0: band b analyses by r_b (1 - lam) w_b
+    cfg = ff.WeightConfig.scalar(2, 2.0)  # epsilon 0: band b analyses by r_b (1 - lam) w_b
     assert all(np.all(sys.responses[b] >= 0.0) for b in sys.bands)
     h0 = -(1.0 - lam)[:, None]  # analysis -r_b (1 - lam)^2 w_b <= 0 in every band
     with pytest.raises(ZeroStateError, match="state vanished at step 1$"):
@@ -721,7 +721,7 @@ def test_a_stepped_state_that_vanishes_names_its_step(rng):
 
 def test_unrenormalized_flow_overflows_at_the_reference_step(rng):
     _, ahat, lap, _, sys, h0 = c6_pieces()
-    cfg = ff.WeightConfig.scalar(1, 1e8, 2, tau=1e6)
+    cfg = ff.WeightConfig.scalar(1, 1e8, tau=1e6)
     stop = ff.StopRule(max_steps=100000, plateau_tol=0.0)
     step = lambda x: ff.step_spatial_framelet(sys, x, cfg)  # noqa: E731
     grad = lambda x: energies.total_framelet_energy_gradient(sys, x, cfg)  # noqa: E731
@@ -739,7 +739,7 @@ def test_plateau_just_before_an_overflow_in_the_same_block_returns_a_trace():
     ahat, lap = ff.normalized_adjacency(g), ff.normalized_laplacian(g)
     sys = build(g, 2)
     x0 = np.full((5, 1), 1e-5 / np.sqrt(5.0))
-    cfg = ff.WeightConfig.scalar(2, 1.0, 1, tau=1e12)
+    cfg = ff.WeightConfig.scalar(2, 1.0, tau=1e12)
     scheme = ff.Scheme("spatial_framelet")
     trace = ff.run_flow(scheme, sys, x0, cfg, ff.StopRule(50, plateau_window=10))
     assert trace.steps_to_plateau == 10 and trace.steps_run == 10
@@ -761,6 +761,57 @@ SCALAR_LINEAR = {  # kind -> (scales, WeightConfig.scalar keywords besides lambd
     "spectral_framelet": (1, {"tau": 1.0}),
     "perturbed_closed_form": (2, {"epsilon": 0.5, "tau": 0.05}),
 }
+
+
+TWIN_SCHEMES = {  # label -> (scheme, WeightConfig keywords besides the weights)
+    "spatial_framelet": (ff.Scheme("spatial_framelet", renormalize=True), {"tau": 1.0}),
+    "gradf_ufg": (ff.Scheme("gradf_ufg", renormalize=True), {"tau": 0.05}),
+    "ee_ufg": (ff.Scheme("ee_ufg", renormalize=True), {"epsilon": 0.2}),
+    "ee_ufg-relu": (ff.Scheme("ee_ufg", "relu", True), {"epsilon": 0.2}),
+    "spectral_framelet": (ff.Scheme("spectral_framelet", renormalize=True), {}),
+    "spectral_framelet-per-vertex": (ff.Scheme("spectral_framelet", renormalize=True), {}),
+    "activated-relu": (ff.Scheme("activated", "relu", True), {"tau": 0.05}),
+    "activated-tanh": (ff.Scheme("activated", "tanh"), {"tau": 0.05}),
+    "perturbed_closed_form": (ff.Scheme("perturbed_closed_form", renormalize=True),
+                              {"epsilon": 0.5, "tau": 0.05}),
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(label=st.sampled_from(sorted(TWIN_SCHEMES)), c=st.integers(1, 5),
+       scales=st.sampled_from([1, 2]), lambda_w=st.sampled_from([-30.0, -2.0, 0.5, 3.0, 30.0]),
+       seed=st.integers(0, 2**16))
+def test_scalar_weights_and_their_full_twin_give_one_run(label, c, scales, lambda_w, seed):
+    """A `scalar` config (numbers) and its `full` twin (1 and lambda_w as
+    multiples of I) take different paths, and give the same verdict and
+    plateau step, with traces within 1e-12 relative."""
+    rng = np.random.default_rng(seed)
+    scheme, extra = TWIN_SCHEMES[label]
+    scales = 2 if scheme.kind == "perturbed_closed_form" else scales
+    sys = build(random_er_graph(rng, 12, p=0.4), scales)
+    if scheme.kind == "spectral_framelet":  # one shared W: lambda_w sets theta instead
+        theta = {b: 0.5 if b[0] == 0 else abs(lambda_w) for b in sys.bands}
+        if label.endswith("per-vertex"):
+            theta = {b: rng.uniform(0.0, 2.0, size=sys.n) for b in sys.bands}
+        lambda_w, extra = 1.0, dict(extra, theta=theta)
+    scalar = ff.WeightConfig.scalar(scales, lambda_w, **extra)
+    full = ff.WeightConfig(omega={b: np.eye(c) for b in sys.bands},
+                           w={b: w * np.eye(c) for b, w in scalar.w.items()}, **extra)
+    x0, stop = rng.standard_normal((sys.n, c)), ff.StopRule(200)
+    runs = []
+    for cfg in (scalar, full):
+        trace = ff.run_flow(scheme, sys, x0, cfg, stop)
+        gains = trace.gains
+        prediction = None if gains is None else ff.dominant_frequency(sys.spectrum, gains)
+        verdict = None  # dominance is defined on renormalized runs only
+        if scheme.renormalize:
+            verdict = ff.classify_dominance(trace, sys.spectrum, prediction=prediction).dominance
+        runs.append((trace, verdict, trace.steps_to_plateau))
+    (numbers, *outcome), (matrices, *full_outcome) = runs
+    assert outcome == full_outcome
+    for column in ("norms", "dirichlet_normalized", "total_energy"):
+        a, b = getattr(numbers, column), getattr(matrices, column)
+        np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-12 * np.max(np.abs(a)), err_msg=column)
 
 
 def _stepped_reference(op, lam, h0, max_steps, scheme):
@@ -800,10 +851,10 @@ def test_per_frequency_modes_match_stepping_the_same_operator(kind, graph, c, re
     if kind == "spectral_framelet":  # one shared W: the drawn number sets theta instead
         lambda_w, theta_high = 1.0, abs(lambda_w)
     theta = {b: np.full(sys.n, 0.5 if b[0] == 0 else theta_high) for b in sys.bands}
-    cfg = ff.WeightConfig.scalar(scales, lambda_w, c, theta=theta, **extra)
+    cfg = ff.WeightConfig.scalar(scales, lambda_w, theta=theta, **extra)
     scheme, stop = ff.Scheme(kind, renormalize=renormalize), ff.StopRule(300, plateau_tol)
     x0 = rng.standard_normal((sys.n, c))
-    op = dynamics._scheme_operator(scheme, sys, cfg, None)
+    op = dynamics._scheme_operator(scheme, sys, cfg, c)
     # one number per frequency, for the step and the governing energy alike
     assert op.one_step.shape[1:] == op.energy.per_frequency.shape[1:] == (1, 1)
     lam, u, h0 = sys.spectrum.eigenvalues, sys.spectrum.u, sys.spectrum.u @ x0
@@ -841,7 +892,7 @@ def test_per_frequency_modes_match_stepping_the_same_operator(kind, graph, c, re
 @pytest.mark.parametrize("kind", ["spatial_framelet", "gradf_ufg", "ee_ufg", "spectral_framelet"])
 def test_one_step_eigenvectors_diagonalize_the_governing_energy(rng, kind, scales, variant):
     sys, ahat, lap, cfg, _, _ = linear_case(rng, kind, "full", scales, variant, c=4)
-    op = dynamics._scheme_operator(ff.Scheme(kind), sys, cfg, None)
+    op = dynamics._scheme_operator(ff.Scheme(kind), sys, cfg, 4)
     _, q = dynamics._modes(op.one_step)
     for g_i, q_i in zip(op.energy.matrices, q):
         rotated = q_i.T @ g_i @ q_i
@@ -888,7 +939,7 @@ def test_a_public_step_rejects_a_channel_mismatch(rng, kind, activation):
 @pytest.mark.parametrize("kind,activation", [("activated", "relu"), ("ee_ufg", "relu")])
 def test_stepped_flows_decompose_no_one_step_eigenvectors(rng, monkeypatch, kind, activation):
     g, ahat, lap, sys, h = setting(rng, n=8, scales=2)
-    cfg = ff.WeightConfig.scalar(2, 0.5, h.shape[1], epsilon=0.2, tau=0.05)
+    cfg = ff.WeightConfig.scalar(2, 0.5, epsilon=0.2, tau=0.05)
     monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: pytest.fail("eigh was called"))
     trace = ff.run_flow(ff.Scheme(kind, activation, renormalize=True), sys, h, cfg,
                         ff.StopRule(20))
@@ -910,7 +961,7 @@ def stepped_config(rng, kind, weights, bands, c, with_source=False):
     source = {"w_tilde": {b: rng.standard_normal((c, c)) for b in bands}, "beta": 0.5}
     extra = dict(source if kind == "gradf_ufg" or with_source else {}, epsilon=0.1, tau=tau)
     if weights == "scalar":
-        return ff.WeightConfig.scalar(len(bands) - 1, lambda_w, c, **extra)
+        return ff.WeightConfig.scalar(len(bands) - 1, lambda_w, **extra)
     return ff.WeightConfig(
         omega={b: np.eye(c) + random_symmetric(rng, c, 0.2) for b in bands},
         w={b: random_symmetric(rng, c, lambda_w) for b in bands}, **extra,
@@ -987,7 +1038,7 @@ def test_stepped_trace_replays_the_public_steps_bit_for_bit(rng, kind, activatio
         _, _, _, graph_sys, h = setting(rng, n=14, scales=2, c=c)
         cfg = config(graph_sys, c)
         h0 = rng.standard_normal(h.shape) if cfg.has_source else None
-        op = dynamics._scheme_operator(scheme, graph_sys, cfg, h0)
+        op = dynamics._scheme_operator(scheme, graph_sys, cfg, c, h0)
         before, out = h.copy(), np.full_like(h, np.nan)
         assert op.step(h, out) is out
         np.testing.assert_array_equal(h, before)
@@ -998,7 +1049,7 @@ def test_stepped_trace_replays_the_public_steps_bit_for_bit(rng, kind, activatio
 def test_stepped_descent_computes_one_energy_gradient_per_step(rng, monkeypatch, activation,
                                                                renormalize):
     g, ahat, lap, sys, h = setting(rng, n=8, scales=2)
-    cfg = ff.WeightConfig.scalar(2, 0.5, h.shape[1], tau=0.05)
+    cfg = ff.WeightConfig.scalar(2, 0.5, tau=0.05)
     forms, calls = [], []
     build_form, apply = dynamics.framelet_energy_form, framelets.Multiplier.apply
     monkeypatch.setattr(dynamics, "framelet_energy_form",
@@ -1014,7 +1065,7 @@ def test_stepped_descent_computes_one_energy_gradient_per_step(rng, monkeypatch,
 
 def test_banded_ee_step_with_scalar_weights_applies_no_band_multiplier(rng, monkeypatch):
     g, ahat, lap, sys, h = setting(rng, n=8, scales=2)
-    cfg = ff.WeightConfig.scalar(2, 20.0, h.shape[1], epsilon=0.1, tau=1.0)
+    cfg = ff.WeightConfig.scalar(2, 20.0, epsilon=0.1, tau=1.0)
     calls, apply = [], framelets.Multiplier.apply
     monkeypatch.setattr(framelets.Multiplier, "apply", lambda self, h: calls.append(self) or apply(self, h))
     steps = 200
@@ -1069,18 +1120,19 @@ def test_banded_ee_analyses_every_band_with_the_bits_of_its_own_multiplier(rng, 
     of its own Multiplier around the same round trip and synthesis."""
     g, ahat, lap, sys, h = setting(rng, n=n, scales=2, c=c)
     w = {b: random_symmetric(rng, c, 20.0) for b in sys.bands}
-    if weights == "scalar":
-        w = {b: float(i + 1) * np.eye(c) for i, b in enumerate(sys.bands)}
+    omega = dict.fromkeys(sys.bands, np.eye(c))
+    if weights == "scalar":  # numbers: copies of H times one factor per band
+        w, omega = {b: float(i + 1) for i, b in enumerate(sys.bands)}, dict.fromkeys(sys.bands, 1.0)
     elif weights == "mixed":
         w[sys.low_pass] = 3.0 * np.eye(c)
-    cfg = ff.WeightConfig(omega={b: np.eye(c) for b in sys.bands}, w=w, epsilon=0.1)
+    cfg = ff.WeightConfig(omega=omega, w=w, epsilon=0.1)
     u, resp, shift = sys.spectrum.u, sys.responses, energies.band_shifts(sys, 0.1)
     a_hat = 1.0 - sys.spectrum.eigenvalues
     analyses = [framelets.Multiplier([(resp[b] * (a_hat - shift[b]), w[b])]).apply(h)
                 for b in sys.bands]
     post = u @ np.maximum(u.T @ np.concatenate(analyses, axis=1), 0.0)
     post *= np.repeat(np.stack([resp[b] for b in sys.bands], axis=1), c, axis=1)
-    step = dynamics._scheme_operator(ff.Scheme("ee_ufg", "relu"), sys, cfg, None).step(h)
+    step = dynamics._scheme_operator(ff.Scheme("ee_ufg", "relu"), sys, cfg, c).step(h)
     np.testing.assert_array_equal(step, post @ np.tile(np.eye(c), len(sys.bands)).T)
     per_band = sum(resp[b][:, None] * (u @ np.maximum(u.T @ x, 0.0))
                    for b, x in zip(sys.bands, analyses))
@@ -1136,7 +1188,7 @@ def test_a_stepped_overflow_names_its_step_unless_the_plateau_fires_first(rng, t
     step k comes from replaying the public steps (bit-equal on an identity basis)."""
     sys, ahat, lap = identity_basis(rng, 2)
     x0 = rng.standard_normal((sys.n, 3))
-    cfg = ff.WeightConfig.scalar(2, 0.5, 3, tau=tau, beta=0.5,
+    cfg = ff.WeightConfig.scalar(2, 0.5, tau=tau, beta=0.5,
                                  w_tilde={b: rng.standard_normal((3, 3)) for b in sys.bands})
     x, k = x0, 0
     while float(np.linalg.norm(x)) <= dynamics.OVERFLOW_GUARD:

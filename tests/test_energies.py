@@ -186,6 +186,31 @@ def test_weight_config_bands_must_agree():
         ff.WeightConfig.shared(1, eye, eye, w_tilde={(0, 1): eye})
 
 
+@pytest.mark.parametrize("omega,w", [
+    (1.0, np.eye(2)), (np.eye(2), 2.0),
+    ({(0, 1): 1.0, (1, 1): np.eye(2)}, {(0, 1): 1.0, (1, 1): 2.0}),
+])
+def test_weight_config_rejects_numbers_mixed_with_matrices(omega, w):
+    bands = ((0, 1), (1, 1))
+    omega = omega if isinstance(omega, dict) else dict.fromkeys(bands, omega)
+    w = w if isinstance(w, dict) else dict.fromkeys(bands, w)
+    with pytest.raises(ConfigError, match="all numbers or all c x c matrices"):
+        ff.WeightConfig(omega=omega, w=w)
+
+
+def test_scalar_weights_are_numbers_whatever_the_channel_count(rng):
+    """The scalar family holds 1 and lambda_w; its particle reading is that of
+    the same numbers times I."""
+    cfg = ff.WeightConfig.scalar(2, -3.0)
+    assert cfg.omega == dict.fromkeys(cfg.omega, 1.0)
+    assert cfg.w == {(0, 2): 1.0, (1, 1): -3.0, (1, 2): -3.0}
+    g = random_er_graph(rng, 7)
+    sys, x = build(g, 2), rng.standard_normal((7, 3))
+    twin = ff.WeightConfig(omega={b: np.eye(3) for b in sys.bands},
+                           w={b: w * np.eye(3) for b, w in cfg.w.items()})
+    assert ff.particle_decomposition(sys, g, x, cfg) == ff.particle_decomposition(sys, g, x, twin)
+
+
 def test_source_needs_w_tilde(rng):
     sys = build(random_er_graph(rng, 6), 1)
     cfg = ff.WeightConfig.shared(1, np.eye(2), np.eye(2), beta=1.0)

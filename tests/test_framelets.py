@@ -176,26 +176,28 @@ def test_paper_literal_residual_reported_not_zero(rng):
 
 
 @pytest.mark.parametrize("with_source", [False, True])
-def test_identity_multiple_mixers_stay_scalars_with_the_matrix_path_bits(rng, with_source):
-    """s I mixers fold into their factors (one number per frequency); a term
-    with a zero factor and a general mixer adds exact zeros, so it forces the
-    same terms through the (n, c, c) path without changing a sum."""
+def test_number_mixers_give_the_bits_of_their_multiples_of_i(rng, with_source):
+    """Number mixers s fold into their factors (one number per frequency) and
+    fit any channel count; the same terms with s I matrices take the (n, c, c)
+    path, fix the channel count, and give the same bits."""
     n, c = 11, 4
-    terms = [(rng.standard_normal(n), s * np.eye(c)) for s in (1.0, -0.5, 20.0, 0.3)]
-    terms += [(rng.standard_normal(n), None), (rng.standard_normal(n), 2.0 * np.eye(c))]
+    pairs = [(rng.standard_normal(n), s) for s in (1.0, -0.5, 20.0, 0.3)]
+    pairs += [(rng.standard_normal(n), None), (rng.standard_normal(n), 2.0)]
     source = rng.standard_normal((n, c)) if with_source else None
-    scalar = framelets.Multiplier(terms, source)
-    general = rng.standard_normal((c, c))
-    forced = framelets.Multiplier(terms + [(np.zeros(n), general + general.T)], source)
-    assert scalar.matrices is None and scalar.per_frequency.shape == (n, 1, 1)
-    assert forced.matrices is not None and forced.per_frequency.shape == (n, c, c)
-    assert scalar.channels == forced.channels == c
-    np.testing.assert_array_equal(forced.per_frequency[:, 1, 1], scalar.per_frequency[:, 0, 0])
+    numbers = framelets.Multiplier(pairs, source)
+    matrices = framelets.Multiplier(
+        [(a, None if s is None else s * np.eye(c)) for a, s in pairs], source)
+    assert numbers.matrices is None and numbers.per_frequency.shape == (n, 1, 1)
+    assert matrices.matrices is not None and matrices.per_frequency.shape == (n, c, c)
+    assert (numbers.channels, matrices.channels) == (None, c)
+    np.testing.assert_array_equal(matrices.per_frequency[:, 1, 1], numbers.per_frequency[:, 0, 0])
     h = rng.standard_normal((n, c))
-    np.testing.assert_array_equal(scalar.apply(h), forced.apply(h))
-    assert scalar.quadratic(h) == forced.quadratic(h)
+    np.testing.assert_array_equal(numbers.apply(h), matrices.apply(h))
+    assert numbers.quadratic(h) == matrices.quadratic(h)
     with pytest.raises(DimensionMismatchError, match="signal has 3 channels"):
-        scalar.apply(h[:, :3])
+        matrices.apply(h[:, :3])
+    if not with_source:
+        np.testing.assert_array_equal(numbers.apply(h[:, :3]), numbers.apply(h)[:, :3])
 
 
 @pytest.mark.parametrize("kind", ["numbers", "matrices", "filter"])
@@ -203,7 +205,7 @@ def test_a_stack_applies_as_its_slices_bit_for_bit(rng, kind):
     """A (k, n, c) stack, as a stepped flow records a block of states."""
     n, c = 9, 3
     u = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    mixer = np.eye(c) if kind == "numbers" else random_symmetric(rng, c, 1.0)
+    mixer = 1.0 if kind == "numbers" else random_symmetric(rng, c, 1.0)
     terms = [(rng.standard_normal(n), 2.0 * mixer), (rng.standard_normal(n), None)]
     if kind == "filter":
         terms.append((framelets.BandFilter(u, rng.standard_normal(n), rng.random(n)), mixer))
@@ -219,7 +221,7 @@ def test_a_stack_applies_into_a_buffer_as_its_slices_bit_for_bit(rng, kind, n, c
     """A stepped flow's rows apply the energy to a block of states in one
     product, into a scratch buffer reused across blocks."""
     u = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    mixer = np.eye(c) if kind == "numbers" else random_symmetric(rng, c, 1.0)
+    mixer = 1.0 if kind == "numbers" else random_symmetric(rng, c, 1.0)
     terms = [(rng.standard_normal(n), 2.0 * mixer), (rng.standard_normal(n), None)]
     if kind == "filter":
         terms.append((framelets.BandFilter(u, rng.standard_normal(n), rng.random(n)), mixer))
@@ -232,8 +234,8 @@ def test_a_stack_applies_into_a_buffer_as_its_slices_bit_for_bit(rng, kind, n, c
 
 
 def test_filters_alone_apply_into_a_zero_filled_buffer(rng):
-    """With no diagonal term the filters add onto a zeroed buffer, never onto
-    what the caller's buffer held."""
+    """With no diagonal term the filters' band pass writes straight into the
+    caller's buffer, never adding onto what it held."""
     n, c = 9, 2
     u = np.linalg.qr(rng.standard_normal((n, n)))[0]
     m = framelets.Multiplier([(framelets.BandFilter(u, rng.standard_normal(n), rng.random(n)),
@@ -265,12 +267,19 @@ def test_np_dot_has_the_bits_of_matmul_on_the_step_shapes(rng, c):
                 assert out.tobytes() == (a @ b).tobytes()  # bits, signed zeros too
 
 
-def test_filters_with_no_mixer_have_no_channel_count(rng):
+def test_filters_take_the_channel_count_from_the_state(rng):
+    """A filter with no mixer (or a number) fixes no channel count: the
+    Multiplier builds one band pass per channel count it is applied to, each
+    the dense diag(r) U diag(theta) U^T diag(r), plus the diagonal term."""
     n = 9
     u = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    with pytest.raises(DimensionMismatchError, match="needs a mixer"):
-        framelets.Multiplier([(framelets.BandFilter(u, rng.standard_normal(n), rng.random(n)),
-                               None), (rng.standard_normal(n), None)])
+    r, theta, diagonal = rng.standard_normal(n), rng.random(n), rng.standard_normal(n)
+    m = framelets.Multiplier([(framelets.BandFilter(u, r, theta), None), (diagonal, None)])
+    dense = np.diag(r) @ u @ np.diag(theta) @ u.T @ np.diag(r) + np.diag(diagonal)
+    for c in (1, 3, 1):
+        h = rng.standard_normal((n, c))
+        np.testing.assert_allclose(m.apply(h), dense @ h, rtol=0, atol=1e-12)
+    assert sorted(m.passes) == [1, 3]
 
 
 def test_mixers_of_two_sizes_rejected():

@@ -256,7 +256,7 @@ def _assert_basis_choice_changes_nothing(spec: ff.GraphSpec, scheme: ff.Scheme):
             systems[1].transforms[band], systems[0].transforms[band], rtol=0, atol=1e-12
         )
     h0 = np.random.default_rng(5).standard_normal((g.n, 3))
-    cfg = ff.WeightConfig.scalar(2, 3.0, 3, tau=1.0 if scheme.kind == "spatial_framelet" else 0.05)
+    cfg = ff.WeightConfig.scalar(2, 3.0, tau=1.0 if scheme.kind == "spatial_framelet" else 0.05)
     a, b = (
         ff.run_flow(scheme, sys, h0, cfg, ff.StopRule(max_steps=200, plateau_window=201))
         for sys in systems
