@@ -419,16 +419,22 @@ class Experiment(Geometry):
     tol: float
 
 
-def build_geometry(cfg: dict, weights: energies.WeightConfig,
-                   seed: Optional[int] = None) -> Geometry:
+def build_geometry(cfg: dict, weights: energies.WeightConfig, seed: Optional[int] = None,
+                   reads: tuple = ("omega", "w", "w_tilde")) -> Geometry:
     """The geometry of a validated config; ``weights`` are the config's, built
-    by its check, whose per-vertex theta must fit the graph."""
+    by its check, whose per-vertex theta must fit the graph and whose matrices
+    named in ``reads`` (see WeightConfig.check_channels) must fit the signal."""
+    icfg = cfg["init"]
+    if icfg["mode"] != "file":  # random_normal channels, or one eigenvector
+        weights.check_channels(icfg.get("channels", 1), reads)
     graph = _build_graph(cfg, seed)
     # before the eigendecomposition: what has to fit the node count n
-    icfg, kind, n = cfg["init"], _scheme(cfg).kind, graph.n
+    kind, n = _scheme(cfg).kind, graph.n
     if icfg["mode"] == "eigenvector" and not 0 <= icfg["index"] < n:
         raise ConfigError(f"init.index {icfg['index']} outside [0, {n})")
     signal = read_signal_matrix(icfg["path"], n) if icfg["mode"] == "file" else None
+    if signal is not None:
+        weights.check_channels(signal.shape[1], reads)
     if kind == "spectral_framelet" and weights.theta is not None:
         weights.theta_for(_probe_bank(*_framelet(cfg)).bands, n)
     spectrum = spectral.eigh(graphs.normalized_laplacian(graph))
@@ -484,7 +490,8 @@ def run_flows(cfgs: List[dict], weights: list, seed: Optional[int] = None, jobs:
     warm.  Returns (experiment, trace, prediction, verdict) per config, in order."""
     for cfg, point in zip(cfgs, weights, strict=True):
         _check_flow_config(cfg, point)
-    geometry = build_geometry(cfgs[0], weights[0], seed)
+    reads = dynamics.SCHEME_WEIGHTS[_scheme(cfgs[0]).kind]  # the weights the flows read
+    geometry = build_geometry(cfgs[0], weights[0], seed, reads)
     experiments = [assemble(cfg, geometry, point) for cfg, point in zip(cfgs, weights)]
     run = lambda exp: dynamics.run_flow(exp.scheme, exp.system, exp.initial, exp.weights, exp.stop)
     if jobs <= 1:
@@ -664,7 +671,7 @@ def classify_trace_csv(cfg: dict, trace_path, seed: Optional[int] = None) -> dic
             raise FileParseError(f"{trace_path}: row {k + 1} is not step {k} "
                                  f"and {width} finite numbers")
     e_norm = [row[2] for row in table]
-    plateaued = stop.plateau_step(e_norm) is not None
+    plateaued = stop.plateau_step([np.array(e_norm)]) is not None
     dominance, _ = analysis.limit_dominance(plateaued, e_norm[-1], rho_l, tol)
     return {
         "dominance": dominance,

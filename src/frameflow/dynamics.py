@@ -17,8 +17,12 @@ Laplacian eigenbasis, so a linear step is one framelets.Multiplier on
 spectral coordinates Hhat = U H, and flows and steps take the
 FrameletSystem alone: Lhat and Ahat = I - Lhat are its eigenvalues lam and
 1 - lam.  ``run_flow`` advances a linear scheme by modes, each mu^k z after
-k steps, so a block of steps is one product of powers (the closed form is
-powers of exp(-rate_i tau), not an evaluation at k tau).  When each M_i is
+k steps, so a block of BLOCK steps is a product of powers (the closed form
+is powers of exp(-rate_i tau), not an evaluation at k tau).  One stacked
+product covers a batch of blocks as long as all those before it (1, 1, 2,
+4, ... up to BATCH), and each block's rows keep the bits of their own
+64-step shift: the same powers (mu / r)^2j times the weights shifted by
+(mu / r)^2(s-1) for the block starting at step s.  When each M_i is
 a number mu_i, as with scalar weights (numbers), frequency i is one mode
 and its c channels move together; otherwise the modes are the eigenvectors
 Q_i of the one-step matrices M_i, z = Q_i^T hhat_i.  Relu/tanh descent, the
@@ -28,9 +32,11 @@ other n x n matrix: a step reads the state alone.  A step is built once per
 run, a fixed run of in-place ufuncs and np.dot calls on scratch buffers
 sized by the state's channel count (number weights carry none), and
 step(h, out) writes the next state into ``out``, a slot of the block buffer
-where it is renormalized in place.  Either way a block of BLOCK steps is
-recorded at once.  The final state stays in spectral
-coordinates; a FlowTrace maps it back when it is first read.
+where it is renormalized in place, and a block of BLOCK steps is recorded
+at once.  The plateau rule reads E a block at a time (a batch on the power
+path): rows computed past the plateau are dropped, and a failing row past it
+never raises.  The final state stays in spectral coordinates; a FlowTrace
+maps it back when it is first read.
 
 Each scheme is written once, in ``_scheme_operator``: its step, the c x c
 matrix M_i by which one step of its linear part acts on frequency i, and
@@ -40,7 +46,7 @@ run), and analysis.dominant_frequency predicts the limit from them.  The
 public ``step_*`` functions are vertex-domain wrappers around the same
 steps.
 
-``run_flow`` iterates a scheme, recording per step, BLOCK rows at a time,
+``run_flow`` iterates a scheme, recording per step, a block at a time,
 the state norm, the normalized Dirichlet energy E(H/||H||), the scheme's
 governing energy, and the Rayleigh quotient 2 E(H/||H||).  Renormalization
 (dividing the state by its Frobenius norm after each step) is the default
@@ -53,7 +59,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
-from itertools import pairwise
 from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -109,9 +114,19 @@ SCHEME_KINDS = (
     "activated",
     "perturbed_closed_form",
 )
+# the weights each scheme's flow reads, w_tilde only with the source on (see _scheme_operator)
+SCHEME_WEIGHTS = {
+    "spatial_framelet": ("w",),
+    "gradf_ufg": ("omega", "w", "w_tilde"),
+    "ee_ufg": ("w",),
+    "spectral_framelet": ("w",),
+    "activated": ("omega", "w", "w_tilde"),
+    "perturbed_closed_form": (),
+}
 ACTIVATIONS = ("identity", "relu", "tanh")
 OVERFLOW_GUARD = 1e150
-BLOCK = 64  # steps a flow records per block (a linear flow: per product)
+BLOCK = 64  # steps per recorded block; a linear flow's rows take their bits from 64-step shifts
+BATCH = 32  # blocks per product of a linear flow, at most: its batches double from one block
 BLOCK_POWERS = np.arange(2.0, 2 * BLOCK + 1, 2)[:, None]  # 2j for j = 1..BLOCK, a column
 
 
@@ -152,15 +167,28 @@ class StopRule:
         if self.plateau_window < 1:
             raise ConfigError(f"plateau_window must be >= 1, got {self.plateau_window}")
 
-    def plateau_step(self, e_norms: Iterable[float]) -> Optional[int]:
-        """The step at which the plateau rule fires on E(H/||H||) per record
-        (row 0 first), or None.  Reads ``e_norms`` no further than that step,
-        so a flow can feed it as it steps."""
-        tol, window, flat_run = self.plateau_tol, self.plateau_window, 0
-        for k, (prev, cur) in enumerate(pairwise(e_norms), start=1):
-            flat_run = flat_run + 1 if abs(cur - prev) < tol else 0
-            if flat_run >= window:
-                return k
+    def plateau_step(self, blocks: Iterable[np.ndarray]) -> Optional[int]:
+        """The step at which the plateau rule fires on E(H/||H||) per record,
+        fed as 1-D blocks of consecutive records (row 0 first), or None.
+        Reads no block after the one that holds that step, so a flow can feed
+        it as it steps.  Within a block, step k's flag |E_k - E_{k-1}| < tol
+        is one byte of a string, and the rule finds the first run of
+        ``plateau_window`` set flags in it, behind the run of set flags that
+        ended the blocks before."""
+        tol, window = self.plateau_tol, self.plateau_window
+        run, first, prev = 0, 1, None  # set flags ending the records read; step of the next flag
+        for e in blocks:
+            if not len(e):
+                continue
+            flags = (np.abs(e[1:] - e[:-1]) < tol).tobytes()
+            if prev is not None:
+                flags = (b"\1" if abs(e[0] - prev) < tol else b"\0") + flags
+            carried = b"\1" * run + flags  # run < window: a hit in it starts at index 0
+            hit = carried.find(b"\1" * window)
+            if hit >= 0:
+                return first - run + hit + window - 1
+            run = len(carried) - 1 - carried.rfind(b"\0")
+            first, prev = first + len(flags), e[-1]
         return None
 
 
@@ -446,14 +474,14 @@ def _check_norm(norm: float, k: int, renormalize: bool) -> None:
 
 
 def _mode_blocks(scheme: Scheme, op: SchemeOperator, modes, lam, h0, norm0, max_steps):
-    """Blocks of rows (norms, E, energies) up to the first failing step, where
-    it raises, and the state at step k.  A mode of squared coefficient z^2,
-    energy z^2 g and multiplier mu gives rows of powers (mu / r)^2k.  With a
-    number mu_i per frequency, the c channels of frequency i move together:
-    one mode per frequency, of z^2 = |x_i|^2 and z^2 g = <x_i, G_i x_i> for
-    x = hhat / ||H(0)||.  With c x c matrices M_i, the modes are the columns
-    q of Q_i, z = q^T x_i, and each linear scheme's energy matrices
-    a_i I + b M_i are diagonal in Q_i too, so g = q^T G_i q."""
+    """Batches of rows (norms, E, energies) up to the first failing step,
+    where it raises once resumed, and the state at step k.  A mode of
+    squared coefficient z^2, energy z^2 g and multiplier mu gives rows of
+    powers (mu / r)^2k.  With a number mu_i per frequency, the c channels of
+    frequency i move together: one mode per frequency, of z^2 = |x_i|^2 and
+    z^2 g = <x_i, G_i x_i> for x = hhat / ||H(0)||.  With c x c matrices M_i,
+    the modes are the columns q of Q_i, z = q^T x_i, and each linear scheme's
+    energy matrices a_i I + b M_i are diagonal in Q_i too, so g = q^T G_i q."""
     (mu, q), x = modes, h0 / norm0
     if q is None:  # modes (n, 1)
         z2 = np.einsum("ij,ij->i", x, x)[:, None]
@@ -480,11 +508,16 @@ def _mode_blocks(scheme: Scheme, op: SchemeOperator, modes, lam, h0, norm0, max_
     limit = _norm_limit(renormalize)
 
     def blocks():  # failing rows are cut; run_flow silences their overflow
-        last = 1.0  # squared mass of the unit initial state
-        for start in range(1, max_steps + 1, BLOCK):
-            count = min(BLOCK, max_steps + 1 - start)
-            shifted = weights if start == 1 else np.exp(2 * (start - 1) * log_q)[:, None] * weights
-            mass, dirichlet, energy = (powers[:count] @ shifted).T
+        last, start = 1.0, 1  # squared mass of the unit initial state; the batch's first step
+        column = log_q[:, None]
+        while start <= max_steps:  # a batch of whole blocks as long as those before it, or the tail
+            whole = max(min(start // BLOCK, BATCH, (max_steps + 1 - start) // BLOCK), 1)
+            twice = np.arange(2 * (start - 1), 2 * (start - 1 + BLOCK * whole), 2 * BLOCK,
+                              dtype=float)[:, None, None]  # 2(s_b - 1) for block b
+            shifted = np.exp(twice * column) * weights  # block b's, shifted by (mu / r)^2(s_b - 1)
+            rows = np.matmul(powers[: max_steps + 1 - start], shifted).reshape(-1, 3)
+            mass, dirichlet, energy = rows.T
+            count = len(mass)
             if closed or not renormalize:
                 k = np.arange(start, start + count)
                 growth = np.exp(2.0 * (k * np.log(r) + np.log(norm0)))  # norm0^2 r^2k
@@ -496,9 +529,9 @@ def _mode_blocks(scheme: Scheme, op: SchemeOperator, modes, lam, h0, norm0, max_
             if not (norm.min() > 0.0 and norm.max() <= limit):
                 cut = int(np.argmin((norm > 0.0) & (norm <= limit)))
             yield norm[:cut], (dirichlet / mass)[:cut], energy[:cut]
-            if cut < count:
+            if cut < count:  # reached only if the plateau rule reads past the batch's good rows
                 _check_norm(float(norm[cut]), start + cut, renormalize)
-            last = mass[-1]
+            last, start = mass[-1], start + count
 
     def state(k: int, norm: float) -> np.ndarray:
         h = back((np.where(live, mu, 0.0) / r) ** k)
@@ -557,10 +590,11 @@ def run_flow(
 
     Stops at the plateau rule or max_steps, whichever comes first.  Without
     renormalization the state norm is guarded against overflow (abort at
-    1e150).  A linear scheme (identity activation, no source) advances BLOCK
-    steps per product; the closed form's norm column is ||H(k tau)||.  Other
-    schemes step and record BLOCK rows at a time.  Every operator is read off
-    the system's eigenvalues; ``gains`` holds rho(M_i) per eigenvalue.
+    1e150).  A linear scheme (identity activation, no source) advances a
+    batch of BLOCK-step blocks per product; the closed form's norm column is
+    ||H(k tau)||.  Other schemes step and record BLOCK rows at a time.  Every
+    operator is read off the system's eigenvalues; ``gains`` holds rho(M_i)
+    per eigenvalue.
     """
     x0, _ = _as_columns(initial, sys.n)
     h0, lam = sys.spectrum.u @ x0, sys.spectrum.eigenvalues
@@ -581,10 +615,10 @@ def run_flow(
     chunks = []  # the blocks' (norms, E, energies)
 
     def fed():  # runs only as far as the plateau rule reads
-        yield e0
+        yield np.array([e0])
         for block in blocks:
             chunks.append(block)
-            yield from block[1].tolist()
+            yield block[1]
 
     with np.errstate(over="ignore", invalid="ignore"):  # a block cuts its failing rows
         steps_to_plateau = stop.plateau_step(fed())

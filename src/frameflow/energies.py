@@ -177,6 +177,17 @@ class WeightConfig:
                 raise DimensionMismatchError(f"theta{b} has length {v.shape[0]}, expected {n}")
         return self.theta
 
+    def check_channels(self, c: int, names: tuple = ("omega", "w", "w_tilde")) -> None:
+        """Raise unless the matrix weights of ``names``, the ones a caller
+        reads (w_tilde only if the source is on), fit a signal of c channels
+        (numbers fit any), before any work reads them."""
+        source = self.w_tilde if self.has_source else {}
+        read = {"omega": self.omega, "w": self.w, "w_tilde": source}
+        for m in (m for name in names for m in read[name].values()):
+            if not isinstance(m, float) and len(m) != c:
+                raise DimensionMismatchError(
+                    f"weights are {len(m)}x{len(m)}, signal has {c} channels")
+
     def shared_w(self, sys: FrameletSystem) -> np.ndarray:
         """The single weight matrix required by the spectral-filter family."""
         bands = self.bands_for(sys)

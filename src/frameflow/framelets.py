@@ -218,7 +218,7 @@ def band_pass(u: np.ndarray, terms, vertex: Callable, c: int) -> Callable:
     One (n, c) state runs in-place ufuncs and ``np.dot`` into scratch buffers
     built here, once; a (k, n, c) stack takes stacked products, with the bits
     of its slices."""
-    numbers = all(np.ndim(m) == 0 for _, m, _ in terms)
+    numbers = not any(isinstance(m, np.ndarray) for _, m, _ in terms)
     banded = [Multiplier([(a, m)]).per_frequency for a, m, _ in terms]
     width = len(terms) * c
     weights = np.repeat(np.stack([s for _, _, s in terms], axis=1), c, axis=1)
@@ -251,7 +251,7 @@ def band_pass(u: np.ndarray, terms, vertex: Callable, c: int) -> Callable:
 
 def one_like(mixer) -> object:
     """The unit of a mixer's kind: 1.0 for a number, I for a c x c matrix."""
-    return 1.0 if np.ndim(mixer) == 0 else identity(len(mixer))
+    return identity(len(mixer)) if isinstance(mixer, np.ndarray) else 1.0
 
 
 class Multiplier:
@@ -277,7 +277,8 @@ class Multiplier:
         self.passes = {}  # c -> the filters' band pass on c channels, built on first use
         self.filters, scaled, factors, mixers = [], None, [], []
         for factor, mixer in terms:
-            if np.ndim(mixer) == 2:
+            matrix = isinstance(mixer, np.ndarray)  # c x c; else a number, or None for 1
+            if matrix:
                 if self.channels not in (None, len(mixer)):
                     raise DimensionMismatchError(f"mixers of sizes {self.channels}, {len(mixer)}")
                 self.channels = len(mixer)
@@ -285,7 +286,7 @@ class Multiplier:
                 self.filters.append((factor, 1.0 if mixer is None else mixer))
             elif mixer is None:
                 self.diagonal = factor if self.diagonal is None else self.diagonal + factor
-            elif np.ndim(mixer) == 0:  # summed from 0.0, in term order
+            elif not matrix:  # summed from 0.0, in term order
                 scaled = (0.0 if scaled is None else scaled) + factor * mixer
             else:
                 factors.append(factor)

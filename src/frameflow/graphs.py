@@ -140,20 +140,30 @@ class Graph:
         return sorted(e for e in self.edges if e[0] != e[1])
 
 
-def normalized_adjacency(g: Graph) -> np.ndarray:
-    """Symmetric normalized adjacency D^{-1/2} A D^{-1/2}.
-
+def _scaled_edges(g: Graph, sign: float) -> np.ndarray:
+    """The n x n array with sign d_i d_j, d = D^{-1/2}, at both orientations of
+    every edge (i, j) and +0.0 elsewhere, written into one zeroed array.
     Entries (i, j) and (j, i) are the same float product, so the result is
-    symmetric to exact bit equality.
-    """
-    a = g.adjacency()
-    dinv = 1.0 / np.sqrt(g.degrees().astype(float))
-    return a * np.outer(dinv, dinv)
+    symmetric to exact bit equality."""
+    e, dinv = g._edge_array, 1.0 / np.sqrt(g.degrees().astype(float))
+    out, values = np.zeros((g.n, g.n)), sign * (dinv[e[:, 0]] * dinv[e[:, 1]])
+    out[e[:, 0], e[:, 1]] = values
+    out[e[:, 1], e[:, 0]] = values
+    return out
+
+
+def normalized_adjacency(g: Graph) -> np.ndarray:
+    """Symmetric normalized adjacency D^{-1/2} A D^{-1/2}."""
+    return _scaled_edges(g, 1.0)
 
 
 def normalized_laplacian(g: Graph) -> np.ndarray:
-    """Normalized Laplacian I - D^{-1/2} A D^{-1/2} (positive semi-definite)."""
-    return np.eye(g.n) - normalized_adjacency(g)
+    """Normalized Laplacian I - D^{-1/2} A D^{-1/2} (positive semi-definite),
+    built in its own n x n array: -d_i d_j on the edges, then 1 added on the
+    diagonal."""
+    lap = _scaled_edges(g, -1.0)
+    lap.reshape(-1)[:: g.n + 1] += 1.0
+    return lap
 
 
 @dataclass(frozen=True)

@@ -422,6 +422,80 @@ def test_unequal_spectral_weights_rejected_before_eigensolve(tmp_path, monkeypat
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("init,size", [
+    ({"mode": "random_normal", "seed": 5, "channels": 2}, 3),
+    ({"mode": "eigenvector", "index": 1}, 2),
+    ({"mode": "file", "path": "signal.csv"}, 3),
+], ids=["random_normal", "eigenvector", "file"])
+@pytest.mark.parametrize("mode", ["shared", "full"])
+@pytest.mark.parametrize("command", ["run", "sweep", "energy"])
+def test_a_weight_size_mismatch_exits_eight_before_any_eigensolve(tmp_path, monkeypatch, init,
+                                                                   size, mode, command):
+    """c x c weights against a signal of another channel count (two channels,
+    or one eigenvector): the config's count is checked before the graph, a
+    file's after reading it; either way no eigh call runs and nothing is written."""
+    calls = _count_calls(monkeypatch, ff.spectral, "eigh")
+    if init["mode"] == "file":
+        write_signal_matrix(tmp_path / "signal.csv", np.ones((6, 2)))
+        init = dict(init, path=str(tmp_path / "signal.csv"))
+    eye = np.eye(size).tolist()
+    weights = {"mode": "shared", "omega": eye, "w": eye}
+    if mode == "full":
+        weights = {"mode": "full", "omega": {"0,1": eye, "1,1": eye}, "w": {"0,1": eye, "1,1": eye}}
+    path = write_config(tmp_path, c6_config(weights=weights, init=init))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(path), "--out", str(out)]
+    if command == "sweep":
+        argv += ["--parameter", "tau", "--grid", "0.5,1.0"]
+    assert cli.main(argv) == 8
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("beta,code,eigh_calls", [(0.5, 8, 0), (0.0, 0, 1)])
+def test_source_mixers_of_the_wrong_size_exit_eight_only_if_the_source_is_on(
+        tmp_path, monkeypatch, beta, code, eigh_calls):
+    """3 x 3 w_tilde against two channels: with beta != 0 the source reads
+    them and the run exits 8 before eigh; with beta = 0 nothing reads them."""
+    calls = _count_calls(monkeypatch, ff.spectral, "eigh")
+    e2, e3 = np.eye(2).tolist(), np.eye(3).tolist()
+    weights = {"mode": "full", "omega": {"0,1": e2, "1,1": e2}, "w": {"0,1": e2, "1,1": e2},
+               "w_tilde": {"0,1": e3, "1,1": e3}}
+    cfg = c6_config(weights=weights, scheme={"kind": "gradf_ufg"}, beta=beta, steps=50)
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == code
+    assert len(calls) == eigh_calls
+
+
+# the weights each scheme's flow reads, w_tilde only with the source on
+SCHEME_READS = {"spatial_framelet": "w", "gradf_ufg": "omega w w_tilde", "ee_ufg": "w",
+                "spectral_framelet": "w", "activated": "omega w w_tilde",
+                "perturbed_closed_form": ""}
+
+
+@pytest.mark.parametrize("target", ["omega", "w", "w_tilde"])
+@pytest.mark.parametrize("kind", sorted(SCHEME_READS))
+def test_only_the_weights_a_scheme_reads_must_fit_the_signal(tmp_path, monkeypatch, kind, target):
+    """One 3 x 3 weight (w_tilde with the source on) against two channels: a
+    run whose scheme reads it exits 8 before eigh, one whose scheme never
+    reads it runs to exit 0; ``energy`` reads every weight and exits 8 before eigh."""
+    calls = _count_calls(monkeypatch, ff.spectral, "eigh")
+    e2, e3 = np.eye(2).tolist(), np.eye(3).tolist()
+    bands = ["0,2", "1,1", "1,2"]
+    weights = {"mode": "full", "omega": dict.fromkeys(bands, e3 if target == "omega" else e2),
+               "w": dict.fromkeys(bands, e3 if target == "w" else e2)}
+    if target == "w_tilde":
+        weights["w_tilde"] = dict.fromkeys(bands, e3)
+    cfg = c6_config(scales=2, steps=50, weights=weights, scheme={"kind": kind}, epsilon=0.1,
+                    beta=0.5, theta={"low": 1.0, "high": 1.0})
+    path = write_config(tmp_path, cfg)
+    read = target in SCHEME_READS[kind].split()
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "run")]) == (8 if read else 0)
+    assert len(calls) == (0 if read else 1)
+    calls.clear()
+    assert cli.main(["energy", "--config", str(path), "--out", str(tmp_path / "energy")]) == 8
+    assert calls == [] and not (tmp_path / "energy").exists()
+
+
 def test_unrenormalized_run_fails_before_eigensolve(tmp_path, monkeypatch):
     monkeypatch.setattr(ff.spectral, "eigh", _refuse)
     cfg = c6_config()
@@ -1228,6 +1302,58 @@ def test_stepped_relu_traces_keep_their_bits(tmp_path, scheme, extra, lambda_w, 
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+LONG_ER = {"kind": "erdos_renyi", "n": 14, "p": 0.4, "seed": 7}
+LONG_RUNS = {  # power-path runs past 2,048 steps, over batches of up to 32 blocks
+    "scalar-cap": {"graph": {"kind": "cycle", "n": 51}, "scheme": {"kind": "activated"},
+                   "weights": {"mode": "scalar", "lambda_w": 0.5},
+                   "run": {"steps": 5000}, "tau": 0.01},
+    "full-plateau": {"graph": LONG_ER, "scheme": {"kind": "gradf_ufg"},
+                     "weights": {"mode": "full", "omega": FULL_OMEGA, "w": FULL_W},
+                     "run": {"steps": 6000, "plateau_window": 2500}, "tau": 0.01},
+    "closed-form-cap": {"graph": LONG_ER, "scheme": {"kind": "perturbed_closed_form"},
+                        "weights": {"mode": "scalar", "lambda_w": 1.0},
+                        "run": {"steps": 5000, "plateau_window": 6000},
+                        "tau": 0.002, "epsilon": 0.5},
+}
+
+
+@pytest.mark.parametrize(
+    "case,steps,digest",
+    [("scalar-cap", 5000, "efa2346163f77246a4ee0479a6af6bfdaadba2b8bcc8bd57f2dafd2fe3304bcd"),
+     ("full-plateau", 3954, "5ea4447f3c64a707d553bebf5274ccb9e58577f96787014a1dd99ae807b417da"),
+     ("closed-form-cap", 5000, "a1f76ae474fbf05d7921d944265877fb84fc96f746f4e531128f7ad2e54d74b1")],
+)
+def test_long_power_path_traces_keep_their_bits(tmp_path, case, steps, digest):
+    """A power-path run takes one product per batch of 64-step blocks, and
+    each block keeps the rows of its own 64-step shift: SHA-256 of trace.csv
+    as written with one product per block, to the step cap (5,000: a short
+    last block) or to a plateau inside a batch.  numpy 2.4 with OpenBLAS;
+    byte identity is promised per numpy/BLAS build, so another build may
+    need new digests."""
+    cfg = {"framelet": {"scales": 2}, "init": {"mode": "random_normal", "seed": 3, "channels": 3},
+           **LONG_RUNS[case]}
+    assert cli.main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path)]) == 0
+    data = (tmp_path / "trace.csv").read_bytes()
+    assert data.count(b"\n") == steps + 2
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_a_long_unrenormalized_power_path_trace_keeps_its_bits(tmp_path):
+    """The same for a 5,000-step unrenormalized run, whose norm column is
+    ||H(k)||: the CLI classifies renormalized runs only, so the library runs
+    it and the CLI's writer writes it."""
+    g = ff.generate_graph(ff.GraphSpec(**LONG_ER))
+    system = ff.build_framelet_system(ff.eigh(ff.normalized_laplacian(g)), 2)
+    x0 = np.random.default_rng(3).standard_normal((14, 3))
+    trace = ff.run_flow(ff.Scheme("gradf_ufg"), system, x0, ff.WeightConfig.scalar(2, 0.5, tau=0.01),
+                        ff.StopRule(5000, plateau_window=6000))
+    assert trace.steps_run == 5000 and not trace.renormalized
+    cli.write_trace_csv(tmp_path / "trace.csv", trace)
+    data = (tmp_path / "trace.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == (
+        "008a024fb55c115bb2bb39b4781afcecc635774c42f1aa1e90a21a53ee854883")
+
+
 @pytest.mark.parametrize(
     "scheme,extra",
     [({"kind": "spatial_framelet"}, {"tau": 0.5}),
@@ -1279,6 +1405,22 @@ def test_geometry_keeps_no_dense_operator_but_the_eigenbasis():
     assert held < 1.5 * n * n * 8
     assert not [name for name, value in vars(geometry).items()
                 if isinstance(value, np.ndarray) and value.shape == (n, n)]
+
+
+def test_the_laplacian_peaks_at_one_matrix_of_its_size():
+    """Lhat is written into one n x n array: no adjacency, outer product or
+    identity beside it."""
+    n = 400
+    g = ff.generate_graph(ff.GraphSpec(kind="erdos_renyi", n=n, p=0.02, seed=3))
+    ff.normalized_laplacian(g)  # the degrees and edge array are the graph's, built once
+    tracemalloc.start()
+    try:
+        lap = ff.normalized_laplacian(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lap.shape == (n, n)
+    assert peak <= 1.1 * n * n * 8
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""])

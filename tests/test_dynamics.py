@@ -516,19 +516,58 @@ def test_closed_form_scheme_runs_in_flow(rng):
 
 
 def test_plateau_rule_reads_no_further_than_the_plateau():
+    """The rule reads E a block at a time and reads no block after the one
+    that holds the plateau step."""
     stop = ff.StopRule(max_steps=10, plateau_tol=1e-3, plateau_window=2)
     values = [1.0, 0.5, 0.5, 0.6, 0.6, 0.6005, 7.0]
+    blocks = [np.array(values[i:i + 2]) for i in range(0, len(values), 2)]
     consumed = []
 
     def feed():
-        for v in values:
-            consumed.append(v)
-            yield v
+        for block in blocks:
+            consumed.append(block)
+            yield block
 
     assert stop.plateau_step(feed()) == 5
-    assert consumed == values[:6]
-    assert stop.plateau_step(values[:5]) is None
-    assert stop.plateau_step([0.3]) is None
+    assert len(consumed) == 3  # rows 4 and 5, the plateau's, are the third block
+    assert stop.plateau_step([np.array(values[:5])]) is None
+    assert stop.plateau_step([np.array([0.3])]) is None
+
+
+def element_plateau_step(values, tol, window):
+    """The plateau rule read one record at a time, as a plain loop."""
+    run = 0
+    for k in range(1, len(values)):
+        run = run + 1 if abs(values[k] - values[k - 1]) < tol else 0
+        if run >= window:
+            return k
+    return None
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(moves=st.lists(st.sampled_from([0.0, 1e-12, 5e-10, 2e-9, 0.3, -0.3]), max_size=150),
+       start=st.sampled_from([0.0, 0.5, 1e3]), cuts=st.lists(st.integers(0, 152), max_size=10),
+       window=st.integers(1, 12), tol=st.sampled_from([1e-9, 1e-3, 0.0, np.inf]))
+def test_the_block_plateau_rule_fires_where_the_element_rule_does(moves, start, cuts, window,
+                                                                 tol):
+    """Records cut into blocks anywhere (empty ones too), so runs of flat
+    steps straddle block edges and may start at row 0: the rule returns the
+    step a record-by-record loop returns."""
+    values = np.cumsum([start, *moves])
+    blocks = np.split(values, sorted(c for c in cuts if c <= len(values)))
+    expected = element_plateau_step(values.tolist(), tol, window)
+    assert ff.StopRule(10, tol, window).plateau_step(blocks) == expected
+    assert ff.StopRule(10, tol, window).plateau_step([values]) == expected
+
+
+@pytest.mark.parametrize("window", [1, 3, 64, 65, 200])
+def test_a_plateau_from_row_zero_fires_at_the_window_across_blocks(window):
+    """A constant E is flat from step 1 on: the rule fires at step window,
+    however the records are cut."""
+    values = np.full(300, 0.25)
+    for size in (1, 7, 64, 300):
+        blocks = [values[i:i + size] for i in range(0, 300, size)]
+        assert ff.StopRule(10, 1e-9, window).plateau_step(blocks) == window
 
 
 # ---------------------------------------------------------------------------
@@ -568,14 +607,14 @@ def reference_flow(step, grad, lap, x0, stop, renormalize=True):
         rows.append(row(norm, state))
         states.append(state)
     rows = np.array(rows)
-    last = stop.plateau_step(rows[:, 1])
+    last = stop.plateau_step([rows[:, 1]])
     if last is None:
         return rows, states, failure
     return rows[: last + 1], states[: last + 1], None
 
 
 def assert_trace_matches(trace, rows, states, stop, shape, tol=1e-12):
-    assert trace.steps_to_plateau == stop.plateau_step(rows[:, 1])
+    assert trace.steps_to_plateau == stop.plateau_step([rows[:, 1]])
     assert trace.steps_run == len(rows) - 1
     for column, ref in zip((trace.norms, trace.dirichlet_normalized, trace.total_energy), rows.T):
         np.testing.assert_allclose(column, ref, rtol=tol, atol=tol * np.max(np.abs(ref)))
@@ -679,7 +718,7 @@ def test_closed_form_flow_is_the_closed_form_at_k_tau(rng, renormalize):
     scale = norms.copy() if renormalize else np.ones_like(norms)
     scale[0] = 1.0  # row 0 records the initial state itself
     energy = np.array([ff.perturbed_energy(sys, x / s, 0.5) for x, s in zip(states, scale)])
-    assert trace.steps_to_plateau == stop.plateau_step(e_ref)
+    assert trace.steps_to_plateau == stop.plateau_step([e_ref])
     np.testing.assert_allclose(trace.norms, norms, rtol=1e-12)
     np.testing.assert_allclose(trace.dirichlet_normalized, e_ref, rtol=0, atol=1e-12)
     np.testing.assert_allclose(trace.total_energy, energy, rtol=1e-12, atol=1e-12 * energy.max())
@@ -859,7 +898,7 @@ def test_per_frequency_modes_match_stepping_the_same_operator(kind, graph, c, re
     assert op.one_step.shape[1:] == op.energy.per_frequency.shape[1:] == (1, 1)
     lam, u, h0 = sys.spectrum.eigenvalues, sys.spectrum.u, sys.spectrum.u @ x0
     rows, state, failed = _stepped_reference(op, lam, h0, stop.max_steps, scheme)
-    plateau = stop.plateau_step(rows[:, 1])
+    plateau = stop.plateau_step([rows[:, 1]])
     if failed is not None and plateau is None:  # the run raises at the same step
         error = ZeroStateError if np.linalg.norm(state) == 0.0 else NumericOverflowError
         with pytest.raises(error, match=rf"at step {failed}(;|$)"):
@@ -1203,3 +1242,59 @@ def test_a_stepped_overflow_names_its_step_unless_the_plateau_fires_first(rng, t
     capped = ff.run_flow(scheme, sys, x0, cfg, ff.StopRule(k - 1, plateau_tol=0.0))
     for a, b in zip(_rows(early), _rows(capped)):
         np.testing.assert_array_equal(a, b)
+
+
+def growing_power_path_run():
+    """Unrenormalized spatial_framelet on an ER graph (n = 14, seed 7) with
+    tau = 1.64: the norm grows by about 1.64 a step and passes the guard at
+    step 700, in block 11 (steps 641-704) of the batch of blocks 9-16."""
+    g = ff.generate_graph(ff.GraphSpec(kind="erdos_renyi", n=14, p=0.4, seed=7))
+    x0 = np.random.default_rng(3).standard_normal((14, 3))
+    return build(g, 2), x0, ff.WeightConfig.scalar(2, 2.0, tau=1.64)
+
+
+def test_a_power_path_overflow_inside_a_batch_names_its_step():
+    """Passing the guard inside a batch raises at that step, 700, where
+    stepping the operator passes it too; the run capped a step earlier stays
+    under the guard."""
+    sys, x0, cfg = growing_power_path_run()
+    scheme = ff.Scheme("spatial_framelet", renormalize=False)
+    with pytest.raises(NumericOverflowError, match="at step 700;"):
+        ff.run_flow(scheme, sys, x0, cfg, ff.StopRule(2000, plateau_tol=0.0))
+    capped = ff.run_flow(scheme, sys, x0, cfg, ff.StopRule(699, plateau_tol=0.0))
+    assert capped.steps_run == 699 and capped.norms[-1] <= dynamics.OVERFLOW_GUARD
+    op = dynamics._scheme_operator(scheme, sys, cfg, 3)
+    h0 = sys.spectrum.u @ x0
+    assert _stepped_reference(op, sys.spectrum.eigenvalues, h0, 2000, scheme)[2] == 700
+
+
+@pytest.mark.parametrize("window,plateau", [(600, 629), (661, 690)])
+def test_a_failing_row_past_the_plateau_in_its_batch_does_not_raise(window, plateau):
+    """The batch that holds the plateau also holds the failing step 700, in a
+    later block (629) or the same one (690): the run stops at the plateau
+    with the rows and state of the run capped there."""
+    sys, x0, cfg = growing_power_path_run()
+    scheme = ff.Scheme("spatial_framelet", renormalize=False)
+    stopped = ff.run_flow(scheme, sys, x0, cfg, ff.StopRule(2000, plateau_window=window))
+    capped = ff.run_flow(scheme, sys, x0, cfg, ff.StopRule(plateau, plateau_tol=0.0))
+    assert stopped.steps_to_plateau == stopped.steps_run == plateau
+    for a, b in zip(_rows(stopped), _rows(capped)):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(stopped.final_state, capped.final_state)
+
+
+def test_a_power_path_run_reads_batches_as_long_as_the_blocks_before_them(monkeypatch):
+    """5,000 steps, 79 blocks: batches of 1, 1, 2, 4, 8, 16 and 32 blocks,
+    then the 14 whole blocks left and the 8-row tail, one product each."""
+    sys, x0, cfg = growing_power_path_run()
+    read, plateau_step = [], dynamics.StopRule.plateau_step
+
+    def counted(self, blocks):
+        return plateau_step(self, (read.append(len(e)) or e for e in blocks))
+
+    monkeypatch.setattr(dynamics.StopRule, "plateau_step", counted)
+    trace = ff.run_flow(ff.Scheme("spatial_framelet", renormalize=True), sys, x0,
+                        replace(cfg, tau=1.0), ff.StopRule(5000, plateau_tol=0.0))
+    assert trace.steps_run == 5000
+    blocks = [1, 1, 2, 4, 8, 16, 32, 14]
+    assert read == [1] + [dynamics.BLOCK * b for b in blocks] + [8]

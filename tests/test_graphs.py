@@ -91,6 +91,24 @@ def test_adjacency_and_degrees_match_edge_loop(self_loops):
         assert (np.eye(g.n) - ff.normalized_adjacency(g)).tobytes() == lap.tobytes()
 
 
+@pytest.mark.parametrize("self_loops", [False, True])
+@pytest.mark.parametrize("spec", [
+    {"kind": "erdos_renyi", "n": 300, "p": 0.05, "seed": 3},
+    {"kind": "sbm", "sizes": [24, 24], "p_in": 0.4, "p_out": 0.06, "seed": 3},
+    {"kind": "cycle", "n": 51},
+], ids=["er300", "sbm48", "cycle51"])
+def test_edge_written_operators_have_the_bits_of_the_dense_formulas(spec, self_loops):
+    """Ahat and Lhat written edge by edge into one zeroed array equal
+    A * outer(d, d) and I - A * outer(d, d), d = D^{-1/2}, signed zeros included."""
+    g = ff.generate_graph(ff.GraphSpec(**spec, self_loops=self_loops))
+    dinv = 1.0 / np.sqrt(g.degrees().astype(float))
+    ahat = g.adjacency() * np.outer(dinv, dinv)
+    for built, dense in ((ff.normalized_adjacency(g), ahat),
+                         (ff.normalized_laplacian(g), np.eye(g.n) - ahat)):
+        assert built.tobytes() == dense.tobytes()
+        assert np.array_equal(np.signbit(built), np.signbit(dense))
+
+
 def test_laplacian_kernel_vector():
     g = ff.generate_graph(ff.GraphSpec(kind="erdos_renyi", n=12, p=0.5, seed=7))
     lap = ff.normalized_laplacian(g)
