@@ -25,7 +25,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -71,23 +70,9 @@ EXIT_CODES = {
     MemoryError: 9,  # a config too large for the machine is out of range
 }
 
-DEFAULT_TAU = {
-    "spatial_framelet": 1.0,
-    "ee_ufg": 1.0,
-    "spectral_framelet": 1.0,
-    "gradf_ufg": 1e-2,
-    "activated": 1e-2,
-    "perturbed_closed_form": 1e-2,
-}
-
-# swept key -> (its block, None at the top level; the schemes that read it).
-# ee_ufg takes a unit step whatever tau is.
-SWEEP_KEYS = {
-    "lambda_w": ("weights", tuple(DEFAULT_TAU)),
-    "theta": (None, ("spectral_framelet",)),
-    "epsilon": (None, ("ee_ufg", "perturbed_closed_form")),
-    "tau": (None, tuple(kind for kind in DEFAULT_TAU if kind != "ee_ufg")),
-}
+# swept key -> its block, None at the top level.  A scheme sweeps the keys
+# its flow reads (dynamics.SCHEMES), lambda_w through w.
+SWEEP_KEYS = {"lambda_w": "weights", "theta": None, "epsilon": None, "tau": None}
 
 
 def _fmt(x) -> str:
@@ -383,7 +368,7 @@ def _build_weights(cfg: dict, kind: str) -> energies.WeightConfig:
         "epsilon": float(cfg.get("epsilon", 0.0)),
         "beta": float(cfg.get("beta", 0.0)),
         "theta": None if theta is None else _theta_bands(theta, scales),
-        "tau": float(cfg.get("tau", DEFAULT_TAU[kind])),
+        "tau": float(cfg.get("tau", dynamics.SCHEMES[kind].tau)),
     }
     if wcfg["mode"] == "scalar":
         return energies.WeightConfig.scalar(scales, wcfg["lambda_w"], **common)
@@ -420,22 +405,23 @@ class Experiment(Geometry):
 
 
 def build_geometry(cfg: dict, weights: energies.WeightConfig, seed: Optional[int] = None,
-                   reads: tuple = ("omega", "w", "w_tilde")) -> Geometry:
+                   reads: tuple = ("omega", "w", "w_tilde", "theta")) -> Geometry:
     """The geometry of a validated config; ``weights`` are the config's, built
-    by its check, whose per-vertex theta must fit the graph and whose matrices
-    named in ``reads`` (see WeightConfig.check_channels) must fit the signal."""
+    by its check.  Of the config keys in ``reads`` (a scheme's, or by default
+    all that ``energy`` reads), each matrix weight must fit the signal (see
+    WeightConfig.check_channels) and a per-vertex theta the graph."""
     icfg = cfg["init"]
     if icfg["mode"] != "file":  # random_normal channels, or one eigenvector
         weights.check_channels(icfg.get("channels", 1), reads)
     graph = _build_graph(cfg, seed)
     # before the eigendecomposition: what has to fit the node count n
-    kind, n = _scheme(cfg).kind, graph.n
+    n = graph.n
     if icfg["mode"] == "eigenvector" and not 0 <= icfg["index"] < n:
         raise ConfigError(f"init.index {icfg['index']} outside [0, {n})")
     signal = read_signal_matrix(icfg["path"], n) if icfg["mode"] == "file" else None
     if signal is not None:
         weights.check_channels(signal.shape[1], reads)
-    if kind == "spectral_framelet" and weights.theta is not None:
+    if "theta" in reads and weights.theta is not None:
         weights.theta_for(_probe_bank(*_framelet(cfg)).bands, n)
     spectrum = spectral.eigh(graphs.normalized_laplacian(graph))
     system = framelets.build_framelet_system(spectrum, *_framelet(cfg))
@@ -457,7 +443,7 @@ def assemble(cfg: dict, geometry: Geometry, weights: energies.WeightConfig) -> E
     """Add the scheme, the config's weights and its stop rule to a geometry."""
     scheme = _scheme(cfg)
     stop, tol = _run_rules(cfg)
-    if scheme.kind in ("ee_ufg", "perturbed_closed_form") and weights.epsilon <= 0.0:
+    if "epsilon" in dynamics.SCHEMES[scheme.kind].reads and weights.epsilon <= 0.0:
         print(
             f"warning: scheme {scheme.kind} with epsilon={weights.epsilon} <= 0; "
             "the band shifts degenerate",
@@ -481,24 +467,20 @@ def _check_flow_config(cfg: dict, weights: energies.WeightConfig) -> None:
         raise TraceNotNormalizedError("dominance is defined on renormalized runs only")
 
 
-def run_flows(cfgs: List[dict], weights: list, seed: Optional[int] = None, jobs: int = 1) -> list:
+def run_flows(cfgs: List[dict], weights: list, seed: Optional[int] = None) -> list:
     """Check every validated config's flow by :func:`_check_flow_config` on its
     ``weights`` (from :func:`validate_config` or the sweep value's check);
     build the geometry they share once; then assemble every config,
-    run every flow (on ``jobs`` threads), predict every limit and classify
-    every trace, a stage at a time, which keeps each stage's code and data
-    warm.  Returns (experiment, trace, prediction, verdict) per config, in order."""
+    run every flow, predict every limit and classify every trace, a stage at
+    a time, which keeps each stage's code and data warm.  Returns
+    (experiment, trace, prediction, verdict) per config, in order."""
     for cfg, point in zip(cfgs, weights, strict=True):
         _check_flow_config(cfg, point)
-    reads = dynamics.SCHEME_WEIGHTS[_scheme(cfgs[0]).kind]  # the weights the flows read
+    reads = dynamics.SCHEMES[_scheme(cfgs[0]).kind].reads  # the keys the flows read
     geometry = build_geometry(cfgs[0], weights[0], seed, reads)
     experiments = [assemble(cfg, geometry, point) for cfg, point in zip(cfgs, weights)]
-    run = lambda exp: dynamics.run_flow(exp.scheme, exp.system, exp.initial, exp.weights, exp.stop)
-    if jobs <= 1:
-        traces = [run(exp) for exp in experiments]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            traces = list(pool.map(run, experiments))
+    traces = [dynamics.run_flow(exp.scheme, exp.system, exp.initial, exp.weights, exp.stop)
+              for exp in experiments]
     predictions = [
         None if trace.gains is None else analysis.dominant_frequency(exp.spectrum, trace.gains)
         for exp, trace in zip(experiments, traces)
@@ -508,21 +490,6 @@ def run_flows(cfgs: List[dict], weights: list, seed: Optional[int] = None, jobs:
         for exp, trace, prediction in zip(experiments, traces, predictions)
     ]
     return list(zip(experiments, traces, predictions, verdicts))
-
-
-PAPER_CHECK = {
-    "spatial_framelet": "scalar band weights: small high-pass weight smooths "
-    "(low-frequency limit), sufficiently large magnitude separates (high-frequency limit)",
-    "gradf_ufg": "band-wise energy descent; shared weights reduce it to plain one-hop dynamics",
-    "ee_ufg": "band-shifted convolution; equals energy descent with shifted per-band "
-    "external weights at unit step",
-    "spectral_framelet": "uniform spectral filters: theta < 1 smooths, theta > 1 separates, "
-    "theta = 1 is flat",
-    "activated": "activated descent; the governing energy is non-increasing for "
-    "sign-preserving activations",
-    "perturbed_closed_form": "perturbed decay flow: every frequency decays, the flow "
-    "smooths for any positive shift",
-}
 
 
 TRACE_HEADER = "step,norm,dirichlet_normalized,total_energy,rayleigh"
@@ -552,7 +519,7 @@ def run_config(cfg: dict, out_dir, seed: Optional[int] = None) -> dict:
             "plateaued": trace.plateaued,
             "steps_to_plateau": trace.steps_to_plateau,
         },
-        "paper_check": PAPER_CHECK.get(exp.scheme.kind, "general band-wise flow"),
+        "paper_check": dynamics.SCHEMES[exp.scheme.kind].paper_check,
         "config": cfg,
         "seed_override": seed,
     }
@@ -566,8 +533,9 @@ def _apply_sweep_value(cfg: dict, parameter: str, value: float) -> tuple:
     its weights, built to check the value, which its run uses."""
     if parameter not in SWEEP_KEYS:
         raise ConfigError(f"sweep parameter must be one of {tuple(SWEEP_KEYS)}, got {parameter!r}")
-    block, schemes = SWEEP_KEYS[parameter]
-    kind = _scheme(cfg).kind
+    block, kind = SWEEP_KEYS[parameter], _scheme(cfg).kind
+    read = "w" if parameter == "lambda_w" else parameter
+    schemes = tuple(name for name, spec in dynamics.SCHEMES.items() if read in spec.reads)
     if kind not in schemes:
         raise ConfigError(f"{parameter} sweeps need scheme.kind in {schemes}, got {kind!r}")
     if block is not None and parameter not in cfg[block]:  # lambda_w off scalar weights
@@ -584,16 +552,15 @@ def sweep_config(
     parameter: str,
     grid: List[float],
     out_dir,
-    jobs: int = 1,
     seed: Optional[int] = None,
 ) -> List[dict]:
     """Run the config once per grid value on one geometry; emit sweep.csv
-    in grid order, whatever the order in which ``jobs`` threads finish."""
+    in grid order."""
     if not grid:
         raise ConfigError("sweep grid must not be empty")
     validate_config(cfg)
     points, weights = zip(*(_apply_sweep_value(cfg, parameter, value) for value in grid))
-    flows = run_flows(points, weights, seed, jobs)
+    flows = run_flows(points, weights, seed)
     rows = [
         {
             "value": value,
@@ -698,7 +665,8 @@ def main(argv=None) -> int:
         command.add_argument("--seed", type=int, default=None, help="override graph/init seeds")
     commands["sweep"].add_argument("--parameter", required=True, choices=SWEEP_KEYS)
     commands["sweep"].add_argument("--grid", required=True, help="comma-separated values")
-    commands["sweep"].add_argument("--jobs", type=int, default=1, help="worker threads")
+    commands["sweep"].add_argument("--jobs", type=int, default=1, choices=(1,),
+                                   help="1, the only value: a sweep runs serially")
     commands["classify"].add_argument("--trace", required=True, help="existing trace CSV")
     args = parser.parse_args(argv)
 
@@ -719,7 +687,7 @@ def main(argv=None) -> int:
                 grid = [float(tok) for tok in args.grid.split(",") if tok.strip() != ""]
             except ValueError as exc:
                 raise ConfigError(f"bad --grid value: {exc}") from exc
-            rows = sweep_config(cfg, args.parameter, grid, out_dir, args.jobs, args.seed)
+            rows = sweep_config(cfg, args.parameter, grid, out_dir, args.seed)
             for row in rows:
                 print(
                     f"{row['value']}: predicted={row['predicted']} "

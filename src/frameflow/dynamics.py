@@ -44,7 +44,10 @@ its governing energy.  ``run_flow`` records the spectral radii rho(M_i) as
 ``FlowTrace.gains`` (:func:`scheme_gains` gives the same numbers without a
 run), and analysis.dominant_frequency predicts the limit from them.  The
 public ``step_*`` functions are vertex-domain wrappers around the same
-steps.
+steps.  Beside ``_scheme_operator``, the table ``SCHEMES`` lists every
+scheme kind once, with its config contract: the keys its flow reads (which
+the CLI sweeps and checks), its default tau, whether it takes an
+activation, and the ``paper_check`` note of a run's summary.
 
 ``run_flow`` iterates a scheme, recording per step, a block at a time,
 the state norm, the normalized Dirichlet energy E(H/||H||), the scheme's
@@ -90,7 +93,7 @@ from .errors import (
 from .framelets import FrameletSystem, Multiplier, band_pass, one_like
 
 __all__ = [
-    "SCHEME_KINDS",
+    "SCHEMES",
     "ACTIVATIONS",
     "Scheme",
     "StopRule",
@@ -106,23 +109,6 @@ __all__ = [
     "scheme_gains",
 ]
 
-SCHEME_KINDS = (
-    "spatial_framelet",
-    "gradf_ufg",
-    "ee_ufg",
-    "spectral_framelet",
-    "activated",
-    "perturbed_closed_form",
-)
-# the weights each scheme's flow reads, w_tilde only with the source on (see _scheme_operator)
-SCHEME_WEIGHTS = {
-    "spatial_framelet": ("w",),
-    "gradf_ufg": ("omega", "w", "w_tilde"),
-    "ee_ufg": ("w",),
-    "spectral_framelet": ("w",),
-    "activated": ("omega", "w", "w_tilde"),
-    "perturbed_closed_form": (),
-}
 ACTIVATIONS = ("identity", "relu", "tanh")
 OVERFLOW_GUARD = 1e150
 BLOCK = 64  # steps per recorded block; a linear flow's rows take their bits from 64-step shifts
@@ -139,11 +125,11 @@ class Scheme:
     renormalize: bool = False
 
     def __post_init__(self):
-        if self.kind not in SCHEME_KINDS:
+        if self.kind not in SCHEMES:
             raise ConfigError(f"unknown scheme kind {self.kind!r}")
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
-        if self.kind not in ("activated", "ee_ufg") and self.activation != "identity":
+        if not SCHEMES[self.kind].nonlinear and self.activation != "identity":
             raise ConfigError(f"scheme {self.kind!r} is linear; activation must be identity")
         if self.activation == "tanh" and self.renormalize:
             raise IllegalRenormalizeError(
@@ -312,6 +298,44 @@ def require_closed_form_bank(sys: FrameletSystem) -> None:
 
 def _linear_operator(step: Multiplier, energy: Multiplier) -> SchemeOperator:
     return SchemeOperator(step.apply_into, step.per_frequency, energy)
+
+
+class SchemeKind(NamedTuple):
+    """A scheme's config contract: ``reads``, the config keys its flow reads
+    among omega, w, w_tilde, epsilon, theta and tau (``lambda_w`` through w,
+    w_tilde only with beta != 0); its default ``tau``; whether it takes a
+    ``nonlinear`` activation; and the ``paper_check`` regime note of a run."""
+
+    reads: tuple
+    tau: float
+    nonlinear: bool
+    paper_check: str
+
+
+# every scheme kind, read by the CLI for its defaults, sweep keys, checks and notes
+SCHEMES = {
+    "spatial_framelet": SchemeKind(
+        ("w", "tau"), 1.0, False,
+        "scalar band weights: small high-pass weight smooths (low-frequency limit), "
+        "sufficiently large magnitude separates (high-frequency limit)"),
+    "gradf_ufg": SchemeKind(
+        ("omega", "w", "w_tilde", "tau"), 1e-2, False,
+        "band-wise energy descent; shared weights reduce it to plain one-hop dynamics"),
+    "ee_ufg": SchemeKind(  # a unit step, whatever tau is
+        ("w", "epsilon"), 1.0, True,
+        "band-shifted convolution; equals energy descent with shifted per-band "
+        "external weights at unit step"),
+    "spectral_framelet": SchemeKind(
+        ("w", "theta", "tau"), 1.0, False,
+        "uniform spectral filters: theta < 1 smooths, theta > 1 separates, theta = 1 is flat"),
+    "activated": SchemeKind(
+        ("omega", "w", "w_tilde", "tau"), 1e-2, True,
+        "activated descent; the governing energy is non-increasing for "
+        "sign-preserving activations"),
+    "perturbed_closed_form": SchemeKind(
+        ("epsilon", "tau"), 1e-2, False,
+        "perturbed decay flow: every frequency decays, the flow smooths for any positive shift"),
+}
 
 
 def _scheme_operator(

@@ -123,14 +123,6 @@ def test_sweep_scalar_weight_grid(tmp_path):
     assert [ln.split(",")[0] for ln in text[1:]] == ["0.25", "0.5", "1.0", "2.0", "10.0"]
 
 
-def test_sweep_parallel_matches_serial(tmp_path):
-    cfg = c6_config()
-    a, b = tmp_path / "serial", tmp_path / "parallel"
-    cli.sweep_config(cfg, "lambda_w", [0.5, 2.0, 10.0], a, jobs=1)
-    cli.sweep_config(cfg, "lambda_w", [0.5, 2.0, 10.0], b, jobs=3)
-    assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
-
-
 def test_sweep_unit_weight_on_non_bipartite_graph(tmp_path):
     cfg = c6_config()
     cfg["graph"] = {"kind": "cycle", "n": 5, "self_loops": False}
@@ -148,7 +140,10 @@ def test_sweep_inapplicable_parameter_rejected(tmp_path, monkeypatch):
     monkeypatch.setattr(ff.spectral, "eigh", _refuse)
     for parameter, cfg in (("theta", c6_config()),
                            ("tau", c6_config(scheme={"kind": "ee_ufg"}, epsilon=0.2)),
-                           ("epsilon", c6_config(scheme={"kind": "gradf_ufg"}, tau=0.05))):
+                           ("epsilon", c6_config(scheme={"kind": "gradf_ufg"}, tau=0.05)),
+                           ("lambda_w", c6_config(scheme={"kind": "perturbed_closed_form"},
+                                                  framelet={"scales": 2, "variant": "tight"},
+                                                  epsilon=0.5, tau=0.01))):
         out = tmp_path / parameter
         with pytest.raises(ConfigError, match=f"{parameter} sweeps need scheme.kind in"):
             cli.sweep_config(cfg, parameter, [1.0], out)
@@ -156,6 +151,52 @@ def test_sweep_inapplicable_parameter_rejected(tmp_path, monkeypatch):
                 "--parameter", parameter, "--grid", "1.0"]
         assert cli.main(argv) == 2
         assert not out.exists()
+
+
+def _two_scale_weights(omega=((1.2, 0.1), (0.1, 0.9)), w=((1.0, 0.4), (0.4, -0.6)),
+                       w_tilde=((0.3, -0.2), (0.5, 0.1))):
+    """Two-channel `full` weights, one matrix of each name on every J = 2 band."""
+    pairs = (("omega", omega), ("w", w), ("w_tilde", w_tilde))
+    return {"mode": "full", **{name: dict.fromkeys(("0,2", "1,1", "1,2"), [list(r) for r in m])
+                               for name, m in pairs}}
+
+
+# config key -> (the config's blocks with one value, the same with another); lambda_w sets w
+READ_CHANGES = {
+    "lambda_w": ({"weights": {"mode": "scalar", "lambda_w": 1.5}},
+                 {"weights": {"mode": "scalar", "lambda_w": 3.0}}),
+    "w": ({}, {"weights": _two_scale_weights(w=((0.7, -0.3), (-0.3, 1.1)))}),
+    "omega": ({}, {"weights": _two_scale_weights(omega=((0.8, 0.0), (0.0, 1.4)))}),
+    "w_tilde": ({}, {"weights": _two_scale_weights(w_tilde=((-0.4, 0.2), (0.0, 0.6)))}),
+    "epsilon": ({}, {"epsilon": 0.6}),
+    "theta": ({}, {"theta": {"low": 0.7, "high": 2.4}}),
+    "tau": ({}, {"tau": 0.08}),
+}
+
+
+# spectral filtering takes scalar weights only at lambda_w = 1, where w is shared across bands
+@pytest.mark.parametrize("kind,key", [(kind, key) for kind in ff.dynamics.SCHEMES
+                                      for key in READ_CHANGES
+                                      if (kind, key) != ("spectral_framelet", "lambda_w")])
+def test_a_scheme_trace_changes_with_exactly_the_keys_it_reads(tmp_path, kind, key):
+    """dynamics.SCHEMES[kind].reads is what the flow reads: a key outside it
+    leaves trace.csv byte-identical, a key inside it changes the trace."""
+    activation = "relu" if kind in ("activated", "ee_ufg") else "identity"
+    base = {
+        "graph": {"kind": "erdos_renyi", "n": 12, "p": 0.4, "seed": 3},
+        "framelet": {"scales": 2, "variant": "tight"},
+        "scheme": {"kind": kind, "activation": activation},
+        "weights": _two_scale_weights(),
+        "epsilon": 0.3, "beta": 0.4, "tau": 0.05, "theta": {"low": 0.7, "high": 1.6},
+        "init": {"mode": "random_normal", "seed": 5, "channels": 2},
+        "run": {"steps": 40, "tol": 1e-6, "plateau_window": 10, "renormalize": True},
+    }
+    traces = []
+    for name, change in zip("ab", READ_CHANGES[key]):
+        cli.run_config({**base, **change}, tmp_path / name)
+        traces.append((tmp_path / name / "trace.csv").read_bytes())
+    read = "w" if key == "lambda_w" else key
+    assert (traces[0] != traces[1]) == (read in ff.dynamics.SCHEMES[kind].reads)
 
 
 def test_sweep_spectral_theta_grid(tmp_path):
@@ -466,14 +507,8 @@ def test_source_mixers_of_the_wrong_size_exit_eight_only_if_the_source_is_on(
     assert len(calls) == eigh_calls
 
 
-# the weights each scheme's flow reads, w_tilde only with the source on
-SCHEME_READS = {"spatial_framelet": "w", "gradf_ufg": "omega w w_tilde", "ee_ufg": "w",
-                "spectral_framelet": "w", "activated": "omega w w_tilde",
-                "perturbed_closed_form": ""}
-
-
 @pytest.mark.parametrize("target", ["omega", "w", "w_tilde"])
-@pytest.mark.parametrize("kind", sorted(SCHEME_READS))
+@pytest.mark.parametrize("kind", sorted(ff.dynamics.SCHEMES))
 def test_only_the_weights_a_scheme_reads_must_fit_the_signal(tmp_path, monkeypatch, kind, target):
     """One 3 x 3 weight (w_tilde with the source on) against two channels: a
     run whose scheme reads it exits 8 before eigh, one whose scheme never
@@ -488,7 +523,7 @@ def test_only_the_weights_a_scheme_reads_must_fit_the_signal(tmp_path, monkeypat
     cfg = c6_config(scales=2, steps=50, weights=weights, scheme={"kind": kind}, epsilon=0.1,
                     beta=0.5, theta={"low": 1.0, "high": 1.0})
     path = write_config(tmp_path, cfg)
-    read = target in SCHEME_READS[kind].split()
+    read = target in ff.dynamics.SCHEMES[kind].reads  # w_tilde with the source on
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "run")]) == (8 if read else 0)
     assert len(calls) == (0 if read else 1)
     calls.clear()
@@ -662,9 +697,12 @@ def test_choice_config_values_exit_before_the_eigensolve(
         (cfg if block is None else cfg[block])[key] = value
     path = write_config(tmp_path, cfg)
     out = tmp_path / "out"
-    # spectral filtering rejects unequal band weights before it sees the graph
-    grid = "1.0" if cfg["scheme"]["kind"] == "spectral_framelet" else "0.5,2.0"
-    for command in (["run"], ["sweep", "--parameter", "lambda_w", "--grid", grid]):
+    # spectral filtering rejects unequal band weights before it sees the graph,
+    # and the closed form reads no weights, so it sweeps tau
+    kind = cfg["scheme"]["kind"]
+    grid = "1.0" if kind == "spectral_framelet" else "0.5,2.0"
+    parameter = "tau" if kind == "perturbed_closed_form" else "lambda_w"
+    for command in (["run"], ["sweep", "--parameter", parameter, "--grid", grid]):
         assert cli.main([*command, "--config", str(path), "--out", str(out)]) == code
     assert not out.exists()
 
@@ -1218,14 +1256,16 @@ def test_main_parses_every_call_afresh(tmp_path, monkeypatch, capsys):
     config = str(write_config(tmp_path, c6_config(steps=200)))
     sweep = ["sweep", "--config", config, "--parameter", "lambda_w", "--grid", "0.5,2"]
     calls = [
-        [*sweep, "--out", str(tmp_path / "a"), "--jobs", "2", "--seed", "3"],
+        [*sweep, "--out", str(tmp_path / "a"), "--jobs", "1", "--seed", "3"],
         [*sweep, "--out", str(tmp_path / "b")],
         ["run", "--config", config, "--out", str(tmp_path / "c")],
         ["classify", "--config", config, "--trace", str(tmp_path / "c" / "trace.csv")],
     ]
     for argv in calls:
         assert cli.main(argv) == 0
-        for bad in (["sweep", "--config", config], ["walk"], [*argv, "--bogus"]):
+        # a sweep runs serially: --jobs takes 1 only
+        for bad in (["sweep", "--config", config], ["walk"], [*argv, "--bogus"],
+                    [*sweep, "--jobs", "2"]):
             with pytest.raises(SystemExit) as exc:
                 cli.main(bad)
             assert exc.value.code == 2
@@ -1233,8 +1273,8 @@ def test_main_parses_every_call_afresh(tmp_path, monkeypatch, capsys):
     assert [n for n, _, _ in seen] == ["sweep_config", "sweep_config", "run_config",
                                        "classify_trace_csv"]
     (_, first, _), (_, second, _), (_, _, run), (_, _, classify) = seen
-    assert first[4:] == (2, 3)  # sweep_config(cfg, parameter, grid, out, jobs, seed)
-    assert second[4:] == (1, None) and run == {"seed": None} and classify == {"seed": None}
+    assert first[4:] == (3,)  # sweep_config(cfg, parameter, grid, out, seed)
+    assert second[4:] == (None,) and run == {"seed": None} and classify == {"seed": None}
 
 
 FULL_W = {"0,2": [[1.0, 0.3, 0.0], [0.3, 0.8, -0.2], [0.0, -0.2, 1.1]],
@@ -1454,6 +1494,16 @@ def test_readme_lists_the_sweep_keys():
     [line] = [ln for ln in readme.splitlines() if ln.startswith("* sweep parameters:")]
     listed = line.split(":", 1)[1].split(".")[0]
     assert re.findall(r"`(\w+)`", listed) == list(cli.SWEEP_KEYS)
+
+
+def test_ci_runs_the_readme_example():
+    """The workflow's example config, written by a heredoc, is the README's."""
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    workflow = (root / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    [example] = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+    [heredoc] = re.findall(r"cat > example\.json <<'EOF'\n(.*?)\n\s*EOF\n", workflow, re.DOTALL)
+    assert json.loads(heredoc) == json.loads(example)
 
 
 def _subclasses(klass):

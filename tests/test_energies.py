@@ -321,6 +321,19 @@ def test_total_gradient_finite_difference(rng):
         grad_close(analytic, numeric)
 
 
+def test_generalized_gradient_finite_difference(rng):
+    for _ in range(4):
+        n, c = int(rng.integers(4, 12)), int(rng.integers(1, 4))
+        ahat = ff.normalized_adjacency(random_er_graph(rng, n))
+        omega, w = random_symmetric(rng, c), random_symmetric(rng, c)
+        h = rng.standard_normal((n, c))
+        analytic = ff.generalized_energy_gradient(ahat, h, omega, w)
+        numeric = central_diff_gradient(  # 0.5 tr(H^T H Omega) - 0.5 tr(H^T Ahat H W), written out
+            lambda x: 0.5 * np.trace(x.T @ x @ omega) - 0.5 * np.trace(x.T @ ahat @ x @ w), h, FD_STEP
+        )
+        grad_close(analytic, numeric)
+
+
 def test_total_gradient_with_source_finite_difference(rng):
     n, c = 8, 3
     g = random_er_graph(rng, n)
