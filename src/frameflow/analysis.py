@@ -23,9 +23,9 @@ from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
-from .energies import dirichlet_energy, _as_columns, _restore
+from .energies import dirichlet_energy
 from .errors import TraceNotNormalizedError, ZeroStateError
-from .spectral import TOP_TIE_TOL, Spectrum
+from .spectral import TOP_TIE_TOL, Spectrum, as_columns, graph_fourier, restore
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dynamics import FlowTrace
@@ -55,7 +55,7 @@ DEFAULT_TOL = 1e-6
 
 def normalized_dirichlet(lap: np.ndarray, signal) -> float:
     """Dirichlet energy of the unit-normalized signal, in [0, rho_L/2]."""
-    x, _ = _as_columns(signal, np.asarray(lap).shape[0])
+    x, _ = as_columns(signal, np.asarray(lap).shape[0])
     norm = float(np.linalg.norm(x))
     if norm == 0.0:
         raise ZeroStateError("cannot normalize an all-zero state")
@@ -103,9 +103,9 @@ def dominant_frequency(spectrum: Spectrum, gains: np.ndarray) -> DominancePredic
 
 
 def _projection(spectrum: Spectrum, signal, mask: np.ndarray):
-    x, was_vector = _as_columns(signal, spectrum.n)
+    x, was_vector = as_columns(signal, spectrum.n)
     rows = spectrum.u[mask]
-    return _restore(rows.T @ (rows @ x), was_vector)
+    return restore(rows.T @ (rows @ x), was_vector)
 
 
 def _top(spectrum: Spectrum) -> np.ndarray:
@@ -188,7 +188,7 @@ def limit_dominance(
     the kernel (LFD) or the top eigenspace (HFD).  With ``state`` unknown the
     eigenspace test is skipped and the residual is None; only rho_L is read.
     """
-    coefficients = None if state is None else spectrum.u @ np.asarray(state, dtype=float)
+    coefficients = None if state is None else graph_fourier(spectrum, state)
     return _limit_dominance(plateaued, limit, rho_l, tol, spectrum, coefficients)
 
 

@@ -183,7 +183,7 @@ def load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
@@ -250,7 +250,7 @@ def _output_names(cfg: dict) -> tuple:
 @functools.cache
 def _probe_bank(scales: int, variant: str) -> framelets.FrameletSystem:
     """The bank at 0 and 2, the ends of every normalized Laplacian spectrum."""
-    ends = spectral.Spectrum(np.array([0.0, 2.0]), np.eye(2), 2.0, 1)
+    ends = spectral.Spectrum(np.array([0.0, 2.0]), np.eye(2))
     return framelets.build_framelet_system(ends, scales, variant)
 
 
@@ -271,31 +271,45 @@ def _build_graph(cfg: dict, seed: Optional[int]) -> graphs.Graph:
     return graphs.generate_graph(graphs.GraphSpec(**block))
 
 
-def read_signal_matrix(path, n: int) -> np.ndarray:
-    """Load an n x c matrix of finite decimal floats, comma separated, no header."""
-    rows = []
+def read_numbers(path, what: str, header: Optional[str] = None) -> tuple:
+    """(table, lines) of the comma-separated ``what`` file at ``path``: its
+    rows of finite numbers as a float array, and the line each row is on.
+    Blank lines are skipped; ``header``, if given, must be the first line;
+    every row must be as wide as the first line.  Each error about a line
+    names it as path:line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                try:
-                    rows.append([float(tok) for tok in line.split(",")])
-                except ValueError as exc:
-                    raise FileParseError(f"{path}:{lineno}: non-numeric entry") from exc
-                if not all(map(math.isfinite, rows[-1])):  # nan, inf, or 1e999
-                    raise FileParseError(f"{path}:{lineno}: non-finite entry")
-    except OSError as exc:
-        raise FileParseError(f"cannot read signal file {path}: {exc}") from exc
+            numbered = [(i, ln.strip()) for i, ln in enumerate(fh, start=1) if ln.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FileParseError(f"cannot read {what} file {path}: {exc}") from exc
+    width = None
+    if header is not None:
+        lineno, first = numbered.pop(0) if numbered else (1, "")
+        if first != header:
+            raise FileParseError(f"{path}:{lineno}: a {what} file starts with {header!r}")
+        width = header.count(",") + 1
+    rows = []
+    for lineno, line in numbered:
+        try:
+            row = [float(tok) for tok in line.split(",")]
+        except ValueError as exc:
+            raise FileParseError(f"{path}:{lineno}: non-numeric entry") from exc
+        if not all(map(math.isfinite, row)):  # nan, inf, or 1e999
+            raise FileParseError(f"{path}:{lineno}: non-finite entry")
+        width = width or len(row)
+        if len(row) != width:
+            raise FileParseError(f"{path}:{lineno}: {len(row)} fields, not {width}")
+        rows.append(row)
     if not rows:
-        raise FileParseError(f"signal file {path} is empty")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise FileParseError(f"signal file {path} has ragged rows")
-    mat = np.asarray(rows, dtype=float)
-    if mat.shape[0] != n:
-        raise DimensionMismatchError(f"signal file has {mat.shape[0]} rows, graph has {n} nodes")
+        raise FileParseError(f"{what} file {path} has no rows of numbers")
+    return np.asarray(rows, dtype=float), [lineno for lineno, _ in numbered]
+
+
+def read_signal_matrix(path, n: int) -> np.ndarray:
+    """An n x c signal matrix, one row per vertex, read by :func:`read_numbers`."""
+    mat, _ = read_numbers(path, "signal")
+    if len(mat) != n:
+        raise DimensionMismatchError(f"signal file {path} has {len(mat)} rows, graph has {n}")
     return mat
 
 
@@ -619,34 +633,20 @@ def classify_trace_csv(cfg: dict, trace_path, seed: Optional[int] = None) -> dic
     validate_config(cfg)
     rho_l = float(spectral.eigvalsh(graphs.normalized_laplacian(_build_graph(cfg, seed)))[-1])
     stop, tol = _run_rules(cfg)
-    try:
-        with open(trace_path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
-        raise FileParseError(f"cannot read trace {trace_path}: {exc}") from exc
-    if not lines or lines[0] != TRACE_HEADER:
-        raise FileParseError(f"{trace_path} does not look like a trace CSV")
-    try:
-        table = [[float(field) for field in ln.split(",")] for ln in lines[1:]]
-    except ValueError as exc:
-        raise FileParseError(f"{trace_path}: non-numeric field") from exc
-    if not table:
-        raise FileParseError(f"{trace_path} has no data rows")
-    width = TRACE_HEADER.count(",") + 1
-    for k, row in enumerate(table):  # no run writes a non-finite value: its norm guard stops it
-        if len(row) != width or not all(map(math.isfinite, row)) or row[0] != k:
-            raise FileParseError(f"{trace_path}: row {k + 1} is not step {k} "
-                                 f"and {width} finite numbers")
-    e_norm = [row[2] for row in table]
-    plateaued = stop.plateau_step([np.array(e_norm)]) is not None
-    dominance, _ = analysis.limit_dominance(plateaued, e_norm[-1], rho_l, tol)
+    table, lines = read_numbers(trace_path, "trace", TRACE_HEADER)
+    k = int(np.argmax(table[:, 0] != np.arange(len(table))))  # the first wrong step, or 0
+    if table[k, 0] != k:
+        raise FileParseError(f"{trace_path}:{lines[k]}: row {k + 1} is not step {k}")
+    plateaued = stop.plateau_step([table[:, 2]]) is not None
+    limit = float(table[-1, 2])
+    dominance, _ = analysis.limit_dominance(plateaued, limit, rho_l, tol)
     return {
         "dominance": dominance,
-        "limit_value": e_norm[-1],
+        "limit_value": limit,
         "target_low": 0.0,
         "target_high": rho_l / 2.0,
         "residual_checked": False,
-        "rows": len(e_norm),
+        "rows": len(table),
         "plateaued": plateaued,
     }
 

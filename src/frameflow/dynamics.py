@@ -77,11 +77,10 @@ from .energies import (  # the vertex-domain energies stay importable here for t
     perturbed_energy_form,
     spectral_energy,  # noqa: F401
     spectral_energy_form,
+    spectral_initial,
     to_spectral,
     to_vertex,
     total_framelet_energy,  # noqa: F401
-    _as_columns,
-    _spectral_initial,
 )
 from .errors import (
     ConfigError,
@@ -91,6 +90,7 @@ from .errors import (
     ZeroStateError,
 )
 from .framelets import FrameletSystem, Multiplier, band_pass, one_like
+from .spectral import as_columns
 
 __all__ = [
     "SCHEMES",
@@ -190,15 +190,11 @@ class FlowTrace:
     """
 
     scheme: Scheme
-    steps: np.ndarray
     norms: np.ndarray
     dirichlet_normalized: np.ndarray
     total_energy: np.ndarray
-    rayleigh: np.ndarray
     final_coefficients: np.ndarray
     basis: np.ndarray
-    renormalized: bool
-    plateaued: bool
     steps_to_plateau: Optional[int]
     gains: Optional[np.ndarray] = None  # per eigenvalue; see scheme_gains
 
@@ -208,8 +204,26 @@ class FlowTrace:
         return self.basis.T @ self.final_coefficients
 
     @property
+    def steps(self) -> np.ndarray:
+        """The step of each row: 0, 1, ..., steps_run."""
+        return np.arange(len(self.norms), dtype=np.int64)
+
+    @property
+    def rayleigh(self) -> np.ndarray:
+        """The Rayleigh quotient 2 E(H/||H||) of each row."""
+        return 2.0 * self.dirichlet_normalized
+
+    @property
+    def renormalized(self) -> bool:
+        return self.scheme.renormalize
+
+    @property
+    def plateaued(self) -> bool:
+        return self.steps_to_plateau is not None
+
+    @property
     def steps_run(self) -> int:
-        return int(self.steps[-1]) if self.steps.size else 0
+        return len(self.norms) - 1
 
     @property
     def limit_value(self) -> float:
@@ -404,7 +418,7 @@ def scheme_gains(scheme: Scheme, sys: FrameletSystem, cfg: WeightConfig) -> Opti
 def _vertex_step(kind, activation, sys, signal, initial, cfg: WeightConfig):
     """One step of ``kind`` on a vertex-domain signal: U^T step(U H)."""
     h, was_vector = to_spectral(sys, signal)
-    h0 = _spectral_initial(sys, initial, h) if cfg.has_source else None
+    h0 = spectral_initial(sys, initial, h) if cfg.has_source else None
     op = _scheme_operator(Scheme(kind, activation), sys, cfg, h.shape[1], h0)
     op.energy.check_channels(h.shape[1])  # a folded step would broadcast a mismatch
     return to_vertex(sys, op.step(h, None), was_vector)
@@ -620,7 +634,7 @@ def run_flow(
     operator is read off the system's eigenvalues; ``gains`` holds rho(M_i)
     per eigenvalue.
     """
-    x0, _ = _as_columns(initial, sys.n)
+    x0, _ = as_columns(initial, sys.n)
     h0, lam = sys.spectrum.u @ x0, sys.spectrum.eigenvalues
     op = _scheme_operator(scheme, sys, cfg, x0.shape[1], h0)
     norm0 = float(np.linalg.norm(x0))
@@ -652,15 +666,11 @@ def run_flow(
     )
     return FlowTrace(
         scheme=scheme,
-        steps=np.arange(last + 1, dtype=np.int64),
         norms=norms,
         dirichlet_normalized=e_arr,
         total_energy=energies,
-        rayleigh=2.0 * e_arr,
         final_coefficients=state_at(last, norms[-1]),
         basis=sys.spectrum.u,
-        renormalized=scheme.renormalize,
-        plateaued=steps_to_plateau is not None,
         steps_to_plateau=steps_to_plateau,
         gains=None if modes is None else np.abs(modes[0]).max(axis=1),
     )

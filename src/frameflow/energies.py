@@ -24,7 +24,7 @@ Sign conventions worth stating once:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -38,7 +38,7 @@ from .errors import (
 )
 from .framelets import (
     Band, BandFilter, FrameletSystem, Multiplier, band_index_set, haar_response, identity,
-    _read_only,
+    read_only,
 )
 from .graphs import Graph
 from . import spectral
@@ -82,22 +82,6 @@ def _require_symmetric(name: str, m: np.ndarray, band=None) -> np.ndarray:
     return m
 
 
-def _as_columns(signal, n: int):
-    """Coerce a signal to (n, c); remember whether it arrived 1-D."""
-    x = np.asarray(signal, dtype=float)
-    if x.ndim == 1:
-        if x.shape[0] != n:
-            raise DimensionMismatchError(f"signal has {x.shape[0]} rows, expected {n}")
-        return x[:, None], True
-    if x.ndim != 2 or x.shape[0] != n:
-        raise DimensionMismatchError(f"signal shape {x.shape} incompatible with n={n}")
-    return x, False
-
-
-def _restore(grad: np.ndarray, was_vector: bool):
-    return grad[:, 0] if was_vector else grad
-
-
 @dataclass(frozen=True)
 class WeightConfig:
     """Per-band weights plus the scalar knobs of the flow family.
@@ -127,18 +111,18 @@ class WeightConfig:
             mats = getattr(self, name)
             for b, m in mats.items():
                 if id(m) not in checked:
-                    checked[id(m)] = float(m) if np.ndim(m) == 0 else _read_only(
+                    checked[id(m)] = float(m) if np.ndim(m) == 0 else read_only(
                         _require_symmetric(name, m, b).copy())
             object.__setattr__(self, name, {b: checked[id(m)] for b, m in mats.items()})
         if len({np.ndim(m) for m in checked.values()}) > 1:
             raise ConfigError("omega and w must be all numbers or all c x c matrices")
         if self.w_tilde is not None:
-            wt = {b: _read_only(np.array(m, dtype=float)) for b, m in self.w_tilde.items()}
+            wt = {b: read_only(np.array(m, dtype=float)) for b, m in self.w_tilde.items()}
             if set(wt) != set(self.omega):
                 raise BandMismatchError("w_tilde must cover the same bands as omega/w")
             object.__setattr__(self, "w_tilde", wt)
         if self.theta is not None:
-            th = {b: float(v) if np.ndim(v) == 0 else _read_only(np.array(v, dtype=float).ravel())
+            th = {b: float(v) if np.ndim(v) == 0 else read_only(np.array(v, dtype=float).ravel())
                   for b, v in self.theta.items()}
             object.__setattr__(self, "theta", th)
 
@@ -200,19 +184,15 @@ class WeightConfig:
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
-    """Multi-particle reading of one band's energy.
-
-    total = external + attraction - repulsion by construction.
-    """
+    """Multi-particle reading of one band's energy."""
 
     external: float
     attraction: float
     repulsion: float
-    total: float = field(default=0.0)
 
-    @staticmethod
-    def of(external: float, attraction: float, repulsion: float) -> "EnergyBreakdown":
-        return EnergyBreakdown(external, attraction, repulsion, external + attraction - repulsion)
+    @property
+    def total(self) -> float:
+        return self.external + self.attraction - self.repulsion
 
 
 def _check_operator(name: str, op: np.ndarray, n: int) -> np.ndarray:
@@ -224,18 +204,18 @@ def _check_operator(name: str, op: np.ndarray, n: int) -> np.ndarray:
 
 def to_spectral(sys: FrameletSystem, signal):
     """(U H as an (n, c) matrix, whether the signal arrived 1-D)."""
-    x, was_vector = _as_columns(signal, sys.n)
+    x, was_vector = spectral.as_columns(signal, sys.n)
     return spectral.graph_fourier(sys.spectrum, x), was_vector
 
 
 def to_vertex(sys: FrameletSystem, h: np.ndarray, was_vector: bool):
     """U^T h, shaped like the signal :func:`to_spectral` received."""
-    return _restore(spectral.inverse_graph_fourier(sys.spectrum, h), was_vector)
+    return spectral.restore(spectral.inverse_graph_fourier(sys.spectrum, h), was_vector)
 
 
 def dirichlet_energy(lap: np.ndarray, signal) -> float:
     """Smoothness measure 0.5 tr(H^T Lhat H); zero exactly on ker(Lhat)."""
-    x, _ = _as_columns(signal, np.asarray(lap).shape[0])
+    x, _ = spectral.as_columns(signal, np.asarray(lap).shape[0])
     lap = _check_operator("laplacian", lap, x.shape[0])
     return 0.5 * float(np.sum(x * (lap @ x)))
 
@@ -260,13 +240,13 @@ def generalized_energy(ahat: np.ndarray, signal, omega: np.ndarray, w: np.ndarra
     """0.5 tr(H^T H Omega) - 0.5 tr(H^T Ahat H W); Omega = W = I recovers Dirichlet.
 
     The energy is quadratic, so it is 0.5 <H, gradient>."""
-    x, _ = _as_columns(signal, np.asarray(ahat).shape[0])
+    x, _ = spectral.as_columns(signal, np.asarray(ahat).shape[0])
     return 0.5 * float(np.vdot(x, generalized_energy_gradient(ahat, x, omega, w)))
 
 
 def generalized_energy_gradient(ahat: np.ndarray, signal, omega: np.ndarray, w: np.ndarray):
     """Gradient H Omega - Ahat H W of :func:`generalized_energy`."""
-    x, was_vector = _as_columns(signal, np.asarray(ahat).shape[0])
+    x, was_vector = spectral.as_columns(signal, np.asarray(ahat).shape[0])
     ahat = _check_operator("ahat", ahat, x.shape[0])
     omega = _require_symmetric("omega", omega)
     w = _require_symmetric("w", w)
@@ -274,10 +254,10 @@ def generalized_energy_gradient(ahat: np.ndarray, signal, omega: np.ndarray, w: 
         raise DimensionMismatchError(
             f"weights are {omega.shape[0]}x..., signal has {x.shape[1]} channels"
         )
-    return _restore(x @ omega - ahat @ x @ w, was_vector)
+    return spectral.restore(x @ omega - ahat @ x @ w, was_vector)
 
 
-def _spectral_initial(sys: FrameletSystem, initial, h: np.ndarray) -> Optional[np.ndarray]:
+def spectral_initial(sys: FrameletSystem, initial, h: np.ndarray) -> Optional[np.ndarray]:
     """U H0, checked against the signal's shape; None passes through."""
     if initial is None:
         return None
@@ -323,7 +303,7 @@ def total_framelet_energy(sys: FrameletSystem, signal, cfg: WeightConfig, initia
     generalized_energy(Ahat, signal, Omega, W) for the system's Ahat.
     """
     h, _ = to_spectral(sys, signal)
-    form = framelet_energy_form(sys, cfg, _spectral_initial(sys, initial, h))
+    form = framelet_energy_form(sys, cfg, spectral_initial(sys, initial, h))
     return form.quadratic(h)
 
 
@@ -331,7 +311,7 @@ def total_framelet_energy_gradient(sys: FrameletSystem, signal, cfg: WeightConfi
     """Analytic gradient sum_b (W_b^T W_b H Omega_b - W_b^T Ahat W_b H W_b)
     minus beta * sum_b W_b^T H0 Wt_b when a source is configured."""
     h, was_vector = to_spectral(sys, signal)
-    form = framelet_energy_form(sys, cfg, _spectral_initial(sys, initial, h))
+    form = framelet_energy_form(sys, cfg, spectral_initial(sys, initial, h))
     return to_vertex(sys, form.apply(h), was_vector)
 
 
@@ -342,7 +322,7 @@ def source_energy_term(sys: FrameletSystem, signal, initial, cfg: WeightConfig) 
     attracts the state toward H0-mixed directions).
     """
     h, _ = to_spectral(sys, signal)
-    return float(np.vdot(h, source_spectral(sys, _spectral_initial(sys, initial, h), cfg)))
+    return float(np.vdot(h, source_spectral(sys, spectral_initial(sys, initial, h), cfg)))
 
 
 def source_energy_gradient(sys: FrameletSystem, initial, cfg: WeightConfig) -> np.ndarray:
@@ -442,7 +422,7 @@ def particle_decomposition(
         diffs = scaled[rows] - scaled[cols]
         attraction = 0.25 * float(np.sum((diffs @ plus.T) ** 2))
         repulsion = 0.25 * float(np.sum((diffs @ minus.T) ** 2))
-        out[band] = EnergyBreakdown.of(external, attraction, repulsion)
+        out[band] = EnergyBreakdown(external, attraction, repulsion)
     return out
 
 

@@ -40,7 +40,7 @@ from .errors import (
     OutOfRangeError,
     VariantNotTightError,
 )
-from .spectral import Spectrum
+from .spectral import Spectrum, as_columns, restore
 
 __all__ = [
     "Band",
@@ -71,7 +71,8 @@ def band_index_set(scales: int) -> tuple:
     return ((0, scales),) + tuple((1, j) for j in range(1, scales + 1))
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
+def read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, its write flag cleared."""
     a.setflags(write=False)
     return a
 
@@ -79,7 +80,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 @cache
 def identity(c: int) -> np.ndarray:
     """The c x c identity matrix, read-only and built once per size."""
-    return _read_only(np.eye(c))
+    return read_only(np.eye(c))
 
 
 def _check_lambda(lam):
@@ -145,17 +146,17 @@ class FrameletSystem:
     @cached_property
     def squares(self) -> np.ndarray:
         """r_b^2 at each eigenvalue, one row per band in band order."""
-        return _read_only(np.stack([self.responses[band] ** 2 for band in self.bands]))
+        return read_only(np.stack([self.responses[band] ** 2 for band in self.bands]))
 
     @cached_property
     def a_hat(self) -> np.ndarray:
         """1 - lam: the eigenvalues of Ahat, one per eigenvalue lam of Lhat."""
-        return _read_only(1.0 - self.spectrum.eigenvalues)
+        return read_only(1.0 - self.spectrum.eigenvalues)
 
     @cached_property
     def ahat_terms(self) -> np.ndarray:
         """-r_b^2 a_hat, one row per band: W_b^T (-Ahat) W_b on spectral coordinates."""
-        return _read_only(-(self.squares * self.a_hat))
+        return read_only(-(self.squares * self.a_hat))
 
     @cached_property
     def dirichlet(self) -> "Multiplier":
@@ -358,7 +359,7 @@ def build_framelet_system(s: Spectrum, scales: int, variant: str = "tight") -> F
     """
     bands = band_index_set(scales)
     lams = np.maximum(_check_lambda(s.eigenvalues), 0.0)
-    responses = {band: _read_only(r) for band, r in haar_response(lams, scales, variant).items()}
+    responses = {band: read_only(r) for band, r in haar_response(lams, scales, variant).items()}
     square_sum = sum(responses[band] ** 2 for band in bands)
     residual = float(np.max(np.abs(square_sum - 1.0)))
     return FrameletSystem(
@@ -371,18 +372,9 @@ def build_framelet_system(s: Spectrum, scales: int, variant: str = "tight") -> F
     )
 
 
-def _check_signal(sys: FrameletSystem, signal: np.ndarray) -> np.ndarray:
-    signal = np.asarray(signal, dtype=float)
-    if signal.shape[0] != sys.n:
-        raise DimensionMismatchError(
-            f"signal has {signal.shape[0]} rows, system expects {sys.n}"
-        )
-    return signal
-
-
 def decompose(sys: FrameletSystem, signal: np.ndarray) -> FrameletCoeffs:
     """Framelet analysis: one coefficient matrix W_{r,j} @ signal per band."""
-    signal = _check_signal(sys, signal)
+    signal = restore(*as_columns(signal, sys.n))
     return FrameletCoeffs(bands={b: sys.transforms[b] @ signal for b in sys.bands})
 
 
@@ -397,6 +389,6 @@ def reconstruct(sys: FrameletSystem, coeffs: FrameletCoeffs) -> np.ndarray:
         )
     out = None
     for band in sys.bands:
-        term = sys.transforms[band].T @ _check_signal(sys, coeffs.bands[band])
+        term = sys.transforms[band].T @ restore(*as_columns(coeffs.bands[band], sys.n))
         out = term if out is None else out + term
     return out

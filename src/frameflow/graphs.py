@@ -269,7 +269,7 @@ def generate_graph(spec: GraphSpec) -> Graph:
         try:
             with open(spec.path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise FileParseError(f"cannot read {spec.path}: {exc}") from exc
         return parse_edge_list(text, self_loops=spec.self_loops)
     raise InvalidSpecError(f"unknown graph kind {kind!r}")

@@ -9,6 +9,8 @@ conventions fixtures and flows rely on:
 * each eigenvector's sign fixed so its first component of magnitude above
   1e-12 is positive,
 * ``top_multiplicity`` counts the eigenvalues within 1e-9 of the largest,
+* a graph signal is an (n,) or (n, c) float array; :func:`as_columns`
+  checks that shape for every module,
 * a frequency is a group of eigenvalues, clipped at 0, within 1e-9 of the
   group's first (its anchor); ``frequency_starts`` indexes the anchors and
   ``frequencies`` lists them.
@@ -32,7 +34,8 @@ from .errors import (
     NotSymmetricError,
 )
 
-__all__ = ["Spectrum", "eigh", "eigvalsh", "graph_fourier", "inverse_graph_fourier"]
+__all__ = ["Spectrum", "as_columns", "restore", "eigh", "eigvalsh", "graph_fourier",
+           "inverse_graph_fourier"]
 
 SYMMETRY_TOL = 1e-12
 TOP_TIE_TOL = 1e-9  # eigenvalues this close are one frequency, here and in analysis
@@ -47,18 +50,24 @@ class Spectrum:
     ----------
     eigenvalues : (n,) ndarray, ascending.
     u : (n, n) ndarray whose *rows* are the orthonormal eigenvectors.
-    rho_l : float, largest eigenvalue (the highest frequency for a Laplacian).
-    top_multiplicity : int, count of eigenvalues within 1e-9 of rho_l.
     """
 
     eigenvalues: np.ndarray
     u: np.ndarray
-    rho_l: float
-    top_multiplicity: int
 
     @property
     def n(self) -> int:
         return self.eigenvalues.shape[0]
+
+    @property
+    def rho_l(self) -> float:
+        """The largest eigenvalue (the highest frequency for a Laplacian)."""
+        return float(self.eigenvalues[-1])
+
+    @property
+    def top_multiplicity(self) -> int:
+        """The count of eigenvalues within 1e-9 of rho_l."""
+        return int(np.count_nonzero(self.eigenvalues >= self.rho_l - TOP_TIE_TOL))
 
     @cached_property
     def frequency_starts(self) -> np.ndarray:
@@ -130,11 +139,9 @@ def eigh(m: np.ndarray) -> Spectrum:
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"LAPACK eigh failed (n={m.shape[0]}): {exc}") from exc
     u = _fix_signs(_transpose_in_place(v))
-    rho_l = float(eigenvalues[-1])
-    top_multiplicity = int(np.sum(eigenvalues >= rho_l - TOP_TIE_TOL))
     eigenvalues.setflags(write=False)
     u.setflags(write=False)
-    return Spectrum(eigenvalues=eigenvalues, u=u, rho_l=rho_l, top_multiplicity=top_multiplicity)
+    return Spectrum(eigenvalues=eigenvalues, u=u)
 
 
 def eigvalsh(m: np.ndarray) -> np.ndarray:
@@ -147,21 +154,26 @@ def eigvalsh(m: np.ndarray) -> np.ndarray:
         raise NoConvergenceError(f"LAPACK eigvalsh failed (n={m.shape[0]}): {exc}") from exc
 
 
+def as_columns(signal, n: int):
+    """A graph signal on n vertices as an (n, c) float array, and whether it
+    arrived 1-D; any shape but (n,) or (n, c) is a DimensionMismatchError."""
+    x = np.asarray(signal, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[0] != n:
+        raise DimensionMismatchError(f"signal shape {x.shape} incompatible with n={n}")
+    return (x[:, None], True) if x.ndim == 1 else (x, False)
+
+
+def restore(x: np.ndarray, was_vector: bool) -> np.ndarray:
+    """An (n, c) result shaped like the signal :func:`as_columns` received."""
+    return x[:, 0] if was_vector else x
+
+
 def graph_fourier(s: Spectrum, signal: np.ndarray) -> np.ndarray:
-    """Forward transform U @ signal: coefficient (i, k) = <u_i, signal[:, k]>."""
-    signal = np.asarray(signal, dtype=float)
-    if signal.shape[0] != s.n:
-        raise DimensionMismatchError(
-            f"signal has {signal.shape[0]} rows, spectrum expects {s.n}"
-        )
-    return s.u @ signal
+    """Forward transform U @ signal: coefficient (i, k) = <u_i, signal[:, k]>.
+    A 1-D signal takes a matrix-vector product."""
+    return s.u @ restore(*as_columns(signal, s.n))
 
 
 def inverse_graph_fourier(s: Spectrum, coefficients: np.ndarray) -> np.ndarray:
     """Inverse transform U^T @ coefficients; round-trips with graph_fourier."""
-    coefficients = np.asarray(coefficients, dtype=float)
-    if coefficients.shape[0] != s.n:
-        raise DimensionMismatchError(
-            f"coefficients have {coefficients.shape[0]} rows, spectrum expects {s.n}"
-        )
-    return s.u.T @ coefficients
+    return s.u.T @ restore(*as_columns(coefficients, s.n))

@@ -61,15 +61,11 @@ def test_limit_dominance_reads_a_vertex_state(rng, shape):
     x = (top + 1e-4 * rng.standard_normal(shape)).reshape(8, -1)
     trace = ff.FlowTrace(
         scheme=ff.Scheme("spatial_framelet", renormalize=True),
-        steps=np.array([0, 1]),
         norms=np.array([1.0, 1.0]),
         dirichlet_normalized=np.array([1.0, 1.0]),
         total_energy=np.array([0.3, 0.3]),
-        rayleigh=np.array([2.0, 2.0]),
         final_coefficients=spec.u @ x,
         basis=spec.u,
-        renormalized=True,
-        plateaued=True,
         steps_to_plateau=1,
     )
     np.testing.assert_allclose(trace.final_state, x, atol=1e-14)
@@ -376,15 +372,11 @@ def test_zero_step_trace_undecided():
     _, _, _, spec = c_n(4)
     trace = ff.FlowTrace(
         scheme=ff.Scheme("spatial_framelet", renormalize=True),
-        steps=np.array([0]),
         norms=np.array([1.0]),
         dirichlet_normalized=np.array([0.3]),
         total_energy=np.array([0.3]),
-        rayleigh=np.array([0.6]),
         final_coefficients=np.ones((4, 1)),
         basis=spec.u,
-        renormalized=True,
-        plateaued=False,
         steps_to_plateau=None,
     )
     verdict = ff.classify_dominance(trace, spec)
@@ -460,7 +452,7 @@ def spectra_with_gains(draw):
     lams = np.sort(np.asarray(lams))
     gains = draw(st.lists(st.sampled_from(GAIN_VALUES) | st.floats(-4.0, 4.0),
                           min_size=len(lams), max_size=len(lams)))
-    spectrum = ff.Spectrum(lams, np.eye(len(lams)), float(lams[-1]), 1)
+    spectrum = ff.Spectrum(lams, np.eye(len(lams)))
     return spectrum, np.asarray(gains)
 
 
@@ -482,7 +474,7 @@ def test_frequency_groups_are_anchored_not_chained():
     # 0.6e-9 apart: the third eigenvalue is 1.2e-9 above the first, so it
     # starts a frequency although it is within 1e-9 of the second
     lams = np.array([0.0, 0.5, 0.5 + 0.6e-9, 0.5 + 1.2e-9, 0.5 + 1.8e-9, 2.0])
-    spectrum = ff.Spectrum(lams, np.eye(6), 2.0, 1)
+    spectrum = ff.Spectrum(lams, np.eye(6))
     assert spectrum.frequency_starts.tolist() == [0, 1, 3, 5]
     assert spectrum.frequency_starts is spectrum.frequency_starts  # found once
     pred = ff.dominant_frequency(spectrum, np.array([0.1, 0.2, 0.9, 0.3, 0.4, 0.1]))

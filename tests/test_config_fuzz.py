@@ -1,16 +1,19 @@
-"""Single-fault fuzz of the CLI inputs: one key, or one whole block, of a
+"""Fuzz of the CLI inputs.  Single faults: one key, or one whole block, of a
 valid config is replaced by a value from a fixed vocabulary, or one entry of
-a valid init signal file or trace CSV by a non-finite or empty field.
-Whatever the fault, ``run``, ``sweep`` and ``classify`` must return an exit
-code (no traceback; RuntimeWarnings are errors here) and must write nothing
-when that code is not 0."""
+a valid init signal file or trace CSV by a non-finite or empty field.  Whole
+inputs: drawn weights and init blocks, and drawn signal and trace files.
+Whatever the input, ``run``, ``sweep`` and ``classify`` must exit 0 or with
+a mapped code, print one ``error:`` line and no traceback when they fail
+(RuntimeWarnings are errors here), and write nothing then."""
 
+import contextlib
 import functools
+import io
 import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from frameflow import cli
 
@@ -77,20 +80,30 @@ def _with_fault(cfg, block, key, value):
     return cfg
 
 
+CODES = {0, *cli.EXIT_CODES.values()}  # success, or an error mapped to its exit code
+
+
+def _main(argv, out=None):
+    """``cli.main(argv)``'s exit code, a mapped one; a failing call prints
+    one ``error:`` line and no traceback, and leaves ``out`` unwritten."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in CODES and "Traceback" not in err.getvalue()
+    assert sum(ln.startswith("error:") for ln in err.getvalue().splitlines()) == (code != 0)
+    if code != 0 and out is not None:
+        assert not out.exists()
+    return code
+
+
 def _main_codes(cfg, parameter, grid, tmp):
-    """Exit codes of ``run`` and ``sweep`` on ``cfg``; each asserts that a
-    failing command wrote nothing."""
+    """Exit codes of ``run`` and ``sweep`` on ``cfg``, each checked by :func:`_main`."""
     config = Path(tmp) / "config.json"
     config.write_text(json.dumps(cfg), encoding="utf-8")
-    codes = []
-    for name, command in (("run", ["run"]),
-                          ("sweep", ["sweep", "--parameter", parameter, "--grid", grid])):
-        out = Path(tmp) / name
-        codes.append(cli.main([*command, "--config", str(config), "--out", str(out)]))
-        assert isinstance(codes[-1], int)
-        if codes[-1] != 0:
-            assert not out.exists()
-    return codes
+    commands = {"run": ["run"], "sweep": ["sweep", "--parameter", parameter, "--grid", grid]}
+    return [_main([*command, "--config", str(config), "--out", str(Path(tmp) / name)],
+                  Path(tmp) / name)
+            for name, command in commands.items()]
 
 
 def test_fuzz_bases_are_valid(tmp_path):
@@ -149,12 +162,8 @@ def test_single_fault_trace_files_exit_with_a_code_and_write_nothing(row, column
         config, trace = Path(tmp) / "config.json", Path(tmp) / "trace.csv"
         config.write_text(json.dumps(BASES[0][0]), encoding="utf-8")
         trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        code = cli.main(["classify", "--config", str(config), "--trace", str(trace)])
-        assert code == 5
+        assert _main(["classify", "--config", str(config), "--trace", str(trace)]) == 5
         assert sorted(p.name for p in Path(tmp).iterdir()) == ["config.json", "trace.csv"]
-
-
-CODES = {0, *cli.EXIT_CODES.values()}  # success, or an error mapped to its exit code
 
 
 @st.composite
@@ -230,3 +239,89 @@ def test_whole_weights_blocks_exit_with_a_mapped_code_and_write_nothing_on_failu
     with tempfile.TemporaryDirectory() as tmp:
         codes = _main_codes(cfg, "lambda_w", "0.5,2", tmp)
     assert set(codes) <= CODES
+
+
+SIGNAL = object()  # stands for the path of a valid 6 x 2 signal file
+INIT_MODES = ["random_normal", "file", "eigenvector", MISSING, "x", None, 0]
+
+
+@st.composite
+def _init_block(draw):
+    """A whole init block: one of the three modes or junk, and each key
+    missing or a value of the vocabulary: a usual value (a valid file for a
+    path) or any.  A key outside the mode's block is kept one time in two."""
+    values = lambda usual: st.sampled_from([MISSING, *usual]) | st.sampled_from(VOCABULARY)
+    block = draw(st.fixed_dictionaries(
+        {"mode": st.sampled_from(INIT_MODES), "seed": values([0, 1, 2, 3]),
+         "channels": values([1, 2, 3]), "index": values([0, 1, 2, 3]), "path": values([SIGNAL])}))
+    kept = block if draw(st.booleans()) else cli.CONFIG_KEYS.get(f"init.{block['mode']}", block)
+    return {key: value for key, value in block.items() if value is not MISSING and key in kept}
+
+
+def _classify(cfg, tmp, trace_text):
+    """``classify`` of ``trace_text`` on ``cfg``, checked by :func:`_main`; it
+    writes nothing whatever its exit code."""
+    config, trace = Path(tmp) / "classify.json", Path(tmp) / "classified.csv"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    trace.write_text(trace_text, encoding="utf-8")
+    before = sorted(Path(tmp).iterdir())
+    code = _main(["classify", "--config", str(config), "--trace", str(trace)])
+    assert sorted(Path(tmp).iterdir()) == before
+    return code
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(base=st.sampled_from(BASES), init=_init_block())
+def test_whole_init_blocks_exit_with_a_mapped_code_and_write_nothing_on_failure(base, init):
+    cfg, parameter, grid = base
+    with tempfile.TemporaryDirectory() as tmp:
+        signal = Path(tmp) / "h.csv"
+        signal.write_text("".join(f"{i},{0.5 - i}\n" for i in range(6)), encoding="utf-8")
+        faulty = dict(cfg, init={k: str(signal) if v is SIGNAL else v for k, v in init.items()})
+        codes = [*_main_codes(faulty, parameter, grid, tmp), _classify(faulty, tmp, _trace_text())]
+    event(f"exit codes {codes}")
+
+
+NUMBERS, TOKENS = ["0.25", "-1.5", "3", "1e-3", "7e2"], ["nan", "1e999", "", "x", "-inf"]
+
+
+@st.composite
+def _csv_text(draw, headers, rows, width, steps=False):
+    """Comma-separated lines: a first line from ``headers`` (None: no line),
+    ``rows`` rows of ``width`` numbers (the first the row's step if
+    ``steps``), and blank lines between them.  A file is clean, or each of
+    its entries, widths and steps is off one time in four or in twenty: a
+    token of TOKENS, one field more or fewer, the next step."""
+    odd = draw(st.sampled_from([0, 0, 1, 5]))  # in twenty
+    off = lambda: draw(st.integers(0, 19)) < odd
+    lines = [draw(st.sampled_from(headers))]
+    for k in range(draw(rows)):
+        size = width + (draw(st.sampled_from([-1, 1])) if off() else 0)
+        entries = [draw(st.sampled_from(TOKENS if off() else NUMBERS)) for _ in range(size)]
+        if steps and entries:
+            entries[0] = str(k + off())
+        lines += [",".join(entries)] + [""] * draw(st.integers(0, 1))
+    return "".join(f"{ln}\n" for ln in lines if ln is not None)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(base=st.sampled_from(BASES),
+       text=_csv_text([None, None, "h0,h1"], st.sampled_from([6, 6, 6, 0, 5, 7]), 2))
+def test_whole_signal_files_exit_with_a_mapped_code_and_write_nothing_on_failure(base, text):
+    cfg, parameter, grid = base
+    with tempfile.TemporaryDirectory() as tmp:
+        signal = Path(tmp) / "h.csv"
+        signal.write_text(text, encoding="utf-8")
+        codes = _main_codes(dict(cfg, init={"mode": "file", "path": str(signal)}), parameter,
+                            grid, tmp)
+    event(f"exit codes {codes}")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(text=_csv_text([cli.TRACE_HEADER] * 3 + [None, "step,norm"], st.integers(0, 12), 5,
+                      steps=True))
+def test_whole_trace_files_exit_with_a_mapped_code_and_write_nothing(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        code = _classify(BASES[0][0], tmp, text)
+    assert code in (0, 5)
+    event(f"exit code {code}")

@@ -991,7 +991,7 @@ def identity_basis(rng, scales, n=9):
     spectral coordinates coincide bit for bit, so the vertex-domain steps
     replay run_flow exactly."""
     lam = ff.eigh(ff.normalized_laplacian(random_er_graph(rng, n, p=0.5))).eigenvalues
-    sys = ff.build_framelet_system(ff.Spectrum(lam, np.eye(n), float(lam[-1]), 1), scales)
+    sys = ff.build_framelet_system(ff.Spectrum(lam, np.eye(n)), scales)
     return sys, np.diag(1.0 - lam), np.diag(lam)
 
 

@@ -223,6 +223,28 @@ def test_fourier_dimension_check():
         ff.graph_fourier(spec, np.zeros((3, 1)))
 
 
+SIGNAL_READERS = {
+    "graph_fourier": lambda spec, sys, x: ff.graph_fourier(spec, x),
+    "inverse_graph_fourier": lambda spec, sys, x: ff.inverse_graph_fourier(spec, x),
+    "decompose": lambda spec, sys, x: ff.decompose(sys, x),
+    "reconstruct": lambda spec, sys, x: ff.reconstruct(
+        sys, ff.FrameletCoeffs(dict.fromkeys(sys.bands, x))),
+    "limit_dominance": lambda spec, sys, x: ff.analysis.limit_dominance(
+        True, spec.rho_l / 2.0, spec.rho_l, 1e-6, spec, x),
+}
+
+
+@pytest.mark.parametrize("shape", [(6, 6, 2), (7, 2), (7,), ()])
+@pytest.mark.parametrize("reader", SIGNAL_READERS)
+def test_signal_readers_take_only_n_or_n_by_c_arrays(reader, shape):
+    """One shape rule, spectral.as_columns: on a 6-cycle a rank-3 array, a
+    7-row array and a number are each a DimensionMismatchError."""
+    spec = ff.eigh(ff.normalized_laplacian(ff.generate_graph(ff.GraphSpec(kind="cycle", n=6))))
+    sys = ff.build_framelet_system(spec, 1)
+    with pytest.raises(DimensionMismatchError, match=r"signal shape \("):
+        SIGNAL_READERS[reader](spec, sys, np.ones(shape))
+
+
 def _rotate_degenerate_clusters(spec, rng):
     """The same spectrum with each repeated eigenvalue's rows of U mixed by
     a random orthogonal matrix: another valid eigenbasis."""
@@ -233,7 +255,7 @@ def _rotate_degenerate_clusters(spec, rng):
         if hi - lo > 1:
             q, _ = np.linalg.qr(rng.standard_normal((hi - lo, hi - lo)))
             u[lo:hi] = q @ u[lo:hi]
-    return ff.Spectrum(lam, u, spec.rho_l, spec.top_multiplicity)
+    return ff.Spectrum(lam, u)
 
 
 SPATIAL = ff.Scheme("spatial_framelet", renormalize=True)
