@@ -25,7 +25,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -190,14 +190,31 @@ def load_config(path) -> dict:
     return cfg
 
 
-def validate_config(cfg: dict) -> energies.WeightConfig:
+@dataclass(frozen=True)
+class Plan:
+    """A checked config and everything its check built, which every command
+    runs; a sweep point is its config's plan with the swept value replaced."""
+
+    config: dict  # echoed in the summary
+    scheme: dynamics.Scheme
+    weights: energies.WeightConfig
+    stop: dynamics.StopRule
+    tol: float  # the verdict tolerance
+    scales: int
+    variant: str
+    csv: str
+    summary: str
+
+
+def validate_config(cfg: dict) -> Plan:
     """Check every key's name, value type, range and choice before any work;
-    return the weights built to check them, which the run uses."""
+    return the plan built to check them, which the command runs."""
     _check_keys("config", cfg)
     _check_keys("graph", _require("config", cfg, "graph"))
     _require("graph", cfg["graph"], "kind")
-    _check_keys("framelet", cfg.get("framelet", {}))
-    _check_keys("scheme", cfg.get("scheme", {}))
+    fcfg, scfg = cfg.get("framelet", {}), cfg.get("scheme", {})
+    _check_keys("framelet", fcfg)
+    _check_keys("scheme", scfg)
     wcfg = _require("config", cfg, "weights")
     mode = _require("weights", wcfg, "mode")
     if mode not in ("scalar", "shared", "full"):
@@ -217,34 +234,33 @@ def validate_config(cfg: dict) -> energies.WeightConfig:
     _check_keys(f"init.{imode}", icfg, "init")
     if imode != "random_normal":
         _require("init", icfg, "path" if imode == "file" else "index")
-    _check_keys("run", cfg.get("run", {}))
-    _check_keys("output", cfg.get("output", {}))
-    scales, variant = _framelet(cfg)
+    rcfg, ocfg = cfg.get("run", {}), cfg.get("output", {})
+    _check_keys("run", rcfg)
+    _check_keys("output", ocfg)
+    scales, variant = fcfg.get("scales", 1), fcfg.get("variant", "tight")
     framelets.haar_response(0.0, scales, variant)
     for block, key, least in (("init", "channels", 1), ("init", "seed", 0), ("graph", "seed", 0)):
         if cfg[block].get(key, least) < least:
             raise ConfigError(f"{block}.{key} must be >= {least}, got {cfg[block][key]}")
-    if _run_rules(cfg)[1] <= 0.0:  # StopRule rejects run.steps or run.plateau_window below 1
-        raise ConfigError(f"run.tol must be > 0, got {cfg['run']['tol']!r}")
+    stop = dynamics.StopRule(  # rejects run.steps or run.plateau_window below 1
+        max_steps=int(rcfg.get("steps", 1000)),
+        plateau_window=int(rcfg.get("plateau_window", 10)),
+    )
+    tol = float(rcfg.get("tol", analysis.DEFAULT_TOL))
+    if tol <= 0.0:
+        raise ConfigError(f"run.tol must be > 0, got {rcfg['tol']!r}")
     if theta is not None:
         _theta_bands(theta, scales)  # rejects a negative coefficient or a bad band key
-    scheme = _scheme(cfg)  # dynamics.Scheme rejects an unknown or misplaced kind or activation
-    weights = _build_weights(cfg, scheme.kind)  # WeightConfig rejects tau < 0, asymmetry
-    csv, summary = _output_names(cfg)
+    scheme = dynamics.Scheme(  # rejects an unknown or misplaced kind or activation
+        kind=scfg.get("kind", "spatial_framelet"),
+        activation=scfg.get("activation", "identity"),
+        renormalize=bool(rcfg.get("renormalize", True)),
+    )
+    weights = _build_weights(cfg, scheme.kind, scales)  # WeightConfig rejects tau < 0, asymmetry
+    csv, summary = ocfg.get("csv", "trace.csv"), ocfg.get("summary", "summary.json")
     if csv == summary:
         raise ConfigError(f"output.csv and output.summary are both {csv!r}")
-    return weights
-
-
-def _framelet(cfg: dict) -> tuple:
-    """(scales, variant) of the framelet block."""
-    fcfg = cfg.get("framelet", {})
-    return fcfg.get("scales", 1), fcfg.get("variant", "tight")
-
-
-def _output_names(cfg: dict) -> tuple:
-    ocfg = cfg.get("output", {})
-    return ocfg.get("csv", "trace.csv"), ocfg.get("summary", "summary.json")
+    return Plan(cfg, scheme, weights, stop, tol, scales, variant, csv, summary)
 
 
 @functools.cache
@@ -252,15 +268,6 @@ def _probe_bank(scales: int, variant: str) -> framelets.FrameletSystem:
     """The bank at 0 and 2, the ends of every normalized Laplacian spectrum."""
     ends = spectral.Spectrum(np.array([0.0, 2.0]), np.eye(2))
     return framelets.build_framelet_system(ends, scales, variant)
-
-
-def _scheme(cfg: dict) -> dynamics.Scheme:
-    scfg = cfg.get("scheme", {})
-    return dynamics.Scheme(
-        kind=scfg.get("kind", "spatial_framelet"),
-        activation=scfg.get("activation", "identity"),
-        renormalize=bool(cfg.get("run", {}).get("renormalize", True)),
-    )
 
 
 def _build_graph(cfg: dict, seed: Optional[int]) -> graphs.Graph:
@@ -376,8 +383,8 @@ def _band_matrix_map(name: str, obj: dict, scales: int) -> Dict[tuple, np.ndarra
     return out
 
 
-def _build_weights(cfg: dict, kind: str) -> energies.WeightConfig:
-    wcfg, scales, theta = cfg["weights"], _framelet(cfg)[0], cfg.get("theta")
+def _build_weights(cfg: dict, kind: str, scales: int) -> energies.WeightConfig:
+    wcfg, theta = cfg["weights"], cfg.get("theta")
     common = {
         "epsilon": float(cfg.get("epsilon", 0.0)),
         "beta": float(cfg.get("beta", 0.0)),
@@ -410,20 +417,17 @@ class Geometry:
 
 @dataclass
 class Experiment(Geometry):
-    """Everything assembled from one config, ready to run."""
+    """A geometry and the plan to run on it."""
 
-    scheme: dynamics.Scheme
-    weights: energies.WeightConfig
-    stop: dynamics.StopRule
-    tol: float
+    plan: Plan
 
 
-def build_geometry(cfg: dict, weights: energies.WeightConfig, seed: Optional[int] = None,
+def build_geometry(plan: Plan, seed: Optional[int] = None,
                    reads: tuple = ("omega", "w", "w_tilde", "theta")) -> Geometry:
-    """The geometry of a validated config; ``weights`` are the config's, built
-    by its check.  Of the config keys in ``reads`` (a scheme's, or by default
-    all that ``energy`` reads), each matrix weight must fit the signal (see
-    WeightConfig.check_channels) and a per-vertex theta the graph."""
+    """The geometry of a plan.  Of the config keys in ``reads`` (a scheme's,
+    or by default all that ``energy`` reads), each matrix weight must fit the
+    signal (see WeightConfig.check_channels) and a per-vertex theta the graph."""
+    cfg, weights = plan.config, plan.weights
     icfg = cfg["init"]
     if icfg["mode"] != "file":  # random_normal channels, or one eigenvector
         weights.check_channels(icfg.get("channels", 1), reads)
@@ -436,71 +440,57 @@ def build_geometry(cfg: dict, weights: energies.WeightConfig, seed: Optional[int
     if signal is not None:
         weights.check_channels(signal.shape[1], reads)
     if "theta" in reads and weights.theta is not None:
-        weights.theta_for(_probe_bank(*_framelet(cfg)).bands, n)
+        weights.theta_for(_probe_bank(plan.scales, plan.variant).bands, n)
     spectrum = spectral.eigh(graphs.normalized_laplacian(graph))
-    system = framelets.build_framelet_system(spectrum, *_framelet(cfg))
+    system = framelets.build_framelet_system(spectrum, plan.scales, plan.variant)
     initial = _build_init(cfg, spectrum, seed) if signal is None else signal
     return Geometry(graph, spectrum, system, initial)
 
 
-def _run_rules(cfg: dict):
-    """(stop rule, verdict tolerance) of the config's run block."""
-    rcfg = cfg.get("run", {})
-    stop = dynamics.StopRule(
-        max_steps=int(rcfg.get("steps", 1000)),
-        plateau_window=int(rcfg.get("plateau_window", 10)),
-    )
-    return stop, float(rcfg.get("tol", analysis.DEFAULT_TOL))
-
-
-def assemble(cfg: dict, geometry: Geometry, weights: energies.WeightConfig) -> Experiment:
-    """Add the scheme, the config's weights and its stop rule to a geometry."""
-    scheme = _scheme(cfg)
-    stop, tol = _run_rules(cfg)
-    if "epsilon" in dynamics.SCHEMES[scheme.kind].reads and weights.epsilon <= 0.0:
+def assemble(plan: Plan, geometry: Geometry) -> Experiment:
+    """Add a plan to a geometry."""
+    kind, epsilon = plan.scheme.kind, plan.weights.epsilon
+    if "epsilon" in dynamics.SCHEMES[kind].reads and epsilon <= 0.0:
         print(
-            f"warning: scheme {scheme.kind} with epsilon={weights.epsilon} <= 0; "
-            "the band shifts degenerate",
+            f"warning: scheme {kind} with epsilon={epsilon} <= 0; the band shifts degenerate",
             file=sys.stderr,
         )
-    return Experiment(**vars(geometry), scheme=scheme, weights=weights, stop=stop, tol=tol)
+    return Experiment(**vars(geometry), plan=plan)
 
 
-def _check_flow_config(cfg: dict, weights: energies.WeightConfig) -> None:
+def _check_flow_config(plan: Plan) -> None:
     """Reject before any geometry is built what a flow would reject later: the
     closed form off a tight two-scale bank, spectral filtering without a theta
-    per band or with unequal band weights, and an unrenormalized run.
-    ``weights`` are the config's, built as its check."""
-    scheme, bank = _scheme(cfg), _probe_bank(*_framelet(cfg))
-    if scheme.kind == "perturbed_closed_form":
+    per band or with unequal band weights, and an unrenormalized run."""
+    kind, bank = plan.scheme.kind, _probe_bank(plan.scales, plan.variant)
+    if kind == "perturbed_closed_form":
         dynamics.require_closed_form_bank(bank)
-    if scheme.kind == "spectral_framelet":
-        weights.theta_for(bank.bands)
-        weights.shared_w(bank)
-    if not scheme.renormalize:
+    if kind == "spectral_framelet":
+        plan.weights.theta_for(bank.bands)
+        plan.weights.shared_w(bank)
+    if not plan.scheme.renormalize:
         raise TraceNotNormalizedError("dominance is defined on renormalized runs only")
 
 
-def run_flows(cfgs: List[dict], weights: list, seed: Optional[int] = None) -> list:
-    """Check every validated config's flow by :func:`_check_flow_config` on its
-    ``weights`` (from :func:`validate_config` or the sweep value's check);
-    build the geometry they share once; then assemble every config,
-    run every flow, predict every limit and classify every trace, a stage at
-    a time, which keeps each stage's code and data warm.  Returns
-    (experiment, trace, prediction, verdict) per config, in order."""
-    for cfg, point in zip(cfgs, weights, strict=True):
-        _check_flow_config(cfg, point)
-    reads = dynamics.SCHEMES[_scheme(cfgs[0]).kind].reads  # the keys the flows read
-    geometry = build_geometry(cfgs[0], weights[0], seed, reads)
-    experiments = [assemble(cfg, geometry, point) for cfg, point in zip(cfgs, weights)]
-    traces = [dynamics.run_flow(exp.scheme, exp.system, exp.initial, exp.weights, exp.stop)
-              for exp in experiments]
+def run_flows(plans: List[Plan], seed: Optional[int] = None) -> list:
+    """Check every plan's flow by :func:`_check_flow_config`; build the
+    geometry they share once; then assemble every plan, run every flow,
+    predict every limit and classify every trace, a stage at a time, which
+    keeps each stage's code and data warm.  Returns (experiment, trace,
+    prediction, verdict) per plan, in order."""
+    for plan in plans:
+        _check_flow_config(plan)
+    reads = dynamics.SCHEMES[plans[0].scheme.kind].reads  # the keys the flows read
+    geometry = build_geometry(plans[0], seed, reads)
+    experiments = [assemble(plan, geometry) for plan in plans]
+    traces = [dynamics.run_flow(plan.scheme, exp.system, exp.initial, plan.weights, plan.stop)
+              for plan, exp in zip(plans, experiments)]
     predictions = [
         None if trace.gains is None else analysis.dominant_frequency(exp.spectrum, trace.gains)
         for exp, trace in zip(experiments, traces)
     ]
     verdicts = [
-        analysis.classify_dominance(trace, exp.spectrum, exp.tol, prediction)
+        analysis.classify_dominance(trace, exp.spectrum, exp.plan.tol, prediction)
         for exp, trace, prediction in zip(experiments, traces, predictions)
     ]
     return list(zip(experiments, traces, predictions, verdicts))
@@ -518,9 +508,9 @@ def write_trace_csv(path, trace: dynamics.FlowTrace) -> None:
 
 def run_config(cfg: dict, out_dir, seed: Optional[int] = None) -> dict:
     """Run one experiment; write the trace CSV + summary JSON; return the summary."""
-    [(exp, trace, _, verdict)] = run_flows([cfg], [validate_config(cfg)], seed)
-    csv_path, summary_path = (Path(out_dir) / name for name in _output_names(cfg))
-    write_trace_csv(csv_path, trace)
+    plan = validate_config(cfg)
+    [(exp, trace, _, verdict)] = run_flows([plan], seed)
+    write_trace_csv(Path(out_dir) / plan.csv, trace)
     summary = {
         "verdict": asdict(verdict),
         "rho_l": exp.spectrum.rho_l,
@@ -533,32 +523,36 @@ def run_config(cfg: dict, out_dir, seed: Optional[int] = None) -> dict:
             "plateaued": trace.plateaued,
             "steps_to_plateau": trace.steps_to_plateau,
         },
-        "paper_check": dynamics.SCHEMES[exp.scheme.kind].paper_check,
-        "config": cfg,
+        "paper_check": dynamics.SCHEMES[plan.scheme.kind].paper_check,
+        "config": plan.config,
         "seed_override": seed,
     }
-    _write_text(summary_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_text(Path(out_dir) / plan.summary, json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary
 
 
-def _apply_sweep_value(cfg: dict, parameter: str, value: float) -> tuple:
-    """The point config: ``cfg`` (validated) with the one swept leaf replaced,
-    sharing every block but the one it changes (which no run mutates); and
-    its weights, built to check the value, which its run uses."""
+def _apply_sweep_value(plan: Plan, parameter: str, value: float) -> Plan:
+    """The point's plan: ``plan`` with the one swept leaf of its config
+    replaced, sharing every block but the one it changes (which no run
+    mutates), and with the weights built to check the value, which its run
+    uses."""
     if parameter not in SWEEP_KEYS:
         raise ConfigError(f"sweep parameter must be one of {tuple(SWEEP_KEYS)}, got {parameter!r}")
-    block, kind = SWEEP_KEYS[parameter], _scheme(cfg).kind
+    cfg, block, kind = plan.config, SWEEP_KEYS[parameter], plan.scheme.kind
     read = "w" if parameter == "lambda_w" else parameter
     schemes = tuple(name for name, spec in dynamics.SCHEMES.items() if read in spec.reads)
     if kind not in schemes:
         raise ConfigError(f"{parameter} sweeps need scheme.kind in {schemes}, got {kind!r}")
     if block is not None and parameter not in cfg[block]:  # lambda_w off scalar weights
         raise ConfigError(f"{parameter} sweeps need {block}.{parameter} in the config")
+    if isinstance(cfg.get(parameter), dict):  # a number would drop theta's low and bands
+        raise ConfigError(f"{parameter} sweeps need a number {parameter}, not an object")
     if not _is_number(value):
         raise ConfigError(f"sweep value must be a finite number, got {value!r}")
     leaf = {parameter: value}
     point = {**cfg, **leaf} if block is None else {**cfg, block: {**cfg[block], **leaf}}
-    return point, _build_weights(point, kind)  # rejects a negative theta or tau
+    weights = _build_weights(point, kind, plan.scales)  # rejects a negative theta or tau
+    return replace(plan, config=point, weights=weights)
 
 
 def sweep_config(
@@ -572,9 +566,8 @@ def sweep_config(
     in grid order."""
     if not grid:
         raise ConfigError("sweep grid must not be empty")
-    validate_config(cfg)
-    points, weights = zip(*(_apply_sweep_value(cfg, parameter, value) for value in grid))
-    flows = run_flows(points, weights, seed)
+    plan = validate_config(cfg)
+    flows = run_flows([_apply_sweep_value(plan, parameter, value) for value in grid], seed)
     rows = [
         {
             "value": value,
@@ -598,28 +591,28 @@ def sweep_config(
 
 def energy_report(cfg: dict, seed: Optional[int] = None) -> dict:
     """Evaluate every energy the config makes applicable for its signal."""
-    weights = validate_config(cfg)
-    exp = assemble(cfg, build_geometry(cfg, weights, seed), weights)
-    x = exp.initial
+    plan = validate_config(cfg)
+    exp = assemble(plan, build_geometry(plan, seed))
+    x, weights = exp.initial, plan.weights
     report = {"dirichlet": energies.dirichlet_energy(graphs.normalized_laplacian(exp.graph), x)}
     if exp.system.is_tight:
         per_band, total = energies.framelet_dirichlet_energies(exp.system, x)
         report["band_dirichlet"] = {f"{b[0]},{b[1]}": v for b, v in per_band.items()}
         report["band_dirichlet_sum"] = total
     report["total_framelet"] = energies.total_framelet_energy(
-        exp.system, x, exp.weights, initial=x if exp.weights.has_source else None
+        exp.system, x, weights, initial=x if weights.has_source else None
     )
-    if cfg["weights"]["mode"] == "shared":  # every band holds the one (omega, w) pair
+    if plan.config["weights"]["mode"] == "shared":  # every band holds the one (omega, w) pair
         band, ahat = exp.system.low_pass, graphs.normalized_adjacency(exp.graph)
         report["generalized"] = energies.generalized_energy(
-            ahat, x, exp.weights.omega[band], exp.weights.w[band]
+            ahat, x, weights.omega[band], weights.w[band]
         )
-    if exp.weights.epsilon != 0.0 and exp.system.is_tight:
-        report["perturbed"] = energies.perturbed_energy(exp.system, x, exp.weights.epsilon)
-    if exp.weights.theta is not None:
-        report["spectral"] = energies.spectral_energy(exp.system, x, exp.weights)
-    if exp.weights.has_source:
-        report["source_term"] = energies.source_energy_term(exp.system, x, x, exp.weights)
+    if weights.epsilon != 0.0 and exp.system.is_tight:
+        report["perturbed"] = energies.perturbed_energy(exp.system, x, weights.epsilon)
+    if weights.theta is not None:
+        report["spectral"] = energies.spectral_energy(exp.system, x, weights)
+    if weights.has_source:
+        report["source_term"] = energies.source_energy_term(exp.system, x, x, weights)
     return report
 
 
@@ -630,16 +623,15 @@ def classify_trace_csv(cfg: dict, trace_path, seed: Optional[int] = None) -> dic
     of the high-frequency test cannot be re-checked here.  Of the geometry
     only the eigenvalues (for rho_L) are computed, with no eigenbasis.
     """
-    validate_config(cfg)
+    plan = validate_config(cfg)
     rho_l = float(spectral.eigvalsh(graphs.normalized_laplacian(_build_graph(cfg, seed)))[-1])
-    stop, tol = _run_rules(cfg)
     table, lines = read_numbers(trace_path, "trace", TRACE_HEADER)
     k = int(np.argmax(table[:, 0] != np.arange(len(table))))  # the first wrong step, or 0
     if table[k, 0] != k:
         raise FileParseError(f"{trace_path}:{lines[k]}: row {k + 1} is not step {k}")
-    plateaued = stop.plateau_step([table[:, 2]]) is not None
+    plateaued = plan.stop.plateau_step([table[:, 2]]) is not None
     limit = float(table[-1, 2])
-    dominance, _ = analysis.limit_dominance(plateaued, limit, rho_l, tol)
+    dominance, _ = analysis.limit_dominance(plateaued, limit, rho_l, plan.tol)
     return {
         "dominance": dominance,
         "limit_value": limit,

@@ -117,23 +117,23 @@ class FrameletSystem:
     Attributes
     ----------
     scales, variant : the filter bank parameters.
-    bands : ordered band keys, low-pass first.
     responses : band -> (n,) filter values at each eigenvalue.
     spectrum : the underlying eigendecomposition.
-    tightness_residual : max_i |sum_b resp_b(lam_i)^2 - 1| (diagnostic; ~0
-        for the tight variant, genuinely nonzero for paper_literal at J=2).
     """
 
     scales: int
     variant: str
-    bands: tuple
     responses: Dict[Band, np.ndarray]
     spectrum: Spectrum
-    tightness_residual: float
 
     @property
     def n(self) -> int:
         return self.spectrum.n
+
+    @property
+    def bands(self) -> tuple:
+        """Ordered band keys, low-pass first."""
+        return band_index_set(self.scales)
 
     @property
     def low_pass(self) -> Band:
@@ -147,6 +147,12 @@ class FrameletSystem:
     def squares(self) -> np.ndarray:
         """r_b^2 at each eigenvalue, one row per band in band order."""
         return read_only(np.stack([self.responses[band] ** 2 for band in self.bands]))
+
+    @cached_property
+    def tightness_residual(self) -> float:
+        """max_i |sum_b r_b(lam_i)^2 - 1|: ~0 for the tight variant, genuinely
+        nonzero for paper_literal at J = 2 (a diagnostic)."""
+        return float(np.max(np.abs(self.squares.sum(axis=0) - 1.0)))
 
     @cached_property
     def a_hat(self) -> np.ndarray:
@@ -357,19 +363,9 @@ def build_framelet_system(s: Spectrum, scales: int, variant: str = "tight") -> F
     Eigenvalues are clipped at 0 from below (solver jitter only) before the
     trig evaluation.  No n x n matrix is formed.
     """
-    bands = band_index_set(scales)
     lams = np.maximum(_check_lambda(s.eigenvalues), 0.0)
     responses = {band: read_only(r) for band, r in haar_response(lams, scales, variant).items()}
-    square_sum = sum(responses[band] ** 2 for band in bands)
-    residual = float(np.max(np.abs(square_sum - 1.0)))
-    return FrameletSystem(
-        scales=scales,
-        variant=variant,
-        bands=bands,
-        responses=responses,
-        spectrum=s,
-        tightness_residual=residual,
-    )
+    return FrameletSystem(scales=scales, variant=variant, responses=responses, spectrum=s)
 
 
 def decompose(sys: FrameletSystem, signal: np.ndarray) -> FrameletCoeffs:

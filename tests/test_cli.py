@@ -544,7 +544,7 @@ def test_unrenormalized_run_fails_before_eigensolve(tmp_path, monkeypatch):
     ) == 15
     assert not out.exists()
     with pytest.raises(ff.errors.TraceNotNormalizedError):  # run_flows checks every flow itself
-        cli.run_flows([c6_config(), cfg], [cli.validate_config(c) for c in (c6_config(), cfg)])
+        cli.run_flows([cli.validate_config(c) for c in (c6_config(), cfg)])
 
 
 @pytest.mark.parametrize(
@@ -765,7 +765,7 @@ def test_trace_writer_matches_per_value_formatting(tmp_path):
     summary = cli.run_config(c6_config(lambda_w=2.0, steps=300), tmp_path / "run")
     assert summary["final"]["steps_run"] > 64
     cfg = c6_config(lambda_w=2.0, steps=300)
-    [(_, flow, _, _)] = cli.run_flows([cfg], [cli.validate_config(cfg)])
+    [(_, flow, _, _)] = cli.run_flows([cli.validate_config(cfg)])
     assert (tmp_path / "run" / "trace.csv").read_text(encoding="utf-8") == _per_value_trace_csv(flow)
 
 
@@ -833,7 +833,7 @@ def test_weight_matrices_and_constant_band_thetas_are_predicted(tmp_path, weight
 )
 def test_tie_reports_its_lowest_frequency(tmp_path, cfg):
     summary = cli.run_config(cfg, tmp_path)
-    geometry = cli.build_geometry(cfg, cli.validate_config(cfg))
+    geometry = cli.build_geometry(cli.validate_config(cfg))
     lowest = max(0.0, float(geometry.spectrum.eigenvalues[0]))
     assert summary["verdict"]["predicted"] == "MIXED"
     assert summary["verdict"]["dominant_lambda"] == lowest
@@ -870,8 +870,8 @@ def test_energy_report_generalized_energy_reads_the_shared_pair(tmp_path):
     cfg = c6_config()
     cfg["weights"] = {"mode": "shared", "omega": [[2.0, 0.5], [0.5, 1.0]],
                       "w": [[1.0, -0.25], [-0.25, 3.0]]}
-    report, weights = cli.energy_report(cfg), cli.validate_config(cfg)
-    exp = cli.assemble(cfg, cli.build_geometry(cfg, weights), weights)
+    report, plan = cli.energy_report(cfg), cli.validate_config(cfg)
+    exp = cli.assemble(plan, cli.build_geometry(plan))
     expected = ff.generalized_energy(
         ff.normalized_adjacency(exp.graph), exp.initial, np.array(cfg["weights"]["omega"]),
         np.array(cfg["weights"]["w"]),
@@ -927,13 +927,23 @@ def test_theta_forms_run_the_same_flow(tmp_path, theta, same_as):
     assert verdict["dominance"] == "HFD"
 
 
-def test_lambda_w_sweep_on_shared_weights_exits_two(tmp_path, monkeypatch):
-    monkeypatch.setattr(ff.spectral, "eigh", _refuse)
-    cfg = c6_config()
-    cfg["weights"] = {"mode": "shared", "omega": EYE2, "w": EYE2}
+@pytest.mark.parametrize(
+    "parameter,cfg",
+    [("lambda_w", c6_config(weights={"mode": "shared", "omega": EYE2, "w": EYE2})),
+     ("theta", c6_config(lambda_w=1.0, scheme={"kind": "spectral_framelet"},
+                         theta={"low": 0.5, "high": 3.0})),
+     ("theta", c6_config(lambda_w=1.0, scheme={"kind": "spectral_framelet"},
+                         theta={"bands": {"0,1": [1.0] * 6, "1,1": [0.5, 1, 2, 3, 2, 1]}}))],
+    ids=["lambda_w-shared", "theta-low-high", "theta-bands"],
+)
+def test_lambda_w_sweep_on_shared_weights_exits_two(tmp_path, monkeypatch, parameter, cfg):
+    """A swept leaf the config holds as anything but a number exits 2 before
+    the graph is built: a number in place of a theta object would drop its
+    low and bands without saying so."""
+    monkeypatch.setattr(ff.graphs, "generate_graph", _refuse)
     path = write_config(tmp_path, cfg)
     out = tmp_path / "out"
-    argv = ["sweep", "--config", str(path), "--out", str(out), "--parameter", "lambda_w",
+    argv = ["sweep", "--config", str(path), "--out", str(out), "--parameter", parameter,
             "--grid", "0.5,2"]
     assert cli.main(argv) == 2
     assert not out.exists()
@@ -1475,11 +1485,11 @@ def test_geometry_keeps_no_dense_operator_but_the_eigenbasis():
     cfg = {"graph": {"kind": "erdos_renyi", "n": n, "p": 0.02, "seed": 3},
            "framelet": {"scales": 2}, "weights": {"mode": "scalar", "lambda_w": 2.0},
            "init": {"mode": "random_normal", "seed": 5, "channels": 4}}
-    weights = cli.validate_config(cfg)
-    cli.build_geometry(cfg, weights)  # warms the probe-bank cache and every lazy import
+    plan = cli.validate_config(cfg)
+    cli.build_geometry(plan)  # warms the probe-bank cache and every lazy import
     tracemalloc.start()
     try:
-        geometry = cli.build_geometry(cfg, weights)
+        geometry = cli.build_geometry(plan)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()

@@ -1,10 +1,11 @@
 """Fuzz of the CLI inputs.  Single faults: one key, or one whole block, of a
 valid config is replaced by a value from a fixed vocabulary, or one entry of
 a valid init signal file or trace CSV by a non-finite or empty field.  Whole
-inputs: drawn weights and init blocks, and drawn signal and trace files.
-Whatever the input, ``run``, ``sweep`` and ``classify`` must exit 0 or with
-a mapped code, print one ``error:`` line and no traceback when they fail
-(RuntimeWarnings are errors here), and write nothing then."""
+inputs: drawn weights and init blocks, the graph, framelet, scheme, theta,
+run and output blocks drawn together, and drawn signal and trace files.
+Whatever the input, each command must exit 0 or with a mapped code, print
+one ``error:`` line and no traceback when it fails (RuntimeWarnings are
+errors here), and write nothing then."""
 
 import contextlib
 import functools
@@ -15,7 +16,7 @@ from pathlib import Path
 
 from hypothesis import event, given, settings, strategies as st
 
-from frameflow import cli
+from frameflow import cli, dynamics
 
 MISSING = object()
 MATRICES = [[[2.0]], [[1.0, 0.5], [0.5, 1.0]], [[1.0, 0.5], [-0.5, 1.0]],
@@ -96,14 +97,16 @@ def _main(argv, out=None):
     return code
 
 
-def _main_codes(cfg, parameter, grid, tmp):
-    """Exit codes of ``run`` and ``sweep`` on ``cfg``, each checked by :func:`_main`."""
+def _main_codes(cfg, parameter, grid, tmp, names=("run", "sweep")):
+    """Exit codes of the commands ``names`` (of run, sweep, energy and gen) on
+    ``cfg``, each checked by :func:`_main`."""
     config = Path(tmp) / "config.json"
     config.write_text(json.dumps(cfg), encoding="utf-8")
-    commands = {"run": ["run"], "sweep": ["sweep", "--parameter", parameter, "--grid", grid]}
-    return [_main([*command, "--config", str(config), "--out", str(Path(tmp) / name)],
+    commands = {"run": ["run"], "sweep": ["sweep", "--parameter", parameter, "--grid", grid],
+                "energy": ["energy"], "gen": ["gen"]}
+    return [_main([*commands[name], "--config", str(config), "--out", str(Path(tmp) / name)],
                   Path(tmp) / name)
-            for name, command in commands.items()]
+            for name in names]
 
 
 def test_fuzz_bases_are_valid(tmp_path):
@@ -279,6 +282,62 @@ def test_whole_init_blocks_exit_with_a_mapped_code_and_write_nothing_on_failure(
         signal.write_text("".join(f"{i},{0.5 - i}\n" for i in range(6)), encoding="utf-8")
         faulty = dict(cfg, init={k: str(signal) if v is SIGNAL else v for k, v in init.items()})
         codes = [*_main_codes(faulty, parameter, grid, tmp), _classify(faulty, tmp, _trace_text())]
+    event(f"exit codes {codes}")
+
+
+EDGES = object()  # stands for the path of the 6-cycle's edge list
+BLOCKS = {  # block -> key -> its usual values, small as the vocabulary's
+    "graph": {"kind": ["cycle", "path", "complete_bipartite", "erdos_renyi", "sbm", "file"],
+              "n": [3, 2], "m": [1, 3], "sizes": [[1, 2], [3, 3]], "p": [0.5, 1.0],
+              "p_in": [0.5, 1.0], "p_out": [0.0, 0.5], "seed": [0, 3],
+              "self_loops": [False, True], "path": [EDGES]},
+    "framelet": {"scales": [1, 2], "variant": ["tight", "paper_literal"]},
+    "scheme": {"kind": list(dynamics.SCHEMES), "activation": ["identity", "relu", "tanh"]},
+    "theta": {"low": [1.0, 0.5], "high": [3.0, 0.0],
+              "bands": [BAND_KEYED[1], {"0,2": [1.0] * 6, "1,1": [2.0] * 6, "1,2": [0.5] * 6}]},
+    "run": {"steps": [40, 10, 1], "tol": [1e-6, 0.5], "plateau_window": [1, 3],
+            "renormalize": [True, False]},
+    "output": {"csv": ["trace.csv", "t.csv"], "summary": ["summary.json", "t.csv"]},
+}
+
+
+@st.composite
+def _block(draw, name, odd):
+    """A whole block of BLOCKS: each key usual or missing, or, ``odd`` times
+    in twenty, any value of VOCABULARY."""
+    block = {}
+    for key, usual in BLOCKS[name].items():
+        pool = VOCABULARY if draw(st.integers(0, 19)) >= 20 - odd else [*usual, MISSING]
+        block[key] = draw(st.sampled_from(pool))
+    return {key: value for key, value in block.items() if value is not MISSING}
+
+
+@st.composite
+def _blocks_config(draw):
+    """A base's weights, init and scalars, with its graph, framelet, scheme,
+    run and output blocks drawn whole, and a theta missing, a number or a
+    whole block.  A config is clean, or its keys are odd one time in twenty
+    or in seven."""
+    odd = draw(st.sampled_from([0, 0, 1, 3]))
+    cfg = dict(draw(st.sampled_from(BASES))[0])
+    cfg.update({name: draw(_block(name, odd))
+                for name in ("graph", "framelet", "scheme", "run", "output")})
+    theta = draw(st.sampled_from([MISSING, 2.0, 0.5]) | _block("theta", odd))
+    cfg.pop("theta", None)
+    return cfg if theta is MISSING else dict(cfg, theta=theta)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cfg=_blocks_config(), parameter=st.sampled_from(list(cli.SWEEP_KEYS)))
+def test_whole_config_blocks_exit_with_a_mapped_code_and_write_nothing_on_failure(cfg, parameter):
+    """``run``, ``sweep``, ``energy``, ``gen`` and ``classify`` exit 0 or with
+    a mapped code on whole drawn blocks, and write nothing when they fail."""
+    with tempfile.TemporaryDirectory() as tmp:
+        edges = Path(tmp) / "cycle.edges"
+        edges.write_text("".join(f"{i} {(i + 1) % 6}\n" for i in range(6)), encoding="utf-8")
+        cfg["graph"] = {k: str(edges) if v is EDGES else v for k, v in cfg["graph"].items()}
+        codes = [*_main_codes(cfg, parameter, "0.5,2", tmp, ("run", "sweep", "energy", "gen")),
+                 _classify(cfg, tmp, _trace_text())]
     event(f"exit codes {codes}")
 
 
